@@ -15,6 +15,18 @@ use overgen_workloads as workloads;
 
 use crate::table::{ratio, Table};
 
+/// All three ablations, rendered as one report.
+pub fn render() -> String {
+    format!(
+        "Ablation 1: stream-table one-hot bypass (Figure 11, end-to-end)\n\n{}\
+         Ablation 2: reuse-aware array placement (value of spatial memories)\n\n{}\
+         Ablation 3: MLP vs analytic resource model\n\n{}",
+        one_hot_bypass(),
+        placement_value(),
+        mlp_vs_analytic(),
+    )
+}
+
 /// One-hot bypass ablation: cycles without / with the bypass per workload
 /// on the General Overlay.
 pub fn one_hot_bypass() -> Table {

@@ -29,7 +29,7 @@ pub struct AutoDseRow {
 }
 
 /// Run: per-workload + suite overlays for one suite (whole-paper sweep is
-/// expensive; the binary loops suites).
+/// expensive; [`render_all`] loops suites).
 pub fn run_suite(suite: Suite) -> (Vec<OverlayRow>, Vec<AutoDseRow>) {
     let mut overlays = Vec::new();
     for k in workloads::suite(suite) {
@@ -59,6 +59,16 @@ pub fn run_suite(suite: Suite) -> (Vec<OverlayRow>, Vec<AutoDseRow>) {
         })
         .collect();
     (overlays, autodse_rows)
+}
+
+/// The whole figure: every suite's section, in [`Suite::ALL`] order.
+pub fn render_all() -> String {
+    let mut out = String::new();
+    for suite in Suite::ALL {
+        let (ov, hls) = run_suite(suite);
+        out.push_str(&render(suite, &ov, &hls));
+    }
+    out
 }
 
 /// Render one suite's figure section.

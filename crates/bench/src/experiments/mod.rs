@@ -1,4 +1,5 @@
-//! One module per paper table/figure (see DESIGN.md section 4 for the index).
+//! One module per experiment: the paper's tables and figures plus the
+//! beyond-paper benchmarks (see DESIGN.md section 4 for the index).
 
 pub mod ablations;
 pub mod checkpoint;

@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use overgen_adg::{SysAdg, SystemParams};
 use overgen_compiler::{lower, LowerChoices};
-use overgen_dse::{random_mutation, Dse, DseStats, TransformCtx};
+use overgen_dse::{Dse, DseStats, RuleSet, TransformCtx};
 use overgen_ir::Kernel;
 use overgen_mdfg::Mdfg;
 use overgen_scheduler::{repair_with, schedule, RepairOptions, Schedule, ScheduleFootprint};
@@ -145,8 +145,8 @@ fn timing_chain() -> (Vec<f64>, usize, usize, f64, f64) {
                 schedules: &mut schedules,
                 preserving,
             };
-            let (_, fp) = random_mutation(&mut adg, &mut ctx, &mut rng);
-            footprint = footprint.merge(fp);
+            let app = RuleSet::legacy().apply_random(&mut adg, &mut ctx, &mut rng, 0);
+            footprint = footprint.merge(app.inferred);
         }
         let sys = sys_of(&adg);
         if sys.validate().is_err() {

@@ -44,9 +44,8 @@ use crate::eval::{EvalPipeline, EvalState, ParetoFront, ParetoPoint};
 use crate::heartbeat::{Heartbeat, HeartbeatConfig};
 use crate::objective::Objective;
 use crate::pool::fan_out;
-use crate::rewrite::{AdgDelta, RuleSet};
+use crate::rewrite::{AdgDelta, RuleSet, TransformCtx};
 use crate::system::SystemDseConfig;
-use crate::transforms::TransformCtx;
 
 /// DSE configuration.
 #[derive(Debug, Clone)]

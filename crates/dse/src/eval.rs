@@ -691,7 +691,6 @@ impl<'a> EvalPipeline<'a> {
 /// resource channels, plus — under a placement-aware objective — the
 /// placement quality axes (wirelength, congestion, SLR crossings).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ParetoPoint {
     /// Weighted-geomean estimated IPC of the design.
     pub ipc: f64,
@@ -762,7 +761,6 @@ impl ParetoPoint {
 /// LUT/FF/BRAM/DSP ascending — so the frontier is deterministic and
 /// independent of insertion order.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ParetoFront {
     points: Vec<ParetoPoint>,
 }

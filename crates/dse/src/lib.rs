@@ -56,7 +56,6 @@ mod pool;
 mod rewrite;
 mod store;
 mod system;
-mod transforms;
 
 pub use checkpoint::{Checkpoint, CheckpointConfig};
 pub use engine::{Dse, DseConfig, DseError, DseResult, DseStats, StopFlag};
@@ -71,8 +70,8 @@ pub use overgen_model::{
     SimpleGridPlacer,
 };
 pub use rewrite::{
-    infer_footprint, kind_name, AdgDelta, Application, RecordedAdg, Rule, RuleOutcome, RuleSet,
+    infer_footprint, kind_name, AdgDelta, Application, Mutation, RecordedAdg, Rule, RuleOutcome,
+    RuleSet, TransformCtx,
 };
 pub use store::{EvalStore, StoreError, StoreStats, STORE_MAGIC, STORE_VERSION};
 pub use system::{system_dse, system_dse_sim, SystemDseBackend, SystemDseConfig};
-pub use transforms::{capability_pruning, collapse_node, random_mutation, Mutation, TransformCtx};

@@ -315,8 +315,6 @@ fn inferred_counter(fp: ScheduleFootprint) -> &'static str {
     }
 }
 
-pub(crate) use rules::{capability_pruning_recorded, collapse_recorded};
-
 #[cfg(test)]
 mod tests {
     use super::*;

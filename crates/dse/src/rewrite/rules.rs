@@ -1,6 +1,6 @@
 //! The 14 legacy ADG mutations, ported onto the [`Rule`] trait.
 //!
-//! Each rule body is the legacy `transforms.rs` function with reads going
+//! Each rule body is the legacy hand-rolled mutation with reads going
 //! through [`RecordedAdg::graph`] and writes through the recording
 //! wrappers, so its delta — and therefore its inferred footprint — falls
 //! out mechanically. **The RNG draw sequence of every rule is
@@ -187,7 +187,7 @@ impl Rule for RemoveSwitchRule {
 /// edges for every schedule route that passed through it, rewriting those
 /// routes. Edge-delay preservation (Figure 7b) bumps the delay-FIFO depth
 /// of destination PEs whose operand paths shortened.
-pub(crate) fn collapse_recorded(
+fn collapse_recorded(
     r: &mut RecordedAdg<'_>,
     schedules: &mut [Schedule],
     victim: NodeId,
@@ -395,10 +395,7 @@ fn remove_random_cap(r: &mut RecordedAdg<'_>, rng: &mut Rng) -> Mutation {
 /// (the globally most expensive spare capability per invocation), giving
 /// the annealer the chance to reject harmful prunes instead of devastating
 /// the spare-capacity pool in one step.
-pub(crate) fn capability_pruning_recorded(
-    r: &mut RecordedAdg<'_>,
-    schedules: &[Schedule],
-) -> Mutation {
+fn capability_pruning_recorded(r: &mut RecordedAdg<'_>, schedules: &[Schedule]) -> Mutation {
     let used = used_nodes(schedules);
     let mut candidates: Vec<(NodeId, FuCap)> = Vec::new();
     for pe in r.graph().nodes_of_kind(NodeKind::Pe) {
@@ -765,6 +762,88 @@ mod tests {
         // every PE referenced by the schedule still exists
         for (_, hw) in ctx.schedules[0].assignment.iter() {
             assert!(sys.adg.contains(*hw));
+        }
+    }
+
+    #[test]
+    fn random_applications_never_drop_the_last_pe() {
+        let caps = pool();
+        let mut rng = Rng::seed_from_u64(11);
+        let mut adg = mesh(&MeshSpec::default());
+        let mut schedules = Vec::new();
+        let mut ctx = TransformCtx {
+            cap_pool: &caps,
+            schedules: &mut schedules,
+            preserving: false,
+        };
+        for _ in 0..200 {
+            RuleSet::legacy().apply_random(&mut adg, &mut ctx, &mut rng, 0);
+        }
+        // The graph can transiently be invalid (that is what DSE rejection
+        // handles) but must never panic and must keep at least one PE.
+        assert!(adg.count_kind(NodeKind::Pe) >= 1);
+    }
+
+    #[test]
+    fn collapse_rewrites_routes_and_preserves_validity() {
+        let (mdfg, mut sys, sched) = scheduled_setup();
+        // Find a switch used by some route interior.
+        let mut victim = None;
+        for path in sched.routes.values() {
+            for n in &path[1..path.len().saturating_sub(1)] {
+                if sys.adg.kind(*n) == Some(NodeKind::Switch) {
+                    victim = Some(*n);
+                    break;
+                }
+            }
+        }
+        let Some(victim) = victim else {
+            // All routes are adjacent; nothing to collapse.
+            return;
+        };
+        let mut schedules = vec![sched];
+        let mut delta = AdgDelta::new(0);
+        collapse_recorded(
+            &mut RecordedAdg::new(&mut sys.adg, &mut delta),
+            &mut schedules,
+            victim,
+        );
+        // victim gone, routes no longer reference it, links exist.
+        assert!(!sys.adg.contains(victim));
+        for path in schedules[0].routes.values() {
+            assert!(!path.contains(&victim));
+            for w in path.windows(2) {
+                assert!(sys.adg.has_edge(w[0], w[1]), "bridge edge missing");
+            }
+        }
+        // The schedule must still be repairable as-is (intact fast path).
+        let (_, outcome) = overgen_scheduler::repair(&schedules[0], &mdfg, &sys).unwrap();
+        assert_eq!(outcome, overgen_scheduler::RepairOutcome::Intact);
+    }
+
+    #[test]
+    fn capability_pruning_shrinks_unused_pes_only() {
+        let (_mdfg, mut sys, sched) = scheduled_setup();
+        let used = sched.used_adg_nodes();
+        let cap_count = |sys: &SysAdg| -> usize {
+            sys.adg
+                .nodes()
+                .filter_map(|(_, n)| n.as_pe().map(|p| p.caps.len()))
+                .sum()
+        };
+        let before = cap_count(&sys);
+        let mut delta = AdgDelta::new(0);
+        capability_pruning_recorded(
+            &mut RecordedAdg::new(&mut sys.adg, &mut delta),
+            std::slice::from_ref(&sched),
+        );
+        assert!(cap_count(&sys) < before, "pruning had no effect");
+        // used PEs untouched
+        for pe in sys.adg.nodes_of_kind(NodeKind::Pe) {
+            if used.contains(&pe) {
+                let n = sys.adg.node(pe).unwrap().as_pe().unwrap();
+                assert_eq!(n.caps.len(), 3, "used PE was pruned");
+            }
         }
     }
 

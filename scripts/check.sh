@@ -5,8 +5,9 @@
 #   ./scripts/check.sh <stage>...   run only the named stages
 #
 # Stages:
-#   build        release build of the whole workspace
-#   test         debug + release test suites (tier-1 gate)
+#   build        release build of the whole workspace and of the
+#                stand-alone benchmark package in perfbench/
+#   test         debug + release test suites of every crate (tier-1 gate)
 #   fmt          cargo fmt --check
 #   clippy       cargo clippy --workspace --all-targets -D warnings
 #   determinism  byte-identical traces: seeded, threads 1 vs 4, repair on/off
@@ -49,16 +50,27 @@
 #                its hand-classified baseline in both compound modes with
 #                a clean release-mode inference oracle (plus a synthetic-
 #                regression negative test of the gate itself)
+#   results      reproducibility gate: the 13 paper experiments of
+#                run_experiments.sh regenerate into a temp dir and every
+#                table must diff clean against results/ (plus a
+#                hand-edited-table negative test of the diff itself)
+#
+# Experiments run through the single `overgen-bench <experiment>`
+# dispatcher binary.
 set -e
 
 stage_build() {
     echo "== build: release workspace =="
-    cargo build --release --workspace
+    cargo build --release
+    echo "== build: benchmark package (its own workspace) =="
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 stage_test() {
+    # The workspace's default-members cover every crate, so both legs run
+    # the crates' unit tests as well as the root integration tests.
     echo "== test: tier-1 (debug) =="
-    cargo test -q --workspace
+    cargo test -q
     echo "== test: full suite under optimizations =="
     cargo test -q --release
 }
@@ -104,7 +116,7 @@ stage_checkpoint() {
         trap 'rm -rf "$CK_TMP"' EXIT INT TERM
     fi
     OVERGEN_RESULTS_DIR="$CK_TMP" cargo run -q --release -p overgen-bench \
-        --bin bench_checkpoint >/dev/null
+        -- checkpoint >/dev/null
     grep -q '"resume_match":true' "$CK_TMP/BENCH_checkpoint.json" \
         || { echo "FAIL: kill-and-resume diverged from the uninterrupted run"; exit 1; }
     grep -q '"checkpoint_invisible":true' "$CK_TMP/BENCH_checkpoint.json" \
@@ -132,20 +144,20 @@ stage_bench() {
     echo "== bench: trace diff across worker counts =="
     OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$TRACE_TMP/t1" \
         OVERGEN_DSE_THREADS=1 cargo run -q --release -p overgen-bench \
-        --bin fig18_incremental >/dev/null
+        -- fig18 >/dev/null
     OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$TRACE_TMP/t4" \
         OVERGEN_DSE_THREADS=4 cargo run -q --release -p overgen-bench \
-        --bin fig18_incremental >/dev/null
+        -- fig18 >/dev/null
     diff "$TRACE_TMP/t1/fig18.trace.jsonl" "$TRACE_TMP/t4/fig18.trace.jsonl" \
         || { echo "FAIL: traces differ across worker counts"; exit 1; }
 
     echo "== bench: trace diff with repair fast path on vs off =="
     OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$TRACE_TMP/r1" \
         OVERGEN_REPAIR=1 cargo run -q --release -p overgen-bench \
-        --bin bench_repair >/dev/null
+        -- repair >/dev/null
     OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$TRACE_TMP/r0" \
         OVERGEN_REPAIR=0 cargo run -q --release -p overgen-bench \
-        --bin bench_repair >/dev/null
+        -- repair >/dev/null
     diff "$TRACE_TMP/r1/repair.trace.jsonl" "$TRACE_TMP/r0/repair.trace.jsonl" \
         || { echo "FAIL: traces differ with repair on vs off"; exit 1; }
 
@@ -198,10 +210,10 @@ stage_objectives() {
     echo "== objectives: budgeted bench trace diff across worker counts =="
     OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$PF_TMP/t1" \
         OVERGEN_DSE_THREADS=1 cargo run -q --release -p overgen-bench \
-        --bin bench_pareto >/dev/null
+        -- pareto >/dev/null
     OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$PF_TMP/t4" \
         OVERGEN_DSE_THREADS=4 cargo run -q --release -p overgen-bench \
-        --bin bench_pareto >/dev/null
+        -- pareto >/dev/null
     diff "$PF_TMP/t1/pareto.trace.jsonl" "$PF_TMP/t4/pareto.trace.jsonl" \
         || { echo "FAIL: pareto traces differ across worker counts"; exit 1; }
 
@@ -236,7 +248,7 @@ stage_profile() {
     # deliberate change moves it.
     OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_DSE_THREADS=1 \
         OVERGEN_RESULTS_DIR="$PROF_TMP" cargo run -q --release -p overgen-bench \
-        --bin bench_dse >/dev/null
+        -- dse >/dev/null
     cargo run -q --release -p overgen-bench --bin overgen-profile -- \
         "$PROF_TMP/dse.trace.jsonl" > "$PROF_TMP/profile_table.txt"
     diff results/profile_table.golden.txt "$PROF_TMP/profile_table.txt" \
@@ -283,9 +295,9 @@ stage_sim() {
     # differs, so only the traces are diffed; the gate below reads the
     # oracle-off leg, whose timings are the real fast-path numbers.
     OVERGEN_TRACE=1 OVERGEN_SIM_ORACLE=1 OVERGEN_RESULTS_DIR="$SIM_TMP/o1" \
-        cargo run -q --release -p overgen-bench --bin bench_sim >/dev/null
+        cargo run -q --release -p overgen-bench -- sim >/dev/null
     OVERGEN_TRACE=1 OVERGEN_SIM_ORACLE=0 OVERGEN_RESULTS_DIR="$SIM_TMP/o0" \
-        cargo run -q --release -p overgen-bench --bin bench_sim >/dev/null
+        cargo run -q --release -p overgen-bench -- sim >/dev/null
     diff "$SIM_TMP/o1/sim.trace.jsonl" "$SIM_TMP/o0/sim.trace.jsonl" \
         || { echo "FAIL: oracle shadow sweep perturbed the trace"; exit 1; }
 
@@ -330,7 +342,7 @@ stage_service() {
 
     echo "== service: >= 2x warm-cache speedup, concurrent == sequential =="
     OVERGEN_RESULTS_DIR="$SVC_TMP" cargo run -q --release -p overgen-bench \
-        --bin bench_service >/dev/null
+        -- service >/dev/null
     cargo run -q --release -p overgen-bench --bin bench-compare -- \
         results/BENCH_service.json "$SVC_TMP/BENCH_service.json" \
         min:summary.median_warm_speedup=2 \
@@ -377,7 +389,7 @@ stage_placement() {
 
     echo "== placement: sweep-stable winners inside the tolerance bands =="
     OVERGEN_RESULTS_DIR="$PL_TMP" cargo run -q --release -p overgen-bench \
-        --bin bench_placement >/dev/null
+        -- placement >/dev/null
     cargo run -q --release -p overgen-bench --bin bench-compare -- \
         results/BENCH_placement.json "$PL_TMP/BENCH_placement.json" \
         min:summary.winner_stable=1 \
@@ -416,7 +428,7 @@ stage_rewrite() {
 
     echo "== rewrite: fast-path share and inference oracle inside the gate =="
     OVERGEN_RESULTS_DIR="$RW_TMP" cargo run -q --release -p overgen-bench \
-        --bin bench_rewrite >/dev/null
+        -- rewrite >/dev/null
     cargo run -q --release -p overgen-bench --bin bench-compare -- \
         results/BENCH_rewrite.json "$RW_TMP/BENCH_rewrite.json" \
         min:summary.fast_share_off=0.83 \
@@ -438,16 +450,50 @@ stage_rewrite() {
     fi
 }
 
+# Diff every table in $2 against its namesake in $1; fails on any drift.
+diff_tables() {
+    drift=0
+    for fresh in "$2"/*.txt; do
+        diff -u "$1/${fresh##*/}" "$fresh" || drift=1
+    done
+    return $drift
+}
+
+stage_results() {
+    if [ -n "${CHECK_TRACE_DIR:-}" ]; then
+        RES_TMP=$CHECK_TRACE_DIR/results
+        mkdir -p "$RES_TMP"
+    else
+        RES_TMP=$(mktemp -d)
+        trap 'rm -rf "$RES_TMP"' EXIT INT TERM
+    fi
+
+    echo "== results: every paper table regenerates byte-identically =="
+    # The beyond-paper BENCH tables carry wall times, so only the paper
+    # experiments of run_experiments.sh are diffed.
+    OVERGEN_RESULTS_DIR="$RES_TMP/fresh" ./run_experiments.sh >/dev/null
+    diff_tables results "$RES_TMP/fresh" \
+        || { echo "FAIL: committed results/*.txt are stale; rerun ./run_experiments.sh"; exit 1; }
+
+    echo "== results: a hand-edited table must fail the diff =="
+    mkdir -p "$RES_TMP/edited"
+    cp results/*.txt "$RES_TMP/edited/"
+    sed '1s/$/ (edited)/' results/table3.txt > "$RES_TMP/edited/table3.txt"
+    if diff_tables "$RES_TMP/edited" "$RES_TMP/fresh" >/dev/null; then
+        echo "FAIL: the results diff accepted a hand-edited table"; exit 1
+    fi
+}
+
 if [ $# -eq 0 ]; then
-    set -- build test fmt clippy determinism checkpoint bench objectives profile sim service placement rewrite
+    set -- build test fmt clippy determinism checkpoint bench objectives profile sim service placement rewrite results
 fi
 
 for stage in "$@"; do
     case "$stage" in
-    build | test | fmt | clippy | determinism | checkpoint | bench | objectives | profile | sim | service | placement | rewrite) "stage_$stage" ;;
+    build | test | fmt | clippy | determinism | checkpoint | bench | objectives | profile | sim | service | placement | rewrite | results) "stage_$stage" ;;
     *)
         echo "unknown stage: $stage" >&2
-        echo "usage: $0 [build|test|fmt|clippy|determinism|checkpoint|bench|objectives|profile|sim|service|placement|rewrite]..." >&2
+        echo "usage: $0 [build|test|fmt|clippy|determinism|checkpoint|bench|objectives|profile|sim|service|placement|rewrite|results]..." >&2
         exit 2
         ;;
     esac

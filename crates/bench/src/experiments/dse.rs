@@ -4,10 +4,11 @@
 //! MachSuite domain, recorded as a machine-readable throughput baseline:
 //! proposals/sec, acceptance and cache behaviour, and — when the profiler
 //! is on (`OVERGEN_PROFILE`, default) — per-phase wall-time totals with
-//! attribution coverage. `bench-compare` gates CI on this record: the
-//! deterministic ratios (fast share, cache hit rate, coverage) get hard
-//! tolerance bands; the wall-clock numbers only get `require:` presence
-//! checks, since absolute throughput varies across machines.
+//! attribution coverage and the system sweep's share of eval time. The
+//! `check.sh profile` stage gates a fresh record with `bench-compare`:
+//! coverage and the system-DSE share get hard bounds; the wall-clock
+//! numbers only get `require:` presence checks, since absolute throughput
+//! varies across machines.
 
 use std::time::Instant;
 
@@ -31,6 +32,9 @@ pub struct DseReport {
     /// Attribution coverage (attributed / eval total); `1.0` when the
     /// profiler is off or nothing was evaluated.
     pub coverage: f64,
+    /// System-DSE sweep time over eval time; `0.0` when the profiler is
+    /// off or nothing was evaluated.
+    pub system_share: f64,
 }
 
 /// Run the DSE and write `results/BENCH_dse.json`.
@@ -45,7 +49,7 @@ pub fn run() -> DseReport {
     let wall_seconds = wall.elapsed().as_secs_f64();
     let stats = r.stats;
 
-    let (phase_totals, coverage) = match current_profiler() {
+    let (phase_totals, coverage, system_share) = match current_profiler() {
         Some(p) => {
             let snap = p.snapshot();
             let totals = Phase::ALL
@@ -53,9 +57,11 @@ pub fn run() -> DseReport {
                 .map(|&ph| (ph.name(), snap.phase_total_us(ph)))
                 .filter(|(_, us)| *us > 0)
                 .collect();
-            (totals, snap.coverage())
+            let share =
+                snap.phase_total_us(Phase::SystemDse) as f64 / snap.eval_total_us().max(1) as f64;
+            (totals, snap.coverage(), share)
         }
-        None => (Vec::new(), 1.0),
+        None => (Vec::new(), 1.0, 0.0),
     };
 
     let report = DseReport {
@@ -64,6 +70,7 @@ pub fn run() -> DseReport {
         proposals_per_sec: stats.iterations as f64 / wall_seconds.max(1e-9),
         phase_totals,
         coverage,
+        system_share,
     };
 
     let decisions = stats.repair_fast + stats.repair_fallback + stats.full_schedules;
@@ -92,6 +99,7 @@ pub fn run() -> DseReport {
     }
     let profile = json::Obj::new()
         .f64("coverage", report.coverage)
+        .f64("system_share", report.system_share)
         .raw("phase_total_us", &phases.finish())
         .finish();
     let record = json::Obj::new()
@@ -129,6 +137,10 @@ pub fn render(r: &DseReport) -> String {
     t.row([
         "attribution coverage".into(),
         format!("{:.1}%", r.coverage * 100.0),
+    ]);
+    t.row([
+        "system-dse share of eval".into(),
+        format!("{:.1}%", r.system_share * 100.0),
     ]);
     format!(
         "DSE engine throughput\n\n{t}\n\

@@ -3,10 +3,13 @@
 //! under the FPGA resource budget; "it is relatively inexpensive to nest
 //! system DSE inside of spatial DSE".
 
-use overgen_adg::{Adg, SysAdg, SystemParams};
+use overgen_adg::{Adg, SystemParams};
 use overgen_mdfg::Mdfg;
 use overgen_model::resources::FpgaDevice;
-use overgen_model::{breakdown, estimate_ipc, weighted_geomean_ipc, Placement, ResourceModel};
+use overgen_model::{
+    spad_bandwidth, tile_breakdown, weighted_geomean_ipc, PerfSummary, Placement,
+    ResourceBreakdown, ResourceModel,
+};
 use overgen_scheduler::Schedule;
 use overgen_sim::{SimBatch, SimConfig};
 use overgen_telemetry::{event, span};
@@ -68,6 +71,30 @@ impl Default for SystemDseConfig {
     }
 }
 
+impl SystemDseConfig {
+    /// Every grid point with `tiles` tiles, in canonical sweep order
+    /// (L2 banks, then L2 capacity, then NoC bandwidth).
+    fn points(&self, tiles: u32) -> impl Iterator<Item = SystemParams> + '_ {
+        self.l2_banks_grid.iter().flat_map(move |&l2_banks| {
+            self.l2_kb_grid.iter().flat_map(move |&l2_kb| {
+                self.noc_bw_grid.iter().map(move |&noc_bw| SystemParams {
+                    tiles,
+                    l2_banks,
+                    l2_kb,
+                    noc_bw_bytes: noc_bw,
+                    dram_channels: self.dram_channels,
+                })
+            })
+        })
+    }
+
+    /// Whether `tile` replicated to `sys` fits the device budget.
+    fn fits(&self, tile: &ResourceBreakdown, sys: &SystemParams) -> bool {
+        self.device
+            .fits(&tile.replicated(sys).total(), self.util_cap)
+    }
+}
+
 /// One tile-count slice of the sweep: every (banks, kb, noc) combination
 /// scored in grid order, plus the slice's candidate/over-budget tallies.
 struct TileSlice {
@@ -79,6 +106,12 @@ struct TileSlice {
 /// Exhaustively choose the best system parameters for an accelerator ADG
 /// given the best-scheduled mDFG (plus its scratchpad placement) per
 /// workload. Returns `None` when not even a single tile fits the budget.
+///
+/// The tile is sized once ([`tile_breakdown`]) and each workload's stream
+/// demand precompiled once ([`PerfSummary`]); every grid point is then a
+/// few multiplications, bit-identical to a per-point
+/// [`breakdown`](overgen_model::breakdown) and
+/// [`estimate_ipc`](overgen_model::estimate_ipc).
 ///
 /// With `threads > 1` the per-tile-count slices of the sweep are scored on
 /// a scoped worker pool; the winner is still selected by folding every
@@ -93,10 +126,12 @@ pub fn system_dse(
     threads: usize,
 ) -> Option<(SystemParams, f64)> {
     let _span = span!("dse.system", max_tiles = cfg.max_tiles);
-    let spad_bw: f64 = adg
-        .nodes()
-        .filter_map(|(_, n)| n.as_spad().map(|s| f64::from(s.bw_bytes)))
-        .sum();
+    let spad_bw = spad_bandwidth(adg);
+    let tile = tile_breakdown(adg, model);
+    let perf: Vec<(PerfSummary, f64)> = per_workload
+        .iter()
+        .map(|(m, p, w)| (PerfSummary::new(m, p), *w))
+        .collect();
 
     let slices = fan_out(threads, (1..=cfg.max_tiles).collect(), |tiles| {
         let mut slice = TileSlice {
@@ -104,30 +139,19 @@ pub fn system_dse(
             candidates: 0,
             over_budget: 0,
         };
-        for &l2_banks in &cfg.l2_banks_grid {
-            for &l2_kb in &cfg.l2_kb_grid {
-                for &noc_bw in &cfg.noc_bw_grid {
-                    let sys = SystemParams {
-                        tiles,
-                        l2_banks,
-                        l2_kb,
-                        noc_bw_bytes: noc_bw,
-                        dram_channels: cfg.dram_channels,
-                    };
-                    slice.candidates += 1;
-                    let sys_adg = SysAdg::new(adg.clone(), sys);
-                    let used = breakdown(&sys_adg, model).total();
-                    if !cfg.device.fits(&used, cfg.util_cap) {
-                        slice.over_budget += 1;
-                        continue;
-                    }
-                    let ipcs: Vec<(f64, f64)> = per_workload
-                        .iter()
-                        .map(|(m, p, w)| (estimate_ipc(m, &sys, spad_bw, p).ipc, *w))
-                        .collect();
-                    slice.scored.push((sys, weighted_geomean_ipc(&ipcs)));
-                }
+        let mut ipcs: Vec<(f64, f64)> = Vec::with_capacity(perf.len());
+        for sys in cfg.points(tiles) {
+            slice.candidates += 1;
+            if !cfg.fits(&tile, &sys) {
+                slice.over_budget += 1;
+                continue;
             }
+            ipcs.clear();
+            ipcs.extend(
+                perf.iter()
+                    .map(|(p, w)| (p.estimate(&sys, spad_bw).ipc, *w)),
+            );
+            slice.scored.push((sys, weighted_geomean_ipc(&ipcs)));
         }
         slice
     });
@@ -147,7 +171,13 @@ pub fn system_dse(
             }
         }
     }
-    match &best {
+    estimate_event(&best, candidates, over_budget);
+    best
+}
+
+/// The `dse.system` event of an Estimate sweep.
+fn estimate_event(best: &Option<(SystemParams, f64)>, candidates: u64, over_budget: u64) {
+    match best {
         Some((sys, score)) => event!(
             "dse.system",
             candidates = candidates,
@@ -165,7 +195,6 @@ pub fn system_dse(
             feasible = false,
         ),
     }
-    best
 }
 
 /// The canonical selection predicate: prefer strictly better scores; on
@@ -216,10 +245,9 @@ fn reuse_hits(batches: &[SimBatch]) -> u64 {
 /// and bypasses the reuse cache (plain [`SimBatch::run`]), so the
 /// oracle's duplicate sweep differentially checks pruning *and* reuse.
 fn sweep_sim(
-    adg: &Adg,
+    tile: &ResourceBreakdown,
     batches: &mut [SimBatch],
     weights: &[f64],
-    model: &dyn ResourceModel,
     cfg: &SystemDseConfig,
     prune: bool,
     shadow: bool,
@@ -232,70 +260,53 @@ fn sweep_sim(
         admitted: 0,
     };
     let mut scores: Vec<(f64, f64)> = Vec::with_capacity(batches.len());
-    // One SysAdg for the whole sweep: the feasibility breakdown reads the
-    // (immutable) per-tile graph plus the grid point, so the sweep mutates
-    // `sys` in place instead of cloning the ADG per point.
-    let mut sys_adg = SysAdg::new(adg.clone(), SystemParams::default());
     for tiles in 1..=cfg.max_tiles {
-        for &l2_banks in &cfg.l2_banks_grid {
-            for &l2_kb in &cfg.l2_kb_grid {
-                for &noc_bw in &cfg.noc_bw_grid {
-                    let sys = SystemParams {
-                        tiles,
-                        l2_banks,
-                        l2_kb,
-                        noc_bw_bytes: noc_bw,
-                        dram_channels: cfg.dram_channels,
-                    };
-                    sweep.candidates += 1;
-                    sys_adg.sys = sys;
-                    let used = breakdown(&sys_adg, model).total();
-                    if !cfg.device.fits(&used, cfg.util_cap) {
-                        sweep.over_budget += 1;
-                        continue;
-                    }
-                    if prune {
-                        let _t = if shadow {
-                            None
-                        } else {
-                            overgen_telemetry::profile::maybe_phase(
-                                overgen_telemetry::Phase::Analytic,
-                                overgen_telemetry::profile::NO_CLASS,
-                            )
-                        };
-                        scores.clear();
-                        for (batch, &w) in batches.iter().zip(weights) {
-                            scores.push((batch.bound(&sys).ipc_upper, w));
-                        }
-                        let upper = weighted_geomean_ipc(&scores);
-                        if !upper_bound_can_win(&sweep.best, &sys, upper) {
-                            sweep.pruned += 1;
-                            continue;
-                        }
-                    }
-                    sweep.admitted += 1;
-                    let _t = if shadow {
-                        None
-                    } else {
-                        overgen_telemetry::profile::maybe_phase(
-                            overgen_telemetry::Phase::Simulate,
-                            overgen_telemetry::profile::NO_CLASS,
-                        )
-                    };
-                    scores.clear();
-                    for (batch, &w) in batches.iter_mut().zip(weights) {
-                        let r = if shadow {
-                            batch.run(&sys)
-                        } else {
-                            batch.run_cached(&sys)
-                        };
-                        scores.push((r.ipc, w));
-                    }
-                    let score = weighted_geomean_ipc(&scores);
-                    if beats(&sweep.best, &sys, score) {
-                        sweep.best = Some((sys, score));
-                    }
+        for sys in cfg.points(tiles) {
+            sweep.candidates += 1;
+            if !cfg.fits(tile, &sys) {
+                sweep.over_budget += 1;
+                continue;
+            }
+            if prune {
+                let _t = if shadow {
+                    None
+                } else {
+                    overgen_telemetry::profile::maybe_phase(
+                        overgen_telemetry::Phase::Analytic,
+                        overgen_telemetry::profile::NO_CLASS,
+                    )
+                };
+                scores.clear();
+                for (batch, &w) in batches.iter().zip(weights) {
+                    scores.push((batch.bound(&sys).ipc_upper, w));
                 }
+                let upper = weighted_geomean_ipc(&scores);
+                if !upper_bound_can_win(&sweep.best, &sys, upper) {
+                    sweep.pruned += 1;
+                    continue;
+                }
+            }
+            sweep.admitted += 1;
+            let _t = if shadow {
+                None
+            } else {
+                overgen_telemetry::profile::maybe_phase(
+                    overgen_telemetry::Phase::Simulate,
+                    overgen_telemetry::profile::NO_CLASS,
+                )
+            };
+            scores.clear();
+            for (batch, &w) in batches.iter_mut().zip(weights) {
+                let r = if shadow {
+                    batch.run(&sys)
+                } else {
+                    batch.run_cached(&sys)
+                };
+                scores.push((r.ipc, w));
+            }
+            let score = weighted_geomean_ipc(&scores);
+            if beats(&sweep.best, &sys, score) {
+                sweep.best = Some((sys, score));
             }
         }
     }
@@ -340,9 +351,10 @@ pub fn system_dse_sim(
         .map(|(m, s, _)| SimBatch::new(m, s, adg, sim_cfg))
         .collect();
     let weights: Vec<f64> = per_workload.iter().map(|(_, _, w)| *w).collect();
-    let sweep = sweep_sim(adg, &mut batches, &weights, model, cfg, prune, false);
+    let tile = tile_breakdown(adg, model);
+    let sweep = sweep_sim(&tile, &mut batches, &weights, cfg, prune, false);
     if oracle_enabled() {
-        let shadow = sweep_sim(adg, &mut batches, &weights, model, cfg, false, true);
+        let shadow = sweep_sim(&tile, &mut batches, &weights, cfg, false, true);
         let agree = match (&sweep.best, &shadow.best) {
             (None, None) => true,
             (Some((s_a, v_a)), Some((s_b, v_b))) => s_a == s_b && v_a.to_bits() == v_b.to_bits(),
@@ -397,10 +409,184 @@ pub fn system_dse_sim(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overgen_adg::{mesh, MeshSpec};
+    use overgen_adg::{mesh, MeshSpec, SysAdg};
     use overgen_compiler::{lower, LowerChoices};
     use overgen_ir::{expr, DataType, KernelBuilder, Suite};
-    use overgen_model::AnalyticModel;
+    use overgen_model::{breakdown, estimate_ipc, AnalyticModel, ComponentKind, MlpResourceModel};
+    use overgen_telemetry::{Collector, Rng};
+
+    use crate::rewrite::{RuleSet, TransformCtx};
+    use crate::Dse;
+
+    /// The per-point Estimate sweep as it stood before the tile was sized
+    /// once: a fresh `SysAdg`, a full per-node `breakdown` and a one-shot
+    /// `estimate_ipc` at every grid point, folded serially. The oracle the
+    /// precompiled sweep must match bit for bit.
+    fn reference_system_dse(
+        adg: &Adg,
+        per_workload: &[(&Mdfg, &Placement, f64)],
+        model: &dyn ResourceModel,
+        cfg: &SystemDseConfig,
+    ) -> Option<(SystemParams, f64)> {
+        let _span = span!("dse.system", max_tiles = cfg.max_tiles);
+        let spad_bw: f64 = adg
+            .nodes()
+            .filter_map(|(_, n)| n.as_spad().map(|s| f64::from(s.bw_bytes)))
+            .sum();
+        let mut candidates = 0u64;
+        let mut over_budget = 0u64;
+        let mut best: Option<(SystemParams, f64)> = None;
+        for tiles in 1..=cfg.max_tiles {
+            for &l2_banks in &cfg.l2_banks_grid {
+                for &l2_kb in &cfg.l2_kb_grid {
+                    for &noc_bw in &cfg.noc_bw_grid {
+                        let sys = SystemParams {
+                            tiles,
+                            l2_banks,
+                            l2_kb,
+                            noc_bw_bytes: noc_bw,
+                            dram_channels: cfg.dram_channels,
+                        };
+                        candidates += 1;
+                        let sys_adg = SysAdg::new(adg.clone(), sys);
+                        let used = breakdown(&sys_adg, model).total();
+                        if !cfg.device.fits(&used, cfg.util_cap) {
+                            over_budget += 1;
+                            continue;
+                        }
+                        let ipcs: Vec<(f64, f64)> = per_workload
+                            .iter()
+                            .map(|(m, p, w)| (estimate_ipc(m, &sys, spad_bw, p).ipc, *w))
+                            .collect();
+                        let score = weighted_geomean_ipc(&ipcs);
+                        if beats(&best, &sys, score) {
+                            best = Some((sys, score));
+                        }
+                    }
+                }
+            }
+        }
+        estimate_event(&best, candidates, over_budget);
+        best
+    }
+
+    /// Run `f` under a fresh ring collector; return its result and trace.
+    fn traced<T>(f: impl FnOnce() -> T) -> (T, String) {
+        let (collector, ring) = Collector::ring(1 << 12);
+        let out = {
+            let _install = overgen_telemetry::install(collector);
+            f()
+        };
+        (out, ring.to_jsonl())
+    }
+
+    /// The precompiled sweep against the per-point oracle over generated
+    /// domains: the seed meshes plus seeded rewrite chains of them, the
+    /// analytic and a trained MLP resource model, the default grid, a
+    /// custom grid and a device too small for one tile, at 1, 2 and 4
+    /// threads. Winner, score bits and the `dse.system` event must agree.
+    #[test]
+    fn precompiled_sweep_matches_the_per_point_oracle() {
+        let kernels_mdfgs = [fir_mdfg(1), fir_mdfg(2), mdfg(1024, 1), mdfg(65536, 4)];
+        let placements: Vec<Placement> = kernels_mdfgs.iter().map(Placement::from_prefs).collect();
+        let streamed = Placement::default();
+        let domains: Vec<Vec<(&Mdfg, &Placement, f64)>> = vec![
+            vec![(&kernels_mdfgs[1], &placements[1], 1.0)],
+            vec![
+                (&kernels_mdfgs[0], &placements[0], 2.0),
+                (&kernels_mdfgs[2], &streamed, 1.0),
+            ],
+            kernels_mdfgs
+                .iter()
+                .zip(&placements)
+                .enumerate()
+                .map(|(i, (m, p))| (m, p, 0.5 + i as f64))
+                .collect(),
+        ];
+
+        let mut adgs = vec![mesh(&MeshSpec::default()), mesh(&MeshSpec::general())];
+        let kernels = [KernelBuilder::new("k", Suite::Dsp, DataType::I64)
+            .array_input("a", 64)
+            .array_output("c", 64)
+            .loop_const("i", 64)
+            .assign(
+                "c",
+                expr::idx("i"),
+                expr::load("a", expr::idx("i")) * expr::load("a", expr::idx("i")),
+            )
+            .build()
+            .unwrap()];
+        let cap_pool = Dse::cap_pool(&kernels);
+        for seed in [3u64, 17] {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut adg = mesh(&MeshSpec::default());
+            for step in 0..6 {
+                let mut ctx = TransformCtx {
+                    cap_pool: &cap_pool,
+                    schedules: &mut [],
+                    preserving: false,
+                };
+                RuleSet::legacy().apply_random(&mut adg, &mut ctx, &mut rng, step);
+            }
+            assert_ne!(adg.fingerprint(), adgs[0].fingerprint(), "seed {seed}");
+            adgs.push(adg);
+        }
+
+        let sizes = ComponentKind::ALL.into_iter().map(|k| (k, 200)).collect();
+        let mlp = MlpResourceModel::train(&sizes, 11);
+        let models: [&dyn ResourceModel; 2] = [&AnalyticModel, &mlp];
+
+        let tiny = SystemDseConfig {
+            device: FpgaDevice {
+                name: "tiny",
+                total: overgen_model::Resources {
+                    lut: 10_000.0,
+                    ff: 20_000.0,
+                    bram: 50.0,
+                    dsp: 100.0,
+                },
+            },
+            max_tiles: 4,
+            ..Default::default()
+        };
+        let custom = SystemDseConfig {
+            max_tiles: 12,
+            l2_banks_grid: vec![16, 1, 4],
+            l2_kb_grid: vec![64, 4096],
+            noc_bw_grid: vec![128, 16, 32],
+            dram_channels: 2,
+            util_cap: 0.6,
+            ..Default::default()
+        };
+        let grids = [SystemDseConfig::default(), custom, tiny];
+
+        let mut feasible = 0;
+        let mut infeasible = 0;
+        for (a, adg) in adgs.iter().enumerate() {
+            for (mi, model) in models.iter().enumerate() {
+                for (gi, cfg) in grids.iter().enumerate() {
+                    let per = &domains[(a + mi + gi) % domains.len()];
+                    let (want, want_trace) = traced(|| reference_system_dse(adg, per, *model, cfg));
+                    match want {
+                        Some(_) => feasible += 1,
+                        None => infeasible += 1,
+                    }
+                    for threads in [1, 2, 4] {
+                        let label = format!("adg {a} model {mi} grid {gi} threads {threads}");
+                        let (got, got_trace) =
+                            traced(|| system_dse(adg, per, *model, cfg, threads));
+                        assert_eq!(
+                            want.map(|(s, v)| (s, v.to_bits())),
+                            got.map(|(s, v)| (s, v.to_bits())),
+                            "{label}"
+                        );
+                        assert_eq!(want_trace, got_trace, "{label}");
+                    }
+                }
+            }
+        }
+        assert!(feasible > 0 && infeasible > 0, "{feasible} / {infeasible}");
+    }
 
     fn mdfg(n: u64, unroll: u32) -> Mdfg {
         let k = KernelBuilder::new("vecadd", Suite::Dsp, DataType::I64)

@@ -115,10 +115,15 @@ pub fn l2_resources(sys: &SystemParams) -> Resources {
 }
 
 /// Estimate the full breakdown of a system-level ADG (Figure 16's stacked
-/// groups). Per-tile structures are multiplied by the tile count.
+/// groups): one tile's [`tile_breakdown`] replicated to the system point.
 pub fn breakdown(sys_adg: &SysAdg, model: &dyn ResourceModel) -> ResourceBreakdown {
-    let adg = &sys_adg.adg;
-    let tiles = f64::from(sys_adg.sys.tiles);
+    tile_breakdown(&sys_adg.adg, model).replicated(&sys_adg.sys)
+}
+
+/// The per-tile groups of [`breakdown`] for one accelerator tile: every
+/// node through the resource model, plus the stream engines and their
+/// dispatcher. `core` and `noc` stay zero — they belong to the system.
+pub fn tile_breakdown(adg: &Adg, model: &dyn ResourceModel) -> ResourceBreakdown {
     let mut b = ResourceBreakdown::default();
     let mut engines = 0usize;
     for (id, node) in adg.nodes() {
@@ -149,15 +154,25 @@ pub fn breakdown(sys_adg: &SysAdg, model: &dyn ResourceModel) -> ResourceBreakdo
         }
     }
     b.dma += dispatcher_resources(engines);
-    // Scale per-tile groups by tile count.
-    b.pe = b.pe * tiles;
-    b.network = b.network * tiles;
-    b.ports = b.ports * tiles;
-    b.spad = b.spad * tiles;
-    b.dma = b.dma * tiles;
-    b.core = core_resources() * tiles;
-    b.noc = noc_resources(&sys_adg.sys) + l2_resources(&sys_adg.sys);
     b
+}
+
+impl ResourceBreakdown {
+    /// A [`tile_breakdown`] at one system point: the per-tile groups
+    /// scaled by the tile count, one control core per tile, and the shared
+    /// NoC + L2. Cheap arithmetic, so a system sweep sizes the tile once.
+    pub fn replicated(&self, sys: &SystemParams) -> ResourceBreakdown {
+        let tiles = f64::from(sys.tiles);
+        ResourceBreakdown {
+            pe: self.pe * tiles,
+            network: self.network * tiles,
+            ports: self.ports * tiles,
+            spad: self.spad * tiles,
+            dma: self.dma * tiles,
+            core: core_resources() * tiles,
+            noc: noc_resources(sys) + l2_resources(sys),
+        }
+    }
 }
 
 /// Resources of one accelerator tile only (no core/NoC/L2): the DSE's
@@ -262,6 +277,108 @@ mod tests {
             indirect: false,
         }));
         assert!(big.bram > 4.0 * small.bram);
+    }
+
+    /// The pre-split `breakdown`: one monolithic per-node walk at the
+    /// system point, kept as the bitwise oracle for the per-tile form.
+    fn reference_breakdown(sys_adg: &SysAdg, model: &dyn ResourceModel) -> ResourceBreakdown {
+        let adg = &sys_adg.adg;
+        let tiles = f64::from(sys_adg.sys.tiles);
+        let mut b = ResourceBreakdown::default();
+        let mut engines = 0usize;
+        for (id, node) in adg.nodes() {
+            match node {
+                AdgNode::Pe(_) => {
+                    if let Some(f) = features_of(adg, id) {
+                        b.pe += model.component(&f);
+                    }
+                }
+                AdgNode::Switch(_) => {
+                    if let Some(f) = features_of(adg, id) {
+                        b.network += model.component(&f);
+                    }
+                }
+                AdgNode::InPort(_) | AdgNode::OutPort(_) => {
+                    if let Some(f) = features_of(adg, id) {
+                        b.ports += model.component(&f);
+                    }
+                }
+                AdgNode::Spad(_) => {
+                    engines += 1;
+                    b.spad += engine_resources(node);
+                }
+                _ => {
+                    engines += 1;
+                    b.dma += engine_resources(node);
+                }
+            }
+        }
+        b.dma += dispatcher_resources(engines);
+        b.pe = b.pe * tiles;
+        b.network = b.network * tiles;
+        b.ports = b.ports * tiles;
+        b.spad = b.spad * tiles;
+        b.dma = b.dma * tiles;
+        b.core = core_resources() * tiles;
+        b.noc = noc_resources(&sys_adg.sys) + l2_resources(&sys_adg.sys);
+        b
+    }
+
+    /// Every group's four channels as raw bits, plus the total's.
+    fn bits(b: &ResourceBreakdown) -> Vec<[u64; 4]> {
+        b.groups()
+            .iter()
+            .map(|(_, r)| r)
+            .chain([&b.total()])
+            .map(|r| r.to_array().map(f64::to_bits))
+            .collect()
+    }
+
+    /// The 512 points of the system DSE's default grid.
+    fn default_grid() -> Vec<SystemParams> {
+        let mut points = Vec::new();
+        for tiles in 1..=16 {
+            for l2_banks in [2, 4, 8, 16] {
+                for l2_kb in [256, 512, 1024, 2048] {
+                    for noc_bw_bytes in [32, 64] {
+                        points.push(SystemParams {
+                            tiles,
+                            l2_banks,
+                            l2_kb,
+                            noc_bw_bytes,
+                            dram_channels: 1,
+                        });
+                    }
+                }
+            }
+        }
+        points
+    }
+
+    #[test]
+    fn tile_breakdown_replicates_bit_identically_on_the_default_grid() {
+        let sizes = crate::ComponentKind::ALL
+            .into_iter()
+            .map(|k| (k, 200))
+            .collect();
+        let mlp = crate::MlpResourceModel::train(&sizes, 3);
+        let models: [&dyn ResourceModel; 2] = [&AnalyticModel, &mlp];
+        let grid = default_grid();
+        assert_eq!(grid.len(), 512);
+        for spec in [MeshSpec::default(), MeshSpec::general()] {
+            let adg = mesh(&spec);
+            for model in models {
+                let tile = tile_breakdown(&adg, model);
+                assert_eq!(tile.core, Resources::ZERO);
+                assert_eq!(tile.noc, Resources::ZERO);
+                for sys in &grid {
+                    let sys_adg = SysAdg::new(adg.clone(), *sys);
+                    let want = bits(&reference_breakdown(&sys_adg, model));
+                    assert_eq!(want, bits(&breakdown(&sys_adg, model)), "{sys:?}");
+                    assert_eq!(want, bits(&tile.replicated(sys)), "{sys:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,10 +35,12 @@ pub mod time;
 pub use dataset::{generate, Dataset, MlpResourceModel};
 pub use estimate::{
     accelerator_resources, breakdown, core_resources, dispatcher_resources, engine_resources,
-    l2_resources, noc_resources, AnalyticModel, ResourceModel,
+    l2_resources, noc_resources, tile_breakdown, AnalyticModel, ResourceModel,
 };
 pub use mlp::{Mlp, TrainConfig, TrainReport};
-pub use perf::{estimate_ipc, weighted_geomean_ipc, Level, PerfEstimate, Placement};
+pub use perf::{
+    estimate_ipc, spad_bandwidth, weighted_geomean_ipc, Level, PerfEstimate, PerfSummary, Placement,
+};
 pub use placement::{
     noc_wirelength, ClockRegionGrid, GridCell, PlacementMetrics, PlacementReport, Placer,
     PlacerKind, SimpleGridPlacer,

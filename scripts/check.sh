@@ -22,7 +22,10 @@
 #                traces invariant in worker count
 #   profile      observability gates: profiler + heartbeat trace-invisible,
 #                metric names documented, golden phase table from a
-#                deterministic trace, >= 95% eval-time attribution
+#                deterministic trace, >= 95% eval-time attribution, and a
+#                fresh BENCH_dse.json holding the system sweep under 50%
+#                of eval time (plus a synthetic-regression negative test of
+#                the gate itself)
 #   sim          simulator fast-path gates: differential oracle (pruned +
 #                cached sweep vs exhaustive) across every workload, the
 #                analytic lower-bound property, oracle mode invisible in
@@ -268,6 +271,30 @@ stage_profile() {
          }
          END { if (!found) { print "FAIL: coverage missing"; exit 1 } }' \
         "$PROF_TMP/dse.profile.json"
+
+    echo "== profile: DSE throughput record against the committed baseline =="
+    # A fresh default-settings run, as results/BENCH_dse.json was made. The
+    # nested system sweep must stay a minority of eval time and eval time
+    # stay attributed; throughput only gets a presence check (machines
+    # differ).
+    OVERGEN_RESULTS_DIR="$PROF_TMP/bench" OVERGEN_DSE_THREADS=1 \
+        cargo run -q --release -p overgen-bench -- dse >/dev/null
+    cargo run -q --release -p overgen-bench --bin bench-compare -- \
+        results/BENCH_dse.json "$PROF_TMP/bench/BENCH_dse.json" \
+        max:profile.system_share=0.5 \
+        min:profile.coverage=0.95 \
+        require:proposals_per_sec \
+        || { echo "FAIL: DSE benchmark regressed past the tolerance bands"; exit 1; }
+
+    echo "== profile: injected system-share regression must fail the gate =="
+    sed -e 's/"system_share":[0-9.eE+-]*/"system_share":0.96/' \
+        "$PROF_TMP/bench/BENCH_dse.json" > "$PROF_TMP/regressed.json"
+    if cargo run -q --release -p overgen-bench --bin bench-compare -- \
+        results/BENCH_dse.json "$PROF_TMP/regressed.json" \
+        max:profile.system_share=0.5 \
+        min:profile.coverage=0.95 >/dev/null; then
+        echo "FAIL: bench-compare accepted a synthetic system-share regression"; exit 1
+    fi
 }
 
 stage_sim() {

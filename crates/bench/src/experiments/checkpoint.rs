@@ -5,10 +5,12 @@
 //! 1. **Baseline** — a plain DSE run with checkpointing off, for the
 //!    reference wall time and final result.
 //! 2. **Checkpointed** — the identical run with periodic checkpoint writes
-//!    at the default interval. The result must be bit-identical to the
-//!    baseline (checkpoint writes are trace- and result-invisible), and
-//!    the summed `dse.checkpoint.write_us` counter over the leg's wall
-//!    time is the reported overhead — the acceptance gate is < 5%.
+//!    at the default interval, at least a second apart (a run shorter
+//!    than that writes only its final checkpoint). The result must be
+//!    bit-identical to the baseline (checkpoint writes are trace- and
+//!    result-invisible), and the summed `dse.checkpoint.write_us` counter
+//!    over the leg's wall time is the reported overhead — the acceptance
+//!    gate is < 5%.
 //! 3. **Kill + resume** — the same run again, but a
 //!    [`overgen_dse::DseConfig::max_proposals`] budget stops it gracefully
 //!    halfway, finalizing a checkpoint; the run is then resumed from that

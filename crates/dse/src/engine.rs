@@ -39,7 +39,7 @@ use overgen_mdfg::Mdfg;
 use overgen_model::{AnalyticModel, ResourceModel, TimeModel};
 use overgen_scheduler::{Schedule, ScheduleFootprint};
 
-use crate::checkpoint::{Checkpoint, CheckpointConfig};
+use crate::checkpoint::{Checkpoint, CheckpointConfig, MIN_WRITE_GAP};
 use crate::eval::{EvalPipeline, EvalState, ParetoFront, ParetoPoint};
 use crate::heartbeat::{Heartbeat, HeartbeatConfig};
 use crate::objective::Objective;
@@ -102,8 +102,9 @@ pub struct DseConfig {
     /// assert it equals the fast reconstruction — results, counters, and
     /// traces must be byte-identical in both modes.
     pub repair: bool,
-    /// Periodic crash-safe checkpointing: every `interval` proposals the
-    /// full annealer state is atomically written to `path`, and
+    /// Periodic crash-safe checkpointing: every `interval` proposals (at
+    /// most once a second) the full annealer state is atomically written
+    /// to `path`, and
     /// [`Checkpoint::load`] + [`Checkpoint::resume`] continue the run with
     /// byte-identical results (see `checkpoint.rs` and `DESIGN.md` §9).
     /// `None` disables checkpointing.
@@ -717,7 +718,7 @@ impl Dse {
     /// resume: run every chain segment by segment (concurrently when
     /// threads allow), replay telemetry in chain order, exchange best
     /// states at `exchange_interval` multiples, and write checkpoints at
-    /// `checkpoint.interval` multiples.
+    /// `checkpoint.interval` multiples at least `MIN_WRITE_GAP` apart.
     ///
     /// Segment boundaries land on the *absolute-multiple* grid of both
     /// intervals (not "every N from wherever we started"), so a resumed
@@ -742,6 +743,9 @@ impl Dse {
         let wall = Instant::now();
         let parent = overgen_telemetry::current();
         let mut written_at = None::<usize>;
+        // When the last checkpoint write finished (the run start before
+        // the first): periodic writes keep `MIN_WRITE_GAP` apart.
+        let mut last_write = wall;
         let mut stop_reason = None::<&'static str>;
         // The proposal budget the heartbeat reports progress/ETA against.
         let budget = self
@@ -816,8 +820,11 @@ impl Dse {
                 }
             }
 
-            if interval.is_some_and(|i| done.is_multiple_of(i)) {
+            if interval.is_some_and(|i| done.is_multiple_of(i))
+                && last_write.elapsed() >= MIN_WRITE_GAP
+            {
                 Checkpoint::write(self, pipe, &states, done, &prior, &base, run_span)?;
+                last_write = Instant::now();
                 written_at = Some(done);
             }
 

@@ -1,19 +1,14 @@
-//! The simulated-annealing DSE driver (paper Figure 6), parallelized on
-//! two axes with `std::thread::scope` only:
+//! The simulated-annealing DSE driver (paper Figure 6) as an island
+//! model: [`DseConfig::chains`] independent chains (seeds derived with
+//! [`Rng::split`]) run concurrently on up to [`DseConfig::threads`]
+//! `std::thread::scope` workers and exchange their best state every
+//! [`DseConfig::exchange_interval`] iterations. Each proposal is
+//! evaluated serially on its chain's worker.
 //!
-//! * **intra-proposal fan-out** — every workload's schedule/repair runs on
-//!   a worker pool, and the nested system DSE sweeps tile counts in
-//!   parallel;
-//! * **multi-chain annealing** — [`DseConfig::chains`] independent chains
-//!   (seeds derived with [`Rng::split`]) run concurrently and exchange
-//!   their best state every [`DseConfig::exchange_interval`] iterations.
-//!
-//! Determinism is by construction: workers emit telemetry through
-//! capture/replay (`overgen_telemetry::capture`), per-workload results and
-//! simulated-time deltas are folded in workload-name order, and chain
-//! traces replay in chain order — so the `DseResult` and the
-//! deterministic-clock JSONL trace are byte-identical for any thread
-//! count.
+//! Determinism is by construction: each chain's segment emits telemetry
+//! through capture/replay (`overgen_telemetry::capture`) and chain traces
+//! replay in chain order — so the `DseResult` and the deterministic-clock
+//! JSONL trace are byte-identical for any thread count.
 //!
 //! Proposal *evaluation* — scheduling, the nested system DSE, performance
 //! estimation, memoization — lives in [`crate::eval::EvalPipeline`], and
@@ -73,10 +68,9 @@ pub struct DseConfig {
     pub weights: BTreeMap<String, f64>,
     /// Mutations applied per proposal.
     pub mutations_per_step: usize,
-    /// Worker threads for intra-proposal fan-out (per-workload
-    /// scheduling, system-DSE sweep) and for running chains concurrently.
-    /// `0` = one worker per available core. The result and trace are
-    /// independent of this value.
+    /// How many chains run at once, each on its own worker thread; a
+    /// single chain always runs serially. `0` = one worker per available
+    /// core. The result and trace are independent of this value.
     pub threads: usize,
     /// Independent annealing chains run as an island model with periodic
     /// best-state exchange. The result depends on `chains` (more chains =
@@ -387,8 +381,8 @@ pub struct Dse {
 
 impl Dse {
     /// Create a DSE over a set of workloads (the domain). Workloads are
-    /// kept sorted by name: name order is the canonical fold order for all
-    /// parallel per-workload work.
+    /// kept sorted by name: every evaluation schedules them, and records
+    /// their trace events, in name order.
     pub fn new(mut workloads: Vec<Kernel>, cfg: DseConfig) -> Self {
         workloads.sort_by(|a, b| a.name().cmp(b.name()));
         Dse {
@@ -519,12 +513,6 @@ impl Dse {
     /// when the domain cannot even be scheduled on a widened seed mesh.
     pub fn run(&self) -> Result<DseResult, DseError> {
         let chains = self.cfg.chains.max(1);
-        let threads = match self.cfg.threads {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            t => t,
-        };
         let run_span = span!(
             "dse.run",
             seed = self.cfg.seed,
@@ -559,7 +547,6 @@ impl Dse {
             model,
             &run_registry,
             Self::config_hash(&self.cfg),
-            threads,
             None,
         );
         let base = stat_totals(&run_registry);
@@ -618,18 +605,7 @@ impl Dse {
             base,
             &run_span,
         )?;
-        Ok(DseResult {
-            sys_adg: SysAdg::new(out.champ.best_adg, out.champ.best.sys),
-            schedules: out.champ.best.schedules,
-            variants: out.champ.best.variants,
-            mdfgs,
-            objective: out.champ.best.objective,
-            history: out.champ.history,
-            dse_hours: out.dse_hours,
-            stats: out.stats,
-            pareto: out.pareto,
-            completed: out.completed,
-        })
+        Ok(out.into_result(mdfgs))
     }
 
     /// Continue a checkpointed run: rebuild the evaluation pipeline with
@@ -638,12 +614,6 @@ impl Dse {
     /// The seed evaluation is skipped entirely — the chains carry their
     /// state.
     pub(crate) fn resume_from(&self, ck: &Checkpoint) -> Result<DseResult, DseError> {
-        let threads = match self.cfg.threads {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            t => t,
-        };
         // Variants are recompiled rather than persisted (large, and a
         // deterministic function of the kernels). The interrupted run
         // emitted its `dse.compile_variants` span *before* the cursor, so
@@ -685,7 +655,6 @@ impl Dse {
             &AnalyticModel,
             &run_registry,
             Self::config_hash(&self.cfg),
-            threads,
             Some((&ck.eval_keys, &ck.sys_keys)),
         );
         run_registry.counter("dse.checkpoint.restore").inc();
@@ -700,23 +669,12 @@ impl Dse {
             base,
             &run_span,
         )?;
-        Ok(DseResult {
-            sys_adg: SysAdg::new(out.champ.best_adg, out.champ.best.sys),
-            schedules: out.champ.best.schedules,
-            variants: out.champ.best.variants,
-            mdfgs,
-            objective: out.champ.best.objective,
-            history: out.champ.history,
-            dse_hours: out.dse_hours,
-            stats: out.stats,
-            pareto: out.pareto,
-            completed: out.completed,
-        })
+        Ok(out.into_result(mdfgs))
     }
 
     /// Island-model annealing loop shared by [`Dse::run`] and checkpoint
-    /// resume: run every chain segment by segment (concurrently when
-    /// threads allow), replay telemetry in chain order, exchange best
+    /// resume: run every chain segment by segment (up to `cfg.threads` at
+    /// once), replay telemetry in chain order, exchange best
     /// states at `exchange_interval` multiples, and write checkpoints at
     /// `checkpoint.interval` multiples at least `MIN_WRITE_GAP` apart.
     ///
@@ -738,6 +696,10 @@ impl Dse {
     ) -> Result<LoopOutcome, DseError> {
         let iterations = self.cfg.iterations;
         let chains = states.len();
+        let workers = match self.cfg.threads {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            t => t,
+        };
         let exchange = self.cfg.exchange_interval.max(1);
         let interval = self.cfg.checkpoint.as_ref().map(|c| c.interval.max(1));
         let wall = Instant::now();
@@ -785,7 +747,7 @@ impl Dse {
             let seg = end - done;
 
             let jobs: Vec<(usize, ChainState)> = states.into_iter().enumerate().collect();
-            let outputs = fan_out(pipe.threads().min(chains), jobs, |(idx, mut st)| {
+            let outputs = fan_out(workers.min(chains), jobs, |(idx, mut st)| {
                 let ((), trace) = capture(parent.as_ref(), || {
                     self.run_segment(&mut st, idx, done, seg, pipe, counters);
                 });
@@ -1023,6 +985,25 @@ struct LoopOutcome {
     stats: DseStats,
     pareto: ParetoFront,
     completed: bool,
+}
+
+impl LoopOutcome {
+    /// The run's result: the champion chain's best design, plus the
+    /// variants the run compiled.
+    fn into_result(self, mdfgs: BTreeMap<String, Vec<Mdfg>>) -> DseResult {
+        DseResult {
+            sys_adg: SysAdg::new(self.champ.best_adg, self.champ.best.sys),
+            schedules: self.champ.best.schedules,
+            variants: self.champ.best.variants,
+            mdfgs,
+            objective: self.champ.best.objective,
+            history: self.champ.history,
+            dse_hours: self.dse_hours,
+            stats: self.stats,
+            pareto: self.pareto,
+            completed: self.completed,
+        }
+    }
 }
 
 /// Index of the chain with the best `best.fitness`; ties break to the

@@ -44,7 +44,6 @@ use overgen_scheduler::{
 
 use crate::cache::{hash_placement, hash_schedule, Memo};
 use crate::engine::DseConfig;
-use crate::pool::fan_out;
 use crate::system::{system_dse, system_dse_sim, SystemDseBackend};
 
 /// Structured outcome of one successful proposal evaluation: everything an
@@ -121,8 +120,8 @@ struct EvalCounters {
 
 /// The evaluation pipeline: shared, read-only context for scoring
 /// proposals. All interior mutability (the memo caches, counters) is
-/// thread-safe and commutative, so chains and per-workload workers may
-/// query one pipeline concurrently.
+/// thread-safe and commutative, so concurrent chains may query one
+/// pipeline.
 pub(crate) struct EvalPipeline<'a> {
     workloads: &'a [Kernel],
     cfg: &'a DseConfig,
@@ -140,10 +139,9 @@ pub(crate) struct EvalPipeline<'a> {
     /// Domain discriminator folded into persistent-store keys only (the
     /// full mDFG variant set; see [`EvalPipeline::new`]).
     store_salt: u64,
-    threads: usize,
     cache_enabled: bool,
     /// Phase-attribution profiler, captured from the constructing thread
-    /// (worker threads have no thread-local profiler). Wall-time only —
+    /// (chain worker threads have no thread-local profiler). Wall-time only —
     /// records nothing into traces or the run registry, so determinism is
     /// untouched whether it is present or not.
     profiler: Option<Arc<Profiler>>,
@@ -162,7 +160,6 @@ impl<'a> EvalPipeline<'a> {
         model: &'a dyn ResourceModel,
         run_registry: &'a Registry,
         cfg_hash: u64,
-        threads: usize,
         warm: Option<(&[u64], &[u64])>,
     ) -> Self {
         let (eval_cache, sys_cache) = match warm {
@@ -204,14 +201,9 @@ impl<'a> EvalPipeline<'a> {
             sys_cache,
             cfg_hash,
             store_salt,
-            threads,
             cache_enabled: cfg.cache,
             profiler: current_profiler(),
         }
-    }
-
-    pub(crate) fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Persistent-store key for an in-memory memo key: the memo key plus
@@ -352,13 +344,13 @@ impl<'a> EvalPipeline<'a> {
     }
 
     /// One full evaluation (Figure 6 steps 2-3): gate on the objective's
-    /// hard resource budget, schedule or repair every workload (fanned out
-    /// across `threads` workers, folded in workload-name order), then run
-    /// the nested system DSE and score the report. Always runs under an
-    /// isolated capture collector (see [`capture_isolated`]).
+    /// hard resource budget, schedule or repair every workload in
+    /// workload-name order, then run the nested system DSE and score the
+    /// report. Always runs under an isolated capture collector (see
+    /// [`capture_isolated`]).
     ///
-    /// Every workload is processed even after one fails, so the recorded
-    /// operation stream does not depend on which worker finishes first.
+    /// Every workload is processed even after one fails: each one's repair
+    /// events and simulated-time charges are part of the recorded trace.
     fn evaluate_uncached(
         &self,
         adg: &Adg,
@@ -399,11 +391,9 @@ impl<'a> EvalPipeline<'a> {
 
         drop(validate_timer);
 
-        // The workload fan-out: everything but the repair and schedule
-        // phases nested in it (capture set-up and replay, hot-key timers,
-        // outcome bookkeeping) is timed as `fan-out` self time. With
-        // `threads > 1` the workers' phases run on other threads, so this
-        // also holds the wait for them.
+        // The per-workload loop: everything but the repair and schedule
+        // phases nested in it (hot-key timers, outcome bookkeeping) is
+        // timed as `fan-out` self time.
         let fanout_timer = self.self_phase(Phase::Fanout, footprint.name());
         let reg = eval_collector.registry().clone();
         let counters = EvalCounters {
@@ -412,25 +402,17 @@ impl<'a> EvalPipeline<'a> {
             intact: reg.counter("dse.intact"),
             repair_moved: reg.histogram("dse.repair_moved"),
         };
-
-        let jobs: Vec<&Kernel> = self.workloads.iter().collect();
-        let outs = fan_out(self.threads, jobs, |k| {
+        let mut schedules: BTreeMap<String, Schedule> = BTreeMap::new();
+        let mut variants: BTreeMap<String, u32> = BTreeMap::new();
+        let mut complete = true;
+        for k in self.workloads {
             let hot = self
                 .profiler
                 .as_ref()
                 .map(|p| p.hot_timer("workload", k.name()));
-            let out = capture(Some(&eval_collector), || {
-                self.schedule_workload(k, &sys_probe, prior, footprint, scope, &counters)
-            });
+            let (found, sim_delta) =
+                self.schedule_workload(k, &sys_probe, prior, footprint, scope, &counters);
             drop(hot);
-            out
-        });
-
-        let mut schedules: BTreeMap<String, Schedule> = BTreeMap::new();
-        let mut variants: BTreeMap<String, u32> = BTreeMap::new();
-        let mut complete = true;
-        for (k, ((found, sim_delta), trace)) in self.workloads.iter().zip(outs) {
-            replay(&trace);
             sim += sim_delta;
             match found {
                 Some((variant, s)) => {
@@ -441,7 +423,7 @@ impl<'a> EvalPipeline<'a> {
             }
         }
         // Free the probe's ADG copy, and an incomplete evaluation's partial
-        // schedules, inside the fan-out rather than untimed at return.
+        // schedules, inside the loop's phase rather than untimed at return.
         drop(sys_probe);
         if !complete {
             return (None, sim);
@@ -452,19 +434,19 @@ impl<'a> EvalPipeline<'a> {
         // but the sweep itself (its inputs, memo key, lookup and trace
         // replay) is timed as `memo` self time.
         let memo_timer = self.self_phase(Phase::Memo, footprint.name());
-        let per: Vec<(&Mdfg, &Placement, f64)> = self
+        // The chosen (mDFG variant, schedule, weight) per workload, in
+        // workload order: the input of the system DSE and the objective.
+        let chosen: Vec<(&Mdfg, &Schedule, f64)> = self
             .workloads
             .iter()
             .map(|k| {
                 let name = k.name();
-                let variant = variants[name];
                 let m = self.mdfgs[name]
                     .iter()
-                    .find(|v| v.variant() == variant)
+                    .find(|v| v.variant() == variants[name])
                     .expect("variant exists");
-                let placement = &schedules[name].placement;
                 let w = self.cfg.weights.get(name).copied().unwrap_or(1.0);
-                (m, placement, w)
+                (m, &schedules[name], w)
             })
             .collect();
         let run_system = || {
@@ -473,35 +455,22 @@ impl<'a> EvalPipeline<'a> {
             let (result, trace) = capture(overgen_telemetry::current().as_ref(), || {
                 match self.cfg.system.backend {
                     SystemDseBackend::Estimate => {
-                        system_dse(adg, &per, self.model, &self.cfg.system, self.threads)
-                    }
-                    SystemDseBackend::Simulate { prune } => {
-                        // Simulator-backed scoring needs the full schedule
-                        // (stream-to-engine bindings), not just the
-                        // placement. The sweep itself is serial by
-                        // contract, so `threads` is not forwarded.
-                        let per_sim: Vec<(&Mdfg, &Schedule, f64)> = self
-                            .workloads
+                        let per: Vec<(&Mdfg, &Placement, f64)> = chosen
                             .iter()
-                            .map(|k| {
-                                let name = k.name();
-                                let m = self.mdfgs[name]
-                                    .iter()
-                                    .find(|v| v.variant() == variants[name])
-                                    .expect("variant exists");
-                                let w = self.cfg.weights.get(name).copied().unwrap_or(1.0);
-                                (m, &schedules[name], w)
-                            })
+                            .map(|(m, s, w)| (*m, &s.placement, *w))
                             .collect();
-                        system_dse_sim(
-                            adg,
-                            &per_sim,
-                            self.model,
-                            &self.cfg.system,
-                            &overgen_sim::SimConfig::default(),
-                            prune,
-                        )
+                        system_dse(adg, &per, self.model, &self.cfg.system, 1)
                     }
+                    // Simulator-backed scoring needs the full schedule
+                    // (stream-to-engine bindings), not just the placement.
+                    SystemDseBackend::Simulate { prune } => system_dse_sim(
+                        adg,
+                        &chosen,
+                        self.model,
+                        &self.cfg.system,
+                        &overgen_sim::SimConfig::default(),
+                        prune,
+                    ),
                 }
             });
             if let (Some(p), Some((sys, _))) = (self.profiler.as_ref(), result.as_ref()) {
@@ -518,11 +487,10 @@ impl<'a> EvalPipeline<'a> {
             h.write_u64(self.cfg_hash);
             h.write_str("system");
             adg.fingerprint_into(&mut h);
-            for k in self.workloads {
-                let name = k.name();
-                h.write_str(name);
-                h.write_u64(u64::from(variants[name]));
-                hash_placement(&mut h, &schedules[name].placement);
+            for (k, (m, s, _)) in self.workloads.iter().zip(&chosen) {
+                h.write_str(k.name());
+                h.write_u64(u64::from(m.variant()));
+                hash_placement(&mut h, &s.placement);
             }
             let key = h.finish();
             // Same store-inside-miss-path contract as `evaluate` above.
@@ -587,25 +555,14 @@ impl<'a> EvalPipeline<'a> {
         let _objective_timer = self.phase(Phase::Objective, footprint.name());
         let spad_bw = overgen_model::spad_bandwidth(adg);
         let mut per_workload_ipc: BTreeMap<String, f64> = BTreeMap::new();
-        let ipc = {
-            let ipcs: Vec<(f64, f64)> = self
-                .workloads
-                .iter()
-                .map(|k| {
-                    let s = &schedules[k.name()];
-                    let variant = variants[k.name()];
-                    let m = self.mdfgs[k.name()]
-                        .iter()
-                        .find(|v| v.variant() == variant)
-                        .expect("variant exists");
-                    let est = overgen_model::estimate_ipc(m, &sys, spad_bw, &s.placement);
-                    let w = self.cfg.weights.get(k.name()).copied().unwrap_or(1.0);
-                    per_workload_ipc.insert(k.name().to_string(), est.ipc * s.balance_penalty);
-                    (est.ipc * s.balance_penalty, w)
-                })
-                .collect();
-            overgen_model::weighted_geomean_ipc(&ipcs)
-        };
+        let mut ipcs: Vec<(f64, f64)> = Vec::with_capacity(chosen.len());
+        for (k, (m, s, w)) in self.workloads.iter().zip(&chosen) {
+            let ipc =
+                overgen_model::estimate_ipc(m, &sys, spad_bw, &s.placement).ipc * s.balance_penalty;
+            per_workload_ipc.insert(k.name().to_string(), ipc);
+            ipcs.push((ipc, *w));
+        }
+        let ipc = overgen_model::weighted_geomean_ipc(&ipcs);
 
         let report = EvalReport {
             per_workload_ipc,

@@ -20,12 +20,12 @@
 //! cheap — which is exactly why schedule-preserving transformations reduce
 //! DSE time (Q8).
 //!
-//! The driver is parallel and deterministic: [`DseConfig::threads`] fans
-//! per-workload scheduling and the system-DSE sweep out over
-//! `std::thread::scope` workers, [`DseConfig::chains`] runs independent
-//! annealing chains with periodic best-state exchange, and an evaluation
-//! cache keyed by [`overgen_adg::Adg::fingerprint`] memoizes repeated
-//! design points. Results and telemetry traces are byte-identical for any
+//! The driver is parallel and deterministic: [`DseConfig::chains`] runs
+//! independent annealing chains with periodic best-state exchange,
+//! [`DseConfig::threads`] of them at once on `std::thread::scope`
+//! workers, each evaluating its proposals serially; an evaluation cache
+//! keyed by [`overgen_adg::Adg::fingerprint`] memoizes repeated design
+//! points. Results and telemetry traces are byte-identical for any
 //! thread count (see `engine` module docs).
 //!
 //! # Example

@@ -12,9 +12,8 @@ use overgen_model::{
 };
 use overgen_scheduler::Schedule;
 use overgen_sim::{SimBatch, SimConfig};
-use overgen_telemetry::{event, span};
-
-use crate::pool::fan_out;
+use overgen_telemetry::profile::{maybe_phase, NO_CLASS};
+use overgen_telemetry::{span, FieldValue, Phase};
 
 /// How the nested system DSE scores a feasible grid point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,12 +94,119 @@ impl SystemDseConfig {
     }
 }
 
-/// One tile-count slice of the sweep: every (banks, kb, noc) combination
-/// scored in grid order, plus the slice's candidate/over-budget tallies.
-struct TileSlice {
-    scored: Vec<(SystemParams, f64)>,
+/// How the sweep scores a feasible grid point, in the `Placer` style of
+/// `overgen_model::placement`: the walk, the budget check and the
+/// selection rule are shared, only the scoring differs.
+trait Scorer {
+    /// An upper bound on the point's score; the walk skips the point when
+    /// even the bound cannot win. `None` admits every point.
+    fn bound(&mut self, _sys: &SystemParams) -> Option<f64> {
+        None
+    }
+
+    /// The point's score (weighted geomean IPC over the workloads).
+    fn score(&mut self, sys: &SystemParams) -> f64;
+}
+
+/// Scores from the precompiled closed-form estimate ([`PerfSummary`]).
+struct Estimate {
+    perf: Vec<(PerfSummary, f64)>,
+    spad_bw: f64,
+    ipcs: Vec<(f64, f64)>,
+}
+
+impl Scorer for Estimate {
+    fn score(&mut self, sys: &SystemParams) -> f64 {
+        self.ipcs.clear();
+        self.ipcs.extend(
+            self.perf
+                .iter()
+                .map(|(p, w)| (p.estimate(sys, self.spad_bw).ipc, *w)),
+        );
+        weighted_geomean_ipc(&self.ipcs)
+    }
+}
+
+/// Scores with warm [`SimBatch`] runs behind the sibling-reuse cache and,
+/// with `prune`, bounds each point analytically. A `shadow` scorer takes
+/// no profiler phase timers and bypasses the reuse cache (plain
+/// [`SimBatch::run`]), so the oracle's duplicate sweep differentially
+/// checks pruning *and* reuse.
+struct Simulate {
+    batches: Vec<SimBatch>,
+    weights: Vec<f64>,
+    prune: bool,
+    shadow: bool,
+    scores: Vec<(f64, f64)>,
+}
+
+impl Scorer for Simulate {
+    fn bound(&mut self, sys: &SystemParams) -> Option<f64> {
+        if !self.prune {
+            return None;
+        }
+        let _t = (!self.shadow).then(|| maybe_phase(Phase::Analytic, NO_CLASS));
+        self.scores.clear();
+        for (batch, &w) in self.batches.iter().zip(&self.weights) {
+            self.scores.push((batch.bound(sys).ipc_upper, w));
+        }
+        Some(weighted_geomean_ipc(&self.scores))
+    }
+
+    fn score(&mut self, sys: &SystemParams) -> f64 {
+        let _t = (!self.shadow).then(|| maybe_phase(Phase::Simulate, NO_CLASS));
+        self.scores.clear();
+        for (batch, &w) in self.batches.iter_mut().zip(&self.weights) {
+            let r = if self.shadow {
+                batch.run(sys)
+            } else {
+                batch.run_cached(sys)
+            };
+            self.scores.push((r.ipc, w));
+        }
+        weighted_geomean_ipc(&self.scores)
+    }
+}
+
+/// The winner and tallies of one sweep.
+#[derive(Default)]
+struct Sweep {
+    best: Option<(SystemParams, f64)>,
     candidates: u64,
     over_budget: u64,
+    pruned: u64,
+    admitted: u64,
+}
+
+/// The one grid walk: every point in canonical order (ascending tiles,
+/// then [`SystemDseConfig::points`] order), over-budget points skipped,
+/// points whose bound provably cannot win pruned, the rest scored and
+/// folded through [`beats`]. A bound is tested against the *same
+/// incumbent the exhaustive fold would hold at that position*, so the
+/// incumbent evolves identically with pruning on or off (DESIGN.md §12).
+fn sweep(cfg: &SystemDseConfig, tile: &ResourceBreakdown, scorer: &mut impl Scorer) -> Sweep {
+    let mut s = Sweep::default();
+    for tiles in 1..=cfg.max_tiles {
+        for sys in cfg.points(tiles) {
+            s.candidates += 1;
+            if !cfg.fits(tile, &sys) {
+                s.over_budget += 1;
+                continue;
+            }
+            if let Some(upper) = scorer.bound(&sys) {
+                if !upper_bound_can_win(&s.best, &sys, upper) {
+                    s.pruned += 1;
+                    continue;
+                }
+            }
+            s.admitted += 1;
+            let score = scorer.score(&sys);
+            if beats(&s.best, &sys, score) {
+                s.best = Some((sys, score));
+            }
+        }
+    }
+    s
 }
 
 /// Exhaustively choose the best system parameters for an accelerator ADG
@@ -113,88 +219,51 @@ struct TileSlice {
 /// [`breakdown`](overgen_model::breakdown) and
 /// [`estimate_ipc`](overgen_model::estimate_ipc).
 ///
-/// With `threads > 1` the per-tile-count slices of the sweep are scored on
-/// a scoped worker pool; the winner is still selected by folding every
-/// candidate in the canonical serial order, so the choice (including the
-/// order-dependent near-tie handling below) is identical for any thread
-/// count.
+/// The sweep is serial; `_threads` is not read. It stays in the signature
+/// only so existing callers keep compiling.
 pub fn system_dse(
     adg: &Adg,
     per_workload: &[(&Mdfg, &Placement, f64)], // (mdfg, placement, weight)
     model: &dyn ResourceModel,
     cfg: &SystemDseConfig,
-    threads: usize,
+    _threads: usize,
 ) -> Option<(SystemParams, f64)> {
     let _span = span!("dse.system", max_tiles = cfg.max_tiles);
-    let spad_bw = spad_bandwidth(adg);
-    let tile = tile_breakdown(adg, model);
-    let perf: Vec<(PerfSummary, f64)> = per_workload
-        .iter()
-        .map(|(m, p, w)| (PerfSummary::new(m, p), *w))
-        .collect();
-
-    let slices = fan_out(threads, (1..=cfg.max_tiles).collect(), |tiles| {
-        let mut slice = TileSlice {
-            scored: Vec::new(),
-            candidates: 0,
-            over_budget: 0,
-        };
-        let mut ipcs: Vec<(f64, f64)> = Vec::with_capacity(perf.len());
-        for sys in cfg.points(tiles) {
-            slice.candidates += 1;
-            if !cfg.fits(&tile, &sys) {
-                slice.over_budget += 1;
-                continue;
-            }
-            ipcs.clear();
-            ipcs.extend(
-                perf.iter()
-                    .map(|(p, w)| (p.estimate(&sys, spad_bw).ipc, *w)),
-            );
-            slice.scored.push((sys, weighted_geomean_ipc(&ipcs)));
-        }
-        slice
-    });
-
-    let mut candidates = 0u64;
-    let mut over_budget = 0u64;
-    let mut best: Option<(SystemParams, f64)> = None;
-    // Fold in ascending-tile (= serial sweep) order: the near-tie rule
-    // below depends on which candidate is seen first, so the fold order is
-    // part of the function's contract.
-    for slice in slices {
-        candidates += slice.candidates;
-        over_budget += slice.over_budget;
-        for (sys, score) in slice.scored {
-            if beats(&best, &sys, score) {
-                best = Some((sys, score));
-            }
-        }
-    }
-    estimate_event(&best, candidates, over_budget);
-    best
+    let mut scorer = Estimate {
+        perf: per_workload
+            .iter()
+            .map(|(m, p, w)| (PerfSummary::new(m, p), *w))
+            .collect(),
+        spad_bw: spad_bandwidth(adg),
+        ipcs: Vec::with_capacity(per_workload.len()),
+    };
+    let s = sweep(cfg, &tile_breakdown(adg, model), &mut scorer);
+    system_event(&s, &[]);
+    s.best
 }
 
-/// The `dse.system` event of an Estimate sweep.
-fn estimate_event(best: &Option<(SystemParams, f64)>, candidates: u64, over_budget: u64) {
-    match best {
-        Some((sys, score)) => event!(
-            "dse.system",
-            candidates = candidates,
-            over_budget = over_budget,
-            tiles = sys.tiles,
-            l2_banks = sys.l2_banks,
-            l2_kb = sys.l2_kb,
-            noc_bw = sys.noc_bw_bytes,
-            score = *score,
-        ),
-        None => event!(
-            "dse.system",
-            candidates = candidates,
-            over_budget = over_budget,
-            feasible = false,
-        ),
+/// Emit a sweep's `dse.system` event: its budget tallies, the backend's
+/// `extra` tallies, then the winner or `feasible = false`.
+fn system_event(s: &Sweep, extra: &[(&str, FieldValue)]) {
+    let Some(c) = overgen_telemetry::current() else {
+        return;
+    };
+    let mut fields = vec![
+        ("candidates", FieldValue::from(s.candidates)),
+        ("over_budget", FieldValue::from(s.over_budget)),
+    ];
+    fields.extend_from_slice(extra);
+    match s.best {
+        Some((sys, score)) => fields.extend([
+            ("tiles", FieldValue::from(sys.tiles)),
+            ("l2_banks", FieldValue::from(sys.l2_banks)),
+            ("l2_kb", FieldValue::from(sys.l2_kb)),
+            ("noc_bw", FieldValue::from(sys.noc_bw_bytes)),
+            ("score", FieldValue::from(score)),
+        ]),
+        None => fields.push(("feasible", FieldValue::from(false))),
     }
+    c.emit("dse.system", &fields);
 }
 
 /// The canonical selection predicate: prefer strictly better scores; on
@@ -221,106 +290,6 @@ fn upper_bound_can_win(best: &Option<(SystemParams, f64)>, sys: &SystemParams, u
     beats(best, sys, u)
 }
 
-/// Statistics from one simulator-backed sweep.
-struct SimSweep {
-    best: Option<(SystemParams, f64)>,
-    candidates: u64,
-    over_budget: u64,
-    pruned: u64,
-    admitted: u64,
-}
-
-/// Sum of sibling-reuse cache hits across a sweep's batches.
-fn reuse_hits(batches: &[SimBatch]) -> u64 {
-    batches.iter().map(SimBatch::cache_hits).sum()
-}
-
-/// Walk the grid in canonical order, scoring feasible points with warm
-/// [`SimBatch`] runs behind the sibling-reuse cache. With `prune`, each
-/// candidate's analytic score upper bound is tested against the *same
-/// incumbent the exhaustive fold would hold at that position*; a
-/// candidate is skipped only when the selection predicate provably
-/// rejects it (see DESIGN.md §12), so the incumbent evolves identically
-/// with pruning on or off. `shadow` suppresses the profiler phase timers
-/// and bypasses the reuse cache (plain [`SimBatch::run`]), so the
-/// oracle's duplicate sweep differentially checks pruning *and* reuse.
-fn sweep_sim(
-    tile: &ResourceBreakdown,
-    batches: &mut [SimBatch],
-    weights: &[f64],
-    cfg: &SystemDseConfig,
-    prune: bool,
-    shadow: bool,
-) -> SimSweep {
-    let mut sweep = SimSweep {
-        best: None,
-        candidates: 0,
-        over_budget: 0,
-        pruned: 0,
-        admitted: 0,
-    };
-    let mut scores: Vec<(f64, f64)> = Vec::with_capacity(batches.len());
-    for tiles in 1..=cfg.max_tiles {
-        for sys in cfg.points(tiles) {
-            sweep.candidates += 1;
-            if !cfg.fits(tile, &sys) {
-                sweep.over_budget += 1;
-                continue;
-            }
-            if prune {
-                let _t = if shadow {
-                    None
-                } else {
-                    overgen_telemetry::profile::maybe_phase(
-                        overgen_telemetry::Phase::Analytic,
-                        overgen_telemetry::profile::NO_CLASS,
-                    )
-                };
-                scores.clear();
-                for (batch, &w) in batches.iter().zip(weights) {
-                    scores.push((batch.bound(&sys).ipc_upper, w));
-                }
-                let upper = weighted_geomean_ipc(&scores);
-                if !upper_bound_can_win(&sweep.best, &sys, upper) {
-                    sweep.pruned += 1;
-                    continue;
-                }
-            }
-            sweep.admitted += 1;
-            let _t = if shadow {
-                None
-            } else {
-                overgen_telemetry::profile::maybe_phase(
-                    overgen_telemetry::Phase::Simulate,
-                    overgen_telemetry::profile::NO_CLASS,
-                )
-            };
-            scores.clear();
-            for (batch, &w) in batches.iter_mut().zip(weights) {
-                let r = if shadow {
-                    batch.run(&sys)
-                } else {
-                    batch.run_cached(&sys)
-                };
-                scores.push((r.ipc, w));
-            }
-            let score = weighted_geomean_ipc(&scores);
-            if beats(&sweep.best, &sys, score) {
-                sweep.best = Some((sys, score));
-            }
-        }
-    }
-    sweep
-}
-
-/// Whether `OVERGEN_SIM_ORACLE` asks for the differential shadow sweep.
-fn oracle_enabled() -> bool {
-    matches!(
-        std::env::var("OVERGEN_SIM_ORACLE").as_deref(),
-        Ok("1") | Ok("true") | Ok("yes")
-    )
-}
-
 /// Simulator-backed system DSE: choose the best system parameters for an
 /// accelerator ADG by running the cycle-level flow simulator on every
 /// admitted grid point, batching sibling points over warm per-workload
@@ -328,10 +297,6 @@ fn oracle_enabled() -> bool {
 /// upper bound cannot beat the incumbent are skipped before simulation —
 /// provably without changing the winner. Returns `None` when not even a
 /// single tile fits the budget.
-///
-/// The sweep is fully serial: the selection rule is order-dependent and
-/// the pruned/admitted tallies must be invariant in the caller's thread
-/// count.
 ///
 /// With `OVERGEN_SIM_ORACLE=1`, a silent exhaustive shadow sweep runs
 /// beside the pruned one and the function panics if the winners (params
@@ -345,65 +310,69 @@ pub fn system_dse_sim(
     sim_cfg: &SimConfig,
     prune: bool,
 ) -> Option<(SystemParams, f64)> {
+    let oracle = matches!(
+        std::env::var("OVERGEN_SIM_ORACLE").as_deref(),
+        Ok("1") | Ok("true") | Ok("yes")
+    );
+    sim_sweep(adg, per_workload, model, cfg, sim_cfg, prune, oracle)
+}
+
+/// [`system_dse_sim`] with the oracle switch as an argument.
+fn sim_sweep(
+    adg: &Adg,
+    per_workload: &[(&Mdfg, &Schedule, f64)],
+    model: &dyn ResourceModel,
+    cfg: &SystemDseConfig,
+    sim_cfg: &SimConfig,
+    prune: bool,
+    oracle: bool,
+) -> Option<(SystemParams, f64)> {
     let _span = span!("dse.system", max_tiles = cfg.max_tiles);
-    let mut batches: Vec<SimBatch> = per_workload
-        .iter()
-        .map(|(m, s, _)| SimBatch::new(m, s, adg, sim_cfg))
-        .collect();
-    let weights: Vec<f64> = per_workload.iter().map(|(_, _, w)| *w).collect();
+    let mut scorer = Simulate {
+        batches: per_workload
+            .iter()
+            .map(|(m, s, _)| SimBatch::new(m, s, adg, sim_cfg))
+            .collect(),
+        weights: per_workload.iter().map(|(_, _, w)| *w).collect(),
+        prune,
+        shadow: false,
+        scores: Vec::with_capacity(per_workload.len()),
+    };
     let tile = tile_breakdown(adg, model);
-    let sweep = sweep_sim(&tile, &mut batches, &weights, cfg, prune, false);
-    if oracle_enabled() {
-        let shadow = sweep_sim(&tile, &mut batches, &weights, cfg, false, true);
-        let agree = match (&sweep.best, &shadow.best) {
-            (None, None) => true,
-            (Some((s_a, v_a)), Some((s_b, v_b))) => s_a == s_b && v_a.to_bits() == v_b.to_bits(),
-            _ => false,
-        };
+    let s = sweep(cfg, &tile, &mut scorer);
+    if oracle {
+        scorer.prune = false;
+        scorer.shadow = true;
+        let shadow = sweep(cfg, &tile, &mut scorer);
+        let bits = |b: &Option<(SystemParams, f64)>| b.map(|(p, v)| (p, v.to_bits()));
         assert!(
-            agree,
+            bits(&s.best) == bits(&shadow.best),
             "sim oracle: pruned winner {:?} != exhaustive winner {:?} \
              (pruned {} of {} candidates)",
-            sweep.best, shadow.best, sweep.pruned, sweep.candidates,
+            s.best,
+            shadow.best,
+            s.pruned,
+            s.candidates,
         );
     }
     // Sibling-reuse hits accumulated by the pruned sweep's batches (the
     // shadow sweep bypasses the cache, so the tally is oracle-invariant).
-    let reused = reuse_hits(&batches);
+    let reused: u64 = scorer.batches.iter().map(SimBatch::cache_hits).sum();
     if let Some(c) = overgen_telemetry::current() {
-        c.registry()
-            .counter("sim.analytic.pruned")
-            .add(sweep.pruned);
-        c.registry()
-            .counter("sim.analytic.admitted")
-            .add(sweep.admitted);
-        c.registry().counter("sim.batch.reuse").add(reused);
+        let reg = c.registry();
+        reg.counter("sim.analytic.pruned").add(s.pruned);
+        reg.counter("sim.analytic.admitted").add(s.admitted);
+        reg.counter("sim.batch.reuse").add(reused);
     }
-    match &sweep.best {
-        Some((sys, score)) => event!(
-            "dse.system",
-            candidates = sweep.candidates,
-            over_budget = sweep.over_budget,
-            pruned = sweep.pruned,
-            admitted = sweep.admitted,
-            reused = reused,
-            tiles = sys.tiles,
-            l2_banks = sys.l2_banks,
-            l2_kb = sys.l2_kb,
-            noc_bw = sys.noc_bw_bytes,
-            score = *score,
-        ),
-        None => event!(
-            "dse.system",
-            candidates = sweep.candidates,
-            over_budget = sweep.over_budget,
-            pruned = sweep.pruned,
-            admitted = sweep.admitted,
-            reused = reused,
-            feasible = false,
-        ),
-    }
-    sweep.best
+    system_event(
+        &s,
+        &[
+            ("pruned", FieldValue::from(s.pruned)),
+            ("admitted", FieldValue::from(s.admitted)),
+            ("reused", FieldValue::from(reused)),
+        ],
+    );
+    s.best
 }
 
 #[cfg(test)]
@@ -466,7 +435,24 @@ mod tests {
                 }
             }
         }
-        estimate_event(&best, candidates, over_budget);
+        match best {
+            Some((sys, score)) => overgen_telemetry::event!(
+                "dse.system",
+                candidates = candidates,
+                over_budget = over_budget,
+                tiles = sys.tiles,
+                l2_banks = sys.l2_banks,
+                l2_kb = sys.l2_kb,
+                noc_bw = sys.noc_bw_bytes,
+                score = score,
+            ),
+            None => overgen_telemetry::event!(
+                "dse.system",
+                candidates = candidates,
+                over_budget = over_budget,
+                feasible = false,
+            ),
+        }
         best
     }
 
@@ -483,8 +469,8 @@ mod tests {
     /// The precompiled sweep against the per-point oracle over generated
     /// domains: the seed meshes plus seeded rewrite chains of them, the
     /// analytic and a trained MLP resource model, the default grid, a
-    /// custom grid and a device too small for one tile, at 1, 2 and 4
-    /// threads. Winner, score bits and the `dse.system` event must agree.
+    /// custom grid and a device too small for one tile. Winner, score bits
+    /// and the `dse.system` event must agree.
     #[test]
     fn precompiled_sweep_matches_the_per_point_oracle() {
         let kernels_mdfgs = [fir_mdfg(1), fir_mdfg(2), mdfg(1024, 1), mdfg(65536, 4)];
@@ -571,17 +557,14 @@ mod tests {
                         Some(_) => feasible += 1,
                         None => infeasible += 1,
                     }
-                    for threads in [1, 2, 4] {
-                        let label = format!("adg {a} model {mi} grid {gi} threads {threads}");
-                        let (got, got_trace) =
-                            traced(|| system_dse(adg, per, *model, cfg, threads));
-                        assert_eq!(
-                            want.map(|(s, v)| (s, v.to_bits())),
-                            got.map(|(s, v)| (s, v.to_bits())),
-                            "{label}"
-                        );
-                        assert_eq!(want_trace, got_trace, "{label}");
-                    }
+                    let label = format!("adg {a} model {mi} grid {gi}");
+                    let (got, got_trace) = traced(|| system_dse(adg, per, *model, cfg, 1));
+                    assert_eq!(
+                        want.map(|(s, v)| (s, v.to_bits())),
+                        got.map(|(s, v)| (s, v.to_bits())),
+                        "{label}"
+                    );
+                    assert_eq!(want_trace, got_trace, "{label}");
                 }
             }
         }
@@ -717,20 +700,6 @@ mod tests {
         assert!(system_dse(&adg, &per, &AnalyticModel, &cfg, 1).is_none());
     }
 
-    #[test]
-    fn threaded_sweep_matches_serial() {
-        let adg = mesh(&MeshSpec::default());
-        let m = fir_mdfg(2);
-        let placement = Placement::from_prefs(&m);
-        let per = vec![(&m, &placement, 1.0)];
-        let cfg = SystemDseConfig::default();
-        let serial = system_dse(&adg, &per, &AnalyticModel, &cfg, 1);
-        for threads in [2, 4, 7] {
-            let par = system_dse(&adg, &per, &AnalyticModel, &cfg, threads);
-            assert_eq!(serial, par, "threads={threads}");
-        }
-    }
-
     fn sched_for(adg: &Adg, m: &Mdfg) -> Schedule {
         let sys = SysAdg::new(adg.clone(), SystemParams::default());
         overgen_scheduler::schedule(m, &sys, None).unwrap()
@@ -787,7 +756,7 @@ mod tests {
 
     #[test]
     fn sim_backend_oracle_mode_agrees() {
-        // With the oracle env set, the pruned sweep self-checks against a
+        // With the oracle on, the pruned sweep self-checks against a
         // shadow exhaustive sweep and panics on divergence; surviving the
         // call IS the assertion.
         let adg = mesh(&MeshSpec::default());
@@ -796,9 +765,7 @@ mod tests {
         let per = vec![(&m, &s, 1.0)];
         let cfg = small_cfg();
         let sim_cfg = overgen_sim::SimConfig::default();
-        std::env::set_var("OVERGEN_SIM_ORACLE", "1");
-        let got = system_dse_sim(&adg, &per, &AnalyticModel, &cfg, &sim_cfg, true);
-        std::env::remove_var("OVERGEN_SIM_ORACLE");
+        let got = sim_sweep(&adg, &per, &AnalyticModel, &cfg, &sim_cfg, true, true);
         assert!(got.is_some());
     }
 

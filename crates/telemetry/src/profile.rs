@@ -49,9 +49,10 @@ pub enum Phase {
     Schedule,
     /// Incremental schedule repair (fast path and fallback).
     Repair,
-    /// Self time of the per-workload fan-out: all of it but the nested
-    /// repair and schedule phases (capture set-up and trace replay,
-    /// hot-key timers, outcome bookkeeping).
+    /// Self time of the per-workload schedule/repair loop: all of it but
+    /// the nested repair and schedule phases (hot-key timers, outcome
+    /// bookkeeping). Its label stays `fan-out`, the key recorded profiles
+    /// use.
     Fanout,
     /// Memoization bookkeeping: the set-up and packaging of the capture
     /// that makes an evaluation a replayable cache artifact, and, as self
@@ -431,9 +432,9 @@ impl ProfileSnapshot {
         self.phase_total_us(Phase::Eval)
     }
 
-    /// Share of total eval wall time attributed to a named phase. With
-    /// serial evaluation this is ≤ 1; per-workload workers overlap, so a
-    /// parallel run can exceed it. `1.0` when nothing was evaluated.
+    /// Share of total eval wall time attributed to a named phase: at most
+    /// 1 while each evaluation times its phases on its own thread, as the
+    /// DSE's do. `1.0` when nothing was evaluated.
     pub fn coverage(&self) -> f64 {
         let total = self.eval_total_us();
         if total == 0 {

@@ -10,12 +10,13 @@
 #   test         debug + release test suites of every crate (tier-1 gate)
 #   fmt          cargo fmt --check
 #   clippy       cargo clippy --workspace --all-targets -D warnings
-#   determinism  byte-identical traces: seeded, threads 1 vs 4, repair on/off
+#   determinism  byte-identical traces: seeded, chain workers 1 vs 4,
+#                repair on/off
 #   checkpoint   resume-equivalence gates: interrupted-then-resumed runs
 #                reproduce results, stats, and traces bit-identically, and
 #                the kill-and-resume bench stays under the overhead budget
-#   bench        bench harness end to end: trace diffs across worker counts
-#                and repair modes, BENCH_repair.json speedup record
+#   bench        bench harness end to end: trace diffs across chain worker
+#                counts and repair modes, BENCH_repair.json speedup record
 #   objectives   evaluation-pipeline gates: default objective byte-identical
 #                to the pre-refactor goldens, Pareto frontier invariants,
 #                and the budgeted bench rejecting infeasible proposals with
@@ -94,9 +95,10 @@ stage_determinism() {
         deterministic_trace_is_byte_identical_and_well_formed
 
     echo "== determinism: results + traces invariant in worker count =="
-    # The suite compares threads=1 vs 4 and chains at 1 vs 4 workers
-    # internally; running it under both env defaults also covers the
-    # bench-harness plumbing.
+    # `threads` sets how many chains run at once. The suite compares one
+    # chain at threads 1, 2 and 4 and four chains at 1, 4 and one-per-core
+    # workers internally; running it under both env defaults also covers
+    # the bench-harness plumbing.
     OVERGEN_DSE_THREADS=1 cargo test -q --test parallel_determinism
     OVERGEN_DSE_THREADS=4 cargo test -q --test parallel_determinism
 
@@ -145,12 +147,14 @@ stage_bench() {
     fi
 
     echo "== bench: trace diff across worker counts =="
+    # `threads` only runs chains in parallel (one chain evaluates serially
+    # at any count), so both legs run two chains: on one worker vs four.
     OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$TRACE_TMP/t1" \
-        OVERGEN_DSE_THREADS=1 cargo run -q --release -p overgen-bench \
-        -- fig18 >/dev/null
+        OVERGEN_DSE_CHAINS=2 OVERGEN_DSE_THREADS=1 \
+        cargo run -q --release -p overgen-bench -- fig18 >/dev/null
     OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$TRACE_TMP/t4" \
-        OVERGEN_DSE_THREADS=4 cargo run -q --release -p overgen-bench \
-        -- fig18 >/dev/null
+        OVERGEN_DSE_CHAINS=2 OVERGEN_DSE_THREADS=4 \
+        cargo run -q --release -p overgen-bench -- fig18 >/dev/null
     diff "$TRACE_TMP/t1/fig18.trace.jsonl" "$TRACE_TMP/t4/fig18.trace.jsonl" \
         || { echo "FAIL: traces differ across worker counts"; exit 1; }
 
@@ -211,6 +215,8 @@ stage_objectives() {
     fi
 
     echo "== objectives: budgeted bench trace diff across worker counts =="
+    # At one chain both legs run the same serial path; the t1 leg's record
+    # also feeds the winner and infeasible gates below.
     OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$PF_TMP/t1" \
         OVERGEN_DSE_THREADS=1 cargo run -q --release -p overgen-bench \
         -- pareto >/dev/null

@@ -1,9 +1,9 @@
 //! The parallel DSE contract: worker threads change wall-clock only.
 //! For a fixed seed, any `threads` value must produce bit-identical
-//! results AND byte-identical deterministic-clock JSONL traces — both for
-//! the intra-proposal fan-out (threads axis) and for multi-chain
-//! annealing (chains axis, where each chain's trace is captured on its
-//! worker and replayed in chain order).
+//! results AND byte-identical deterministic-clock JSONL traces. `threads`
+//! sets how many chains run at once: a single chain runs serially at any
+//! value, and a multi-chain run captures each chain's trace on its worker
+//! and replays it in chain order.
 
 use overgen_compiler::CompileOptions;
 use overgen_dse::{Dse, DseConfig, DseResult};
@@ -85,11 +85,18 @@ fn worker_count_is_invisible_to_multi_chain_runs() {
     // point of the island model) — but the trajectory must not depend on
     // how many workers execute it.
     let (one_worker, trace_one) = traced_dse(1, 4, 12);
-    let (four_workers, trace_four) = traced_dse(4, 4, 12);
-    assert_eq!(digest(&one_worker), digest(&four_workers));
-    assert_eq!(one_worker.schedules, four_workers.schedules);
-    assert_eq!(one_worker.stats, four_workers.stats);
-    assert_eq!(trace_one, trace_four);
+    // `0` = one worker per available core.
+    for threads in [4, 0] {
+        let (many_workers, trace_many) = traced_dse(threads, 4, 12);
+        assert_eq!(
+            digest(&one_worker),
+            digest(&many_workers),
+            "threads={threads}"
+        );
+        assert_eq!(one_worker.schedules, many_workers.schedules);
+        assert_eq!(one_worker.stats, many_workers.stats);
+        assert_eq!(trace_one, trace_many, "threads={threads}");
+    }
 
     // Multi-chain accounting: every chain runs `iterations` proposals.
     assert_eq!(one_worker.stats.iterations, 4 * 12);

@@ -2,8 +2,8 @@
 //! to deterministic traces. For a fixed seed, enabling the phase profiler
 //! and/or the run heartbeat must leave results bit-identical and the
 //! deterministic-clock JSONL trace byte-identical, at any worker count.
-//! The profiler must also actually attribute the run: at threads=1 at
-//! least 95% of umbrella evaluation wall time lands in a named phase.
+//! The profiler must also actually attribute the run: at least 95% of
+//! umbrella evaluation wall time lands in a named phase.
 
 use std::sync::Arc;
 
@@ -83,9 +83,7 @@ fn profiler_and_heartbeat_are_trace_invisible() {
 
 #[test]
 fn profiler_attributes_at_least_95_percent_serially() {
-    // Coverage = attributed / eval-umbrella time. Parallel per-workload
-    // fan-out overlaps phases (coverage can exceed 1), so the bound is
-    // only meaningful at threads=1.
+    // Coverage = attributed / eval-umbrella time.
     let (_, _, profiler) = traced_dse(1, 30, true, None);
     let snap = profiler.expect("profiler installed").snapshot();
     assert!(

@@ -5,8 +5,8 @@
 //! winners (parameters or exact score bits) ever diverge — pruning must
 //! be invisible to everything except wall-clock. This harness drives the
 //! oracle across all 19 paper workloads, a seeded-random grid sweep, and
-//! full DSE runs at 1 and 4 worker threads, asserting byte-identical
-//! results and traces in every configuration.
+//! full DSE runs at `threads` 1 and 4, asserting byte-identical results
+//! and traces in every configuration.
 
 use std::sync::Mutex;
 
@@ -248,9 +248,8 @@ fn digest(r: &DseResult) -> RunDigest {
 #[test]
 fn oracle_dse_traces_are_identical_across_threads() {
     // With the oracle armed and pruning on, the full sim-backed DSE must
-    // stay bit-identical in results AND byte-identical in traces at 1
-    // and 4 worker threads (the sweep itself is serial by contract; the
-    // per-workload scheduling fan-out is the threaded part).
+    // stay bit-identical in results AND byte-identical in traces at
+    // `threads` 1 and 4 (a single chain evaluates serially at any value).
     let (serial, trace_serial) = traced_sim_dse(1, true);
     let (parallel, trace_parallel) = traced_sim_dse(4, true);
     assert_eq!(digest(&serial), digest(&parallel));

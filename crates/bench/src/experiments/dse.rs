@@ -4,11 +4,11 @@
 //! MachSuite domain, recorded as a machine-readable throughput baseline:
 //! proposals/sec, acceptance and cache behaviour, and — when the profiler
 //! is on (`OVERGEN_PROFILE`, default) — per-phase wall-time totals with
-//! attribution coverage and the system sweep's share of eval time. The
-//! `check.sh profile` stage gates a fresh record with `bench-compare`:
-//! coverage and the system-DSE share get hard bounds; the wall-clock
-//! numbers only get `require:` presence checks, since absolute throughput
-//! varies across machines.
+//! attribution coverage and the system sweep's and the scheduler's shares
+//! of eval time. The `check.sh profile` stage gates a fresh record with
+//! `bench-compare`: coverage and both shares get hard bounds; the
+//! wall-clock numbers only get `require:` presence checks, since absolute
+//! throughput varies across machines.
 
 use std::time::Instant;
 
@@ -35,6 +35,9 @@ pub struct DseReport {
     /// System-DSE sweep time over eval time; `0.0` when the profiler is
     /// off or nothing was evaluated.
     pub system_share: f64,
+    /// Schedule plus repair time over eval time; `0.0` when the profiler
+    /// is off or nothing was evaluated.
+    pub scheduler_share: f64,
 }
 
 /// Run the DSE and write `results/BENCH_dse.json`.
@@ -49,7 +52,7 @@ pub fn run() -> DseReport {
     let wall_seconds = wall.elapsed().as_secs_f64();
     let stats = r.stats;
 
-    let (phase_totals, coverage, system_share) = match current_profiler() {
+    let (phase_totals, coverage, system_share, scheduler_share) = match current_profiler() {
         Some(p) => {
             let snap = p.snapshot();
             let totals = Phase::ALL
@@ -57,11 +60,15 @@ pub fn run() -> DseReport {
                 .map(|&ph| (ph.name(), snap.phase_total_us(ph)))
                 .filter(|(_, us)| *us > 0)
                 .collect();
-            let share =
-                snap.phase_total_us(Phase::SystemDse) as f64 / snap.eval_total_us().max(1) as f64;
-            (totals, snap.coverage(), share)
+            let share = |us: u64| us as f64 / snap.eval_total_us().max(1) as f64;
+            (
+                totals,
+                snap.coverage(),
+                share(snap.phase_total_us(Phase::SystemDse)),
+                share(snap.phase_total_us(Phase::Schedule) + snap.phase_total_us(Phase::Repair)),
+            )
         }
-        None => (Vec::new(), 1.0, 0.0),
+        None => (Vec::new(), 1.0, 0.0, 0.0),
     };
 
     let report = DseReport {
@@ -71,6 +78,7 @@ pub fn run() -> DseReport {
         phase_totals,
         coverage,
         system_share,
+        scheduler_share,
     };
 
     let decisions = stats.repair_fast + stats.repair_fallback + stats.full_schedules;
@@ -100,6 +108,7 @@ pub fn run() -> DseReport {
     let profile = json::Obj::new()
         .f64("coverage", report.coverage)
         .f64("system_share", report.system_share)
+        .f64("scheduler_share", report.scheduler_share)
         .raw("phase_total_us", &phases.finish())
         .finish();
     let record = json::Obj::new()
@@ -141,6 +150,10 @@ pub fn render(r: &DseReport) -> String {
     t.row([
         "system-dse share of eval".into(),
         format!("{:.1}%", r.system_share * 100.0),
+    ]);
+    t.row([
+        "scheduler share of eval".into(),
+        format!("{:.1}%", r.scheduler_share * 100.0),
     ]);
     format!(
         "DSE engine throughput\n\n{t}\n\

@@ -8,7 +8,7 @@ use overgen_mdfg::{
     ArrayNode, InstNode, Mdfg, MdfgNode, MdfgNodeId, MemPref, ReuseInfo, StreamNode,
 };
 
-use crate::reuse::{analyze_ref, array_footprint_bytes, placement_pref, recurrence_of};
+use crate::reuse::{analyze_ref, array_footprint_bytes, declared, placement_pref, recurrence_of};
 use crate::CompileError;
 
 /// Transformation choices for one lowering.
@@ -132,10 +132,7 @@ impl<'k> LowerCtx<'k> {
     }
 
     fn elem_bytes(&self, name: &str) -> u64 {
-        self.kernel
-            .array(name)
-            .map(|a| a.dtype.bytes())
-            .unwrap_or(8)
+        declared(self.kernel, name).dtype.bytes()
     }
 
     fn ensure_array(&mut self, name: &str) -> MdfgNodeId {

@@ -1,7 +1,7 @@
 //! Reuse analysis (paper §IV-B): footprint, traffic, stationary and
 //! recurrent reuse of each array reference.
 
-use overgen_ir::{ArrayRef, IndexExpr, Kernel};
+use overgen_ir::{ArrayDecl, ArrayRef, IndexExpr, Kernel};
 use overgen_mdfg::{MemPref, RecurrenceInfo, ReuseInfo, StreamPattern};
 
 /// Full analysis result for one array reference in a kernel.
@@ -28,9 +28,14 @@ pub struct RefAnalysis {
 ///   loops whose variables do not appear in the index.
 /// - **Recurrent**: detected by the caller for accumulations; attached via
 ///   [`recurrence_of`].
+///
+/// # Panics
+///
+/// If `r` names an array `kernel` does not declare (a kernel's own
+/// references always name declared arrays).
 pub fn analyze_ref(kernel: &Kernel, r: &ArrayRef, is_write: bool) -> RefAnalysis {
     let nest = kernel.nest();
-    let elem_bytes = kernel.array(&r.array).map(|a| a.dtype.bytes()).unwrap_or(8) as f64;
+    let elem_bytes = declared(kernel, &r.array).dtype.bytes() as f64;
 
     let traffic = nest.total_iterations() * elem_bytes;
 
@@ -49,7 +54,7 @@ pub fn analyze_ref(kernel: &Kernel, r: &ArrayRef, is_write: bool) -> RefAnalysis
         }
         IndexExpr::Indirect { .. } => {
             // Uniform-distribution assumption: footprint is the whole array.
-            let arr_bytes = kernel.array(&r.array).map(|a| a.size_bytes()).unwrap_or(0) as f64;
+            let arr_bytes = declared(kernel, &r.array).size_bytes() as f64;
             (arr_bytes.max(elem_bytes), StreamPattern::Indirect)
         }
     };
@@ -114,6 +119,19 @@ pub fn recurrence_of(kernel: &Kernel, r: &ArrayRef) -> Option<RecurrenceInfo> {
     None
 }
 
+/// The declaration of an array a kernel references. Kernels are checked
+/// at construction ([`overgen_ir::KernelBuilder::build`],
+/// [`Kernel::tuned_variant`]), so a miss is a broken invariant, never a
+/// size to guess.
+pub(crate) fn declared<'k>(kernel: &'k Kernel, array: &str) -> &'k ArrayDecl {
+    kernel.array(array).unwrap_or_else(|| {
+        panic!(
+            "array `{array}` is not declared by kernel `{}`",
+            kernel.name()
+        )
+    })
+}
+
 /// Allocation size of an array when placed in a scratchpad: its footprint
 /// plus double-buffering space (§IV-A).
 pub fn array_footprint_bytes(kernel: &Kernel, array: &str) -> u64 {
@@ -125,12 +143,7 @@ pub fn array_footprint_bytes(kernel: &Kernel, array: &str) -> u64 {
         }
         if let IndexExpr::Indirect { index_array, .. } = &r.index {
             if index_array == array {
-                fp = fp.max(
-                    kernel
-                        .array(array)
-                        .map(|a| a.size_bytes() as f64)
-                        .unwrap_or(0.0),
-                );
+                fp = fp.max(declared(kernel, array).size_bytes() as f64);
             }
         }
     }

@@ -28,7 +28,7 @@ use overgen_telemetry::{
 };
 
 use overgen_adg::{mesh, Adg, MeshSpec, SpadNode, StableHasher, SysAdg};
-use overgen_compiler::{compile_variants, CompileOptions};
+use overgen_compiler::{compile_variants, CompileError, CompileOptions};
 use overgen_ir::{Expr, FuCap, Kernel, Op};
 use overgen_mdfg::Mdfg;
 use overgen_model::{AnalyticModel, ResourceModel, TimeModel};
@@ -195,6 +195,13 @@ pub enum DseError {
     /// write failures are hard errors: silently continuing would leave the
     /// user believing the run is crash-safe when it is not.
     Checkpoint(String),
+    /// A domain kernel does not compile, so it has no variant to schedule.
+    Compile {
+        /// Name of the kernel.
+        kernel: String,
+        /// Why it does not compile.
+        error: CompileError,
+    },
 }
 
 impl fmt::Display for DseError {
@@ -206,6 +213,9 @@ impl fmt::Display for DseError {
                  (after {widenings} port-widening rounds)"
             ),
             DseError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
+            DseError::Compile { kernel, error } => {
+                write!(f, "kernel `{kernel}` does not compile: {error}")
+            }
         }
     }
 }
@@ -509,7 +519,22 @@ impl Dse {
         h.finish()
     }
 
-    /// Run the exploration. Fails with [`DseError::UnschedulableSeed`]
+    /// Every workload's variants (§V-A), keyed by kernel name.
+    fn compile_domain(&self) -> Result<BTreeMap<String, Vec<Mdfg>>, DseError> {
+        self.workloads
+            .iter()
+            .map(|k| match compile_variants(k, &self.cfg.compile) {
+                Ok(vs) => Ok((k.name().to_string(), vs)),
+                Err(error) => Err(DseError::Compile {
+                    kernel: k.name().to_string(),
+                    error,
+                }),
+            })
+            .collect()
+    }
+
+    /// Run the exploration. Fails with [`DseError::Compile`] when a
+    /// workload does not compile, and with [`DseError::UnschedulableSeed`]
     /// when the domain cannot even be scheduled on a widened seed mesh.
     pub fn run(&self) -> Result<DseResult, DseError> {
         let chains = self.cfg.chains.max(1);
@@ -524,15 +549,11 @@ impl Dse {
         let model: &dyn ResourceModel = &AnalyticModel;
 
         // Up-front variant generation (once; §V-A).
-        let mut mdfgs: BTreeMap<String, Vec<Mdfg>> = BTreeMap::new();
-        {
+        let mdfgs = {
             let _span = span!("dse.compile_variants");
             let _timer = maybe_phase(Phase::Compile, NO_CLASS);
-            for k in &self.workloads {
-                let vs = compile_variants(k, &self.cfg.compile).unwrap_or_default();
-                mdfgs.insert(k.name().to_string(), vs);
-            }
-        }
+            self.compile_domain()?
+        };
 
         // The run registry: the ambient collector's when telemetry is on,
         // a private one otherwise. Stats are deltas against it either way.
@@ -619,14 +640,8 @@ impl Dse {
         // emitted its `dse.compile_variants` span *before* the cursor, so
         // recompilation runs under a discarded capture collector and the
         // resumed trace continues exactly at the cursor.
-        let (mdfgs, _trace, _registry) = capture_isolated(|| {
-            let mut m: BTreeMap<String, Vec<Mdfg>> = BTreeMap::new();
-            for k in &self.workloads {
-                let vs = compile_variants(k, &self.cfg.compile).unwrap_or_default();
-                m.insert(k.name().to_string(), vs);
-            }
-            m
-        });
+        let (mdfgs, _trace, _registry) = capture_isolated(|| self.compile_domain());
+        let mdfgs = mdfgs?;
 
         let collector = overgen_telemetry::current();
         if let (Some(c), Some(cur)) = (collector.as_ref(), ck.cursor.as_ref()) {
@@ -1075,6 +1090,36 @@ mod tests {
         let pool = Dse::cap_pool(&[vecadd(), fir()]);
         assert!(pool.contains(&FuCap::new(Op::Add, DataType::I64)));
         assert!(pool.contains(&FuCap::new(Op::Mul, DataType::I64)));
+    }
+
+    #[test]
+    fn uncompilable_kernel_is_reported_not_widened_around() {
+        let unconfigured = KernelBuilder::new("vecadd", Suite::Dsp, DataType::I64)
+            .array_input("a", 4096)
+            .array_input("b", 4096)
+            .array_output("c", 4096)
+            .loop_const("i", 4096)
+            .assign(
+                "c",
+                expr::idx("i"),
+                expr::load("a", expr::idx("i")) + expr::load("b", expr::idx("i")),
+            )
+            .pragmas(overgen_ir::Pragmas {
+                config: false,
+                ..Default::default()
+            })
+            .build()
+            .unwrap();
+        let err = Dse::new(vec![fir(), unconfigured], quick_cfg(4, true))
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DseError::Compile {
+                kernel: "vecadd".into(),
+                error: CompileError::NotConfigured,
+            }
+        );
     }
 
     #[test]

@@ -281,7 +281,17 @@ impl Kernel {
     }
 
     /// Return a copy flagged as the tuned variant with a new body/nest.
-    pub fn tuned_variant(&self, note: &str, nest: LoopNest, body: Vec<Stmt>) -> Kernel {
+    ///
+    /// # Errors
+    ///
+    /// The same [`BuildError`]s as [`KernelBuilder::build`]: the new nest
+    /// and body must only name declared arrays and their loop variables.
+    pub fn tuned_variant(
+        &self,
+        note: &str,
+        nest: LoopNest,
+        body: Vec<Stmt>,
+    ) -> Result<Kernel, BuildError> {
         Kernel {
             nest,
             body,
@@ -291,10 +301,56 @@ impl Kernel {
             },
             ..self.clone()
         }
+        .validated()
+    }
+
+    /// The well-formedness checks every constructed kernel passes.
+    fn validated(self) -> Result<Kernel, BuildError> {
+        if self.body.is_empty() {
+            return Err(BuildError::EmptyBody);
+        }
+        if self.nest.depth() == 0 {
+            return Err(BuildError::EmptyNest);
+        }
+        let mut seen_loops = BTreeSet::new();
+        for l in self.nest.loops() {
+            if !seen_loops.insert(l.var.clone()) {
+                return Err(BuildError::DuplicateLoopVar(l.var.clone()));
+            }
+        }
+        let mut seen_arrays = BTreeSet::new();
+        for a in &self.arrays {
+            if !seen_arrays.insert(a.name.clone()) {
+                return Err(BuildError::DuplicateArray(a.name.clone()));
+            }
+        }
+        let check_ref = |r: &ArrayRef| -> Result<(), BuildError> {
+            if !seen_arrays.contains(&r.array) {
+                return Err(BuildError::UnknownArray(r.array.clone()));
+            }
+            if let IndexExpr::Indirect { index_array, .. } = &r.index {
+                if !seen_arrays.contains(index_array) {
+                    return Err(BuildError::UnknownArray(index_array.clone()));
+                }
+            }
+            for (v, _) in r.index.affine().terms() {
+                if !seen_loops.contains(v) {
+                    return Err(BuildError::UnknownVariable(v.to_string()));
+                }
+            }
+            Ok(())
+        };
+        for s in &self.body {
+            check_ref(&s.dst)?;
+            for r in s.value.loads() {
+                check_ref(r)?;
+            }
+        }
+        Ok(self)
     }
 }
 
-/// Errors from [`KernelBuilder::build`].
+/// Errors from [`KernelBuilder::build`] and [`Kernel::tuned_variant`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
     /// The kernel body is empty.
@@ -476,47 +532,7 @@ impl KernelBuilder {
     /// references an undeclared array, an index uses a non-loop variable, or
     /// names collide.
     pub fn build(self) -> Result<Kernel, BuildError> {
-        if self.body.is_empty() {
-            return Err(BuildError::EmptyBody);
-        }
-        if self.nest.depth() == 0 {
-            return Err(BuildError::EmptyNest);
-        }
-        let mut seen_loops = BTreeSet::new();
-        for l in self.nest.loops() {
-            if !seen_loops.insert(l.var.clone()) {
-                return Err(BuildError::DuplicateLoopVar(l.var.clone()));
-            }
-        }
-        let mut seen_arrays = BTreeSet::new();
-        for a in &self.arrays {
-            if !seen_arrays.insert(a.name.clone()) {
-                return Err(BuildError::DuplicateArray(a.name.clone()));
-            }
-        }
-        let check_ref = |r: &ArrayRef| -> Result<(), BuildError> {
-            if !seen_arrays.contains(&r.array) {
-                return Err(BuildError::UnknownArray(r.array.clone()));
-            }
-            if let IndexExpr::Indirect { index_array, .. } = &r.index {
-                if !seen_arrays.contains(index_array) {
-                    return Err(BuildError::UnknownArray(index_array.clone()));
-                }
-            }
-            for (v, _) in r.index.affine().terms() {
-                if !seen_loops.contains(v) {
-                    return Err(BuildError::UnknownVariable(v.to_string()));
-                }
-            }
-            Ok(())
-        };
-        for s in &self.body {
-            check_ref(&s.dst)?;
-            for r in s.value.loads() {
-                check_ref(r)?;
-            }
-        }
-        Ok(Kernel {
+        Kernel {
             name: self.name,
             suite: self.suite,
             dtype: self.dtype,
@@ -526,7 +542,8 @@ impl KernelBuilder {
             pragmas: self.pragmas,
             tuning: self.tuning,
             wants_broadcast: self.wants_broadcast,
-        })
+        }
+        .validated()
     }
 }
 
@@ -691,9 +708,22 @@ mod tests {
     #[test]
     fn tuned_variant_flag() {
         let k = fir();
-        let t = k.tuned_variant("peeled", k.nest().clone(), k.body().to_vec());
+        let t = k
+            .tuned_variant("peeled", k.nest().clone(), k.body().to_vec())
+            .unwrap();
         assert!(t.tuning().tuned);
         assert_eq!(t.tuning().note, "peeled");
         assert!(!k.tuning().tuned);
+    }
+
+    #[test]
+    fn tuned_variant_is_validated_like_build() {
+        let k = fir();
+        let mut body = k.body().to_vec();
+        body[0].dst.array = "undeclared".into();
+        assert_eq!(
+            k.tuned_variant("bad", k.nest().clone(), body),
+            Err(BuildError::UnknownArray("undeclared".into()))
+        );
     }
 }

@@ -43,6 +43,12 @@ impl AdjBits {
         }
     }
 
+    /// Slots covered: every live node's [`NodeId::index`] is below this,
+    /// so per-node side tables of this length index without bounds misses.
+    pub fn slots(&self) -> usize {
+        self.n
+    }
+
     #[inline]
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
         let (ai, bi) = (a.index(), b.index());

@@ -1,9 +1,8 @@
 //! The placement + routing algorithm.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::rc::Rc;
 
-use overgen_adg::{Adg, AdgNode, NodeId, NodeKind, SysAdg};
+use overgen_adg::{Adg, AdgNode, NodeId, NodeKind, PeNode, SysAdg};
 use overgen_mdfg::{Mdfg, MdfgNode, MdfgNodeId, MdfgNodeKind, MemPref, StreamPattern};
 use overgen_model::{estimate_ipc, Placement};
 use overgen_telemetry::{event, span};
@@ -13,6 +12,13 @@ use crate::types::{Schedule, ScheduleError};
 
 /// Maximum placement candidates tried per instruction before giving up.
 const MAX_CANDIDATES: usize = 32;
+
+/// Hop-distance table entry of a node the distance BFS never reaches.
+const UNREACHED: u32 = u32::MAX;
+
+/// Ordering cost a candidate pays per placed predecessor that cannot
+/// reach it.
+const UNREACHED_HOPS: usize = 1_000;
 
 /// Schedule an mDFG onto a system ADG.
 ///
@@ -111,13 +117,18 @@ pub(crate) fn engine_of_stream(
     assignment: &BTreeMap<MdfgNodeId, NodeId>,
     sid: MdfgNodeId,
 ) -> Option<NodeId> {
+    let first_of = |kind| {
+        adg.nodes()
+            .find(|(_, n)| n.kind() == kind)
+            .map(|(id, _)| id)
+    };
     // Recurrence streams use the recurrence engine.
     let s = mdfg.node(sid)?.as_stream()?;
     if s.array.is_empty() {
-        return adg.nodes_of_kind(NodeKind::Gen).into_iter().next();
+        return first_of(NodeKind::Gen);
     }
     if !s.is_write && is_rec_input(mdfg, sid) || s.is_write && feeds_rec_input(mdfg, sid) {
-        return adg.nodes_of_kind(NodeKind::Rec).into_iter().next();
+        return first_of(NodeKind::Rec);
     }
     // Otherwise: the engine its array was assigned to.
     let aid = array_of_stream(mdfg, sid)?;
@@ -255,16 +266,20 @@ struct Placer<'a> {
     prior: Option<&'a Schedule>,
     /// Bitset adjacency + kind table for the routing hot loop.
     adj: AdjBits,
+    /// Every PE in id order: the candidate pool of each instruction.
+    pes: Vec<(NodeId, &'a PeNode)>,
     assignment: BTreeMap<MdfgNodeId, NodeId>,
     routes: BTreeMap<(MdfgNodeId, MdfgNodeId), Vec<NodeId>>,
     stream_engines: BTreeMap<MdfgNodeId, NodeId>,
-    pe_used: BTreeSet<NodeId>,
+    /// Per slot: the PE already hosts an instruction.
+    pe_used: Vec<bool>,
     port_used: BTreeSet<NodeId>,
     spad_left: BTreeMap<NodeId, i64>,
     /// link -> value source currently carried (fanout of one value shares).
     link_use: BTreeMap<(NodeId, NodeId), MdfgNodeId>,
-    /// Hop-distance maps memoized per source for candidate ordering.
-    dist_cache: BTreeMap<NodeId, Rc<BTreeMap<NodeId, usize>>>,
+    /// Per source slot: hop distances to every slot, memoized for
+    /// candidate ordering (empty until first asked for).
+    dist: Vec<Vec<u32>>,
     /// Placement candidates tried for instructions (telemetry).
     attempts: u64,
     /// Candidates abandoned after a routing failure (telemetry).
@@ -276,20 +291,26 @@ struct Placer<'a> {
 impl<'a> Placer<'a> {
     fn new(mdfg: &'a Mdfg, sys: &'a SysAdg, prior: Option<&'a Schedule>, quiet: bool) -> Self {
         let adg = &sys.adg;
+        let adj = AdjBits::new(adg);
+        let slots = adj.slots();
         Placer {
             mdfg,
             adg,
             sys,
             prior,
-            adj: AdjBits::new(adg),
+            adj,
+            pes: adg
+                .nodes()
+                .filter_map(|(id, n)| n.as_pe().map(|pe| (id, pe)))
+                .collect(),
             assignment: BTreeMap::new(),
             routes: BTreeMap::new(),
             stream_engines: BTreeMap::new(),
-            pe_used: BTreeSet::new(),
+            pe_used: vec![false; slots],
             port_used: BTreeSet::new(),
             spad_left: spad_budgets(adg),
             link_use: BTreeMap::new(),
-            dist_cache: BTreeMap::new(),
+            dist: vec![Vec::new(); slots],
             attempts: 0,
             backtracks: 0,
             quiet,
@@ -600,7 +621,7 @@ impl<'a> Placer<'a> {
             let mut placed = false;
             let mut tried_prior: Option<NodeId> = None;
             if let Some(t) = self.prior_target(iid) {
-                let free_and_compatible = !self.pe_used.contains(&t)
+                let free_and_compatible = !self.pe_used[t.index()]
                     && self
                         .adg
                         .node(t)
@@ -613,35 +634,42 @@ impl<'a> Placer<'a> {
             }
 
             if !placed {
-                let mut candidates: Vec<NodeId> = self
-                    .adg
-                    .nodes()
-                    .filter(|(id, n)| {
-                        !self.pe_used.contains(id)
-                            && n.as_pe().is_some_and(|pe| pe.supports(inst.op, inst.dtype))
-                    })
-                    .map(|(id, _)| id)
+                // Free compatible PEs in id order, keyed by closeness to
+                // the placed predecessors: each key is summed once, and the
+                // stable sort keeps id order on ties.
+                for (_, a) in &placed_preds {
+                    self.fill_distances(*a);
+                }
+                let tables: Vec<&[u32]> = placed_preds
+                    .iter()
+                    .map(|(_, a)| self.dist[a.index()].as_slice())
                     .collect();
-                if candidates.is_empty() && tried_prior.is_none() {
+                let mut keyed: Vec<(usize, NodeId)> = self
+                    .pes
+                    .iter()
+                    .filter(|(c, pe)| !self.pe_used[c.index()] && pe.supports(inst.op, inst.dtype))
+                    .map(|(c, _)| {
+                        let key = tables
+                            .iter()
+                            .map(|t| match t[c.index()] {
+                                UNREACHED => UNREACHED_HOPS,
+                                d => d as usize,
+                            })
+                            .sum();
+                        (key, *c)
+                    })
+                    .collect();
+                if keyed.is_empty() && tried_prior.is_none() {
                     return Err(ScheduleError::NoCandidate {
                         node: iid,
                         requirement: format!("a free PE with {}.{}", inst.op, inst.dtype),
                     });
                 }
-                // Order by closeness to placed predecessors.
-                let dist_maps: Vec<Rc<BTreeMap<NodeId, usize>>> = placed_preds
-                    .iter()
-                    .map(|(_, a)| self.distances_from(*a))
-                    .collect();
-                candidates.sort_by_key(|c| {
-                    dist_maps
-                        .iter()
-                        .map(|m| m.get(c).copied().unwrap_or(1_000))
-                        .sum::<usize>()
-                });
+                keyed.sort_by_key(|(key, _)| *key);
                 let budget = MAX_CANDIDATES - usize::from(tried_prior.is_some());
-                for cand in candidates
+                for cand in keyed
                     .into_iter()
+                    .map(|(_, c)| c)
                     .filter(|c| Some(*c) != tried_prior)
                     .take(budget)
                 {
@@ -695,7 +723,7 @@ impl<'a> Placer<'a> {
                 }
             }
         }
-        self.pe_used.insert(cand);
+        self.pe_used[cand.index()] = true;
         self.assignment.insert(iid, cand);
         true
     }
@@ -826,12 +854,11 @@ impl<'a> Placer<'a> {
                 Some(v) => *v == value,
             }
         };
-        let mut prev: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(from);
+        let mut prev: Vec<Option<NodeId>> = vec![None; self.adj.slots()];
+        let mut queue = VecDeque::from([from]);
         while let Some(cur) = queue.pop_front() {
             for &next in self.adg.succs(cur) {
-                if prev.contains_key(&next) || next == from {
+                if prev[next.index()].is_some() || next == from {
                     continue;
                 }
                 if !usable(cur, next) {
@@ -844,13 +871,13 @@ impl<'a> Placer<'a> {
                 if !is_dst && !is_switch {
                     continue;
                 }
-                prev.insert(next, cur);
+                prev[next.index()] = Some(cur);
                 if is_dst {
                     // reconstruct
                     let mut path = vec![to];
                     let mut c = to;
                     while c != from {
-                        c = prev[&c];
+                        c = prev[c.index()].expect("reached nodes have a predecessor");
                         path.push(c);
                     }
                     path.reverse();
@@ -891,32 +918,30 @@ impl<'a> Placer<'a> {
         self.routes.insert(edge, path);
     }
 
-    /// BFS hop distances from a node through the fabric, memoized per
-    /// source (the ADG is immutable for the placement's duration).
-    fn distances_from(&mut self, from: NodeId) -> Rc<BTreeMap<NodeId, usize>> {
-        if let Some(m) = self.dist_cache.get(&from) {
-            return Rc::clone(m);
+    /// BFS hop distances from a node through the fabric into
+    /// `self.dist[from]`, memoized per source (the ADG is immutable for the
+    /// placement's duration). Nodes never reached stay [`UNREACHED`].
+    fn fill_distances(&mut self, from: NodeId) {
+        if !self.dist[from.index()].is_empty() {
+            return;
         }
-        let mut dist = BTreeMap::new();
-        dist.insert(from, 0usize);
-        let mut queue = VecDeque::new();
-        queue.push_back(from);
+        let mut dist = vec![UNREACHED; self.adj.slots()];
+        dist[from.index()] = 0;
+        let mut queue = VecDeque::from([from]);
         while let Some(cur) = queue.pop_front() {
-            let d = dist[&cur];
+            let d = dist[cur.index()] + 1;
             for &next in self.adg.succs(cur) {
-                if dist.contains_key(&next) {
+                if dist[next.index()] != UNREACHED {
                     continue;
                 }
                 // traverse switches; record distance for all nodes
-                dist.insert(next, d + 1);
+                dist[next.index()] = d;
                 if self.adj.is_switch(next) {
                     queue.push_back(next);
                 }
             }
         }
-        let rc = Rc::new(dist);
-        self.dist_cache.insert(from, Rc::clone(&rc));
-        rc
+        self.dist[from.index()] = dist;
     }
 
     // ---- scoring -----------------------------------------------------------

@@ -31,11 +31,15 @@ pub fn hls_tuned(name: &str) -> Option<Kernel> {
 /// The OverGen-tuned variant of a kernel, when tuning applies.
 pub fn og_tuned(name: &str) -> Option<Kernel> {
     match name {
-        "fft" => Some(fft_fixed(false).tuned_variant(
-            "peeled final iterations for coalesced scalar access",
-            fft_fixed(false).nest().clone(),
-            fft_fixed(false).body().to_vec(),
-        )),
+        "fft" => Some(
+            fft_fixed(false)
+                .tuned_variant(
+                    "peeled final iterations for coalesced scalar access",
+                    fft_fixed(false).nest().clone(),
+                    fft_fixed(false).body().to_vec(),
+                )
+                .expect("tuned fft is well formed"),
+        ),
         "gemm" => Some(gemm_og()),
         "stencil-2d" => Some(stencil_2d_og()),
         "blur" => Some(blur_og()),
@@ -178,6 +182,7 @@ fn blur_hls() -> Kernel {
         k.nest().clone(),
         k.body().to_vec(),
     )
+    .expect("tuned blur is well formed")
 }
 
 /// stencil-3d with plane pointers strength-reduced to unit stride.
@@ -301,6 +306,7 @@ fn stencil_2d_og() -> Kernel {
     // halve the column trip count: each iteration now produces 2 outputs
     let _ = &mut nest;
     k.tuned_variant("manual window-reuse unroll (2 outputs/iter)", nest, body)
+        .expect("tuned stencil-2d is well formed")
 }
 
 /// blur manually unrolled the same way.
@@ -314,6 +320,7 @@ fn blur_og() -> Kernel {
         overgen_ir::Loop::new("c", 63),
     ]);
     k.tuned_variant("manual window-reuse unroll (2 outputs/iter)", nest, body)
+        .expect("tuned blur is well formed")
 }
 
 #[cfg(test)]

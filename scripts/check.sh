@@ -25,8 +25,8 @@
 #                metric names documented, golden phase table from a
 #                deterministic trace, >= 95% eval-time attribution, and a
 #                fresh BENCH_dse.json holding the system sweep under 50%
-#                of eval time (plus a synthetic-regression negative test of
-#                the gate itself)
+#                and schedule + repair under 47% of eval time (plus
+#                synthetic-regression negative tests of both gates)
 #   sim          simulator fast-path gates: differential oracle (pruned +
 #                cached sweep vs exhaustive) across every workload, the
 #                analytic lower-bound property, oracle mode invisible in
@@ -282,12 +282,15 @@ stage_profile() {
     # A fresh default-settings run, as results/BENCH_dse.json was made. The
     # nested system sweep must stay a minority of eval time and eval time
     # stay attributed; throughput only gets a presence check (machines
-    # differ).
+    # differ). The scheduler's share (schedule + repair) reads 0.40-0.42
+    # with the per-slot placement tables and 0.52-0.69 with the ordered
+    # maps they replaced, so the band fails a revert.
     OVERGEN_RESULTS_DIR="$PROF_TMP/bench" OVERGEN_DSE_THREADS=1 \
         cargo run -q --release -p overgen-bench -- dse >/dev/null
     cargo run -q --release -p overgen-bench --bin bench-compare -- \
         results/BENCH_dse.json "$PROF_TMP/bench/BENCH_dse.json" \
         max:profile.system_share=0.5 \
+        max:profile.scheduler_share=0.47 \
         min:profile.coverage=0.95 \
         require:proposals_per_sec \
         || { echo "FAIL: DSE benchmark regressed past the tolerance bands"; exit 1; }
@@ -300,6 +303,15 @@ stage_profile() {
         max:profile.system_share=0.5 \
         min:profile.coverage=0.95 >/dev/null; then
         echo "FAIL: bench-compare accepted a synthetic system-share regression"; exit 1
+    fi
+
+    echo "== profile: injected scheduler-share regression must fail the gate =="
+    sed -e 's/"scheduler_share":[0-9.eE+-]*/"scheduler_share":0.56/' \
+        "$PROF_TMP/bench/BENCH_dse.json" > "$PROF_TMP/regressed.json"
+    if cargo run -q --release -p overgen-bench --bin bench-compare -- \
+        results/BENCH_dse.json "$PROF_TMP/regressed.json" \
+        max:profile.scheduler_share=0.47 >/dev/null; then
+        echo "FAIL: bench-compare accepted a synthetic scheduler-share regression"; exit 1
     fi
 }
 

@@ -13,36 +13,24 @@
 //!
 //! The on-disk format is a single JSON object written through
 //! [`overgen_telemetry::fs::write_atomic`], so a crash mid-write leaves
-//! the previous checkpoint intact. All `u64` values and `f64` bit patterns
-//! are encoded as hex *strings* — the in-tree JSON parser reads numbers as
-//! `f64`, which cannot hold a full 64-bit integer, and a float that round
-//! trips through decimal is not guaranteed bit-identical. Hex strings make
-//! every field lossless.
+//! the previous checkpoint intact. Every field is encoded losslessly by
+//! the shared codec (`codec.rs`, hex strings for integers and float bit
+//! patterns); this module keeps the header and the checkpoint-only types.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use overgen_adg::{
-    Adg, AdgNode, DmaNode, GenNode, InPortNode, NodeId, OutPortNode, PeNode, PortableAdg, RecNode,
-    RegNode, SpadNode, SwitchNode, SystemParams,
-};
 use overgen_compiler::CompileOptions;
-use overgen_ir::{DataType, FuCap, Kernel, Op};
-use overgen_mdfg::MdfgNodeId;
+use overgen_ir::Kernel;
 use overgen_model::{
-    ClockRegionGrid, FpgaDevice, PerfEstimate, Placement, PlacementMetrics, PlacerKind, Resources,
-    XCVU9P,
+    ClockRegionGrid, DeviceBudget, FpgaDevice, PlacementMetrics, PlacerKind, Resources, XCVU9P,
 };
-use overgen_scheduler::Schedule;
-use overgen_telemetry::json::{self, Value};
+use overgen_telemetry::json::{self, Obj, Value};
 use overgen_telemetry::{Rng, SpanGuard};
 
-use overgen_model::DeviceBudget;
-
+use crate::codec::{field, get, object_codec, text, Codec, PutField};
 use crate::engine::{stat_delta, ChainState, Dse, DseConfig, DseError, DseResult, DseStats};
-use crate::eval::{EvalPipeline, EvalState, ParetoFront, ParetoPoint};
+use crate::eval::{EvalPipeline, ParetoFront, ParetoPoint};
 use crate::objective::{GeomeanIpcWeights, Objective, PlacementObjective};
 use crate::system::{SystemDseBackend, SystemDseConfig};
 
@@ -237,52 +225,37 @@ impl Checkpoint {
     }
 
     fn to_json(&self) -> String {
-        let mut out = String::new();
-        ObjOut::new(&mut out)
+        Obj::new()
             .str("magic", MAGIC)
-            .hx("version", VERSION)
-            .hx("cfg_hash", Dse::config_hash(&self.cfg))
+            .put("version", &VERSION)
+            .put("cfg_hash", &Dse::config_hash(&self.cfg))
             .str("objective", self.cfg.objective.kind())
-            .with("config", |o| put_config(o, &self.cfg))
-            .with("workloads", |o| {
-                put_arr(o, &self.workloads, |o, n| put_str(o, n))
-            })
-            .hx("done", self.done as u64)
-            .with("stats", |o| put_stats(o, &self.stats))
-            .with("chains", |o| put_arr(o, &self.chains, put_chain))
-            .with("eval_keys", |o| {
-                put_arr(o, &self.eval_keys, |o, &k| put_hx(o, k))
-            })
-            .with("sys_keys", |o| {
-                put_arr(o, &self.sys_keys, |o, &k| put_hx(o, k))
-            })
-            .with("cursor", |o| match &self.cursor {
-                Some(c) => ObjOut::new(o)
-                    .hx("seq", c.seq)
-                    .hx("tick", c.tick)
-                    .hx("span", c.span)
-                    .finish(),
-                None => o.push_str("null"),
-            })
-            .finish();
-        out
+            .put("config", &self.cfg)
+            .put("workloads", &self.workloads)
+            .put("done", &self.done)
+            .put("stats", &self.stats)
+            .put("chains", &self.chains)
+            .put("eval_keys", &self.eval_keys)
+            .put("sys_keys", &self.sys_keys)
+            .put("cursor", &self.cursor)
+            .finish()
     }
 
-    fn from_json(text: &str) -> Result<Checkpoint, String> {
-        let v = json::parse(text)?;
-        if d_str(get(&v, "magic")?)? != MAGIC {
+    fn from_json(body: &str) -> Result<Checkpoint, String> {
+        let v = json::parse(body)?;
+        if field::<String>(&v, "magic")? != MAGIC {
             return Err("not an OverGen DSE checkpoint".into());
         }
-        let version = d_u64(get(&v, "version")?)?;
+        let version: u64 = field(&v, "version")?;
         if version != VERSION {
             return Err(format!("unsupported checkpoint version {version}"));
         }
-        let cfg = config_from_json(get(&v, "config")?)?;
+        let cfg: DseConfig = field(&v, "config")?;
         // The objective header duplicates the config's objective kind so a
         // checkpoint taken under one objective fails *specifically* when
         // pointed at a config edited to another, instead of as a generic
         // hash mismatch.
-        let header_kind = d_str(get(&v, "objective")?)?;
+        let header_kind: String = field(&v, "objective")?;
         if header_kind != cfg.objective.kind() {
             return Err(format!(
                 "checkpoint objective mismatch: checkpoint was taken under \
@@ -291,899 +264,270 @@ impl Checkpoint {
                 cfg.objective.kind()
             ));
         }
-        if d_u64(get(&v, "cfg_hash")?)? != Dse::config_hash(&cfg) {
+        if field::<u64>(&v, "cfg_hash")? != Dse::config_hash(&cfg) {
             return Err("config hash mismatch (corrupt or hand-edited checkpoint; \
                  the hash covers the objective and its parameters too)"
                 .into());
         }
-        let workloads = d_arr(get(&v, "workloads")?)?
-            .iter()
-            .map(|w| d_str(w).map(str::to_string))
-            .collect::<Result<Vec<_>, _>>()?;
-        let chains = d_arr(get(&v, "chains")?)?
-            .iter()
-            .map(chain_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
+        let chains: Vec<ChainState> = field(&v, "chains")?;
         if chains.is_empty() {
             return Err("checkpoint has no chains".into());
         }
-        let keys = |k: &str| -> Result<Vec<u64>, String> {
-            d_arr(get(&v, k)?)?.iter().map(d_u64).collect()
-        };
-        let cursor = match get(&v, "cursor")? {
-            Value::Null => None,
-            c => Some(TraceCursor {
-                seq: d_u64(get(c, "seq")?)?,
-                tick: d_u64(get(c, "tick")?)?,
-                span: d_u64(get(c, "span")?)?,
-            }),
-        };
         Ok(Checkpoint {
             cfg,
-            workloads,
-            done: d_usize(get(&v, "done")?)?,
-            stats: stats_from_json(get(&v, "stats")?)?,
+            workloads: field(&v, "workloads")?,
+            done: field(&v, "done")?,
+            stats: field(&v, "stats")?,
             chains,
-            eval_keys: keys("eval_keys")?,
-            sys_keys: keys("sys_keys")?,
-            cursor,
+            eval_keys: field(&v, "eval_keys")?,
+            sys_keys: field(&v, "sys_keys")?,
+            cursor: field(&v, "cursor")?,
         })
     }
 }
 
 // ---------------------------------------------------------------------------
-// Encoding primitives. Hex strings keep u64 and f64 bit patterns exact
-// (see module docs). The encoders append the whole document to one
-// buffer: a value costs one `write!`, not a temporary string per value
-// plus a copy per nesting level. `hx`, `fx` and `arr` are the
-// string-returning forms the store codec builds its records from.
+// Checkpoint-only types; the shared ones are in `codec.rs`.
 
-fn put_hx(out: &mut String, v: u64) {
-    let _ = write!(out, "\"{v:x}\"");
-}
+object_codec!(TraceCursor {
+    seq: "seq",
+    tick: "tick",
+    span: "span",
+});
 
-fn put_fx(out: &mut String, v: f64) {
-    put_hx(out, v.to_bits());
-}
-
-fn put_str(out: &mut String, v: &str) {
-    out.push('"');
-    json::escape_into(out, v);
-    out.push('"');
-}
-
-/// Append a JSON array, one `put` per item.
-fn put_arr<T>(
-    out: &mut String,
-    items: impl IntoIterator<Item = T>,
-    mut put: impl FnMut(&mut String, T),
-) {
-    out.push('[');
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        put(out, item);
-    }
-    out.push(']');
-}
-
-/// Append a `[name, hex]` pair.
-fn put_named(out: &mut String, name: &str, v: u64) {
-    out.push('[');
-    put_str(out, name);
-    out.push(',');
-    put_hx(out, v);
-    out.push(']');
-}
-
-/// Append a `[hex, hex]` pair.
-fn put_hx_pair(out: &mut String, a: u64, b: u64) {
-    let _ = write!(out, "[\"{a:x}\",\"{b:x}\"]");
-}
-
-pub(crate) fn hx(v: u64) -> String {
-    let mut out = String::with_capacity(18);
-    put_hx(&mut out, v);
-    out
-}
-
-pub(crate) fn fx(v: f64) -> String {
-    hx(v.to_bits())
-}
-
-fn put_res(out: &mut String, r: &Resources) {
-    put_arr(out, r.to_array(), put_fx);
-}
-
-/// A JSON object appended field by field to a shared buffer: the
-/// streaming counterpart of [`json::Obj`], with the same output. Keys are
-/// plain literals and are not escaped.
-struct ObjOut<'a> {
-    out: &'a mut String,
-    empty: bool,
-}
-
-impl<'a> ObjOut<'a> {
-    fn new(out: &'a mut String) -> Self {
-        out.push('{');
-        ObjOut { out, empty: true }
-    }
-
-    fn key(&mut self, k: &str) -> &mut String {
-        if !self.empty {
-            self.out.push(',');
-        }
-        self.empty = false;
-        self.out.push('"');
-        self.out.push_str(k);
-        self.out.push_str("\":");
-        self.out
-    }
-
-    fn hx(mut self, k: &str, v: u64) -> Self {
-        put_hx(self.key(k), v);
-        self
-    }
-
-    fn fx(self, k: &str, v: f64) -> Self {
-        self.hx(k, v.to_bits())
-    }
-
-    fn str(mut self, k: &str, v: &str) -> Self {
-        put_str(self.key(k), v);
-        self
-    }
-
-    fn bool(mut self, k: &str, v: bool) -> Self {
-        self.key(k).push_str(if v { "true" } else { "false" });
-        self
-    }
-
-    /// Field `k` holding whatever `put` appends.
-    fn with(mut self, k: &str, put: impl FnOnce(&mut String)) -> Self {
-        put(self.key(k));
-        self
-    }
-
-    fn finish(self) {
-        self.out.push('}');
-    }
-}
-
-fn res_from_json(v: &Value) -> Result<Resources, String> {
-    match d_arr(v)? {
-        [a, b, c, d] => Ok(Resources::from_array([
-            d_f64(a)?,
-            d_f64(b)?,
-            d_f64(c)?,
-            d_f64(d)?,
-        ])),
-        _ => Err("expected 4 resource channels".into()),
-    }
-}
-
-pub(crate) fn arr(items: impl IntoIterator<Item = String>) -> String {
-    let mut out = String::from("[");
-    for (i, s) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&s);
-    }
-    out.push(']');
-    out
-}
-
-pub(crate) fn get<'a>(v: &'a Value, k: &str) -> Result<&'a Value, String> {
-    v.get(k).ok_or_else(|| format!("missing field `{k}`"))
-}
-
-pub(crate) fn d_str(v: &Value) -> Result<&str, String> {
-    v.as_str().ok_or_else(|| "expected string".to_string())
-}
-
-fn d_bool(v: &Value) -> Result<bool, String> {
-    v.as_bool().ok_or_else(|| "expected bool".to_string())
-}
-
-pub(crate) fn d_u64(v: &Value) -> Result<u64, String> {
-    u64::from_str_radix(d_str(v)?, 16).map_err(|e| format!("bad hex integer: {e}"))
-}
-
-pub(crate) fn d_f64(v: &Value) -> Result<f64, String> {
-    Ok(f64::from_bits(d_u64(v)?))
-}
-
-fn d_usize(v: &Value) -> Result<usize, String> {
-    usize::try_from(d_u64(v)?).map_err(|e| format!("integer out of range: {e}"))
-}
-
-pub(crate) fn d_u32(v: &Value) -> Result<u32, String> {
-    u32::try_from(d_u64(v)?).map_err(|e| format!("integer out of range: {e}"))
-}
-
-fn d_u16(v: &Value) -> Result<u16, String> {
-    u16::try_from(d_u64(v)?).map_err(|e| format!("integer out of range: {e}"))
-}
-
-pub(crate) fn d_arr(v: &Value) -> Result<&[Value], String> {
-    match v {
-        Value::Arr(a) => Ok(a),
-        _ => Err("expected array".into()),
-    }
-}
-
-pub(crate) fn d_pair(v: &Value) -> Result<(&Value, &Value), String> {
-    match d_arr(v)? {
-        [a, b] => Ok((a, b)),
-        _ => Err("expected 2-element array".into()),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ADG nodes and graphs, via the faithful `PortableAdg` mirror.
-
-fn put_node(out: &mut String, n: &AdgNode) {
-    let o = ObjOut::new(out);
-    match n {
-        AdgNode::Pe(p) => o
-            .str("k", "pe")
-            .with("caps", |o| {
-                put_arr(o, &p.caps, |o, c| {
-                    let _ = write!(o, "\"{c}\"");
-                })
-            })
-            .hx("fifo", u64::from(p.delay_fifo_depth)),
-        AdgNode::Switch(_) => o.str("k", "switch"),
-        AdgNode::InPort(p) => o
-            .str("k", "in")
-            .hx("w", u64::from(p.width_bytes))
-            .bool("pad", p.padding)
-            .bool("ss", p.stream_state),
-        AdgNode::OutPort(p) => o.str("k", "out").hx("w", u64::from(p.width_bytes)),
-        AdgNode::Dma(d) => o.str("k", "dma").hx("bw", u64::from(d.bw_bytes)),
-        AdgNode::Gen(g) => o.str("k", "gen").hx("bw", u64::from(g.bw_bytes)),
-        AdgNode::Rec(r) => o.str("k", "rec").hx("bw", u64::from(r.bw_bytes)),
-        AdgNode::Reg(r) => o.str("k", "reg").hx("bw", u64::from(r.bw_bytes)),
-        AdgNode::Spad(s) => o
-            .str("k", "spad")
-            .hx("cap", u64::from(s.capacity_kb))
-            .hx("bw", u64::from(s.bw_bytes))
-            .bool("ind", s.indirect),
-    }
-    .finish();
-}
-
-fn cap_from_str(s: &str) -> Result<FuCap, String> {
-    let (op_s, dt_s) = s
-        .split_once('.')
-        .ok_or_else(|| format!("bad capability `{s}`"))?;
-    let op = Op::ALL
-        .iter()
-        .copied()
-        .find(|o| o.to_string() == op_s)
-        .ok_or_else(|| format!("unknown op `{op_s}`"))?;
-    let dtype = DataType::ALL
-        .iter()
-        .copied()
-        .find(|d| d.to_string() == dt_s)
-        .ok_or_else(|| format!("unknown dtype `{dt_s}`"))?;
-    Ok(FuCap::new(op, dtype))
-}
-
-fn node_from_json(v: &Value) -> Result<AdgNode, String> {
-    Ok(match d_str(get(v, "k")?)? {
-        "pe" => AdgNode::Pe(PeNode {
-            caps: d_arr(get(v, "caps")?)?
-                .iter()
-                .map(|c| cap_from_str(d_str(c)?))
-                .collect::<Result<_, _>>()?,
-            delay_fifo_depth: u8::try_from(d_u64(get(v, "fifo")?)?)
-                .map_err(|e| format!("fifo depth out of range: {e}"))?,
-        }),
-        "switch" => AdgNode::Switch(SwitchNode {}),
-        "in" => AdgNode::InPort(InPortNode {
-            width_bytes: d_u16(get(v, "w")?)?,
-            padding: d_bool(get(v, "pad")?)?,
-            stream_state: d_bool(get(v, "ss")?)?,
-        }),
-        "out" => AdgNode::OutPort(OutPortNode {
-            width_bytes: d_u16(get(v, "w")?)?,
-        }),
-        "dma" => AdgNode::Dma(DmaNode {
-            bw_bytes: d_u16(get(v, "bw")?)?,
-        }),
-        "gen" => AdgNode::Gen(GenNode {
-            bw_bytes: d_u16(get(v, "bw")?)?,
-        }),
-        "rec" => AdgNode::Rec(RecNode {
-            bw_bytes: d_u16(get(v, "bw")?)?,
-        }),
-        "reg" => AdgNode::Reg(RegNode {
-            bw_bytes: d_u16(get(v, "bw")?)?,
-        }),
-        "spad" => AdgNode::Spad(SpadNode {
-            capacity_kb: d_u32(get(v, "cap")?)?,
-            bw_bytes: d_u16(get(v, "bw")?)?,
-            indirect: d_bool(get(v, "ind")?)?,
-        }),
-        k => return Err(format!("unknown node kind `{k}`")),
-    })
-}
-
-fn put_adg(out: &mut String, a: &Adg) {
-    let p = a.to_portable();
-    let put_adj = |o: &mut String, t: &[Vec<u32>]| {
-        put_arr(o, t, |o, row| {
-            put_arr(o, row, |o, &i| put_hx(o, u64::from(i)))
+/// Pareto points are `[ipc,resources,placement]` triples.
+impl Codec for ParetoFront {
+    fn put(&self, out: &mut String) {
+        json::arr(out, self.points(), |o, p| {
+            (p.ipc, p.resources, p.placement).put(o);
         });
-    };
-    ObjOut::new(out)
-        .with("slots", |o| {
-            put_arr(o, &p.slots, |o, s| match s {
-                Some(n) => put_node(o, n),
-                None => o.push_str("null"),
-            })
-        })
-        .with("out", |o| put_adj(o, &p.out_adj))
-        .with("in", |o| put_adj(o, &p.in_adj))
-        .finish();
-}
+    }
 
-fn adg_from_json(v: &Value) -> Result<Adg, String> {
-    let slots = d_arr(get(v, "slots")?)?
-        .iter()
-        .map(|s| match s {
-            Value::Null => Ok(None),
-            n => node_from_json(n).map(Some),
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let adj = |k: &str| -> Result<Vec<Vec<u32>>, String> {
-        d_arr(get(v, k)?)?
-            .iter()
-            .map(|row| d_arr(row)?.iter().map(d_u32).collect())
-            .collect()
-    };
-    Adg::from_portable(PortableAdg {
-        slots,
-        out_adj: adj("out")?,
-        in_adj: adj("in")?,
-    })
-    .map_err(|e| e.to_string())
-}
-
-// ---------------------------------------------------------------------------
-// Schedules and evaluation states.
-
-fn put_schedule(out: &mut String, s: &Schedule) {
-    let put_ids = |o: &mut String, m: &BTreeMap<MdfgNodeId, NodeId>| {
-        put_arr(o, m, |o, (k, v)| {
-            put_hx_pair(o, k.index() as u64, v.index() as u64);
-        });
-    };
-    ObjOut::new(out)
-        .str("name", &s.mdfg_name)
-        .hx("variant", u64::from(s.variant))
-        .with("assign", |o| put_ids(o, &s.assignment))
-        .with("engines", |o| put_ids(o, &s.stream_engines))
-        .with("routes", |o| {
-            put_arr(o, &s.routes, |o, ((src, dst), path)| {
-                o.push('[');
-                put_hx(o, src.index() as u64);
-                o.push(',');
-                put_hx(o, dst.index() as u64);
-                o.push(',');
-                put_arr(o, path, |o, n| put_hx(o, n.index() as u64));
-                o.push(']');
-            })
-        })
-        .with("spads", |o| {
-            put_arr(o, &s.placement.spad_arrays, |o, a| put_str(o, a))
-        })
-        .fx("ipc", s.est.ipc)
-        .fx("tile_ipc", s.est.per_tile_ipc)
-        .with("factors", |o| {
-            put_arr(o, &s.est.factors, |o, &f| put_fx(o, f))
-        })
-        .fx("balance", s.balance_penalty)
-        .finish();
-}
-
-fn schedule_from_json(v: &Value) -> Result<Schedule, String> {
-    let id_pairs = |k: &str| -> Result<BTreeMap<MdfgNodeId, NodeId>, String> {
-        d_arr(get(v, k)?)?
-            .iter()
-            .map(|p| {
-                let (m, n) = d_pair(p)?;
-                Ok((
-                    MdfgNodeId::from_index(d_usize(m)?),
-                    NodeId::from_index(d_usize(n)?),
-                ))
-            })
-            .collect()
-    };
-    let routes = d_arr(get(v, "routes")?)?
-        .iter()
-        .map(|r| match d_arr(r)? {
-            [src, dst, path] => {
-                let key = (
-                    MdfgNodeId::from_index(d_usize(src)?),
-                    MdfgNodeId::from_index(d_usize(dst)?),
-                );
-                let path = d_arr(path)?
-                    .iter()
-                    .map(|n| Ok(NodeId::from_index(d_usize(n)?)))
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok((key, path))
-            }
-            _ => Err("expected [src, dst, path] route".to_string()),
-        })
-        .collect::<Result<BTreeMap<_, _>, _>>()?;
-    let factors = d_arr(get(v, "factors")?)?;
-    let factors: [f64; 3] = match factors {
-        [a, b, c] => [d_f64(a)?, d_f64(b)?, d_f64(c)?],
-        _ => return Err("expected 3 bottleneck factors".into()),
-    };
-    Ok(Schedule {
-        mdfg_name: d_str(get(v, "name")?)?.to_string(),
-        variant: d_u32(get(v, "variant")?)?,
-        assignment: id_pairs("assign")?,
-        stream_engines: id_pairs("engines")?,
-        routes,
-        placement: Placement {
-            spad_arrays: d_arr(get(v, "spads")?)?
-                .iter()
-                .map(|a| d_str(a).map(str::to_string))
-                .collect::<Result<_, _>>()?,
-        },
-        est: PerfEstimate {
-            ipc: d_f64(get(v, "ipc")?)?,
-            per_tile_ipc: d_f64(get(v, "tile_ipc")?)?,
-            factors,
-        },
-        balance_penalty: d_f64(get(v, "balance")?)?,
-    })
-}
-
-pub(crate) fn eval_to_json(e: &EvalState) -> String {
-    let mut out = String::new();
-    put_eval(&mut out, e);
-    out
-}
-
-fn put_eval(out: &mut String, e: &EvalState) {
-    ObjOut::new(out)
-        .with("sys", |o| {
-            ObjOut::new(o)
-                .hx("tiles", u64::from(e.sys.tiles))
-                .hx("l2_banks", u64::from(e.sys.l2_banks))
-                .hx("l2_kb", u64::from(e.sys.l2_kb))
-                .hx("noc_bw", u64::from(e.sys.noc_bw_bytes))
-                .hx("dram", u64::from(e.sys.dram_channels))
-                .finish()
-        })
-        .with("schedules", |o| {
-            put_arr(o, e.schedules.values(), put_schedule)
-        })
-        .with("variants", |o| {
-            put_arr(o, &e.variants, |o, (n, v)| put_named(o, n, u64::from(*v)))
-        })
-        .fx("objective", e.objective)
-        .fx("fitness", e.fitness)
-        .with("resources", |o| put_res(o, &e.resources))
-        .with("placement", |o| put_place(o, &e.placement))
-        .finish();
-}
-
-fn put_place(out: &mut String, p: &Option<PlacementMetrics>) {
-    match p {
-        None => out.push_str("null"),
-        Some(m) => ObjOut::new(out)
-            .fx("wirelength", m.wirelength)
-            .fx("congestion", m.congestion)
-            .hx("slr_crossings", m.slr_crossings)
-            .fx("fmax_mhz", m.fmax_mhz)
-            .finish(),
+    fn take(v: &Value) -> Result<Self, String> {
+        let points: Vec<(f64, Resources, Option<PlacementMetrics>)> = Codec::take(v)?;
+        Ok(ParetoFront::from_points(points.into_iter().map(
+            |(ipc, resources, placement)| ParetoPoint {
+                ipc,
+                resources,
+                placement,
+            },
+        )))
     }
 }
 
-fn place_from_json(v: &Value) -> Result<Option<PlacementMetrics>, String> {
-    if matches!(v, Value::Null) {
-        return Ok(None);
+impl Codec for Rng {
+    fn put(&self, out: &mut String) {
+        self.state().put(out);
     }
-    Ok(Some(PlacementMetrics {
-        wirelength: d_f64(get(v, "wirelength")?)?,
-        congestion: d_f64(get(v, "congestion")?)?,
-        slr_crossings: d_u64(get(v, "slr_crossings")?)?,
-        fmax_mhz: d_f64(get(v, "fmax_mhz")?)?,
-    }))
-}
 
-pub(crate) fn eval_from_json(v: &Value) -> Result<EvalState, String> {
-    let sys = get(v, "sys")?;
-    let schedules = d_arr(get(v, "schedules")?)?
-        .iter()
-        .map(|s| {
-            let s = schedule_from_json(s)?;
-            Ok((s.mdfg_name.clone(), s))
-        })
-        .collect::<Result<BTreeMap<_, _>, String>>()?;
-    let variants = d_arr(get(v, "variants")?)?
-        .iter()
-        .map(|p| {
-            let (n, ver) = d_pair(p)?;
-            Ok((d_str(n)?.to_string(), d_u32(ver)?))
-        })
-        .collect::<Result<BTreeMap<_, _>, String>>()?;
-    Ok(EvalState {
-        sys: SystemParams {
-            tiles: d_u32(get(sys, "tiles")?)?,
-            l2_banks: d_u32(get(sys, "l2_banks")?)?,
-            l2_kb: d_u32(get(sys, "l2_kb")?)?,
-            noc_bw_bytes: d_u32(get(sys, "noc_bw")?)?,
-            dram_channels: d_u32(get(sys, "dram")?)?,
-        },
-        schedules,
-        variants,
-        objective: d_f64(get(v, "objective")?)?,
-        fitness: d_f64(get(v, "fitness")?)?,
-        resources: res_from_json(get(v, "resources")?)?,
-        placement: place_from_json(get(v, "placement")?)?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Chains, stats, configuration.
-
-fn put_chain(out: &mut String, c: &ChainState) {
-    ObjOut::new(out)
-        .with("rng", |o| put_arr(o, c.rng.state(), put_hx))
-        .with("cur_adg", |o| put_adg(o, &c.cur_adg))
-        .with("cur", |o| put_eval(o, &c.cur))
-        .with("best_adg", |o| put_adg(o, &c.best_adg))
-        .with("best", |o| put_eval(o, &c.best))
-        .fx("sim_seconds", c.sim_seconds)
-        .fx("t0", c.t0)
-        .with("history", |o| {
-            put_arr(o, &c.history, |o, &(h, obj)| {
-                put_hx_pair(o, h.to_bits(), obj.to_bits());
-            })
-        })
-        .with("pareto", |o| {
-            put_arr(o, c.pareto.points(), |o, p| {
-                o.push('[');
-                put_fx(o, p.ipc);
-                o.push(',');
-                put_res(o, &p.resources);
-                o.push(',');
-                put_place(o, &p.placement);
-                o.push(']');
-            })
-        })
-        .finish();
-}
-
-fn chain_from_json(v: &Value) -> Result<ChainState, String> {
-    let rng_words = d_arr(get(v, "rng")?)?;
-    let rng: [u64; 4] = match rng_words {
-        [a, b, c, d] => [d_u64(a)?, d_u64(b)?, d_u64(c)?, d_u64(d)?],
-        _ => return Err("expected 4 RNG state words".into()),
-    };
-    let history = d_arr(get(v, "history")?)?
-        .iter()
-        .map(|p| {
-            let (h, o) = d_pair(p)?;
-            Ok((d_f64(h)?, d_f64(o)?))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let pareto = ParetoFront::from_points(
-        d_arr(get(v, "pareto")?)?
-            .iter()
-            .map(|p| {
-                let [ipc, res, place] = d_arr(p)? else {
-                    return Err("expected a 3-element Pareto point".into());
-                };
-                Ok(ParetoPoint {
-                    ipc: d_f64(ipc)?,
-                    resources: res_from_json(res)?,
-                    placement: place_from_json(place)?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-    );
-    Ok(ChainState {
-        rng: Rng::from_state(rng),
-        cur_adg: adg_from_json(get(v, "cur_adg")?)?,
-        cur: eval_from_json(get(v, "cur")?)?,
-        best_adg: adg_from_json(get(v, "best_adg")?)?,
-        best: eval_from_json(get(v, "best")?)?,
-        sim_seconds: d_f64(get(v, "sim_seconds")?)?,
-        t0: d_f64(get(v, "t0")?)?,
-        history,
-        pareto,
-    })
-}
-
-fn put_stats(out: &mut String, s: &DseStats) {
-    ObjOut::new(out)
-        .hx("iterations", s.iterations as u64)
-        .hx("accepted", s.accepted as u64)
-        .hx("invalid", s.invalid as u64)
-        .hx("full_schedules", s.full_schedules as u64)
-        .hx("repairs", s.repairs as u64)
-        .hx("intact", s.intact as u64)
-        .hx("cache_hits", s.cache_hits as u64)
-        .hx("cache_misses", s.cache_misses as u64)
-        .hx("repair_fast", s.repair_fast as u64)
-        .hx("repair_fallback", s.repair_fallback as u64)
-        .hx("infeasible", s.infeasible as u64)
-        .finish();
-}
-
-fn stats_from_json(v: &Value) -> Result<DseStats, String> {
-    let f = |k: &str| d_usize(get(v, k)?);
-    Ok(DseStats {
-        iterations: f("iterations")?,
-        accepted: f("accepted")?,
-        invalid: f("invalid")?,
-        full_schedules: f("full_schedules")?,
-        repairs: f("repairs")?,
-        intact: f("intact")?,
-        cache_hits: f("cache_hits")?,
-        cache_misses: f("cache_misses")?,
-        repair_fast: f("repair_fast")?,
-        repair_fallback: f("repair_fallback")?,
-        infeasible: f("infeasible")?,
-    })
-}
-
-fn put_device(out: &mut String, d: &FpgaDevice) {
-    ObjOut::new(out)
-        .str("name", d.name)
-        .with("total", |o| put_res(o, &d.total))
-        .finish();
-}
-
-fn put_objective(out: &mut String, o: &Objective) {
-    let obj = ObjOut::new(out).str("kind", o.kind());
-    match o {
-        Objective::WeightedGeomeanIpc(w) => obj
-            .fx("lut_penalty", w.lut_penalty)
-            .fx("lut_scale", w.lut_scale),
-        Objective::ConstrainedIpc(b) => obj
-            .str("name", b.name)
-            .with("limit", |o| put_res(o, &b.limit))
-            .fx("soft_frac", b.soft_frac)
-            .fx("soft_penalty", b.soft_penalty),
-        Objective::IpcPerLut => obj,
-        Objective::PlacementAware(p) => obj
-            .str("placer", p.placer.name())
-            .with("grid", |o| {
-                ObjOut::new(o)
-                    .with("device", |o| put_device(o, &p.grid.device))
-                    .hx("cols", u64::from(p.grid.cols))
-                    .hx("rows", u64::from(p.grid.rows))
-                    .hx("rows_per_slr", u64::from(p.grid.rows_per_slr))
-                    .finish()
-            })
-            .fx("wirelength_penalty", p.wirelength_penalty)
-            .fx("wirelength_scale", p.wirelength_scale)
-            .fx("base_mhz", p.base_mhz),
+    fn take(v: &Value) -> Result<Self, String> {
+        Codec::take(v).map(Rng::from_state)
     }
-    .finish();
 }
 
-fn objective_from_json(v: &Value) -> Result<Objective, String> {
-    Ok(match d_str(get(v, "kind")?)? {
-        "weighted_geomean_ipc" => Objective::WeightedGeomeanIpc(GeomeanIpcWeights {
-            lut_penalty: d_f64(get(v, "lut_penalty")?)?,
-            lut_scale: d_f64(get(v, "lut_scale")?)?,
-        }),
-        "constrained_ipc" => {
-            let name = d_str(get(v, "name")?)?;
-            let limit = res_from_json(get(v, "limit")?)?;
-            let loaded = DeviceBudget {
-                name: "", // placeholder; resolved below
-                limit,
-                soft_frac: d_f64(get(v, "soft_frac")?)?,
-                soft_penalty: d_f64(get(v, "soft_penalty")?)?,
-            };
-            // Reuse a preset's static name when the budget matches one;
-            // otherwise leak the (tiny) custom name, as for devices.
-            let budget = [
-                DeviceBudget::vcu118(),
-                DeviceBudget::vcu118_medium(),
-                DeviceBudget::vcu118_small(),
-            ]
-            .into_iter()
-            .find(|p| {
-                p.name == name
-                    && *p
-                        == DeviceBudget {
-                            name: p.name,
-                            ..loaded
-                        }
-            })
-            .unwrap_or(DeviceBudget {
-                name: Box::leak(name.to_string().into_boxed_str()),
-                ..loaded
-            });
-            Objective::ConstrainedIpc(budget)
-        }
-        "ipc_per_lut" => Objective::IpcPerLut,
-        "placement_aware" => {
-            let placer_name = d_str(get(v, "placer")?)?;
-            let placer = PlacerKind::from_name(placer_name)
-                .ok_or_else(|| format!("unknown placer `{placer_name}`"))?;
-            let g = get(v, "grid")?;
-            let dev = get(g, "device")?;
-            let dev_name = d_str(get(dev, "name")?)?;
-            let total: [f64; 4] = match d_arr(get(dev, "total")?)? {
-                [a, b, c, d] => [d_f64(a)?, d_f64(b)?, d_f64(c)?, d_f64(d)?],
-                _ => return Err("expected 4 device resource totals".into()),
-            };
-            let total = Resources::from_array(total);
-            // Same static-name policy as devices in the config: reuse the
-            // builtin when it matches, otherwise leak the (tiny) name.
-            let device = if dev_name == XCVU9P.name && total.to_array() == XCVU9P.total.to_array() {
+object_codec!(ChainState {
+    rng: "rng",
+    cur_adg: "cur_adg",
+    cur: "cur",
+    best_adg: "best_adg",
+    best: "best",
+    sim_seconds: "sim_seconds",
+    t0: "t0",
+    history: "history",
+    pareto: "pareto",
+});
+
+object_codec!(DseStats {
+    iterations: "iterations",
+    accepted: "accepted",
+    invalid: "invalid",
+    full_schedules: "full_schedules",
+    repairs: "repairs",
+    intact: "intact",
+    cache_hits: "cache_hits",
+    cache_misses: "cache_misses",
+    repair_fast: "repair_fast",
+    repair_fallback: "repair_fallback",
+    infeasible: "infeasible",
+});
+
+/// A `'static` name for a loaded device or budget: a custom one leaks its
+/// (tiny) name.
+fn leak(name: String) -> &'static str {
+    Box::leak(name.into_boxed_str())
+}
+
+/// A device that matches the builtin XCVU9P loads as that constant.
+impl Codec for FpgaDevice {
+    fn put(&self, out: &mut String) {
+        Obj::into(out)
+            .str("name", self.name)
+            .put("total", &self.total)
+            .finish();
+    }
+
+    fn take(v: &Value) -> Result<Self, String> {
+        let name: String = field(v, "name")?;
+        let total: Resources = field(v, "total")?;
+        Ok(
+            if name == XCVU9P.name && total.to_array() == XCVU9P.total.to_array() {
                 XCVU9P
             } else {
                 FpgaDevice {
-                    name: Box::leak(dev_name.to_string().into_boxed_str()),
+                    name: leak(name),
                     total,
                 }
-            };
-            Objective::PlacementAware(PlacementObjective {
-                placer,
-                grid: ClockRegionGrid {
-                    device,
-                    cols: d_u32(get(g, "cols")?)?,
-                    rows: d_u32(get(g, "rows")?)?,
-                    rows_per_slr: d_u32(get(g, "rows_per_slr")?)?,
-                },
-                wirelength_penalty: d_f64(get(v, "wirelength_penalty")?)?,
-                wirelength_scale: d_f64(get(v, "wirelength_scale")?)?,
-                base_mhz: d_f64(get(v, "base_mhz")?)?,
-            })
-        }
-        k => return Err(format!("unknown objective kind `{k}`")),
-    })
+            },
+        )
+    }
 }
 
-fn put_config(out: &mut String, cfg: &DseConfig) {
-    let put_grid = |o: &mut String, g: &[u32]| put_arr(o, g, |o, &v| put_hx(o, u64::from(v)));
-    ObjOut::new(out)
-        .hx("iterations", cfg.iterations as u64)
-        .hx("seed", cfg.seed)
-        .bool("preserving", cfg.schedule_preserving)
-        .with("objective", |o| put_objective(o, &cfg.objective))
-        .with("system", |o| {
-            ObjOut::new(o)
-                .with("device", |o| put_device(o, &cfg.system.device))
-                .fx("util_cap", cfg.system.util_cap)
-                .hx("max_tiles", u64::from(cfg.system.max_tiles))
-                .hx("dram_channels", u64::from(cfg.system.dram_channels))
-                .with("l2_banks_grid", |o| put_grid(o, &cfg.system.l2_banks_grid))
-                .with("l2_kb_grid", |o| put_grid(o, &cfg.system.l2_kb_grid))
-                .with("noc_bw_grid", |o| put_grid(o, &cfg.system.noc_bw_grid))
-                .finish()
-        })
-        .with("compile", |o| {
-            ObjOut::new(o)
-                .hx("max_unroll", u64::from(cfg.compile.max_unroll))
-                .bool("no_recurrence", cfg.compile.include_no_recurrence)
-                .hx("spad_cap_bytes", cfg.compile.spad_cap_bytes)
-                .finish()
-        })
-        .with("weights", |o| {
-            put_arr(o, &cfg.weights, |o, (n, &w)| put_named(o, n, w.to_bits()))
-        })
-        .hx("mutations_per_step", cfg.mutations_per_step as u64)
-        .hx("threads", cfg.threads as u64)
-        .hx("chains", cfg.chains as u64)
-        .hx("exchange_interval", cfg.exchange_interval as u64)
-        .bool("cache", cfg.cache)
-        .hx("compound", cfg.compound as u64)
-        .bool("repair", cfg.repair)
-        .with("checkpoint", |o| match &cfg.checkpoint {
-            Some(c) => ObjOut::new(o)
-                .str("path", &c.path.display().to_string())
-                .hx("interval", c.interval as u64)
-                .finish(),
-            None => o.push_str("null"),
-        })
+object_codec!(ClockRegionGrid {
+    device: "device",
+    cols: "cols",
+    rows: "rows",
+    rows_per_slr: "rows_per_slr",
+});
+
+impl Codec for Objective {
+    fn put(&self, out: &mut String) {
+        let o = Obj::into(out).str("kind", self.kind());
+        match self {
+            Objective::WeightedGeomeanIpc(w) => o
+                .put("lut_penalty", &w.lut_penalty)
+                .put("lut_scale", &w.lut_scale),
+            Objective::ConstrainedIpc(b) => o
+                .str("name", b.name)
+                .put("limit", &b.limit)
+                .put("soft_frac", &b.soft_frac)
+                .put("soft_penalty", &b.soft_penalty),
+            Objective::IpcPerLut => o,
+            Objective::PlacementAware(p) => o
+                .str("placer", p.placer.name())
+                .put("grid", &p.grid)
+                .put("wirelength_penalty", &p.wirelength_penalty)
+                .put("wirelength_scale", &p.wirelength_scale)
+                .put("base_mhz", &p.base_mhz),
+        }
         .finish();
+    }
+
+    fn take(v: &Value) -> Result<Self, String> {
+        Ok(match text(get(v, "kind")?)? {
+            "weighted_geomean_ipc" => Objective::WeightedGeomeanIpc(GeomeanIpcWeights {
+                lut_penalty: field(v, "lut_penalty")?,
+                lut_scale: field(v, "lut_scale")?,
+            }),
+            "constrained_ipc" => {
+                let name: String = field(v, "name")?;
+                let mut budget = DeviceBudget {
+                    name: "",
+                    limit: field(v, "limit")?,
+                    soft_frac: field(v, "soft_frac")?,
+                    soft_penalty: field(v, "soft_penalty")?,
+                };
+                // A budget that matches a preset reuses its static name.
+                let presets = [
+                    DeviceBudget::vcu118(),
+                    DeviceBudget::vcu118_medium(),
+                    DeviceBudget::vcu118_small(),
+                ];
+                budget.name = match presets.into_iter().find(|p| p.name == name) {
+                    Some(p)
+                        if p == (DeviceBudget {
+                            name: p.name,
+                            ..budget
+                        }) =>
+                    {
+                        p.name
+                    }
+                    _ => leak(name),
+                };
+                Objective::ConstrainedIpc(budget)
+            }
+            "ipc_per_lut" => Objective::IpcPerLut,
+            "placement_aware" => {
+                let placer = text(get(v, "placer")?)?;
+                Objective::PlacementAware(PlacementObjective {
+                    placer: PlacerKind::from_name(placer)
+                        .ok_or_else(|| format!("unknown placer `{placer}`"))?,
+                    grid: field(v, "grid")?,
+                    wirelength_penalty: field(v, "wirelength_penalty")?,
+                    wirelength_scale: field(v, "wirelength_scale")?,
+                    base_mhz: field(v, "base_mhz")?,
+                })
+            }
+            k => return Err(format!("unknown objective kind `{k}`")),
+        })
+    }
 }
 
-fn config_from_json(v: &Value) -> Result<DseConfig, String> {
-    let sys = get(v, "system")?;
-    let dev = get(sys, "device")?;
-    let name = d_str(get(dev, "name")?)?;
-    let total_arr = d_arr(get(dev, "total")?)?;
-    let total: [f64; 4] = match total_arr {
-        [a, b, c, d] => [d_f64(a)?, d_f64(b)?, d_f64(c)?, d_f64(d)?],
-        _ => return Err("expected 4 device resource totals".into()),
-    };
-    let total = Resources::from_array(total);
-    let builtin = overgen_model::XCVU9P;
-    let device = if name == builtin.name && total.to_array() == builtin.total.to_array() {
-        builtin
-    } else {
-        // A custom device: the name needs a 'static str, so loading a
-        // checkpoint with a non-builtin device leaks its (tiny) name.
-        FpgaDevice {
-            name: Box::leak(name.to_string().into_boxed_str()),
-            total,
-        }
-    };
-    let grid =
-        |k: &str| -> Result<Vec<u32>, String> { d_arr(get(sys, k)?)?.iter().map(d_u32).collect() };
-    let compile = get(v, "compile")?;
-    let weights = d_arr(get(v, "weights")?)?
-        .iter()
-        .map(|p| {
-            let (n, w) = d_pair(p)?;
-            Ok((d_str(n)?.to_string(), d_f64(w)?))
-        })
-        .collect::<Result<BTreeMap<_, _>, String>>()?;
-    let checkpoint = match get(v, "checkpoint")? {
-        Value::Null => None,
-        c => Some(CheckpointConfig {
-            path: PathBuf::from(d_str(get(c, "path")?)?),
-            interval: d_usize(get(c, "interval")?)?,
-        }),
-    };
-    Ok(DseConfig {
-        iterations: d_usize(get(v, "iterations")?)?,
-        seed: d_u64(get(v, "seed")?)?,
-        schedule_preserving: d_bool(get(v, "preserving")?)?,
-        objective: objective_from_json(get(v, "objective")?)?,
-        system: SystemDseConfig {
-            device,
-            util_cap: d_f64(get(sys, "util_cap")?)?,
-            max_tiles: d_u32(get(sys, "max_tiles")?)?,
-            dram_channels: d_u32(get(sys, "dram_channels")?)?,
-            l2_banks_grid: grid("l2_banks_grid")?,
-            l2_kb_grid: grid("l2_kb_grid")?,
-            noc_bw_grid: grid("noc_bw_grid")?,
-            // Not serialized: the scoring backend does not change the
-            // checkpoint byte format, and a non-default backend is folded
-            // into the config hash, so a resume under a different backend
-            // is rejected by the existing hash check.
-            backend: SystemDseBackend::default(),
-        },
-        compile: CompileOptions {
-            max_unroll: d_u32(get(compile, "max_unroll")?)?,
-            include_no_recurrence: d_bool(get(compile, "no_recurrence")?)?,
-            spad_cap_bytes: d_u64(get(compile, "spad_cap_bytes")?)?,
-        },
-        weights,
-        mutations_per_step: d_usize(get(v, "mutations_per_step")?)?,
-        threads: d_usize(get(v, "threads")?)?,
-        chains: d_usize(get(v, "chains")?)?,
-        exchange_interval: d_usize(get(v, "exchange_interval")?)?,
-        cache: d_bool(get(v, "cache")?)?,
-        compound: d_usize(get(v, "compound")?)?,
-        repair: d_bool(get(v, "repair")?)?,
-        checkpoint,
-        // Stop budgets and monitoring are per-invocation, never persisted:
-        // a resumed run goes to completion unless the caller sets fresh
-        // ones, and watches only if the caller asks again.
-        max_proposals: None,
-        max_wall_seconds: None,
-        heartbeat: None,
-        // The shared store and cancellation flag are likewise runtime
-        // wiring, not exploration state.
-        store: None,
-        stop: None,
-    })
+// The scoring backend is not written: it does not change the checkpoint
+// byte format, and a non-default backend is folded into the config hash,
+// so a resume under a different backend fails the hash check.
+object_codec!(SystemDseConfig {
+    device: "device",
+    util_cap: "util_cap",
+    max_tiles: "max_tiles",
+    dram_channels: "dram_channels",
+    l2_banks_grid: "l2_banks_grid",
+    l2_kb_grid: "l2_kb_grid",
+    noc_bw_grid: "noc_bw_grid";
+    backend: SystemDseBackend::default(),
+});
+
+object_codec!(CompileOptions {
+    max_unroll: "max_unroll",
+    include_no_recurrence: "no_recurrence",
+    spad_cap_bytes: "spad_cap_bytes",
+});
+
+impl Codec for PathBuf {
+    fn put(&self, out: &mut String) {
+        json::string(out, &self.display().to_string());
+    }
+
+    fn take(v: &Value) -> Result<Self, String> {
+        String::take(v).map(PathBuf::from)
+    }
 }
+
+object_codec!(CheckpointConfig {
+    path: "path",
+    interval: "interval",
+});
+
+object_codec!(DseConfig {
+    iterations: "iterations",
+    seed: "seed",
+    schedule_preserving: "preserving",
+    objective: "objective",
+    system: "system",
+    compile: "compile",
+    weights: "weights",
+    mutations_per_step: "mutations_per_step",
+    threads: "threads",
+    chains: "chains",
+    exchange_interval: "exchange_interval",
+    cache: "cache",
+    compound: "compound",
+    repair: "repair",
+    checkpoint: "checkpoint";
+    // Stop budgets and monitoring are per-invocation, never persisted: a
+    // resumed run goes to completion unless the caller sets fresh ones,
+    // and watches only if the caller asks again. The shared store and
+    // cancellation flag are likewise runtime wiring, not exploration state.
+    max_proposals: None,
+    max_wall_seconds: None,
+    heartbeat: None,
+    store: None,
+    stop: None,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overgen_ir::{expr, KernelBuilder, Suite};
+    use overgen_ir::{expr, DataType, KernelBuilder, Suite};
 
     fn vecadd() -> Kernel {
         KernelBuilder::new("vecadd", Suite::Dsp, DataType::I64)
@@ -1401,5 +745,97 @@ mod tests {
             Err(DseError::Checkpoint(_))
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `text` with the value of its first `"key":` field replaced.
+    fn set_first(text: &str, key: &str, value: &str) -> String {
+        let at = text.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+        let end = at + text[at..].find([',', '}']).unwrap();
+        format!("{}{value}{}", &text[..at], &text[end..])
+    }
+
+    #[test]
+    fn hand_edited_fields_fail_with_a_reason_that_names_them() {
+        let path = tmp("hand-edits");
+        let store_dir = tmp("hand-edits-store");
+        let _ = std::fs::remove_dir_all(&store_dir);
+        let cfg = DseConfig {
+            store: Some(crate::EvalStore::open(&store_dir).unwrap()),
+            ..small_cfg(path.clone())
+        };
+        Dse::new(vec![vecadd()], cfg).run().unwrap();
+        let entry = std::fs::read_dir(&store_dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| std::fs::read_to_string(p).unwrap().contains("\"state\":{"))
+            .expect("a stored evaluation");
+        type Edit = fn(&str) -> String;
+        // (edits a store entry, not the checkpoint; the edit; what the
+        // error must say)
+        let cases: [(bool, Edit, &str); 7] = [
+            (
+                false,
+                |t| {
+                    let at = t.find("\"resources\":[").unwrap();
+                    let end = at + t[at..].find(']').unwrap();
+                    let cut = at + t[at..end].rfind(',').unwrap();
+                    format!("{}{}", &t[..cut], &t[end..])
+                },
+                "resources: expected 4 items, found 3",
+            ),
+            (
+                false,
+                |t| set_first(t, "fifo", "\"1ff\""),
+                "fifo: 0x1ff is out of range for u8",
+            ),
+            (
+                false,
+                |t| t.replacen("\"k\":\"switch\"", "\"k\":\"bogus\"", 1),
+                "unknown node kind `bogus`",
+            ),
+            (
+                false,
+                |t| set_first(t, "seed", "\"xyz\""),
+                "seed: `xyz` is not a hex integer",
+            ),
+            (
+                true,
+                |t| t.replacen("[\"e\",", "[\"x\",", 1),
+                "malformed trace op with tag `x`",
+            ),
+            (
+                true,
+                |t| set_first(t, "sim", "\"0x1\""),
+                "sim: `0x1` is not a hex integer",
+            ),
+            (
+                true,
+                |t| set_first(t, "tiles", "\"1.5\""),
+                "tiles: `1.5` is not a hex integer",
+            ),
+        ];
+        for (in_store, edit, want) in cases {
+            let file = if in_store { &entry } else { &path };
+            let original = std::fs::read_to_string(file).unwrap();
+            let edited = edit(&original);
+            assert_ne!(original, edited, "test premise: `{want}` edits the file");
+            std::fs::write(file, edited).unwrap();
+            let reason = if in_store {
+                match crate::EvalStore::open(&store_dir) {
+                    Err(crate::StoreError::Corrupt { reason, .. }) => reason,
+                    other => panic!("`{want}`: expected Corrupt, got {other:?}"),
+                }
+            } else {
+                match Checkpoint::load(&path) {
+                    Err(DseError::Checkpoint(reason)) => reason,
+                    Err(other) => panic!("`{want}`: expected a checkpoint error, got {other}"),
+                    Ok(_) => panic!("`{want}`: the edited checkpoint loaded"),
+                }
+            };
+            assert!(reason.contains(want), "`{want}` missing from {reason:?}");
+            std::fs::write(file, original).unwrap();
+        }
+        std::fs::remove_file(&path).ok();
+        let _ = std::fs::remove_dir_all(&store_dir);
     }
 }

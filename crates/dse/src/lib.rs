@@ -48,6 +48,7 @@
 
 mod cache;
 mod checkpoint;
+mod codec;
 mod engine;
 mod eval;
 mod heartbeat;

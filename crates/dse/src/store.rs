@@ -20,7 +20,7 @@
 //! versioned header:
 //!
 //! ```json
-//! {"magic":"overgen-eval-store","version":1,"kind":"eval",
+//! {"magic":"overgen-eval-store","version":2,"kind":"eval",
 //!  "key":"<hex u64>","payload":{...}}
 //! ```
 //!
@@ -50,10 +50,8 @@ use overgen_telemetry::fs::write_atomic;
 use overgen_telemetry::json::{self, Obj, Value};
 use overgen_telemetry::{names, CapturedTrace, FieldValue, MetricSnapshot, PortableOp, Registry};
 
-use crate::checkpoint::{
-    arr, d_arr, d_f64, d_pair, d_str, d_u32, d_u64, eval_from_json, eval_to_json, fx, get, hx,
-};
-use crate::eval::{CachedEval, CachedSystem};
+use crate::codec::{field, get, items, put_tagged, tagged, text, Codec, PutField};
+use crate::eval::{CachedEval, CachedSystem, EvalState};
 
 /// Store file-format magic.
 pub const STORE_MAGIC: &str = "overgen-eval-store";
@@ -172,7 +170,7 @@ impl Kind {
 /// the outcome and rebuilds the trace with fresh span tokens per use.
 enum Artifact {
     Eval {
-        state: Option<crate::eval::EvalState>,
+        state: Option<EvalState>,
         sim: f64,
         ops: Vec<PortableOp>,
         metrics: Vec<(&'static str, MetricSnapshot)>,
@@ -227,8 +225,8 @@ impl EvalStore {
             .collect();
         paths.sort();
         for path in paths {
-            let text = std::fs::read_to_string(&path)?;
-            let (kind, key, artifact) = decode_entry(&path, &text)?;
+            let body = std::fs::read(&path)?;
+            let (kind, key, artifact) = parse_entry(&path, &body)?;
             entries.insert((kind, key), Arc::new(artifact));
         }
         let snapshot: BTreeSet<(Kind, u64)> = entries.keys().copied().collect();
@@ -286,24 +284,26 @@ impl EvalStore {
         found
     }
 
-    fn publish(&self, kind: Kind, key: u64, artifact: Artifact, payload: String) {
+    fn publish(&self, kind: Kind, key: u64, artifact: Artifact) {
         use std::collections::btree_map::Entry;
+        let artifact = Arc::new(artifact);
         match self.entries.lock().unwrap().entry((kind, key)) {
             Entry::Occupied(_) => return, // same key => same content; keep first
             Entry::Vacant(v) => {
-                v.insert(Arc::new(artifact));
+                v.insert(Arc::clone(&artifact));
             }
         }
         self.stats.publishes.fetch_add(1, Ordering::Relaxed);
-        let line = Obj::new()
+        let mut line = Obj::new()
             .str("magic", STORE_MAGIC)
             .u64("version", STORE_VERSION)
             .str("kind", kind.tag())
-            .raw("key", &hx(key))
-            .raw("payload", &payload)
+            .put("key", &key)
+            .with("payload", |o| artifact.put(o))
             .finish();
+        line.push('\n');
         let path = self.dir.join(format!("{}-{key:016x}.json", kind.tag()));
-        if let Err(e) = write_atomic(&path, format!("{line}\n").as_bytes()) {
+        if let Err(e) = write_atomic(&path, line.as_bytes()) {
             eprintln!("warning: cannot write store entry {}: {e}", path.display());
         }
     }
@@ -334,28 +334,13 @@ impl EvalStore {
 
     /// Persist a freshly computed evaluation artifact.
     pub(crate) fn publish_eval(&self, key: u64, c: &CachedEval) {
-        let ops = c.trace.to_portable();
-        let metrics = c.registry.export();
-        let payload = Obj::new()
-            .raw(
-                "state",
-                &c.state.as_ref().map_or("null".into(), eval_to_json),
-            )
-            .raw("sim", &fx(c.sim))
-            .raw("trace", &encode_ops(&ops))
-            .raw("metrics", &encode_metrics(&metrics))
-            .finish();
-        self.publish(
-            Kind::Eval,
-            key,
-            Artifact::Eval {
-                state: c.state.clone(),
-                sim: c.sim,
-                ops,
-                metrics,
-            },
-            payload,
-        );
+        let artifact = Artifact::Eval {
+            state: c.state.clone(),
+            sim: c.sim,
+            ops: c.trace.to_portable(),
+            metrics: c.registry.export(),
+        };
+        self.publish(Kind::Eval, key, artifact);
     }
 
     /// Serve a system-DSE artifact, if stored.
@@ -372,27 +357,11 @@ impl EvalStore {
 
     /// Persist a freshly computed system-DSE artifact.
     pub(crate) fn publish_sys(&self, key: u64, c: &CachedSystem) {
-        let ops = c.trace.to_portable();
-        let result = match &c.result {
-            Some((sys, score)) => Obj::new()
-                .raw("sys", &sys_to_json(sys))
-                .raw("score", &fx(*score))
-                .finish(),
-            None => "null".into(),
+        let artifact = Artifact::Sys {
+            result: c.result,
+            ops: c.trace.to_portable(),
         };
-        let payload = Obj::new()
-            .raw("result", &result)
-            .raw("trace", &encode_ops(&ops))
-            .finish();
-        self.publish(
-            Kind::Sys,
-            key,
-            Artifact::Sys {
-                result: c.result,
-                ops,
-            },
-            payload,
-        );
+        self.publish(Kind::Sys, key, artifact);
     }
 }
 
@@ -403,18 +372,19 @@ fn is_entry_file(p: &Path) -> bool {
     (name.starts_with("eval-") || name.starts_with("sys-")) && name.ends_with(".json")
 }
 
-fn decode_entry(path: &Path, text: &str) -> Result<(Kind, u64, Artifact), StoreError> {
+fn parse_entry(path: &Path, body: &[u8]) -> Result<(Kind, u64, Artifact), StoreError> {
     let corrupt = |reason: String| StoreError::Corrupt {
         path: path.to_path_buf(),
         reason,
     };
-    let v = json::parse(text.trim_end()).map_err(&corrupt)?;
-    let magic = get(&v, "magic")
-        .and_then(|m| d_str(m).map(str::to_string))
-        .map_err(&corrupt)?;
+    let body = std::str::from_utf8(body).map_err(|e| corrupt(e.to_string()))?;
+    let v = json::parse(body.trim_end()).map_err(&corrupt)?;
+    let magic: String = field(&v, "magic").map_err(&corrupt)?;
     if magic != STORE_MAGIC {
         return Err(corrupt(format!("bad magic {magic:?}")));
     }
+    // The header's version is a plain JSON number, unlike every codec
+    // integer.
     let version = get(&v, "version")
         .and_then(|x| x.as_u64().ok_or_else(|| "expected version".to_string()))
         .map_err(&corrupt)?;
@@ -426,202 +396,169 @@ fn decode_entry(path: &Path, text: &str) -> Result<(Kind, u64, Artifact), StoreE
         });
     }
     (|| -> Result<(Kind, u64, Artifact), String> {
-        let kind = Kind::from_tag(d_str(get(&v, "kind")?)?)
+        let kind = Kind::from_tag(text(get(&v, "kind")?)?)
             .ok_or_else(|| "unknown entry kind".to_string())?;
-        let key = d_u64(get(&v, "key")?)?;
-        let payload = get(&v, "payload")?;
-        let artifact = match kind {
-            Kind::Eval => {
-                let state = match get(payload, "state")? {
-                    Value::Null => None,
-                    s => Some(eval_from_json(s)?),
-                };
-                let metrics = d_arr(get(payload, "metrics")?)?
-                    .iter()
-                    .map(|p| {
-                        let (name, snap) = d_pair(p)?;
-                        let name = d_str(name)?;
-                        let name = names::intern_metric(name)
-                            .ok_or_else(|| format!("undocumented metric name {name:?}"))?;
-                        Ok((name, decode_metric(snap)?))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Artifact::Eval {
-                    state,
-                    sim: d_f64(get(payload, "sim")?)?,
-                    ops: decode_ops(get(payload, "trace")?)?,
-                    metrics,
-                }
-            }
-            Kind::Sys => {
-                let result = match get(payload, "result")? {
-                    Value::Null => None,
-                    r => Some((sys_from_json(get(r, "sys")?)?, d_f64(get(r, "score")?)?)),
-                };
-                Artifact::Sys {
-                    result,
-                    ops: decode_ops(get(payload, "trace")?)?,
-                }
-            }
-        };
-        Ok((kind, key, artifact))
+        let key = field(&v, "key")?;
+        let payload = Artifact::take(kind, get(&v, "payload")?);
+        Ok((kind, key, payload.map_err(|e| format!("payload: {e}"))?))
     })()
     .map_err(corrupt)
 }
 
 // ---------------------------------------------------------------------------
-// Serialization of the telemetry halves of an artifact. Same hex-string
-// conventions as checkpoint.rs: u64 and f64 bit patterns survive exactly.
+// Store-only types: the entry payloads and the telemetry halves of an
+// artifact. The evaluation outcome goes through the shared codec.
 
-fn sys_to_json(s: &SystemParams) -> String {
-    Obj::new()
-        .raw("tiles", &hx(u64::from(s.tiles)))
-        .raw("l2_banks", &hx(u64::from(s.l2_banks)))
-        .raw("l2_kb", &hx(u64::from(s.l2_kb)))
-        .raw("noc_bw", &hx(u64::from(s.noc_bw_bytes)))
-        .raw("dram", &hx(u64::from(s.dram_channels)))
-        .finish()
-}
+impl Artifact {
+    /// Append the entry payload.
+    fn put(&self, out: &mut String) {
+        let o = Obj::into(out);
+        match self {
+            Artifact::Eval {
+                state,
+                sim,
+                ops,
+                metrics,
+            } => o
+                .put("state", state)
+                .put("sim", sim)
+                .put("trace", ops)
+                .with("metrics", |o| {
+                    // A metric is `["name",snapshot]`: its name leads like
+                    // a tag.
+                    json::arr(o, metrics, |o, (name, snap)| put_tagged(o, name, &[snap]));
+                }),
+            Artifact::Sys { result, ops } => o
+                .with("result", |o| match result {
+                    Some((sys, score)) => {
+                        Obj::into(o).put("sys", sys).put("score", score).finish();
+                    }
+                    None => o.push_str("null"),
+                })
+                .put("trace", ops),
+        }
+        .finish();
+    }
 
-fn sys_from_json(v: &Value) -> Result<SystemParams, String> {
-    Ok(SystemParams {
-        tiles: d_u32(get(v, "tiles")?)?,
-        l2_banks: d_u32(get(v, "l2_banks")?)?,
-        l2_kb: d_u32(get(v, "l2_kb")?)?,
-        noc_bw_bytes: d_u32(get(v, "noc_bw")?)?,
-        dram_channels: d_u32(get(v, "dram")?)?,
-    })
-}
-
-fn encode_field(v: &FieldValue) -> String {
-    match v {
-        FieldValue::U64(n) => format!("[\"u\",{}]", hx(*n)),
-        FieldValue::I64(n) => format!("[\"i\",{}]", hx(*n as u64)),
-        FieldValue::F64(n) => format!("[\"f\",{}]", fx(*n)),
-        FieldValue::Bool(b) => format!("[\"b\",{b}]"),
-        FieldValue::Str(s) => format!("[\"s\",{}]", json::quote(s)),
+    /// Rebuild an entry payload of kind `kind`.
+    fn take(kind: Kind, v: &Value) -> Result<Artifact, String> {
+        Ok(match kind {
+            Kind::Eval => Artifact::Eval {
+                state: field(v, "state")?,
+                sim: field(v, "sim")?,
+                ops: field(v, "trace")?,
+                metrics: items(get(v, "metrics")?)?
+                    .iter()
+                    .map(|m| match tagged(m)? {
+                        (name, [snap]) => {
+                            let name = names::intern_metric(name)
+                                .ok_or_else(|| format!("undocumented metric name {name:?}"))?;
+                            Ok((name, MetricSnapshot::take(snap)?))
+                        }
+                        _ => Err("expected a [name, snapshot] metric".to_string()),
+                    })
+                    .collect::<Result<_, String>>()
+                    .map_err(|e| format!("metrics: {e}"))?,
+            },
+            Kind::Sys => Artifact::Sys {
+                result: match get(v, "result")? {
+                    Value::Null => None,
+                    r => Some((field(r, "sys")?, field(r, "score")?)),
+                },
+                ops: field(v, "trace")?,
+            },
+        })
     }
 }
 
-fn decode_field(v: &Value) -> Result<FieldValue, String> {
-    let (tag, val) = d_pair(v)?;
-    Ok(match d_str(tag)? {
-        "u" => FieldValue::U64(d_u64(val)?),
-        "i" => FieldValue::I64(d_u64(val)? as i64),
-        "f" => FieldValue::F64(d_f64(val)?),
-        "b" => FieldValue::Bool(val.as_bool().ok_or("expected bool")?),
-        "s" => FieldValue::Str(d_str(val)?.to_string()),
-        t => return Err(format!("unknown field tag {t:?}")),
-    })
-}
-
-fn encode_fields(fields: &[(String, FieldValue)]) -> String {
-    arr(fields
-        .iter()
-        .map(|(k, v)| format!("[{},{}]", json::quote(k), encode_field(v))))
-}
-
-fn decode_fields(v: &Value) -> Result<Vec<(String, FieldValue)>, String> {
-    d_arr(v)?
-        .iter()
-        .map(|p| {
-            let (k, f) = d_pair(p)?;
-            Ok((d_str(k)?.to_string(), decode_field(f)?))
-        })
-        .collect()
-}
-
-fn encode_ops(ops: &[PortableOp]) -> String {
-    arr(ops.iter().map(|op| match op {
-        PortableOp::Event { kind, fields } => {
-            format!("[\"e\",{},{}]", json::quote(kind), encode_fields(fields))
+/// A field value is `[tag,value]`; a signed integer travels as the hex of
+/// its two's-complement bits.
+impl Codec for FieldValue {
+    fn put(&self, out: &mut String) {
+        match self {
+            FieldValue::U64(n) => put_tagged(out, "u", &[n]),
+            FieldValue::I64(n) => put_tagged(out, "i", &[&(*n as u64)]),
+            FieldValue::F64(n) => put_tagged(out, "f", &[n]),
+            FieldValue::Bool(b) => put_tagged(out, "b", &[b]),
+            FieldValue::Str(s) => put_tagged(out, "s", &[s]),
         }
-        PortableOp::SpanOpen { slot } => format!("[\"o\",{}]", hx(*slot)),
-        PortableOp::SpanClose {
-            slot,
-            name,
-            rel_depth,
-            fields,
-        } => format!(
-            "[\"c\",{},{},{},{}]",
-            hx(*slot),
-            json::quote(name),
-            hx(*rel_depth),
-            encode_fields(fields)
-        ),
-        PortableOp::Metrics => "[\"m\"]".to_string(),
-    }))
-}
+    }
 
-fn decode_ops(v: &Value) -> Result<Vec<PortableOp>, String> {
-    d_arr(v)?
-        .iter()
-        .map(|op| {
-            let items = d_arr(op)?;
-            let tag = d_str(items.first().ok_or("empty op")?)?;
-            Ok(match (tag, &items[1..]) {
-                ("e", [kind, fields]) => PortableOp::Event {
-                    kind: d_str(kind)?.to_string(),
-                    fields: decode_fields(fields)?,
-                },
-                ("o", [slot]) => PortableOp::SpanOpen { slot: d_u64(slot)? },
-                ("c", [slot, name, depth, fields]) => PortableOp::SpanClose {
-                    slot: d_u64(slot)?,
-                    name: d_str(name)?.to_string(),
-                    rel_depth: d_u64(depth)?,
-                    fields: decode_fields(fields)?,
-                },
-                ("m", []) => PortableOp::Metrics,
-                _ => return Err(format!("malformed op with tag {tag:?}")),
-            })
+    fn take(v: &Value) -> Result<Self, String> {
+        Ok(match tagged(v)? {
+            ("u", [n]) => FieldValue::U64(u64::take(n)?),
+            ("i", [n]) => FieldValue::I64(u64::take(n)? as i64),
+            ("f", [n]) => FieldValue::F64(f64::take(n)?),
+            ("b", [b]) => FieldValue::Bool(bool::take(b)?),
+            ("s", [s]) => FieldValue::Str(String::take(s)?),
+            (tag, _) => return Err(format!("malformed field value with tag `{tag}`")),
         })
-        .collect()
+    }
 }
 
-fn encode_metrics(metrics: &[(&'static str, MetricSnapshot)]) -> String {
-    arr(metrics.iter().map(|(name, snap)| {
-        let s = match snap {
-            MetricSnapshot::Counter(v) => format!("[\"c\",{}]", hx(*v)),
-            MetricSnapshot::Gauge(v) => format!("[\"g\",{}]", fx(*v)),
+impl Codec for PortableOp {
+    fn put(&self, out: &mut String) {
+        match self {
+            PortableOp::Event { kind, fields } => put_tagged(out, "e", &[kind, fields]),
+            PortableOp::SpanOpen { slot } => put_tagged(out, "o", &[slot]),
+            PortableOp::SpanClose {
+                slot,
+                name,
+                rel_depth,
+                fields,
+            } => put_tagged(out, "c", &[slot, name, rel_depth, fields]),
+            PortableOp::Metrics => put_tagged(out, "m", &[]),
+        }
+    }
+
+    fn take(v: &Value) -> Result<Self, String> {
+        Ok(match tagged(v)? {
+            ("e", [kind, fields]) => PortableOp::Event {
+                kind: String::take(kind)?,
+                fields: Vec::take(fields)?,
+            },
+            ("o", [slot]) => PortableOp::SpanOpen {
+                slot: u64::take(slot)?,
+            },
+            ("c", [slot, name, depth, fields]) => PortableOp::SpanClose {
+                slot: u64::take(slot)?,
+                name: String::take(name)?,
+                rel_depth: u64::take(depth)?,
+                fields: Vec::take(fields)?,
+            },
+            ("m", []) => PortableOp::Metrics,
+            (tag, _) => return Err(format!("malformed trace op with tag `{tag}`")),
+        })
+    }
+}
+
+impl Codec for MetricSnapshot {
+    fn put(&self, out: &mut String) {
+        match self {
+            MetricSnapshot::Counter(v) => put_tagged(out, "c", &[v]),
+            MetricSnapshot::Gauge(v) => put_tagged(out, "g", &[v]),
             MetricSnapshot::Histogram {
                 buckets,
                 count,
                 sum,
                 max,
-            } => format!(
-                "[\"h\",{},{},{},{}]",
-                arr(buckets
-                    .iter()
-                    .map(|(i, n)| format!("[{},{}]", hx(u64::from(*i)), hx(*n)))),
-                hx(*count),
-                hx(*sum),
-                hx(*max)
-            ),
-        };
-        format!("[{},{s}]", json::quote(name))
-    }))
-}
+            } => put_tagged(out, "h", &[buckets, count, sum, max]),
+        }
+    }
 
-fn decode_metric(v: &Value) -> Result<MetricSnapshot, String> {
-    let items = d_arr(v)?;
-    let tag = d_str(items.first().ok_or("empty metric")?)?;
-    Ok(match (tag, &items[1..]) {
-        ("c", [v]) => MetricSnapshot::Counter(d_u64(v)?),
-        ("g", [v]) => MetricSnapshot::Gauge(d_f64(v)?),
-        ("h", [buckets, count, sum, max]) => MetricSnapshot::Histogram {
-            buckets: d_arr(buckets)?
-                .iter()
-                .map(|p| {
-                    let (i, n) = d_pair(p)?;
-                    Ok((d_u32(i)?, d_u64(n)?))
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            count: d_u64(count)?,
-            sum: d_u64(sum)?,
-            max: d_u64(max)?,
-        },
-        _ => return Err(format!("malformed metric with tag {tag:?}")),
-    })
+    fn take(v: &Value) -> Result<Self, String> {
+        Ok(match tagged(v)? {
+            ("c", [v]) => MetricSnapshot::Counter(u64::take(v)?),
+            ("g", [v]) => MetricSnapshot::Gauge(f64::take(v)?),
+            ("h", [buckets, count, sum, max]) => MetricSnapshot::Histogram {
+                buckets: Vec::take(buckets)?,
+                count: u64::take(count)?,
+                sum: u64::take(sum)?,
+                max: u64::take(max)?,
+            },
+            (tag, _) => return Err(format!("malformed metric with tag `{tag}`")),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -784,6 +721,29 @@ mod tests {
                 assert!(reason.contains("magic"), "reason was {reason:?}");
             }
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Bytes no writer produces are `Corrupt` naming the file, never an
+    /// I/O error or a stack overflow.
+    #[test]
+    fn hostile_entry_bytes_are_corrupt() {
+        let dir = tmp("hostile");
+        std::fs::create_dir_all(&dir).unwrap();
+        let entry = dir.join("eval-0000000000000001.json");
+        for (bytes, want) in [
+            ("[".repeat(200_000).into_bytes(), "nesting deeper"),
+            (vec![0xff, 0xfe, 0x7b], "invalid utf-8"),
+        ] {
+            std::fs::write(&entry, bytes).unwrap();
+            match EvalStore::open(&dir) {
+                Err(StoreError::Corrupt { path, reason }) => {
+                    assert_eq!(path, entry);
+                    assert!(reason.contains(want), "reason was {reason:?}");
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -2,14 +2,19 @@
 //!
 //! The writer produces deterministic output: fields appear in insertion
 //! order, floats render with Rust's shortest-roundtrip formatting, and
-//! strings are escaped per RFC 8259. The parser is the minimal
-//! recursive-descent reader `trace-summary` needs to consume JSONL traces.
+//! strings are escaped per RFC 8259. [`Obj`] is the one object writer:
+//! trace lines, manifests, BENCH records, checkpoints and store entries
+//! all append through it. The parser is the minimal recursive-descent
+//! reader `trace-summary` needs to consume JSONL traces; it refuses
+//! documents nested deeper than [`MAX_DEPTH`].
 
+use std::borrow::BorrowMut;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Escape `s` into `out` as JSON string *contents* (no surrounding quotes).
-pub fn escape_into(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted, escaped JSON string.
+pub fn string(out: &mut String, s: &str) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -25,60 +30,74 @@ pub fn escape_into(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+    out.push('"');
 }
 
-/// Escape and quote a string.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    escape_into(&mut out, s);
-    out.push('"');
-    out
-}
-
-/// Render an `f64` as a JSON number (JSON has no NaN/Inf; they map to null).
-pub fn number(v: f64) -> String {
-    if v.is_finite() {
-        let mut s = format!("{v}");
-        // `{}` prints integral floats without a dot; keep them numbers but
-        // unambiguous as floats is unnecessary — JSON does not distinguish.
-        if s == "-0" {
-            s = "0".into();
-        }
-        s
+/// Append `v` to `out` as a JSON number (JSON has no NaN/Inf; they map to
+/// null, and negative zero is written as `0`).
+pub fn number(out: &mut String, v: f64) {
+    if !v.is_finite() {
+        out.push_str("null");
+    } else if v == 0.0 {
+        out.push('0');
     } else {
-        "null".into()
+        let _ = write!(out, "{v}");
     }
 }
 
-/// An insertion-ordered JSON object writer.
-#[derive(Debug, Clone, Default)]
-pub struct Obj {
-    buf: String,
+/// Append a JSON array to `out`, one `put` per item.
+pub fn arr<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut put: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        put(out, item);
+    }
+    out.push(']');
+}
+
+/// An insertion-ordered JSON object writer. It appends to a buffer it owns
+/// ([`Obj::new`]) or borrows ([`Obj::into`]), and [`Obj::finish`] closes
+/// the object and hands that buffer back without copying it.
+#[derive(Debug, Default)]
+pub struct Obj<B = String> {
+    buf: B,
+    /// Whether the opening brace, written with the first field, is out.
+    open: bool,
 }
 
 impl Obj {
-    /// Start an empty object.
+    /// Start an object in a buffer of its own.
     pub fn new() -> Self {
-        Obj { buf: String::new() }
+        Obj::default()
     }
+}
 
+impl<'a> Obj<&'a mut String> {
+    /// Start an object at the end of `buf`.
+    pub fn into(buf: &'a mut String) -> Self {
+        Obj { buf, open: false }
+    }
+}
+
+impl<B: BorrowMut<String>> Obj<B> {
     fn key(&mut self, k: &str) -> &mut String {
-        if !self.buf.is_empty() {
-            self.buf.push(',');
-        }
-        self.buf.push('"');
-        escape_into(&mut self.buf, k);
-        self.buf.push_str("\":");
-        &mut self.buf
+        let buf = self.buf.borrow_mut();
+        buf.push(if self.open { ',' } else { '{' });
+        self.open = true;
+        string(buf, k);
+        buf.push(':');
+        buf
     }
 
     /// Add a string field.
     pub fn str(mut self, k: &str, v: &str) -> Self {
-        self.key(k);
-        self.buf.push('"');
-        escape_into(&mut self.buf, v);
-        self.buf.push('"');
+        string(self.key(k), v);
         self
     }
 
@@ -96,8 +115,7 @@ impl Obj {
 
     /// Add a float field.
     pub fn f64(mut self, k: &str, v: f64) -> Self {
-        let n = number(v);
-        self.key(k).push_str(&n);
+        number(self.key(k), v);
         self
     }
 
@@ -113,13 +131,20 @@ impl Obj {
         self
     }
 
-    /// Finish: `{...}`.
-    pub fn finish(self) -> String {
-        let mut out = String::with_capacity(self.buf.len() + 2);
-        out.push('{');
-        out.push_str(&self.buf);
-        out.push('}');
-        out
+    /// Add a field holding whatever `put` appends to the buffer.
+    pub fn with(mut self, k: &str, put: impl FnOnce(&mut String)) -> Self {
+        put(self.key(k));
+        self
+    }
+
+    /// Close the object and hand back its buffer.
+    pub fn finish(mut self) -> B {
+        let buf = self.buf.borrow_mut();
+        if !self.open {
+            buf.push('{');
+        }
+        buf.push('}');
+        self.buf
     }
 }
 
@@ -182,14 +207,24 @@ impl Value {
     }
 }
 
+/// The deepest array and object nesting [`parse`] accepts. The deepest
+/// document the project writes, a checkpoint, nests 9 levels; the limit
+/// keeps a corrupt input from overflowing the parser's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first syntax error.
+/// Returns a human-readable description of the first syntax error, or of
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(s: &str) -> Result<Value, String> {
     let bytes = s.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -202,6 +237,8 @@ pub fn parse(s: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -230,8 +267,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -239,6 +276,20 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parse an array or object one level deeper, within [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
@@ -394,6 +445,12 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
+    fn quote(s: &str) -> String {
+        let mut out = String::new();
+        string(&mut out, s);
+        out
+    }
+
     #[test]
     fn escapes_specials() {
         assert_eq!(quote("a\"b"), r#""a\"b""#);
@@ -424,8 +481,26 @@ mod tests {
 
     #[test]
     fn nonfinite_floats_become_null() {
-        assert_eq!(number(f64::NAN), "null");
-        assert_eq!(number(f64::INFINITY), "null");
+        for (v, want) in [(f64::NAN, "null"), (f64::INFINITY, "null"), (-0.0, "0")] {
+            let mut out = String::new();
+            number(&mut out, v);
+            assert_eq!(out, want);
+        }
+    }
+
+    #[test]
+    fn borrowed_objects_nest_in_place() {
+        let mut buf = String::from("[");
+        Obj::into(&mut buf)
+            .str("k\"ey", "v")
+            .with("xs", |o| arr(o, [1, 2], |o, x| o.push_str(&x.to_string())))
+            .with("o", |o| {
+                Obj::into(o).finish();
+            })
+            .finish();
+        buf.push(']');
+        assert_eq!(buf, r#"[{"k\"ey":"v","xs":[1,2],"o":{}}]"#);
+        assert_eq!(Obj::new().finish(), "{}");
     }
 
     #[test]
@@ -456,6 +531,17 @@ mod tests {
     fn parses_escapes_and_surrogates() {
         let v = parse(r#"{"s":"a\u0041\u00e9\ud83d\ude00\n"}"#).unwrap();
         assert_eq!(v.get("s").and_then(Value::as_str), Some("aAé\u{1f600}\n"));
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!("{{\"a\":{ok}}}");
+        assert!(parse(&over).is_err());
     }
 
     #[test]

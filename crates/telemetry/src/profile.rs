@@ -29,7 +29,7 @@ use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::json::Obj;
+use crate::json::{self, Obj};
 use crate::metrics::Histogram;
 
 /// A pipeline phase, as attributed in `profile.json`.
@@ -455,7 +455,7 @@ impl ProfileSnapshot {
     /// Render the `overgen.profile/1` JSON document (DESIGN.md §11).
     pub fn render_json(&self, experiment: &str, cache: &CacheStats, top_k: usize) -> String {
         let eval_total = self.eval_total_us();
-        let phases = arr(self.rows.iter().map(|r| {
+        let phase = |out: &mut String, r: &PhaseRow| {
             let share = if eval_total > 0 {
                 r.total_us as f64 / eval_total as f64
             } else {
@@ -466,7 +466,7 @@ impl ProfileSnapshot {
                 Phase::Compile | Phase::Simulate => 1.0,
                 _ => cache.eval_factor(),
             };
-            Obj::new()
+            Obj::into(out)
                 .str("phase", r.phase.name())
                 .str("class", r.class)
                 .u64("count", r.count)
@@ -478,27 +478,17 @@ impl ProfileSnapshot {
                 .u64("max_us", r.max_us)
                 .f64("share", share)
                 .f64("cache_adjusted_us", r.total_us as f64 * adjust)
-                .finish()
-        }));
-        let hot_dim = |dim: &str| {
-            arr(self.top_hot(dim, top_k).iter().map(|r| {
-                Obj::new()
+                .finish();
+        };
+        let hot_dim = |out: &mut String, dim: &str| {
+            json::arr(out, self.top_hot(dim, top_k), |o, r| {
+                Obj::into(o)
                     .str("key", &r.key)
                     .u64("count", r.count)
                     .u64("total_us", r.total_us)
-                    .finish()
-            }))
+                    .finish();
+            });
         };
-        let hot = Obj::new()
-            .raw("workload", &hot_dim("workload"))
-            .raw("sys-grid", &hot_dim("sys-grid"))
-            .finish();
-        let cache_obj = Obj::new()
-            .u64("eval_hits", cache.eval_hits)
-            .u64("eval_misses", cache.eval_misses)
-            .u64("system_hits", cache.system_hits)
-            .u64("system_misses", cache.system_misses)
-            .finish();
         Obj::new()
             .str("schema", "overgen.profile/1")
             .str("experiment", experiment)
@@ -506,29 +496,28 @@ impl ProfileSnapshot {
             .u64("eval_total_us", eval_total)
             .u64("attributed_us", self.attributed_us())
             .f64("coverage", self.coverage())
-            .raw("cache", &cache_obj)
-            .raw("phases", &phases)
-            .raw("hot", &hot)
+            .with("cache", |o| {
+                Obj::into(o)
+                    .u64("eval_hits", cache.eval_hits)
+                    .u64("eval_misses", cache.eval_misses)
+                    .u64("system_hits", cache.system_hits)
+                    .u64("system_misses", cache.system_misses)
+                    .finish();
+            })
+            .with("phases", |o| json::arr(o, &self.rows, phase))
+            .with("hot", |o| {
+                Obj::into(o)
+                    .with("workload", |o| hot_dim(o, "workload"))
+                    .with("sys-grid", |o| hot_dim(o, "sys-grid"))
+                    .finish();
+            })
             .finish()
     }
-}
-
-fn arr<I: IntoIterator<Item = String>>(items: I) -> String {
-    let mut out = String::from("[");
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&item);
-    }
-    out.push(']');
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     #[test]
     fn phase_timer_records_into_the_right_bucket() {

@@ -13,8 +13,10 @@
 #   determinism  byte-identical traces: seeded, chain workers 1 vs 4,
 #                repair on/off
 #   checkpoint   resume-equivalence gates: interrupted-then-resumed runs
-#                reproduce results, stats, and traces bit-identically, and
-#                the kill-and-resume bench stays under the overhead budget
+#                reproduce results, stats, and traces bit-identically,
+#                checkpoint and store files match their pinned byte
+#                digests, and the kill-and-resume bench stays under the
+#                overhead budget
 #   bench        bench harness end to end: trace diffs across chain worker
 #                counts and repair modes, BENCH_repair.json speedup record
 #   objectives   evaluation-pipeline gates: default objective byte-identical
@@ -33,8 +35,9 @@
 #                traces, and BENCH_sim.json holding >= 5x median eval
 #                speedup with winners identical to exhaustive search
 #   service      multi-tenant job-server gates: the persistent-store unit
-#                suite, the cross-tenant differential suite at 1 and 4
-#                workers, and BENCH_service.json holding >= 2x median
+#                suite, the pinned store-entry byte digests, the
+#                cross-tenant differential suite at 1 and 4 workers,
+#                and BENCH_service.json holding >= 2x median
 #                warm-cache speedup with concurrent-vs-sequential job
 #                artifacts byte-identical (plus a synthetic-divergence
 #                negative test of the gate itself)
@@ -111,6 +114,9 @@ stage_checkpoint() {
     echo "== checkpoint: resume equivalence at 1 and 4 workers =="
     OVERGEN_DSE_THREADS=1 cargo test -q --test checkpoint_resume
     OVERGEN_DSE_THREADS=4 cargo test -q --test checkpoint_resume
+
+    echo "== checkpoint: checkpoint and store bytes match the pinned digests =="
+    cargo test -q --test codec_equivalence
 
     echo "== checkpoint: kill-and-resume bench, write overhead < 5% =="
     if [ -n "${CHECK_TRACE_DIR:-}" ]; then
@@ -370,6 +376,9 @@ stage_sim() {
 stage_service() {
     echo "== service: persistent store edge cases (corruption, versioning, races) =="
     cargo test -q --release -p overgen-dse store::
+
+    echo "== service: store entry bytes match the pinned digests =="
+    cargo test -q --release --test codec_equivalence
 
     echo "== service: cross-tenant differential suite at 1 and 4 workers =="
     # The suite compares workers=1 vs 4 internally; running it under both

@@ -47,8 +47,29 @@ impl StableHasher {
     }
 
     /// Absorb a `u64` (little-endian bytes).
+    ///
+    /// A zero byte leaves FNV-1a's xor step a no-op, so a run of `k` zero
+    /// bytes is one multiply by `PRIME^k`. Keys are mostly small ids and
+    /// lengths, whose high bytes are all zero; the digest is the bytewise
+    /// one.
     pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+        let mut rest = v;
+        let mut left = 8;
+        while left > 0 {
+            let zeros = (rest.trailing_zeros() / 8).min(left);
+            if zeros > 0 {
+                self.state = self.state.wrapping_mul(PRIME_POWERS[zeros as usize]);
+                if zeros == left {
+                    return;
+                }
+                rest >>= 8 * zeros;
+                left -= zeros;
+            }
+            self.state ^= rest & 0xff;
+            self.state = self.state.wrapping_mul(Self::PRIME);
+            rest >>= 8;
+            left -= 1;
+        }
     }
 
     /// Absorb a length-prefixed string.
@@ -73,6 +94,18 @@ impl StableHasher {
         self.state
     }
 }
+
+/// `PRIME_POWERS[k]` = FNV prime to the `k`th power (wrapping), the
+/// multiplier of a run of `k` zero bytes.
+const PRIME_POWERS: [u64; 9] = {
+    let mut p = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        p[k] = p[k - 1].wrapping_mul(StableHasher::PRIME);
+        k += 1;
+    }
+    p
+};
 
 impl Default for StableHasher {
     fn default() -> Self {
@@ -149,12 +182,18 @@ impl Adg {
         for (id, node) in self.nodes() {
             write_node(h, id, node);
         }
-        let mut edges: Vec<(NodeId, NodeId)> = self.edges().collect();
-        edges.sort_unstable();
-        h.write_u64(edges.len() as u64);
-        for (src, dst) in edges {
-            h.write_u64(src.index() as u64);
-            h.write_u64(dst.index() as u64);
+        // Sources in id order, each one's successors sorted: edges are
+        // unique, so this is the sorted edge set.
+        h.write_u64(self.edge_count() as u64);
+        let mut succs: Vec<NodeId> = Vec::new();
+        for (src, outs) in self.out_adj.iter().enumerate() {
+            succs.clear();
+            succs.extend_from_slice(outs);
+            succs.sort_unstable();
+            for dst in &succs {
+                h.write_u64(src as u64);
+                h.write_u64(dst.index() as u64);
+            }
         }
     }
 }
@@ -295,6 +334,75 @@ mod tests {
         assert_eq!(s1.fingerprint(), s2.fingerprint());
         s2.sys.tiles += 1;
         assert_ne!(s1.fingerprint(), s2.fingerprint());
+    }
+
+    /// 64-bit FNV-1a over `bytes`, one byte at a time from `state`: the
+    /// reference [`StableHasher::write_u64`] must agree with.
+    fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(state, |s, b| {
+            (s ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn write_u64_matches_bytewise_fnv1a() {
+        // Every shape of word the zero-run folding distinguishes: all
+        // zeros, one byte set at each position, zero bytes between set
+        // ones, and all ones; then 10^5 pseudo-random words with a random
+        // subset of their bytes cleared.
+        let mut words: Vec<u64> = vec![0, u64::MAX, 0xff00_0000_0000_00ff, 0x0001_0000_0000_0100];
+        for shift in (0..64).step_by(8) {
+            words.extend((1..=255u64).map(|b| b << shift));
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            // splitmix64
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..100_000 {
+            let (word, keep) = (next(), next());
+            let mask = (0..8)
+                .filter(|i| keep >> i & 1 == 1)
+                .fold(0u64, |m, i| m | 0xff << (8 * i));
+            words.push(word & mask);
+        }
+        assert!(words.len() > 100_000);
+        let mut h = StableHasher::new();
+        let mut reference = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            h.write_u64(w);
+            reference = fnv1a(reference, &w.to_le_bytes());
+            assert_eq!(h.finish(), reference, "after word {w:#x}");
+        }
+    }
+
+    #[test]
+    fn mesh_fingerprints_are_pinned() {
+        // Memo and store keys are persisted (checkpoints, store file
+        // names), so the digest of a given graph must never move.
+        let default = mesh(&MeshSpec::default()).fingerprint();
+        let general = mesh(&MeshSpec::general()).fingerprint();
+        // Holes in the slot map, and successors appended out of id order.
+        let mut holed = mesh(&MeshSpec::general());
+        for i in [3, 17, 40] {
+            assert!(holed.remove_node(NodeId::from_index(i)).is_some());
+        }
+        holed
+            .add_edge(NodeId::from_index(20), NodeId::from_index(1))
+            .unwrap();
+        assert!(holed.succs(NodeId::from_index(20)).len() > 1);
+        assert_eq!(
+            [default, general, holed.fingerprint()],
+            [
+                0xb3f3_8cbd_8a57_8ea2,
+                0xccba_4c85_d7e2_b875,
+                0x9eeb_d7f4_5486_0507
+            ]
+        );
     }
 
     #[test]

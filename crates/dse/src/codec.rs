@@ -21,6 +21,7 @@
 use std::borrow::BorrowMut;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use overgen_adg::{
     Adg, AdgNode, DmaNode, GenNode, InPortNode, NodeId, OutPortNode, PeNode, PortableAdg, RecNode,
@@ -220,6 +221,17 @@ impl<T: Codec> Codec for Option<T> {
             Value::Null => Ok(None),
             v => T::take(v).map(Some),
         }
+    }
+}
+
+/// A shared value is written as the value itself.
+impl<T: Codec> Codec for Arc<T> {
+    fn put(&self, out: &mut String) {
+        (**self).put(out);
+    }
+
+    fn take(v: &Value) -> Result<Self, String> {
+        T::take(v).map(Arc::new)
     }
 }
 

@@ -19,6 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 use overgen_telemetry::profile::{maybe_phase, NO_CLASS};
@@ -368,14 +369,16 @@ pub struct DseResult {
 }
 
 /// One annealing chain's mutable state. `Clone` + `pub(crate)` so
-/// checkpoints can snapshot and rebuild it (`checkpoint.rs`).
+/// checkpoints can snapshot and rebuild it (`checkpoint.rs`). `cur` and
+/// `best` share their evaluation with the memo cell that produced it, so
+/// an accept, a new best or an exchange copies no schedule.
 #[derive(Clone)]
 pub(crate) struct ChainState {
     pub(crate) rng: Rng,
     pub(crate) cur_adg: Adg,
-    pub(crate) cur: EvalState,
+    pub(crate) cur: Arc<EvalState>,
     pub(crate) best_adg: Adg,
-    pub(crate) best: EvalState,
+    pub(crate) best: Arc<EvalState>,
     pub(crate) sim_seconds: f64,
     pub(crate) history: Vec<(f64, f64)>,
     pub(crate) t0: f64,
@@ -607,9 +610,9 @@ impl Dse {
             .map(|_| ChainState {
                 rng: master.split(),
                 cur_adg: cur_adg.clone(),
-                cur: seed_state.clone(),
+                cur: Arc::clone(&seed_state),
                 best_adg: cur_adg.clone(),
-                best: seed_state.clone(),
+                best: Arc::clone(&seed_state),
                 sim_seconds: seed_sim,
                 history: vec![(seed_sim / 3600.0, seed_state.objective)],
                 t0,
@@ -782,7 +785,10 @@ impl Dse {
                 // lowest index) seeds everyone's *current* state; each
                 // chain's own best/history stay untouched.
                 let winner = best_chain(&states);
-                let (gb_adg, gb) = (states[winner].best_adg.clone(), states[winner].best.clone());
+                let (gb_adg, gb) = (
+                    states[winner].best_adg.clone(),
+                    Arc::clone(&states[winner].best),
+                );
                 event!(
                     "dse.exchange",
                     at = done,
@@ -792,7 +798,7 @@ impl Dse {
                 for (idx, st) in states.iter_mut().enumerate() {
                     if idx != winner && gb.fitness > st.cur.fitness {
                         st.cur_adg = gb_adg.clone();
-                        st.cur = gb.clone();
+                        st.cur = Arc::clone(&gb);
                     }
                 }
             }
@@ -981,7 +987,7 @@ impl Dse {
                 st.cur_adg = prop_adg;
                 st.cur = prop;
                 if st.cur.fitness > st.best.fitness {
-                    st.best = st.cur.clone();
+                    st.best = Arc::clone(&st.cur);
                     st.best_adg = st.cur_adg.clone();
                 }
             } else {
@@ -1006,12 +1012,13 @@ impl LoopOutcome {
     /// The run's result: the champion chain's best design, plus the
     /// variants the run compiled.
     fn into_result(self, mdfgs: BTreeMap<String, Vec<Mdfg>>) -> DseResult {
+        let best = Arc::unwrap_or_clone(self.champ.best);
         DseResult {
-            sys_adg: SysAdg::new(self.champ.best_adg, self.champ.best.sys),
-            schedules: self.champ.best.schedules,
-            variants: self.champ.best.variants,
+            sys_adg: SysAdg::new(self.champ.best_adg, best.sys),
+            schedules: best.schedules,
+            variants: best.variants,
             mdfgs,
-            objective: self.champ.best.objective,
+            objective: best.objective,
             history: self.champ.history,
             dse_hours: self.dse_hours,
             stats: self.stats,

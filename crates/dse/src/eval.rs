@@ -97,7 +97,7 @@ pub(crate) struct EvalState {
 /// indistinguishable from re-running. `pub(crate)` so the persistent
 /// store (`store.rs`) can serialize and rebuild whole artifacts.
 pub(crate) struct CachedEval {
-    pub(crate) state: Option<EvalState>,
+    pub(crate) state: Option<Arc<EvalState>>,
     pub(crate) sim: f64,
     pub(crate) trace: overgen_telemetry::CapturedTrace,
     pub(crate) registry: Registry,
@@ -252,7 +252,7 @@ impl<'a> EvalPipeline<'a> {
         adg: &Adg,
         prior: &BTreeMap<String, Schedule>,
         footprint: ScheduleFootprint,
-    ) -> (Option<EvalState>, f64) {
+    ) -> (Option<Arc<EvalState>>, f64) {
         self.evaluate_with(adg, prior, footprint, None, None)
     }
 
@@ -270,7 +270,7 @@ impl<'a> EvalPipeline<'a> {
         footprint: ScheduleFootprint,
         scope: Option<&RepairScope>,
         rule_trace: Option<&str>,
-    ) -> (Option<EvalState>, f64) {
+    ) -> (Option<Arc<EvalState>>, f64) {
         let run = || {
             // Umbrella phase: one uncached evaluation end to end. Cache
             // hits never reach here; their cost is reconstructed via the
@@ -357,7 +357,7 @@ impl<'a> EvalPipeline<'a> {
         prior: &BTreeMap<String, Schedule>,
         footprint: ScheduleFootprint,
         scope: Option<&RepairScope>,
-    ) -> (Option<EvalState>, f64) {
+    ) -> (Option<Arc<EvalState>>, f64) {
         let mut sim = 0.0f64;
         let validate_timer = self.phase(Phase::Validate, footprint.name());
         let sys_probe = SysAdg::new(adg.clone(), SystemParams::default());
@@ -576,7 +576,7 @@ impl<'a> EvalPipeline<'a> {
         };
         let fitness = self.cfg.objective.fitness(&report);
         (
-            Some(EvalState {
+            Some(Arc::new(EvalState {
                 sys: report.sys,
                 schedules: report.schedules,
                 variants: report.variants,
@@ -584,7 +584,7 @@ impl<'a> EvalPipeline<'a> {
                 fitness,
                 resources: report.resources,
                 placement: report.placement.as_ref().map(PlacementReport::metrics),
-            }),
+            })),
             sim,
         )
     }

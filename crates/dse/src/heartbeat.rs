@@ -47,6 +47,8 @@ pub(crate) struct Heartbeat {
     every: usize,
     stderr: bool,
     next_at: usize,
+    /// Proposals done before this leg (a resumed run's checkpoint).
+    start_done: usize,
     started: Instant,
     count: Counter,
     proposals_per_sec: Gauge,
@@ -65,6 +67,7 @@ impl Heartbeat {
             every,
             stderr: cfg.stderr,
             next_at: start_done + every,
+            start_done,
             started: Instant::now(),
             count: reg.counter("dse.heartbeat.count"),
             proposals_per_sec: reg.gauge("dse.heartbeat.proposals_per_sec"),
@@ -108,11 +111,7 @@ impl Heartbeat {
         self.pareto_size.set(pareto_size as f64);
         let frac = share(done, budget);
         self.progress.set(frac);
-        let eta = if done > 0 {
-            elapsed * (budget.saturating_sub(done)) as f64 / done as f64
-        } else {
-            0.0
-        };
+        let eta = eta_seconds(elapsed, self.start_done, done, budget);
         self.eta_seconds.set(eta);
         self.count.inc();
 
@@ -127,6 +126,18 @@ impl Heartbeat {
                 self.repair_fast_share.get() * 100.0,
             );
         }
+    }
+}
+
+/// Seconds until `budget` at this leg's pace: `elapsed` covers only the
+/// proposals done since the leg started at `start_done`, not the ones a
+/// resumed run inherited from its checkpoint.
+fn eta_seconds(elapsed: f64, start_done: usize, done: usize, budget: usize) -> f64 {
+    let leg = done.saturating_sub(start_done);
+    if leg == 0 {
+        0.0
+    } else {
+        elapsed * budget.saturating_sub(done) as f64 / leg as f64
     }
 }
 
@@ -190,6 +201,19 @@ mod tests {
         assert_eq!(reg.gauge("dse.heartbeat.repair_fast_share").get(), 0.9);
         assert!(reg.gauge("dse.heartbeat.proposals_per_sec").get() > 0.0);
         assert!(reg.gauge("dse.heartbeat.eta_seconds").get() >= 0.0);
+    }
+
+    #[test]
+    fn eta_extrapolates_this_legs_pace() {
+        // A fresh run: 25 of 100 proposals in 10 s leaves 75 at 2.5/s.
+        assert_eq!(eta_seconds(10.0, 0, 25, 100), 30.0);
+        // Resumed at 50 of 100: this leg did 25 proposals in 10 s, and
+        // the 50 inherited ones took no time of it, so 25 left = 10 s
+        // (dividing by all 75 done would read 3.3 s).
+        assert_eq!(eta_seconds(10.0, 50, 75, 100), 10.0);
+        // Nothing done yet in this leg, or the budget already met.
+        assert_eq!(eta_seconds(10.0, 50, 50, 100), 0.0);
+        assert_eq!(eta_seconds(10.0, 0, 100, 100), 0.0);
     }
 
     #[test]

@@ -372,6 +372,33 @@ mod tests {
     }
 
     #[test]
+    fn rule_mutated_fingerprint_is_pinned() {
+        // Seeded applications remove nodes (holes in the slot map) and
+        // append edges out of id order. The digest of such a graph is part
+        // of every memo and store key, so it must never move.
+        use overgen_adg::{mesh, MeshSpec};
+        use overgen_ir::{DataType, Op};
+        let caps = [
+            FuCap::new(Op::Add, DataType::I64),
+            FuCap::new(Op::Mul, DataType::I64),
+        ];
+        let mut adg = mesh(&MeshSpec::general());
+        let mut schedules = Vec::new();
+        let mut rng = Rng::seed_from_u64(0xF1A6);
+        for _ in 0..300 {
+            let mut ctx = TransformCtx {
+                cap_pool: &caps,
+                schedules: &mut schedules,
+                preserving: false,
+            };
+            RuleSet::legacy().apply_random(&mut adg, &mut ctx, &mut rng, 0);
+        }
+        let slots = adg.nodes().last().map_or(0, |(id, _)| id.index() + 1);
+        assert!(adg.node_count() < slots, "no holes in the slot map");
+        assert_eq!(adg.fingerprint(), 0x6a5a_17a7_c143_4f14);
+    }
+
+    #[test]
     fn benign_subset_never_removes_hardware() {
         let set = RuleSet::legacy();
         for &idx in &set.benign {

@@ -19,7 +19,7 @@ use overgen_scheduler::{Schedule, ScheduleFootprint};
 use overgen_telemetry::Rng;
 
 use super::delta::RecordedAdg;
-use super::infer::{footprint_of, removal_footprint, used_edges, used_nodes};
+use super::infer::{footprint_of, removal_footprint, used_edges, used_nodes, NodeFlags};
 use super::{Mutation, Rule, RuleOutcome, TransformCtx};
 
 fn pick<T: Copy>(v: &[T], rng: &mut Rng) -> Option<T> {
@@ -97,10 +97,10 @@ impl Rule for RemovePeRule {
         ctx: &mut TransformCtx<'_>,
         rng: &mut Rng,
     ) -> RuleOutcome {
+        let used = used_nodes(ctx.schedules);
         let mut pes = r.graph().nodes_of_kind(NodeKind::Pe);
         if ctx.preserving {
-            let used = used_nodes(ctx.schedules);
-            pes.retain(|p| !used.contains(p));
+            pes.retain(|p| !used.contains(*p));
         }
         if pes.len() <= 1 {
             return noop();
@@ -108,7 +108,7 @@ impl Rule for RemovePeRule {
         let Some(victim) = pick(&pes, rng) else {
             return noop();
         };
-        let fp = removal_footprint(ctx.schedules, victim);
+        let fp = removal_footprint(&used, victim);
         r.remove_node(victim);
         out(Mutation::RemovePe, fp)
     }
@@ -176,7 +176,7 @@ impl Rule for RemoveSwitchRule {
             let hand = footprint_of(&m, ScheduleFootprint::RemoveUnused);
             out(m, hand)
         } else {
-            let fp = removal_footprint(ctx.schedules, victim);
+            let fp = removal_footprint(&used_nodes(ctx.schedules), victim);
             r.remove_node(victim);
             out(Mutation::RemoveSwitch, fp)
         }
@@ -292,14 +292,14 @@ impl Rule for RemoveEdgeRule {
                     && r.graph().kind(*b) == Some(NodeKind::Switch)
             })
             .collect();
+        let used = used_edges(ctx.schedules);
         if ctx.preserving {
-            let used = used_edges(ctx.schedules);
-            edges.retain(|e| !used.contains(e));
+            edges.retain(|e| !used.contains(*e));
         }
         let Some((a, b)) = pick(&edges, rng) else {
             return noop();
         };
-        let fp = if used_edges(ctx.schedules).contains(&(a, b)) {
+        let fp = if used.contains((a, b)) {
             ScheduleFootprint::Structural
         } else {
             ScheduleFootprint::RemoveUnused
@@ -399,7 +399,7 @@ fn capability_pruning_recorded(r: &mut RecordedAdg<'_>, schedules: &[Schedule]) 
     let used = used_nodes(schedules);
     let mut candidates: Vec<(NodeId, FuCap)> = Vec::new();
     for pe in r.graph().nodes_of_kind(NodeKind::Pe) {
-        if used.contains(&pe) {
+        if used.contains(pe) {
             continue;
         }
         if let Some(p) = r.graph().node(pe).and_then(AdgNode::as_pe) {
@@ -450,7 +450,7 @@ impl Rule for ResizePortRule {
             return noop();
         };
         let grow = rng.gen_bool(0.5);
-        let shrink_blocked = ctx.preserving && used_nodes(ctx.schedules).contains(&port);
+        let shrink_blocked = ctx.preserving && used_nodes(ctx.schedules).contains(port);
         let resized = match r.node_mut(port) {
             Some(AdgNode::InPort(InPortNode { width_bytes, .. }))
             | Some(AdgNode::OutPort(OutPortNode { width_bytes, .. })) => {
@@ -633,22 +633,18 @@ impl Rule for RemoveEngineRule {
             engines.extend(dmas);
         }
         if ctx.preserving {
-            let used: std::collections::BTreeSet<NodeId> = ctx
-                .schedules
-                .iter()
-                .flat_map(|s| s.stream_engines.values().copied())
-                .chain(
-                    ctx.schedules
-                        .iter()
-                        .flat_map(|s| s.assignment.values().copied()),
-                )
-                .collect();
-            engines.retain(|e| !used.contains(e));
+            let used = NodeFlags::of(
+                ctx.schedules
+                    .iter()
+                    .flat_map(|s| s.stream_engines.values().chain(s.assignment.values()))
+                    .copied(),
+            );
+            engines.retain(|e| !used.contains(*e));
         }
         let Some(victim) = pick(&engines, rng) else {
             return noop();
         };
-        let fp = removal_footprint(ctx.schedules, victim);
+        let fp = removal_footprint(&used_nodes(ctx.schedules), victim);
         r.remove_node(victim);
         out(Mutation::RemoveEngine, fp)
     }
@@ -851,8 +847,9 @@ mod tests {
     fn footprints_track_mutation_severity() {
         let (_mdfg, sys, sched) = scheduled_setup();
         let used_pe = sched.assignment.values().copied().next().unwrap();
+        let used_flags = used_nodes(std::slice::from_ref(&sched));
         assert_eq!(
-            removal_footprint(std::slice::from_ref(&sched), used_pe),
+            removal_footprint(&used_flags, used_pe),
             ScheduleFootprint::Structural
         );
         let used = sched.used_adg_nodes();
@@ -863,7 +860,7 @@ mod tests {
             .find(|p| !used.contains(p))
             .expect("default mesh has spare PEs");
         assert_eq!(
-            removal_footprint(std::slice::from_ref(&sched), unused_pe),
+            removal_footprint(&used_flags, unused_pe),
             ScheduleFootprint::RemoveUnused
         );
         // A degenerated mutation is always Pure, whatever its class.

@@ -166,11 +166,11 @@ impl Kind {
     }
 }
 
-/// A decoded store entry, shared read-only between jobs. Serving clones
+/// A decoded store entry, shared read-only between jobs. Serving shares
 /// the outcome and rebuilds the trace with fresh span tokens per use.
 enum Artifact {
     Eval {
-        state: Option<EvalState>,
+        state: Option<Arc<EvalState>>,
         sim: f64,
         ops: Vec<PortableOp>,
         metrics: Vec<(&'static str, MetricSnapshot)>,

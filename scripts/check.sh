@@ -27,8 +27,9 @@
 #                metric names documented, golden phase table from a
 #                deterministic trace, >= 95% eval-time attribution, and a
 #                fresh BENCH_dse.json holding the system sweep under 50%
-#                and schedule + repair under 47% of eval time (plus
-#                synthetic-regression negative tests of both gates)
+#                and schedule + repair under 47% of eval time, and
+#                proposals/s at least half the committed record (plus
+#                synthetic-regression negative tests of all three gates)
 #   sim          simulator fast-path gates: differential oracle (pruned +
 #                cached sweep vs exhaustive) across every workload, the
 #                analytic lower-bound property, oracle mode invisible in
@@ -287,10 +288,13 @@ stage_profile() {
     echo "== profile: DSE throughput record against the committed baseline =="
     # A fresh default-settings run, as results/BENCH_dse.json was made. The
     # nested system sweep must stay a minority of eval time and eval time
-    # stay attributed; throughput only gets a presence check (machines
-    # differ). The scheduler's share (schedule + repair) reads 0.40-0.42
-    # with the per-slot placement tables and 0.52-0.69 with the ordered
-    # maps they replaced, so the band fails a revert.
+    # stay attributed. The scheduler's share (schedule + repair) reads
+    # 0.40-0.42 with the per-slot placement tables and 0.52-0.69 with the
+    # ordered maps they replaced, so the band fails a revert. Throughput
+    # may drop to half the committed record: one ~15 ms run is at the
+    # mercy of host load, and fresh runs of the same build read 0.66-1.5x
+    # the record, so the band catches a halving, not a revert of one
+    # optimization.
     OVERGEN_RESULTS_DIR="$PROF_TMP/bench" OVERGEN_DSE_THREADS=1 \
         cargo run -q --release -p overgen-bench -- dse >/dev/null
     cargo run -q --release -p overgen-bench --bin bench-compare -- \
@@ -298,8 +302,17 @@ stage_profile() {
         max:profile.system_share=0.5 \
         max:profile.scheduler_share=0.47 \
         min:profile.coverage=0.95 \
-        require:proposals_per_sec \
+        max-drop:proposals_per_sec=0.5 \
         || { echo "FAIL: DSE benchmark regressed past the tolerance bands"; exit 1; }
+
+    echo "== profile: injected throughput regression must fail the gate =="
+    sed -e 's/"proposals_per_sec":[0-9.eE+-]*/"proposals_per_sec":1500.0/' \
+        "$PROF_TMP/bench/BENCH_dse.json" > "$PROF_TMP/regressed.json"
+    if cargo run -q --release -p overgen-bench --bin bench-compare -- \
+        results/BENCH_dse.json "$PROF_TMP/regressed.json" \
+        max-drop:proposals_per_sec=0.5 >/dev/null; then
+        echo "FAIL: bench-compare accepted a synthetic throughput regression"; exit 1
+    fi
 
     echo "== profile: injected system-share regression must fail the gate =="
     sed -e 's/"system_share":[0-9.eE+-]*/"system_share":0.96/' \

@@ -4,8 +4,9 @@
 //! MachSuite domain, recorded as a machine-readable throughput baseline:
 //! proposals/sec, acceptance and cache behaviour, and — when the profiler
 //! is on (`OVERGEN_PROFILE`, default) — per-phase wall-time totals with
-//! attribution coverage and the system sweep's and the scheduler's shares
-//! of eval time. The `check.sh profile` stage gates a fresh record with
+//! attribution coverage, the system sweep's share of eval time and the
+//! scheduler's share of eval time outside the sweep. The `check.sh
+//! profile` stage gates a fresh record with
 //! `bench-compare`: coverage and both shares get hard bounds; the
 //! wall-clock numbers only get `require:` presence checks, since absolute
 //! throughput varies across machines.
@@ -35,8 +36,8 @@ pub struct DseReport {
     /// System-DSE sweep time over eval time; `0.0` when the profiler is
     /// off or nothing was evaluated.
     pub system_share: f64,
-    /// Schedule plus repair time over eval time; `0.0` when the profiler
-    /// is off or nothing was evaluated.
+    /// Schedule plus repair time over eval time outside the system sweep;
+    /// `0.0` when the profiler is off or nothing was evaluated.
     pub scheduler_share: f64,
 }
 
@@ -60,12 +61,15 @@ pub fn run() -> DseReport {
                 .map(|&ph| (ph.name(), snap.phase_total_us(ph)))
                 .filter(|(_, us)| *us > 0)
                 .collect();
-            let share = |us: u64| us as f64 / snap.eval_total_us().max(1) as f64;
+            let share = |us: u64, of: u64| us as f64 / of.max(1) as f64;
+            let (eval, system) = (snap.eval_total_us(), snap.phase_total_us(Phase::SystemDse));
+            let scheduler =
+                snap.phase_total_us(Phase::Schedule) + snap.phase_total_us(Phase::Repair);
             (
                 totals,
                 snap.coverage(),
-                share(snap.phase_total_us(Phase::SystemDse)),
-                share(snap.phase_total_us(Phase::Schedule) + snap.phase_total_us(Phase::Repair)),
+                share(system, eval),
+                share(scheduler, eval.saturating_sub(system)),
             )
         }
         None => (Vec::new(), 1.0, 0.0, 0.0),
@@ -152,7 +156,7 @@ pub fn render(r: &DseReport) -> String {
         format!("{:.1}%", r.system_share * 100.0),
     ]);
     t.row([
-        "scheduler share of eval".into(),
+        "scheduler share of eval outside sweep".into(),
         format!("{:.1}%", r.scheduler_share * 100.0),
     ]);
     format!(

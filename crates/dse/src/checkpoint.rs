@@ -64,7 +64,7 @@ pub struct CheckpointConfig {
 /// of the run and a crash loses at most about a second of search (or
 /// `interval` proposals, if those take longer). Graceful stops always
 /// write.
-pub(crate) const MIN_WRITE_GAP: Duration = Duration::from_secs(1);
+pub const MIN_WRITE_GAP: Duration = Duration::from_secs(1);
 
 impl CheckpointConfig {
     /// Checkpoint to `path` every 25 proposals.

@@ -15,7 +15,9 @@
 //! results fold in workload-name order, and a cache hit replays the stored
 //! trace and merges the stored metric deltas, so hits and misses are
 //! observationally identical. The objective is folded into every cache key
-//! through the run's config hash.
+//! through the run's config hash. A run that starts with no collector and
+//! no store could never replay a trace, so its evaluations record none:
+//! they run under a counting collector that keeps only the metric deltas.
 //!
 //! This module also hosts the [`ParetoFront`] tracker: the set of
 //! non-dominated (IPC, accelerator-resource) points the search has
@@ -28,7 +30,8 @@ use std::time::Instant;
 
 use overgen_telemetry::profile::{elapsed_us, PhaseTimer};
 use overgen_telemetry::{
-    capture, capture_isolated, current_profiler, event, replay, Counter, Phase, Profiler, Registry,
+    capture, capture_isolated, count_isolated, current_profiler, event, replay, CapturedTrace,
+    Counter, Phase, Profiler, Registry,
 };
 
 use overgen_adg::{Adg, StableHasher, SysAdg, SystemParams};
@@ -44,7 +47,7 @@ use overgen_scheduler::{
 
 use crate::cache::{hash_placement, hash_schedule, Memo};
 use crate::engine::DseConfig;
-use crate::system::{system_dse, system_dse_sim, SystemDseBackend};
+use crate::system::{estimate_sweep, system_dse_sim, ScoreTables, SystemDseBackend};
 
 /// Structured outcome of one successful proposal evaluation: everything an
 /// [`Objective`](crate::Objective) may want to score, plus the artifacts
@@ -135,6 +138,11 @@ pub(crate) struct EvalPipeline<'a> {
     cache_system_miss: Counter,
     eval_cache: Memo<CachedEval>,
     sys_cache: Memo<CachedSystem>,
+    /// Estimate scores shared by every system sweep of the run.
+    score_tables: ScoreTables,
+    /// Whether evaluations record their trace ops: only when something
+    /// can replay them, a collector (now) or a store (later jobs).
+    record: bool,
     cfg_hash: u64,
     /// Domain discriminator folded into persistent-store keys only (the
     /// full mDFG variant set; see [`EvalPipeline::new`]).
@@ -199,6 +207,8 @@ impl<'a> EvalPipeline<'a> {
             cache_system_miss: run_registry.counter("dse.cache.system_miss"),
             eval_cache,
             sys_cache,
+            score_tables: ScoreTables::default(),
+            record: overgen_telemetry::current().is_some() || cfg.store.is_some(),
             cfg_hash,
             store_salt,
             cache_enabled: cfg.cache,
@@ -281,11 +291,17 @@ impl<'a> EvalPipeline<'a> {
             // set-up until the closure starts, its packaging from the
             // moment the closure returns.
             let setup_timer = self.phase(Phase::Memo, footprint.name());
-            let ((out, packaging_timer), trace, registry) = capture_isolated(|| {
+            let eval = || {
                 drop(setup_timer);
                 let out = self.evaluate_uncached(adg, prior, footprint, scope);
                 (out, self.phase(Phase::Memo, footprint.name()))
-            });
+            };
+            let ((out, packaging_timer), trace, registry) = if self.record {
+                capture_isolated(eval)
+            } else {
+                let (out, registry) = count_isolated(eval);
+                (out, CapturedTrace::default(), registry)
+            };
             drop(packaging_timer);
             let (state, sim) = out;
             CachedEval {
@@ -346,8 +362,8 @@ impl<'a> EvalPipeline<'a> {
     /// One full evaluation (Figure 6 steps 2-3): gate on the objective's
     /// hard resource budget, schedule or repair every workload in
     /// workload-name order, then run the nested system DSE and score the
-    /// report. Always runs under an isolated capture collector (see
-    /// [`capture_isolated`]).
+    /// report. Always runs under an isolated collector (see
+    /// [`capture_isolated`] and [`count_isolated`]).
     ///
     /// Every workload is processed even after one fails: each one's repair
     /// events and simulated-time charges are part of the recorded trace.
@@ -365,8 +381,8 @@ impl<'a> EvalPipeline<'a> {
             return (None, sim);
         }
 
-        let eval_collector =
-            overgen_telemetry::current().expect("evaluate_uncached runs under capture_isolated");
+        let eval_collector = overgen_telemetry::current()
+            .expect("evaluate_uncached runs under an isolated collector");
 
         // Hard feasibility gate: under a budgeted objective an oversized
         // accelerator is rejected before any scheduling or system-DSE work
@@ -459,7 +475,13 @@ impl<'a> EvalPipeline<'a> {
                             .iter()
                             .map(|(m, s, w)| (*m, &s.placement, *w))
                             .collect();
-                        system_dse(adg, &per, self.model, &self.cfg.system, 1)
+                        estimate_sweep(
+                            adg,
+                            &per,
+                            self.model,
+                            &self.cfg.system,
+                            Some(&self.score_tables),
+                        )
                     }
                     // Simulator-backed scoring needs the full schedule
                     // (stream-to-engine bindings), not just the placement.

@@ -58,7 +58,7 @@ mod rewrite;
 mod store;
 mod system;
 
-pub use checkpoint::{Checkpoint, CheckpointConfig};
+pub use checkpoint::{Checkpoint, CheckpointConfig, MIN_WRITE_GAP};
 pub use engine::{Dse, DseConfig, DseError, DseResult, DseStats, StopFlag};
 pub use eval::{EvalReport, ParetoFront, ParetoPoint};
 pub use heartbeat::HeartbeatConfig;

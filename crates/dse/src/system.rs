@@ -3,6 +3,9 @@
 //! under the FPGA resource budget; "it is relatively inexpensive to nest
 //! system DSE inside of spatial DSE".
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
 use overgen_adg::{Adg, SystemParams};
 use overgen_mdfg::Mdfg;
 use overgen_model::resources::FpgaDevice;
@@ -71,6 +74,14 @@ impl Default for SystemDseConfig {
 }
 
 impl SystemDseConfig {
+    /// How many grid points the sweep walks.
+    fn len(&self) -> usize {
+        self.max_tiles as usize
+            * self.l2_banks_grid.len()
+            * self.l2_kb_grid.len()
+            * self.noc_bw_grid.len()
+    }
+
     /// Every grid point with `tiles` tiles, in canonical sweep order
     /// (L2 banks, then L2 capacity, then NoC bandwidth).
     fn points(&self, tiles: u32) -> impl Iterator<Item = SystemParams> + '_ {
@@ -104,26 +115,88 @@ trait Scorer {
         None
     }
 
-    /// The point's score (weighted geomean IPC over the workloads).
-    fn score(&mut self, sys: &SystemParams) -> f64;
+    /// The score (weighted geomean IPC over the workloads) of `sys`, the
+    /// `index`th point of the canonical walk (see [`sweep`]).
+    fn score(&mut self, index: usize, sys: &SystemParams) -> f64;
 }
 
-/// Scores from the precompiled closed-form estimate ([`PerfSummary`]).
-struct Estimate {
+/// Scores from the precompiled closed-form estimate ([`PerfSummary`]),
+/// looked up in and filled into a [`ScoreTables`] table when there is one.
+struct Estimate<'t> {
     perf: Vec<(PerfSummary, f64)>,
     spad_bw: f64,
     ipcs: Vec<(f64, f64)>,
+    table: Option<&'t mut [Option<f64>]>,
 }
 
-impl Scorer for Estimate {
-    fn score(&mut self, sys: &SystemParams) -> f64 {
+impl Scorer for Estimate<'_> {
+    fn score(&mut self, index: usize, sys: &SystemParams) -> f64 {
+        if let Some(score) = self.table.as_ref().and_then(|t| t[index]) {
+            return score;
+        }
         self.ipcs.clear();
         self.ipcs.extend(
             self.perf
                 .iter()
                 .map(|(p, w)| (p.estimate(sys, self.spad_bw).ipc, *w)),
         );
-        weighted_geomean_ipc(&self.ipcs)
+        let score = weighted_geomean_ipc(&self.ipcs);
+        if let Some(t) = self.table.as_mut() {
+            t[index] = Some(score);
+        }
+        score
+    }
+}
+
+/// Estimate scores shared by the sweeps of one run. A point's score
+/// depends only on every workload's [`PerfSummary`] and weight and on the
+/// tile's scratchpad bandwidth; the tile's resources only decide which
+/// points fit. So each distinct score input gets one table, one score per
+/// grid point in canonical walk order (see [`sweep`]), filled on the point's
+/// first feasible visit, and every later sweep with that input reads it
+/// back whatever its tile. The key is the input's exact bits plus the grid
+/// (which maps walk positions to points), compared whole: `-0.0` and
+/// `0.0`, or two bandwidths one ulp apart, get separate tables. Scores are
+/// pure functions of the key, so which chain fills a slot first never
+/// changes a value.
+#[derive(Default)]
+pub(crate) struct ScoreTables {
+    tables: Mutex<HashMap<Vec<u64>, ScoreTable>>,
+}
+
+/// One score per walk position, `None` until the position is scored.
+type ScoreTable = Arc<Mutex<Vec<Option<f64>>>>;
+
+impl ScoreTables {
+    /// The table of one score input, created empty on first use.
+    fn table(
+        &self,
+        perf: &[(PerfSummary, f64)],
+        spad_bw: f64,
+        cfg: &SystemDseConfig,
+    ) -> ScoreTable {
+        let mut key = Vec::with_capacity(128);
+        key.extend([spad_bw.to_bits(), perf.len() as u64]);
+        for (p, w) in perf {
+            p.key_bits(&mut key);
+            key.push(w.to_bits());
+        }
+        key.extend([u64::from(cfg.max_tiles), u64::from(cfg.dram_channels)]);
+        for grid in [&cfg.l2_banks_grid, &cfg.l2_kb_grid, &cfg.noc_bw_grid] {
+            key.push(grid.len() as u64);
+            key.extend(grid.iter().map(|&v| u64::from(v)));
+        }
+        let mut tables = self.tables.lock().unwrap();
+        let table = tables
+            .entry(key)
+            .or_insert_with(|| Arc::new(Mutex::new(vec![None; cfg.len()])));
+        Arc::clone(table)
+    }
+
+    /// How many tables exist.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.tables.lock().unwrap().len()
     }
 }
 
@@ -153,7 +226,7 @@ impl Scorer for Simulate {
         Some(weighted_geomean_ipc(&self.scores))
     }
 
-    fn score(&mut self, sys: &SystemParams) -> f64 {
+    fn score(&mut self, _index: usize, sys: &SystemParams) -> f64 {
         let _t = (!self.shadow).then(|| maybe_phase(Phase::Simulate, NO_CLASS));
         self.scores.clear();
         for (batch, &w) in self.batches.iter_mut().zip(&self.weights) {
@@ -188,6 +261,7 @@ fn sweep(cfg: &SystemDseConfig, tile: &ResourceBreakdown, scorer: &mut impl Scor
     let mut s = Sweep::default();
     for tiles in 1..=cfg.max_tiles {
         for sys in cfg.points(tiles) {
+            let index = s.candidates as usize;
             s.candidates += 1;
             if !cfg.fits(tile, &sys) {
                 s.over_budget += 1;
@@ -200,7 +274,7 @@ fn sweep(cfg: &SystemDseConfig, tile: &ResourceBreakdown, scorer: &mut impl Scor
                 }
             }
             s.admitted += 1;
-            let score = scorer.score(&sys);
+            let score = scorer.score(index, &sys);
             if beats(&s.best, &sys, score) {
                 s.best = Some((sys, score));
             }
@@ -228,14 +302,31 @@ pub fn system_dse(
     cfg: &SystemDseConfig,
     _threads: usize,
 ) -> Option<(SystemParams, f64)> {
+    estimate_sweep(adg, per_workload, model, cfg, None)
+}
+
+/// [`system_dse`], reading and filling `tables` when given: the same
+/// winner, score bits and `dse.system` event either way.
+pub(crate) fn estimate_sweep(
+    adg: &Adg,
+    per_workload: &[(&Mdfg, &Placement, f64)],
+    model: &dyn ResourceModel,
+    cfg: &SystemDseConfig,
+    tables: Option<&ScoreTables>,
+) -> Option<(SystemParams, f64)> {
     let _span = span!("dse.system", max_tiles = cfg.max_tiles);
+    let perf: Vec<(PerfSummary, f64)> = per_workload
+        .iter()
+        .map(|(m, p, w)| (PerfSummary::new(m, p), *w))
+        .collect();
+    let spad_bw = spad_bandwidth(adg);
+    let table = tables.map(|t| t.table(&perf, spad_bw, cfg));
+    let mut guard = table.as_ref().map(|t| t.lock().unwrap());
     let mut scorer = Estimate {
-        perf: per_workload
-            .iter()
-            .map(|(m, p, w)| (PerfSummary::new(m, p), *w))
-            .collect(),
-        spad_bw: spad_bandwidth(adg),
+        perf,
+        spad_bw,
         ipcs: Vec::with_capacity(per_workload.len()),
+        table: guard.as_deref_mut().map(Vec::as_mut_slice),
     };
     let s = sweep(cfg, &tile_breakdown(adg, model), &mut scorer);
     system_event(&s, &[]);
@@ -245,7 +336,7 @@ pub fn system_dse(
 /// Emit a sweep's `dse.system` event: its budget tallies, the backend's
 /// `extra` tallies, then the winner or `feasible = false`.
 fn system_event(s: &Sweep, extra: &[(&str, FieldValue)]) {
-    let Some(c) = overgen_telemetry::current() else {
+    let Some(c) = overgen_telemetry::current().filter(|c| c.records()) else {
         return;
     };
     let mut fields = vec![
@@ -466,11 +557,13 @@ mod tests {
         (out, ring.to_jsonl())
     }
 
-    /// The precompiled sweep against the per-point oracle over generated
-    /// domains: the seed meshes plus seeded rewrite chains of them, the
-    /// analytic and a trained MLP resource model, the default grid, a
-    /// custom grid and a device too small for one tile. Winner, score bits
-    /// and the `dse.system` event must agree.
+    /// The precompiled sweep, untabled and tabled, against the per-point
+    /// oracle over generated domains: the seed meshes plus seeded rewrite
+    /// chains of them, the analytic and a trained MLP resource model, the
+    /// default grid, a custom grid and a device too small for one tile.
+    /// Winner, score bits and the `dse.system` event must agree. One set of
+    /// score tables serves every ADG, so later tiles read scores that
+    /// earlier tiles filled at a different feasibility.
     #[test]
     fn precompiled_sweep_matches_the_per_point_oracle() {
         let kernels_mdfgs = [fir_mdfg(1), fir_mdfg(2), mdfg(1024, 1), mdfg(65536, 4)];
@@ -546,6 +639,8 @@ mod tests {
         };
         let grids = [SystemDseConfig::default(), custom, tiny];
 
+        let tables = ScoreTables::default();
+        let mut sweeps = 0;
         let mut feasible = 0;
         let mut infeasible = 0;
         for (a, adg) in adgs.iter().enumerate() {
@@ -558,17 +653,53 @@ mod tests {
                         None => infeasible += 1,
                     }
                     let label = format!("adg {a} model {mi} grid {gi}");
+                    let bits = |r: Option<(SystemParams, f64)>| r.map(|(s, v)| (s, v.to_bits()));
                     let (got, got_trace) = traced(|| system_dse(adg, per, *model, cfg, 1));
-                    assert_eq!(
-                        want.map(|(s, v)| (s, v.to_bits())),
-                        got.map(|(s, v)| (s, v.to_bits())),
-                        "{label}"
-                    );
+                    assert_eq!(bits(want), bits(got), "{label}");
                     assert_eq!(want_trace, got_trace, "{label}");
+                    let (tabled, tabled_trace) =
+                        traced(|| estimate_sweep(adg, per, *model, cfg, Some(&tables)));
+                    assert_eq!(bits(want), bits(tabled), "{label} tabled");
+                    assert_eq!(want_trace, tabled_trace, "{label} tabled");
+                    sweeps += 1;
                 }
             }
         }
         assert!(feasible > 0 && infeasible > 0, "{feasible} / {infeasible}");
+        assert!(
+            tables.len() < sweeps,
+            "{} tables for {sweeps} sweeps",
+            tables.len()
+        );
+    }
+
+    /// Table keys are exact bits: inputs that `==` or a rounding would
+    /// merge still get separate tables, and only an identical input shares
+    /// one.
+    #[test]
+    fn score_tables_key_on_exact_bits() {
+        let m = fir_mdfg(2);
+        let perf = vec![(PerfSummary::new(&m, &Placement::from_prefs(&m)), 1.0)];
+        let cfg = SystemDseConfig::default();
+        let tables = ScoreTables::default();
+        let at = |spad_bw: f64, weight: f64| {
+            let perf: Vec<_> = perf.iter().map(|(p, _)| (p.clone(), weight)).collect();
+            tables.table(&perf, spad_bw, &cfg)
+        };
+        let base = at(64.0, 1.0);
+        assert!(Arc::ptr_eq(&base, &at(64.0, 1.0)));
+        assert_eq!(tables.len(), 1);
+        assert!(!Arc::ptr_eq(&at(0.0, 1.0), &at(-0.0, 1.0)));
+        assert!(!Arc::ptr_eq(&base, &at(64.0f64.next_up(), 1.0)));
+        assert!(!Arc::ptr_eq(&base, &at(64.0, 1.0f64.next_up())));
+        let other_grid = SystemDseConfig {
+            noc_bw_grid: vec![32],
+            ..SystemDseConfig::default()
+        };
+        let narrow = tables.table(&perf, 64.0, &other_grid);
+        assert_eq!(narrow.lock().unwrap().len(), 256);
+        assert_eq!(base.lock().unwrap().len(), 512);
+        assert_eq!(tables.len(), 6);
     }
 
     fn mdfg(n: u64, unroll: u32) -> Mdfg {

@@ -135,6 +135,28 @@ impl PerfSummary {
         }
         self.demand.estimate(sys, spad_bw_total, cons_dram)
     }
+
+    /// Append the summary's exact bits to `key`, so that equal keys mean
+    /// bit-identical [`PerfSummary::estimate`]s at every system point.
+    /// Unlike `==`, it tells `-0.0` from `0.0`. The L2 stream count leads
+    /// the streams, so keys of several summaries concatenate unambiguously.
+    pub fn key_bits(&self, key: &mut Vec<u64>) {
+        let d = &self.demand;
+        key.extend([
+            u64::from(d.sequential),
+            d.insts.to_bits(),
+            d.cons_spad.to_bits(),
+            d.cons_l2.to_bits(),
+            self.l2_streams.len() as u64,
+        ]);
+        for s in &self.l2_streams {
+            key.extend([
+                s.residual.to_bits(),
+                s.footprint_bytes.to_bits(),
+                s.scratchpad_benefit.to_bits(),
+            ]);
+        }
+    }
 }
 
 /// Tiles that run the region in parallel: cross-iteration (sequential)
@@ -697,6 +719,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn key_bits_tell_signed_zeros_apart() {
+        let (m, placement) = every_branch_mdfg(false, 6);
+        let a = PerfSummary::new(&m, &placement);
+        let key = |s: &PerfSummary| {
+            let mut k = Vec::new();
+            s.key_bits(&mut k);
+            k
+        };
+        assert_eq!(key(&a), key(&a.clone()));
+        // `==` cannot see a signed zero; the key does.
+        let mut zero = a.clone();
+        zero.demand.cons_spad = 0.0;
+        let mut neg_zero = zero.clone();
+        neg_zero.demand.cons_spad = -0.0;
+        assert_eq!(zero, neg_zero);
+        assert_ne!(key(&zero), key(&neg_zero));
+        // The stream count prefixes the streams.
+        let mut fewer = a.clone();
+        fewer.l2_streams.pop();
+        assert_eq!(key(&a).len(), key(&fewer).len() + 3);
+        assert_ne!(key(&a)[..key(&fewer).len()], key(&fewer)[..]);
     }
 
     #[test]

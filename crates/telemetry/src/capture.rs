@@ -187,10 +187,10 @@ pub(crate) fn next_token() -> u64 {
 /// restored), so capturing inline on the coordinating thread and capturing
 /// on a fresh worker thread record identical operations.
 ///
-/// When `parent` is `None` (telemetry disabled), `f` runs bare and the
-/// trace is empty.
+/// When `parent` is `None` (telemetry disabled) or records nothing (a
+/// [`count_isolated`] collector), `f` runs bare and the trace is empty.
 pub fn capture<T>(parent: Option<&Arc<Collector>>, f: impl FnOnce() -> T) -> (T, CapturedTrace) {
-    let Some(parent) = parent else {
+    let Some(parent) = parent.filter(|p| p.records()) else {
         return (f(), CapturedTrace::default());
     };
     let cap = Collector::capture(parent.registry().clone());
@@ -230,6 +230,19 @@ pub fn capture_isolated<T>(f: impl FnOnce() -> T) -> (T, CapturedTrace, crate::R
         },
         registry,
     )
+}
+
+/// Like [`capture_isolated`] for a caller that can never replay the trace:
+/// `f` runs under a counting collector with a fresh registry, so every
+/// metric update lands in the returned registry, but no event or span is
+/// recorded, nor are their fields built.
+pub fn count_isolated<T>(f: impl FnOnce() -> T) -> (T, crate::Registry) {
+    let cap = Collector::counting(crate::Registry::new());
+    let out = {
+        let _install = crate::install(cap.clone());
+        f()
+    };
+    (out, cap.registry().clone())
 }
 
 /// Replay a captured trace into this thread's current collector,
@@ -430,6 +443,34 @@ mod tests {
         let ((), t, reg) = capture_isolated(work);
         assert!(!t.is_empty());
         assert_eq!(reg.counter_value("eval.n"), 1);
+    }
+
+    #[test]
+    fn counting_collector_builds_no_fields_but_counts() {
+        let built = std::cell::Cell::new(0u64);
+        let field = || {
+            built.set(built.get() + 1);
+            1u64
+        };
+        let ((), reg) = count_isolated(|| {
+            event!("count.event", x = field());
+            let _s = span!("count.span", y = field());
+            let current = crate::current().unwrap();
+            assert!(!current.records());
+            let ((), inner) = capture(Some(&current), || {
+                event!("count.inner", z = field());
+                crate::current()
+                    .unwrap()
+                    .registry()
+                    .counter("count.n")
+                    .inc();
+            });
+            assert!(inner.is_empty());
+            current.registry().counter("count.n").add(2);
+        });
+        assert_eq!(built.get(), 0, "a field expression was evaluated");
+        assert_eq!(reg.counter_value("count.n"), 3);
+        assert!(crate::current().is_none());
     }
 
     #[test]

@@ -41,8 +41,10 @@
 //! assert_eq!(ring.len(), 3); // accept event, span close, metrics snapshot
 //! ```
 //!
-//! When no collector is installed, `span!`/`event!` are cheap no-ops, so
-//! library crates instrument unconditionally and binaries opt in.
+//! When no collector is installed, or the installed one records nothing
+//! (see [`count_isolated`]), `span!`/`event!` are cheap no-ops that do not
+//! even evaluate their field expressions, so library crates instrument
+//! unconditionally and binaries opt in.
 
 pub mod capture;
 pub mod clock;
@@ -59,7 +61,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-pub use capture::{capture, capture_isolated, replay, CapturedTrace, PortableOp};
+pub use capture::{capture, capture_isolated, count_isolated, replay, CapturedTrace, PortableOp};
 pub use clock::{Clock, ClockMode};
 pub use metrics::{Counter, Gauge, Histogram, MetricKind, MetricSnapshot, Registry};
 pub use profile::{
@@ -144,11 +146,13 @@ fn push_fields(mut obj: Obj, fields: &[(&str, FieldValue)]) -> Obj {
 }
 
 /// Where a collector's events go: straight to a [`Sink`] (stamped with
-/// `seq`/`t` at emit time) or into an in-memory capture buffer to be
-/// re-stamped later by [`replay`].
+/// `seq`/`t` at emit time), into an in-memory capture buffer to be
+/// re-stamped later by [`replay`], or nowhere (a counting collector keeps
+/// only its registry).
 enum Backend {
     Sink(Arc<dyn Sink>),
     Capture(Mutex<Vec<CaptureOp>>),
+    Discard,
 }
 
 /// The telemetry hub: a metrics [`Registry`], a [`Sink`] for JSONL events,
@@ -184,19 +188,35 @@ impl Collector {
     /// A capture collector recording ops instead of stamping lines; shares
     /// `registry` with its parent so metric updates land directly.
     pub(crate) fn capture(registry: Registry) -> Arc<Self> {
+        Collector::with_backend(registry, Backend::Capture(Mutex::new(Vec::new())))
+    }
+
+    /// A counting collector: metric updates land in `registry`, events and
+    /// spans are dropped before their fields are built.
+    pub(crate) fn counting(registry: Registry) -> Arc<Self> {
+        Collector::with_backend(registry, Backend::Discard)
+    }
+
+    fn with_backend(registry: Registry, backend: Backend) -> Arc<Self> {
         Arc::new(Collector {
             registry,
-            backend: Backend::Capture(Mutex::new(Vec::new())),
+            backend,
             clock: Clock::new(ClockMode::Deterministic),
             seq: AtomicU64::new(0),
         })
     }
 
-    /// Drain the capture buffer (empty for sink-backed collectors).
+    /// Whether events and spans emitted here are kept (written or
+    /// captured). `false` only for a counting collector.
+    pub fn records(&self) -> bool {
+        !matches!(self.backend, Backend::Discard)
+    }
+
+    /// Drain the capture buffer (empty for other collectors).
     pub(crate) fn take_ops(&self) -> Vec<CaptureOp> {
         match &self.backend {
-            Backend::Sink(_) => Vec::new(),
             Backend::Capture(ops) => std::mem::take(&mut ops.lock().unwrap()),
+            Backend::Sink(_) | Backend::Discard => Vec::new(),
         }
     }
 
@@ -249,6 +269,7 @@ impl Collector {
                 kind: kind.to_string(),
                 fields: capture::own_fields(fields),
             }),
+            Backend::Discard => {}
         }
     }
 
@@ -263,6 +284,7 @@ impl Collector {
                 sink.write_line(&line);
             }
             Backend::Capture(ops) => ops.lock().unwrap().push(CaptureOp::Metrics),
+            Backend::Discard => {}
         }
     }
 
@@ -304,10 +326,11 @@ impl Collector {
 
     /// Span-enter hook: for a sink backend, returns the start timestamp
     /// (consuming one clock tick); for capture, records the open and
-    /// returns the matching token.
+    /// returns the matching token. Spans never open on a counting
+    /// collector ([`SpanGuard::enter`] checks [`Collector::records`]).
     pub(crate) fn span_open(&self) -> u64 {
         match &self.backend {
-            Backend::Sink(_) => self.now(),
+            Backend::Sink(_) | Backend::Discard => self.now(),
             Backend::Capture(ops) => {
                 let token = capture::next_token();
                 ops.lock().unwrap().push(CaptureOp::SpanOpen { token });
@@ -336,6 +359,7 @@ impl Collector {
                 rel_depth: depth,
                 fields: capture::own_fields(fields),
             }),
+            Backend::Discard => {}
         }
     }
 
@@ -362,6 +386,7 @@ impl Collector {
                     other => other.clone(),
                 }));
             }
+            Backend::Discard => {}
         }
     }
 }
@@ -396,8 +421,9 @@ pub fn current() -> Option<Arc<Collector>> {
     INSTALLED.with(|s| s.borrow().last().cloned())
 }
 
-/// Emit a structured event against the current collector (no-op when none
-/// is installed):
+/// Emit a structured event against the current collector (no-op, with the
+/// field expressions unevaluated, when none is installed or it records
+/// nothing):
 ///
 /// ```
 /// # use overgen_telemetry::event;
@@ -406,7 +432,7 @@ pub fn current() -> Option<Arc<Collector>> {
 #[macro_export]
 macro_rules! event {
     ($kind:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        if let Some(__c) = $crate::current() {
+        if let Some(__c) = $crate::current().filter(|c| c.records()) {
             __c.emit(
                 $kind,
                 &[$((stringify!($key), $crate::FieldValue::from($value))),*],
@@ -417,14 +443,14 @@ macro_rules! event {
 
 /// Open a span; the returned guard records a `span` event when dropped.
 /// Bind it — `let _span = span!("dse.iteration", iter = i);` — or the span
-/// closes immediately.
+/// closes immediately. The field expressions are evaluated only when the
+/// current collector records.
 #[macro_export]
 macro_rules! span {
     ($name:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        $crate::SpanGuard::enter(
-            $name,
-            vec![$((stringify!($key), $crate::FieldValue::from($value))),*],
-        )
+        $crate::SpanGuard::enter($name, || {
+            vec![$((stringify!($key), $crate::FieldValue::from($value))),*]
+        })
     };
 }
 

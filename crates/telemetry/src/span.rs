@@ -41,7 +41,8 @@ impl Drop for DepthResetGuard {
 }
 
 /// RAII guard for an open span. Emits the `span` event on drop. A guard
-/// created while no collector is installed is a no-op.
+/// created while no collector is installed, or while the installed one
+/// records nothing, is a no-op.
 #[must_use = "a span closes (and is recorded) when its guard drops"]
 pub struct SpanGuard {
     inner: Option<SpanInner>,
@@ -58,10 +59,14 @@ struct SpanInner {
 }
 
 impl SpanGuard {
-    /// Open a span against the currently installed collector (if any).
-    /// Prefer the [`span!`](crate::span!) macro.
-    pub fn enter(name: &'static str, fields: Vec<(&'static str, FieldValue)>) -> SpanGuard {
-        match crate::current() {
+    /// Open a span against the currently installed collector (if any and
+    /// it records); `fields` runs only then. Prefer the
+    /// [`span!`](crate::span!) macro.
+    pub fn enter(
+        name: &'static str,
+        fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>,
+    ) -> SpanGuard {
+        match crate::current().filter(|c| c.records()) {
             Some(collector) => {
                 let depth = DEPTH.with(|d| {
                     let v = d.get();
@@ -75,7 +80,7 @@ impl SpanGuard {
                         name,
                         depth,
                         handle,
-                        fields,
+                        fields: fields(),
                     }),
                 }
             }

@@ -15,8 +15,9 @@
 #   checkpoint   resume-equivalence gates: interrupted-then-resumed runs
 #                reproduce results, stats, and traces bit-identically,
 #                checkpoint and store files match their pinned byte
-#                digests, and the kill-and-resume bench stays under the
-#                overhead budget
+#                digests, and the kill-and-resume bench writes no more
+#                often than the write gap allows, at a bounded cost of one
+#                write (plus a synthetic-regression negative test)
 #   bench        bench harness end to end: trace diffs across chain worker
 #                counts and repair modes, BENCH_repair.json speedup record
 #   objectives   evaluation-pipeline gates: default objective byte-identical
@@ -26,9 +27,10 @@
 #   profile      observability gates: profiler + heartbeat trace-invisible,
 #                metric names documented, golden phase table from a
 #                deterministic trace, >= 95% eval-time attribution, and a
-#                fresh BENCH_dse.json holding the system sweep under 50%
-#                and schedule + repair under 47% of eval time, and
-#                proposals/s at least half the committed record (plus
+#                fresh 480-proposal BENCH_dse.json holding the system
+#                sweep under 50% of eval time, schedule + repair under
+#                0.60 of eval time outside the sweep, and proposals/s
+#                at least half the committed record (plus
 #                synthetic-regression negative tests of all three gates)
 #   sim          simulator fast-path gates: differential oracle (pruned +
 #                cached sweep vs exhaustive) across every workload, the
@@ -119,7 +121,7 @@ stage_checkpoint() {
     echo "== checkpoint: checkpoint and store bytes match the pinned digests =="
     cargo test -q --test codec_equivalence
 
-    echo "== checkpoint: kill-and-resume bench, write overhead < 5% =="
+    echo "== checkpoint: kill-and-resume bench, write count and cost of a write =="
     if [ -n "${CHECK_TRACE_DIR:-}" ]; then
         CK_TMP=$CHECK_TRACE_DIR/checkpoint
         mkdir -p "$CK_TMP"
@@ -133,13 +135,40 @@ stage_checkpoint() {
         || { echo "FAIL: kill-and-resume diverged from the uninterrupted run"; exit 1; }
     grep -q '"checkpoint_invisible":true' "$CK_TMP/BENCH_checkpoint.json" \
         || { echo "FAIL: checkpoint writes perturbed the run"; exit 1; }
-    awk 'match($0, /"overhead_pct":[0-9.]+/) {
-            pct = substr($0, RSTART + 15, RLENGTH - 15)
-            if (pct + 0 >= 5.0) { print "FAIL: checkpoint overhead " pct "% >= 5%"; exit 1 }
-            found = 1
-         }
-         END { if (!found) { print "FAIL: overhead_pct missing"; exit 1 } }' \
-        "$CK_TMP/BENCH_checkpoint.json"
+    # The gate measures the writes, not the run they share: the run keeps
+    # getting shorter while one fsync'd write does not, so a share of wall
+    # time failed clean runs. Periodic writes must keep MIN_WRITE_GAP apart
+    # (writes <= max_writes: one per full gap of wall time plus the final
+    # write), and one write (save_us, the fastest of five re-saves of the
+    # run's checkpoint) must take under 5 ms. On a 2-vCPU VM save_us reads
+    # 0.3-0.6 ms, while single in-run writes behind an fsync stall of the
+    # shared disk took 44 and 83 ms. overhead_pct stays in the record,
+    # ungated.
+    check_writes "$CK_TMP/BENCH_checkpoint.json"
+
+    echo "== checkpoint: injected extra write must fail the gate =="
+    awk '{ if (match($0, /"max_writes":[0-9]+/)) m = substr($0, RSTART + 13, RLENGTH - 13) + 0
+           sub(/"writes":[0-9]+/, "\"writes\":" (m + 1)); print }' \
+        "$CK_TMP/BENCH_checkpoint.json" > "$CK_TMP/regressed.json"
+    if check_writes "$CK_TMP/regressed.json" >/dev/null; then
+        echo "FAIL: the write gate accepted more writes than the gap allows"; exit 1
+    fi
+}
+
+# Gate a BENCH_checkpoint.json record: write count within the gap's
+# allowance, the cost of one write under the bound.
+check_writes() {
+    awk -v bound=5000 '
+        function num(k) {
+            if (!match($0, "\"" k "\":[0-9.eE+-]+")) { print "FAIL: " k " missing"; exit 1 }
+            return substr($0, RSTART + length(k) + 3, RLENGTH - length(k) - 3) + 0
+        }
+        {
+            w = num("writes"); m = num("max_writes"); us = num("save_us")
+            if (w > m) { print "FAIL: " w " checkpoint writes where the write gap allows " m; exit 1 }
+            if (us >= bound) { print "FAIL: a checkpoint write took " us " us (bound " bound ")"; exit 1 }
+            print "checkpoint: " w " write(s) of " m " allowed, " us " us each, " num("overhead_pct") "% of wall"
+        }' "$1"
 }
 
 stage_bench() {
@@ -286,21 +315,23 @@ stage_profile() {
         "$PROF_TMP/dse.profile.json"
 
     echo "== profile: DSE throughput record against the committed baseline =="
-    # A fresh default-settings run, as results/BENCH_dse.json was made. The
-    # nested system sweep must stay a minority of eval time and eval time
-    # stay attributed. The scheduler's share (schedule + repair) reads
-    # 0.40-0.42 with the per-slot placement tables and 0.52-0.69 with the
-    # ordered maps they replaced, so the band fails a revert. Throughput
-    # may drop to half the committed record: one ~15 ms run is at the
-    # mercy of host load, and fresh runs of the same build read 0.66-1.5x
-    # the record, so the band catches a halving, not a revert of one
+    # A fresh 480-proposal run, as results/BENCH_dse.json was made: one
+    # 60-proposal run held ~9 ms of eval, where one preemption moved a
+    # share by tens of points. The nested system sweep must stay a minority
+    # of eval time and eval time stay attributed. The scheduler's share is
+    # schedule + repair over eval time outside the sweep, so a faster sweep
+    # does not raise it. On a 2-vCPU VM it reads 0.51-0.58 with the
+    # per-slot placement tables (130 runs) and 0.62-0.69 with the ordered
+    # maps they replaced (40 runs), so the band fails a revert. Throughput
+    # may drop to half the committed record: a short run is at the mercy
+    # of host load, so the band catches a halving, not a revert of one
     # optimization.
-    OVERGEN_RESULTS_DIR="$PROF_TMP/bench" OVERGEN_DSE_THREADS=1 \
+    OVERGEN_RESULTS_DIR="$PROF_TMP/bench" OVERGEN_DSE_THREADS=1 OVERGEN_DSE_ITERS=480 \
         cargo run -q --release -p overgen-bench -- dse >/dev/null
     cargo run -q --release -p overgen-bench --bin bench-compare -- \
         results/BENCH_dse.json "$PROF_TMP/bench/BENCH_dse.json" \
         max:profile.system_share=0.5 \
-        max:profile.scheduler_share=0.47 \
+        max:profile.scheduler_share=0.60 \
         min:profile.coverage=0.95 \
         max-drop:proposals_per_sec=0.5 \
         || { echo "FAIL: DSE benchmark regressed past the tolerance bands"; exit 1; }
@@ -325,11 +356,11 @@ stage_profile() {
     fi
 
     echo "== profile: injected scheduler-share regression must fail the gate =="
-    sed -e 's/"scheduler_share":[0-9.eE+-]*/"scheduler_share":0.56/' \
+    sed -e 's/"scheduler_share":[0-9.eE+-]*/"scheduler_share":0.64/' \
         "$PROF_TMP/bench/BENCH_dse.json" > "$PROF_TMP/regressed.json"
     if cargo run -q --release -p overgen-bench --bin bench-compare -- \
         results/BENCH_dse.json "$PROF_TMP/regressed.json" \
-        max:profile.scheduler_share=0.47 >/dev/null; then
+        max:profile.scheduler_share=0.60 >/dev/null; then
         echo "FAIL: bench-compare accepted a synthetic scheduler-share regression"; exit 1
     fi
 }

@@ -3,7 +3,7 @@
 //!
 //! Each case runs a small budget-stopped DSE with checkpointing on and
 //! hashes the checkpoint it leaves behind (the temp path it was written
-//! to is replaced by a placeholder first). The store case also hashes
+//! to is replaced by a placeholder first). The store cases also hash
 //! every `eval-*` / `sys-*` entry file, name and bytes. The digests were
 //! pinned before the checkpoint and store codecs were rewritten, so a
 //! digest that moves means an on-disk byte changed.
@@ -156,23 +156,26 @@ fn cases() -> Vec<(&'static str, DseConfig, bool, bool)> {
         ("custom-device", custom_cfg, true, false),
         // Long and disruptive enough to write invalid (`"state":null`)
         // evaluations and filled repair-distance histograms.
-        (
-            "store",
-            DseConfig {
-                iterations: 100,
-                max_proposals: Some(80),
-                mutations_per_step: 6,
-                schedule_preserving: false,
-                ..base_cfg()
-            },
-            true,
-            true,
-        ),
+        ("store", store_cfg(), true, true),
+        // No collector, but a store: entries keep every trace op, since a
+        // later traced job may replay them.
+        ("store-untraced", store_cfg(), false, true),
     ]
 }
 
-// Pinned before the codec rewrite (see module docs).
-const GOLDEN: [(&str, u64); 8] = [
+fn store_cfg() -> DseConfig {
+    DseConfig {
+        iterations: 100,
+        max_proposals: Some(80),
+        mutations_per_step: 6,
+        schedule_preserving: false,
+        ..base_cfg()
+    }
+}
+
+// Pinned before the codec rewrite (see module docs); `store-untraced`
+// was pinned before untraced runs stopped recording evaluation traces.
+const GOLDEN: [(&str, u64); 9] = [
     ("default-traced", 0xa2c7e607b6e9f1a2),
     ("default-untraced", 0x6425621d04f389b1),
     ("constrained", 0x458db4ff0e3a76d1),
@@ -181,6 +184,7 @@ const GOLDEN: [(&str, u64); 8] = [
     ("compound", 0x0fbfbef1e7960e2a),
     ("custom-device", 0xed6a3081dd6a67b7),
     ("store", 0xd7ed51cdbf67dbac),
+    ("store-untraced", 0x39924f8c76e9f847),
 ];
 
 #[test]

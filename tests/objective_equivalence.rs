@@ -89,9 +89,14 @@ fn golden_cfg(threads: usize, cache: bool) -> DseConfig {
 fn run(cfg: DseConfig) -> (DseResult, String) {
     let (collector, ring) = Collector::ring(1 << 18);
     let _install = overgen_telemetry::install(collector);
+    (run_dse(cfg), ring.to_jsonl())
+}
+
+/// Run the golden domain under whatever collector is installed; with none,
+/// its evaluations record no trace.
+fn run_dse(cfg: DseConfig) -> DseResult {
     let domain = vec![workloads::by_name("fir").unwrap()];
-    let result = Dse::new(domain, cfg).run().unwrap();
-    (result, ring.to_jsonl())
+    Dse::new(domain, cfg).run().unwrap()
 }
 
 // Captured pre-refactor (see module docs). The trace differs between
@@ -124,6 +129,11 @@ fn default_objective_is_byte_identical_to_pre_refactor() {
             trace_digest(&trace),
             want_t,
             "trace drifted from pre-refactor golden (threads={threads} cache={cache})"
+        );
+        assert_eq!(
+            result_digest(&run_dse(golden_cfg(threads, cache))),
+            want_r,
+            "untraced result drifted from pre-refactor golden (threads={threads} cache={cache})"
         );
     }
 }

@@ -87,41 +87,45 @@ pub fn run() -> DseReport {
 
     let decisions = stats.repair_fast + stats.repair_fallback + stats.full_schedules;
     let lookups = stats.cache_hits + stats.cache_misses;
-    let dse = json::Obj::new()
-        .u64("iterations", stats.iterations as u64)
-        .u64("accepted", stats.accepted as u64)
-        .u64("invalid", stats.invalid as u64)
-        .u64("cache_hits", stats.cache_hits as u64)
-        .u64("cache_misses", stats.cache_misses as u64)
-        .f64(
-            "cache_hit_rate",
-            stats.cache_hits as f64 / lookups.max(1) as f64,
-        )
-        .u64("repair_fast", stats.repair_fast as u64)
-        .u64("repair_fallback", stats.repair_fallback as u64)
-        .u64("full_schedules", stats.full_schedules as u64)
-        .f64(
-            "fast_share",
-            stats.repair_fast as f64 / decisions.max(1) as f64,
-        )
-        .finish();
-    let mut phases = json::Obj::new();
-    for (name, us) in &report.phase_totals {
-        phases = phases.u64(name, *us);
-    }
-    let profile = json::Obj::new()
-        .f64("coverage", report.coverage)
-        .f64("system_share", report.system_share)
-        .f64("scheduler_share", report.scheduler_share)
-        .raw("phase_total_us", &phases.finish())
-        .finish();
     let record = json::Obj::new()
         .str("bench", "dse")
         .u64("seed", seed())
         .f64("wall_seconds", report.wall_seconds)
         .f64("proposals_per_sec", report.proposals_per_sec)
-        .raw("dse", &dse)
-        .raw("profile", &profile)
+        .with("dse", |o| {
+            json::Obj::into(o)
+                .u64("iterations", stats.iterations as u64)
+                .u64("accepted", stats.accepted as u64)
+                .u64("invalid", stats.invalid as u64)
+                .u64("cache_hits", stats.cache_hits as u64)
+                .u64("cache_misses", stats.cache_misses as u64)
+                .f64(
+                    "cache_hit_rate",
+                    stats.cache_hits as f64 / lookups.max(1) as f64,
+                )
+                .u64("repair_fast", stats.repair_fast as u64)
+                .u64("repair_fallback", stats.repair_fallback as u64)
+                .u64("full_schedules", stats.full_schedules as u64)
+                .f64(
+                    "fast_share",
+                    stats.repair_fast as f64 / decisions.max(1) as f64,
+                )
+                .finish();
+        })
+        .with("profile", |o| {
+            json::Obj::into(o)
+                .f64("coverage", report.coverage)
+                .f64("system_share", report.system_share)
+                .f64("scheduler_share", report.scheduler_share)
+                .with("phase_total_us", |o| {
+                    let mut phases = json::Obj::into(o);
+                    for (name, us) in &report.phase_totals {
+                        phases = phases.u64(name, *us);
+                    }
+                    phases.finish();
+                })
+                .finish();
+        })
         .finish();
     let path = results_dir().join("BENCH_dse.json");
     if let Err(e) = write_atomic(&path, format!("{record}\n").as_bytes()) {

@@ -54,13 +54,13 @@ fn domain() -> Vec<Kernel> {
         .collect()
 }
 
-fn res_json(r: Resources) -> String {
-    json::Obj::new()
+fn res_json(out: &mut String, r: Resources) {
+    json::Obj::into(out)
         .f64("lut", r.lut)
         .f64("ff", r.ff)
         .f64("bram", r.bram)
         .f64("dsp", r.dsp)
-        .finish()
+        .finish();
 }
 
 /// Run both legs and write `results/BENCH_pareto.json`.
@@ -107,20 +107,6 @@ pub fn run() -> ParetoReport {
         stats: constrained.stats,
     };
 
-    let mut frontier = String::from("[");
-    for (i, p) in report.frontier.points().iter().enumerate() {
-        if i > 0 {
-            frontier.push(',');
-        }
-        frontier.push_str(
-            &json::Obj::new()
-                .f64("ipc", p.ipc)
-                .raw("resources", &res_json(p.resources))
-                .finish(),
-        );
-    }
-    frontier.push(']');
-
     let record = json::Obj::new()
         .str("bench", "pareto")
         .u64("seed", seed())
@@ -128,7 +114,7 @@ pub fn run() -> ParetoReport {
         .f64("default_objective", report.default_objective)
         .f64("constrained_objective", report.constrained_objective)
         .str("budget", report.budget.name)
-        .raw("budget_limit", &res_json(report.budget.limit))
+        .with("budget_limit", |o| res_json(o, report.budget.limit))
         .u64("infeasible", report.infeasible as u64)
         .bool("winner_admitted", report.winner_admitted)
         .u64("frontier_points", report.frontier.len() as u64)
@@ -136,7 +122,14 @@ pub fn run() -> ParetoReport {
             "constrained_frontier_points",
             report.constrained_frontier as u64,
         )
-        .raw("frontier", &frontier)
+        .with("frontier", |o| {
+            json::arr(o, report.frontier.points(), |o, p| {
+                json::Obj::into(o)
+                    .f64("ipc", p.ipc)
+                    .with("resources", |o| res_json(o, p.resources))
+                    .finish();
+            });
+        })
         .finish();
     let path = results_dir().join("BENCH_pareto.json");
     if let Err(e) = write_atomic(&path, format!("{record}\n").as_bytes()) {

@@ -157,46 +157,45 @@ pub fn run() -> PlacementReportBench {
         rows,
     };
 
-    let workloads_json: Vec<String> = report
-        .rows
-        .iter()
-        .map(|r| {
-            json::Obj::new()
-                .str("name", &r.name)
-                .u64("tiles", u64::from(r.tiles))
-                .u64("span", u64::from(r.span))
-                .f64("wirelength", r.wirelength)
-                .f64("congestion", r.congestion)
-                .u64("slr_crossings", r.slr_crossings)
-                .f64("fmax_mhz", r.fmax_mhz)
-                .f64("score", r.score)
-                .bool("winner_stable", r.winner_stable)
-                .f64("sweep_seconds", r.sweep_s)
-                .finish()
-        })
-        .collect();
-    let summary = json::Obj::new()
-        .u64("workloads", report.rows.len() as u64)
-        .u64("winner_stable", u64::from(report.winner_stable_all))
-        .f64("median_congestion", report.median_congestion)
-        .f64("median_wirelength", report.median_wirelength)
-        .f64("max_congestion", report.max_congestion)
-        .f64("mean_fmax_mhz", report.mean_fmax_mhz)
-        .finish();
-    let grid_json = json::Obj::new()
-        .str("placer", PlacerKind::SimpleGrid.name())
-        .str("device", grid.device.name)
-        .u64("cols", u64::from(grid.cols))
-        .u64("rows", u64::from(grid.rows))
-        .u64("rows_per_slr", u64::from(grid.rows_per_slr))
-        .u64("max_tiles", u64::from(MAX_TILES))
-        .finish();
     let record = json::Obj::new()
         .str("bench", "placement")
         .u64("seed", seed())
-        .raw("grid", &grid_json)
-        .raw("workloads", &format!("[{}]", workloads_json.join(",")))
-        .raw("summary", &summary)
+        .with("grid", |o| {
+            json::Obj::into(o)
+                .str("placer", PlacerKind::SimpleGrid.name())
+                .str("device", grid.device.name)
+                .u64("cols", u64::from(grid.cols))
+                .u64("rows", u64::from(grid.rows))
+                .u64("rows_per_slr", u64::from(grid.rows_per_slr))
+                .u64("max_tiles", u64::from(MAX_TILES))
+                .finish();
+        })
+        .with("workloads", |o| {
+            json::arr(o, &report.rows, |o, r| {
+                json::Obj::into(o)
+                    .str("name", &r.name)
+                    .u64("tiles", u64::from(r.tiles))
+                    .u64("span", u64::from(r.span))
+                    .f64("wirelength", r.wirelength)
+                    .f64("congestion", r.congestion)
+                    .u64("slr_crossings", r.slr_crossings)
+                    .f64("fmax_mhz", r.fmax_mhz)
+                    .f64("score", r.score)
+                    .bool("winner_stable", r.winner_stable)
+                    .f64("sweep_seconds", r.sweep_s)
+                    .finish();
+            });
+        })
+        .with("summary", |o| {
+            json::Obj::into(o)
+                .u64("workloads", report.rows.len() as u64)
+                .u64("winner_stable", u64::from(report.winner_stable_all))
+                .f64("median_congestion", report.median_congestion)
+                .f64("median_wirelength", report.median_wirelength)
+                .f64("max_congestion", report.max_congestion)
+                .f64("mean_fmax_mhz", report.mean_fmax_mhz)
+                .finish();
+        })
         .finish();
     let path = results_dir().join("BENCH_placement.json");
     if let Err(e) = write_atomic(&path, format!("{record}\n").as_bytes()) {

@@ -223,35 +223,37 @@ pub fn run() -> RepairReport {
         median_repair_s,
     };
 
-    let dse = json::Obj::new()
-        .u64("iterations", report.stats.iterations as u64)
-        .u64("repair_fast", report.stats.repair_fast as u64)
-        .u64("repair_fallback", report.stats.repair_fallback as u64)
-        .u64("full_schedules", report.stats.full_schedules as u64)
-        .f64("fast_share", report.fast_share)
-        .finish();
-    let timing = json::Obj::new()
-        .u64("proposals", report.speedups.len() as u64)
-        .u64("intact_proposals", report.intact_proposals as u64)
-        .u64("reverted_proposals", report.reverted_proposals as u64)
-        .f64("median_speedup", report.median_speedup)
-        .f64(
-            "min_speedup",
-            report.speedups.first().copied().unwrap_or(0.0),
-        )
-        .f64(
-            "max_speedup",
-            report.speedups.last().copied().unwrap_or(0.0),
-        )
-        .f64("median_full_seconds", report.median_full_s)
-        .f64("median_repair_seconds", report.median_repair_s)
-        .finish();
     let record = json::Obj::new()
         .str("bench", "repair")
         .u64("seed", seed())
         .bool("repair_enabled", repair_enabled())
-        .raw("dse", &dse)
-        .raw("timing", &timing)
+        .with("dse", |o| {
+            json::Obj::into(o)
+                .u64("iterations", report.stats.iterations as u64)
+                .u64("repair_fast", report.stats.repair_fast as u64)
+                .u64("repair_fallback", report.stats.repair_fallback as u64)
+                .u64("full_schedules", report.stats.full_schedules as u64)
+                .f64("fast_share", report.fast_share)
+                .finish();
+        })
+        .with("timing", |o| {
+            json::Obj::into(o)
+                .u64("proposals", report.speedups.len() as u64)
+                .u64("intact_proposals", report.intact_proposals as u64)
+                .u64("reverted_proposals", report.reverted_proposals as u64)
+                .f64("median_speedup", report.median_speedup)
+                .f64(
+                    "min_speedup",
+                    report.speedups.first().copied().unwrap_or(0.0),
+                )
+                .f64(
+                    "max_speedup",
+                    report.speedups.last().copied().unwrap_or(0.0),
+                )
+                .f64("median_full_seconds", report.median_full_s)
+                .f64("median_repair_seconds", report.median_repair_s)
+                .finish();
+        })
         .finish();
     let path = results_dir().join("BENCH_repair.json");
     if let Err(e) = write_atomic(&path, format!("{record}\n").as_bytes()) {

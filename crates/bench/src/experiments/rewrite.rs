@@ -216,8 +216,8 @@ pub fn run() -> RewriteReport {
         oracle_exact,
     };
 
-    let mode_json = |m: &ModeReport| {
-        json::Obj::new()
+    let mode_json = |o: &mut String, m: &ModeReport| {
+        json::Obj::into(o)
             .u64("compound", m.compound as u64)
             .u64("proposals", m.proposals as u64)
             .u64("applications", m.applications)
@@ -227,39 +227,38 @@ pub fn run() -> RewriteReport {
             .u64("full_schedules", m.full as u64)
             .f64("fast_share", m.fast_share)
             .f64("wall_seconds", m.wall_seconds)
-            .finish()
+            .finish();
     };
-    let rows_json: Vec<String> = report
-        .rows
-        .iter()
-        .map(|r| {
-            json::Obj::new()
-                .str("name", &r.name)
-                .f64("fast_share_off", r.share_off)
-                .f64("fast_share_on", r.share_on)
-                .finish()
-        })
-        .collect();
-    let oracle_json = json::Obj::new()
-        .u64("applications", report.oracle_applications as u64)
-        .u64("weaker", report.oracle_weaker as u64)
-        .u64("exact", report.oracle_exact as u64)
-        .finish();
-    let summary = json::Obj::new()
-        .u64("workloads", report.rows.len() as u64)
-        .f64("fast_share_off", report.off.fast_share)
-        .f64("fast_share_on", report.on.fast_share)
-        .f64("per_application_speedup", report.per_application_speedup)
-        .u64("oracle_weaker", report.oracle_weaker as u64)
-        .finish();
     let record = json::Obj::new()
         .str("bench", "rewrite")
         .u64("seed", seed())
-        .raw("compound_off", &mode_json(&report.off))
-        .raw("compound_on", &mode_json(&report.on))
-        .raw("workloads", &format!("[{}]", rows_json.join(",")))
-        .raw("oracle", &oracle_json)
-        .raw("summary", &summary)
+        .with("compound_off", |o| mode_json(o, &report.off))
+        .with("compound_on", |o| mode_json(o, &report.on))
+        .with("workloads", |o| {
+            json::arr(o, &report.rows, |o, r| {
+                json::Obj::into(o)
+                    .str("name", &r.name)
+                    .f64("fast_share_off", r.share_off)
+                    .f64("fast_share_on", r.share_on)
+                    .finish();
+            });
+        })
+        .with("oracle", |o| {
+            json::Obj::into(o)
+                .u64("applications", report.oracle_applications as u64)
+                .u64("weaker", report.oracle_weaker as u64)
+                .u64("exact", report.oracle_exact as u64)
+                .finish();
+        })
+        .with("summary", |o| {
+            json::Obj::into(o)
+                .u64("workloads", report.rows.len() as u64)
+                .f64("fast_share_off", report.off.fast_share)
+                .f64("fast_share_on", report.on.fast_share)
+                .f64("per_application_speedup", report.per_application_speedup)
+                .u64("oracle_weaker", report.oracle_weaker as u64)
+                .finish();
+        })
         .finish();
     let path = results_dir().join("BENCH_rewrite.json");
     if let Err(e) = write_atomic(&path, format!("{record}\n").as_bytes()) {

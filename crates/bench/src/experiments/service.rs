@@ -206,23 +206,21 @@ pub fn run() -> ServiceReport {
         .u64("fleet_jobs", report.fleet_jobs as u64)
         .f64("cold_wall_seconds", cold_median)
         .f64("warm_wall_seconds", warm_median)
-        .raw(
-            "store",
-            &json::Obj::new()
+        .with("store", |o| {
+            json::Obj::into(o)
                 .u64("lookups", report.warm_stats.lookups)
                 .u64("hits", report.warm_stats.hits)
                 .u64("misses", report.warm_stats.misses)
                 .u64("warm_entries", report.warm_stats.warm_entries)
                 .u64("fleet_shared_serves", report.shared_serves)
-                .finish(),
-        )
-        .raw(
-            "summary",
-            &json::Obj::new()
+                .finish();
+        })
+        .with("summary", |o| {
+            json::Obj::into(o)
                 .f64("median_warm_speedup", report.median_warm_speedup)
                 .bool("identity", report.identity)
-                .finish(),
-        )
+                .finish();
+        })
         .finish();
     let path = results_dir().join("BENCH_service.json");
     if let Err(e) = write_atomic(&path, format!("{record}\n").as_bytes()) {

@@ -221,47 +221,47 @@ pub fn run() -> SimReportBench {
         rows,
     };
 
-    let grid_json = json::Obj::new()
-        .u64(
-            "points",
-            u64::from(cfg.max_tiles)
-                * (cfg.l2_banks_grid.len() * cfg.l2_kb_grid.len() * cfg.noc_bw_grid.len()) as u64,
-        )
-        .u64("max_tiles", u64::from(cfg.max_tiles))
-        .finish();
-    let workloads_json: Vec<String> = report
-        .rows
-        .iter()
-        .map(|r| {
-            json::Obj::new()
-                .str("name", &r.name)
-                .u64("feasible", r.feasible)
-                .u64("pruned", r.pruned)
-                .u64("admitted", r.admitted)
-                .u64("reused", r.reused)
-                .f64("baseline_seconds", r.baseline_s)
-                .f64("pruned_seconds", r.pruned_s)
-                .f64("speedup", r.speedup)
-                .bool("winner_match", r.winner_match)
-                .finish()
-        })
-        .collect();
-    let summary = json::Obj::new()
-        .u64("workloads", report.rows.len() as u64)
-        .f64("median_speedup", report.median_speedup)
-        .f64("min_speedup", report.min_speedup)
-        .f64("max_speedup", report.max_speedup)
-        .bool("winner_match_all", report.winner_match_all)
-        .u64("pruned", report.rows.iter().map(|r| r.pruned).sum())
-        .u64("admitted", report.rows.iter().map(|r| r.admitted).sum())
-        .u64("reused", report.rows.iter().map(|r| r.reused).sum())
-        .finish();
     let record = json::Obj::new()
         .str("bench", "sim")
         .u64("seed", seed())
-        .raw("grid", &grid_json)
-        .raw("workloads", &format!("[{}]", workloads_json.join(",")))
-        .raw("summary", &summary)
+        .with("grid", |o| {
+            json::Obj::into(o)
+                .u64(
+                    "points",
+                    u64::from(cfg.max_tiles)
+                        * (cfg.l2_banks_grid.len() * cfg.l2_kb_grid.len() * cfg.noc_bw_grid.len())
+                            as u64,
+                )
+                .u64("max_tiles", u64::from(cfg.max_tiles))
+                .finish();
+        })
+        .with("workloads", |o| {
+            json::arr(o, &report.rows, |o, r| {
+                json::Obj::into(o)
+                    .str("name", &r.name)
+                    .u64("feasible", r.feasible)
+                    .u64("pruned", r.pruned)
+                    .u64("admitted", r.admitted)
+                    .u64("reused", r.reused)
+                    .f64("baseline_seconds", r.baseline_s)
+                    .f64("pruned_seconds", r.pruned_s)
+                    .f64("speedup", r.speedup)
+                    .bool("winner_match", r.winner_match)
+                    .finish();
+            });
+        })
+        .with("summary", |o| {
+            json::Obj::into(o)
+                .u64("workloads", report.rows.len() as u64)
+                .f64("median_speedup", report.median_speedup)
+                .f64("min_speedup", report.min_speedup)
+                .f64("max_speedup", report.max_speedup)
+                .bool("winner_match_all", report.winner_match_all)
+                .u64("pruned", report.rows.iter().map(|r| r.pruned).sum())
+                .u64("admitted", report.rows.iter().map(|r| r.admitted).sum())
+                .u64("reused", report.rows.iter().map(|r| r.reused).sum())
+                .finish();
+        })
         .finish();
     let path = results_dir().join("BENCH_sim.json");
     if let Err(e) = write_atomic(&path, format!("{record}\n").as_bytes()) {

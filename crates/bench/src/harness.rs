@@ -194,7 +194,7 @@ pub fn run_experiment(name: &str, f: impl FnOnce() -> String) {
         .u64("dse_iters", dse_iters() as u64)
         .f64("wall_seconds", wall_seconds)
         .bool("trace", tracing)
-        .raw("metrics", &collector.registry().snapshot_json())
+        .with("metrics", |o| collector.registry().snapshot_json(o))
         .finish();
     let path = dir.join(format!("{name}.json"));
     if let Err(e) = write_atomic(&path, format!("{manifest}\n").as_bytes()) {

@@ -77,38 +77,39 @@ fn parse_lines(text: &str) -> (Vec<Line>, u64) {
 /// traces, logical ticks for deterministic ones.
 pub fn chrome_trace(text: &str) -> String {
     let (lines, _) = parse_lines(text);
-    let events: Vec<String> = lines
-        .iter()
-        .map(|l| match l {
-            Line::Span {
-                name,
-                depth,
-                start,
-                dur,
-            } => Obj::new()
-                .str("name", name)
-                .str("cat", "span")
-                .str("ph", "X")
-                .u64("ts", *start)
-                .u64("dur", *dur)
-                .u64("pid", 0)
-                .u64("tid", 0)
-                .raw("args", &Obj::new().u64("depth", *depth).finish())
-                .finish(),
-            Line::Event { kind, t } => Obj::new()
-                .str("name", kind)
-                .str("cat", "event")
-                .str("ph", "i")
-                .str("s", "t")
-                .u64("ts", *t)
-                .u64("pid", 0)
-                .u64("tid", 0)
-                .finish(),
-        })
-        .collect();
     Obj::new()
         .str("displayTimeUnit", "ms")
-        .raw("traceEvents", &format!("[{}]", events.join(",")))
+        .with("traceEvents", |o| {
+            json::arr(o, &lines, |o, l| {
+                match l {
+                    Line::Span {
+                        name,
+                        depth,
+                        start,
+                        dur,
+                    } => Obj::into(o)
+                        .str("name", name)
+                        .str("cat", "span")
+                        .str("ph", "X")
+                        .u64("ts", *start)
+                        .u64("dur", *dur)
+                        .u64("pid", 0)
+                        .u64("tid", 0)
+                        .with("args", |o| {
+                            Obj::into(o).u64("depth", *depth).finish();
+                        }),
+                    Line::Event { kind, t } => Obj::into(o)
+                        .str("name", kind)
+                        .str("cat", "event")
+                        .str("ph", "i")
+                        .str("s", "t")
+                        .u64("ts", *t)
+                        .u64("pid", 0)
+                        .u64("tid", 0),
+                }
+                .finish();
+            });
+        })
         .finish()
 }
 

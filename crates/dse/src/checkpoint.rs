@@ -772,7 +772,7 @@ mod tests {
         type Edit = fn(&str) -> String;
         // (edits a store entry, not the checkpoint; the edit; what the
         // error must say)
-        let cases: [(bool, Edit, &str); 7] = [
+        let cases: [(bool, Edit, &str); 8] = [
             (
                 false,
                 |t| {
@@ -802,6 +802,11 @@ mod tests {
                 true,
                 |t| t.replacen("[\"e\",", "[\"x\",", 1),
                 "malformed trace op with tag `x`",
+            ),
+            (
+                true,
+                |t| t.replacen("[\"o\",\"0\"]", "[\"o\",\"5\"]", 1),
+                "span pairing: open 5 where open 0 comes next",
             ),
             (
                 true,

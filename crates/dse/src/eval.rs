@@ -98,7 +98,7 @@ pub(crate) struct EvalState {
 /// A memoized evaluation: outcome plus every side effect it produced, so
 /// replaying the trace and merging the registry makes a cache hit
 /// indistinguishable from re-running. `pub(crate)` so the persistent
-/// store (`store.rs`) can serialize and rebuild whole artifacts.
+/// store (`store.rs`) can share, serialize and rebuild whole artifacts.
 pub(crate) struct CachedEval {
     pub(crate) state: Option<Arc<EvalState>>,
     pub(crate) sim: f64,
@@ -136,8 +136,8 @@ pub(crate) struct EvalPipeline<'a> {
     cache_miss: Counter,
     cache_system_hit: Counter,
     cache_system_miss: Counter,
-    eval_cache: Memo<CachedEval>,
-    sys_cache: Memo<CachedSystem>,
+    eval_cache: Memo<Arc<CachedEval>>,
+    sys_cache: Memo<Arc<CachedSystem>>,
     /// Estimate scores shared by every system sweep of the run.
     score_tables: ScoreTables,
     /// Whether evaluations record their trace ops: only when something
@@ -335,11 +335,11 @@ impl<'a> EvalPipeline<'a> {
             let skey = self.store_key(key);
             let with_store = || match self.cfg.store.as_deref() {
                 Some(st) => st.fetch_eval(skey).unwrap_or_else(|| {
-                    let c = run();
+                    let c = Arc::new(run());
                     st.publish_eval(skey, &c);
                     c
                 }),
-                None => run(),
+                None => Arc::new(run()),
             };
             let (cell, miss) = self.eval_cache.get_or_compute(key, with_store);
             if miss {
@@ -519,11 +519,11 @@ impl<'a> EvalPipeline<'a> {
             let skey = self.store_key(key);
             let with_store = || match self.cfg.store.as_deref() {
                 Some(st) => st.fetch_sys(skey).unwrap_or_else(|| {
-                    let c = run_system();
+                    let c = Arc::new(run_system());
                     st.publish_sys(skey, &c);
                     c
                 }),
-                None => run_system(),
+                None => Arc::new(run_system()),
             };
             let (cell, miss) = self.sys_cache.get_or_compute(key, with_store);
             if miss {

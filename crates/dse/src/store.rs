@@ -2,15 +2,16 @@
 //!
 //! The in-memory [`Memo`](crate::cache) tables die with the process, so
 //! every run starts cold even when another tenant just evaluated the same
-//! domain. This module promotes memoized artifacts to disk: each entry is
-//! one *whole* cached evaluation — the [`EvalState`] outcome, the captured
-//! telemetry trace (as [`PortableOp`]s), and the isolated metric deltas —
-//! keyed by the exact ADG-fingerprint × config-hash keys the in-memory
-//! caches already use. Because an evaluation is a deterministic function
-//! of its key, and a cache hit replays the stored trace and merges the
-//! stored registry (see `eval.rs`), a store-served artifact is
-//! byte-for-byte indistinguishable from recomputation — the foundation of
-//! the cross-tenant determinism argument in DESIGN.md §13.
+//! domain. This module promotes the memos' own artifacts to disk and
+//! shares them (a fetch hands back the stored `Arc`): each entry is one
+//! *whole* cached evaluation — the `EvalState` outcome, the captured
+//! telemetry trace, and the isolated metric deltas — keyed by the exact
+//! ADG-fingerprint × config-hash keys the in-memory caches already use.
+//! Because an evaluation is a deterministic function of its key, and a
+//! cache hit replays the stored trace and merges the stored registry (see
+//! `eval.rs`), a store-served artifact is byte-for-byte indistinguishable
+//! from recomputation — the foundation of the cross-tenant determinism
+//! argument in DESIGN.md §13.
 //!
 //! ## On-disk layout
 //!
@@ -23,6 +24,10 @@
 //! {"magic":"overgen-eval-store","version":2,"kind":"eval",
 //!  "key":"<hex u64>","payload":{...}}
 //! ```
+//!
+//! A trace is an array of tagged ops. Span opens are numbered in order
+//! (`["o",slot]`) and each close (`["c",slot,…]`) carries the slot of the
+//! open it ends, so a load can check that the spans nest.
 //!
 //! Content addressing makes multi-process races benign: two processes
 //! publishing the same key write identical bytes, different keys write
@@ -45,13 +50,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use overgen_adg::SystemParams;
 use overgen_telemetry::fs::write_atomic;
 use overgen_telemetry::json::{self, Obj, Value};
-use overgen_telemetry::{names, CapturedTrace, FieldValue, MetricSnapshot, PortableOp, Registry};
+use overgen_telemetry::{names, CapturedTrace, FieldValue, MetricSnapshot, Registry, TraceOp};
 
-use crate::codec::{field, get, items, put_tagged, tagged, text, Codec, PutField};
-use crate::eval::{CachedEval, CachedSystem, EvalState};
+use crate::codec::{field, get, items, object_codec, put_tagged, tagged, text, Codec, PutField};
+use crate::eval::{CachedEval, CachedSystem};
 
 /// Store file-format magic.
 pub const STORE_MAGIC: &str = "overgen-eval-store";
@@ -166,19 +170,12 @@ impl Kind {
     }
 }
 
-/// A decoded store entry, shared read-only between jobs. Serving shares
-/// the outcome and rebuilds the trace with fresh span tokens per use.
+/// A store entry, shared read-only between jobs: the very artifact the
+/// in-memory memo tables hold.
+#[derive(Clone)]
 enum Artifact {
-    Eval {
-        state: Option<Arc<EvalState>>,
-        sim: f64,
-        ops: Vec<PortableOp>,
-        metrics: Vec<(&'static str, MetricSnapshot)>,
-    },
-    Sys {
-        result: Option<(SystemParams, f64)>,
-        ops: Vec<PortableOp>,
-    },
+    Eval(Arc<CachedEval>),
+    Sys(Arc<CachedSystem>),
 }
 
 /// The persistent evaluation store. Open once per service (or bench run)
@@ -188,7 +185,7 @@ pub struct EvalStore {
     dir: PathBuf,
     /// Keys present on disk at open — the deterministic warm set.
     snapshot: BTreeSet<(Kind, u64)>,
-    entries: Mutex<BTreeMap<(Kind, u64), Arc<Artifact>>>,
+    entries: Mutex<BTreeMap<(Kind, u64), Artifact>>,
     stats: StatsInner,
 }
 
@@ -227,7 +224,7 @@ impl EvalStore {
         for path in paths {
             let body = std::fs::read(&path)?;
             let (kind, key, artifact) = parse_entry(&path, &body)?;
-            entries.insert((kind, key), Arc::new(artifact));
+            entries.insert((kind, key), artifact);
         }
         let snapshot: BTreeSet<(Kind, u64)> = entries.keys().copied().collect();
         Ok(Arc::new(EvalStore {
@@ -269,7 +266,7 @@ impl EvalStore {
         self.len() == 0
     }
 
-    fn lookup(&self, kind: Kind, key: u64) -> Option<Arc<Artifact>> {
+    fn lookup(&self, kind: Kind, key: u64) -> Option<Artifact> {
         self.stats.lookups.fetch_add(1, Ordering::Relaxed);
         let warm = self.snapshot.contains(&(kind, key));
         if warm {
@@ -286,11 +283,10 @@ impl EvalStore {
 
     fn publish(&self, kind: Kind, key: u64, artifact: Artifact) {
         use std::collections::btree_map::Entry;
-        let artifact = Arc::new(artifact);
         match self.entries.lock().unwrap().entry((kind, key)) {
             Entry::Occupied(_) => return, // same key => same content; keep first
             Entry::Vacant(v) => {
-                v.insert(Arc::clone(&artifact));
+                v.insert(artifact.clone());
             }
         }
         self.stats.publishes.fetch_add(1, Ordering::Relaxed);
@@ -299,7 +295,10 @@ impl EvalStore {
             .u64("version", STORE_VERSION)
             .str("kind", kind.tag())
             .put("key", &key)
-            .with("payload", |o| artifact.put(o))
+            .with("payload", |o| match &artifact {
+                Artifact::Eval(c) => c.put(o),
+                Artifact::Sys(c) => c.put(o),
+            })
             .finish();
         line.push('\n');
         let path = self.dir.join(format!("{}-{key:016x}.json", kind.tag()));
@@ -308,60 +307,30 @@ impl EvalStore {
         }
     }
 
-    /// Serve a full evaluation artifact, if stored.
-    pub(crate) fn fetch_eval(&self, key: u64) -> Option<CachedEval> {
-        let a = self.lookup(Kind::Eval, key)?;
-        let Artifact::Eval {
-            state,
-            sim,
-            ops,
-            metrics,
-        } = &*a
-        else {
-            unreachable!("eval key decoded as sys artifact");
-        };
-        let registry = Registry::new();
-        for (name, snap) in metrics {
-            registry.import(name, snap);
+    /// Serve a full evaluation artifact, if stored: the stored `Arc`.
+    pub(crate) fn fetch_eval(&self, key: u64) -> Option<Arc<CachedEval>> {
+        match self.lookup(Kind::Eval, key)? {
+            Artifact::Eval(c) => Some(c),
+            Artifact::Sys(_) => unreachable!("eval key decoded as sys artifact"),
         }
-        Some(CachedEval {
-            state: state.clone(),
-            sim: *sim,
-            trace: CapturedTrace::from_portable(ops),
-            registry,
-        })
     }
 
-    /// Persist a freshly computed evaluation artifact.
-    pub(crate) fn publish_eval(&self, key: u64, c: &CachedEval) {
-        let artifact = Artifact::Eval {
-            state: c.state.clone(),
-            sim: c.sim,
-            ops: c.trace.to_portable(),
-            metrics: c.registry.export(),
-        };
-        self.publish(Kind::Eval, key, artifact);
+    /// Persist a freshly computed evaluation artifact, sharing it.
+    pub(crate) fn publish_eval(&self, key: u64, c: &Arc<CachedEval>) {
+        self.publish(Kind::Eval, key, Artifact::Eval(Arc::clone(c)));
     }
 
-    /// Serve a system-DSE artifact, if stored.
-    pub(crate) fn fetch_sys(&self, key: u64) -> Option<CachedSystem> {
-        let a = self.lookup(Kind::Sys, key)?;
-        let Artifact::Sys { result, ops } = &*a else {
-            unreachable!("sys key decoded as eval artifact");
-        };
-        Some(CachedSystem {
-            result: *result,
-            trace: CapturedTrace::from_portable(ops),
-        })
+    /// Serve a system-DSE artifact, if stored: the stored `Arc`.
+    pub(crate) fn fetch_sys(&self, key: u64) -> Option<Arc<CachedSystem>> {
+        match self.lookup(Kind::Sys, key)? {
+            Artifact::Sys(c) => Some(c),
+            Artifact::Eval(_) => unreachable!("sys key decoded as eval artifact"),
+        }
     }
 
-    /// Persist a freshly computed system-DSE artifact.
-    pub(crate) fn publish_sys(&self, key: u64, c: &CachedSystem) {
-        let artifact = Artifact::Sys {
-            result: c.result,
-            ops: c.trace.to_portable(),
-        };
-        self.publish(Kind::Sys, key, artifact);
+    /// Persist a freshly computed system-DSE artifact, sharing it.
+    pub(crate) fn publish_sys(&self, key: u64, c: &Arc<CachedSystem>) {
+        self.publish(Kind::Sys, key, Artifact::Sys(Arc::clone(c)));
     }
 }
 
@@ -399,8 +368,12 @@ fn parse_entry(path: &Path, body: &[u8]) -> Result<(Kind, u64, Artifact), StoreE
         let kind = Kind::from_tag(text(get(&v, "kind")?)?)
             .ok_or_else(|| "unknown entry kind".to_string())?;
         let key = field(&v, "key")?;
-        let payload = Artifact::take(kind, get(&v, "payload")?);
-        Ok((kind, key, payload.map_err(|e| format!("payload: {e}"))?))
+        let payload = get(&v, "payload")?;
+        let artifact = match kind {
+            Kind::Eval => Codec::take(payload).map(Artifact::Eval),
+            Kind::Sys => Codec::take(payload).map(Artifact::Sys),
+        };
+        Ok((kind, key, artifact.map_err(|e| format!("payload: {e}"))?))
     })()
     .map_err(corrupt)
 }
@@ -409,65 +382,137 @@ fn parse_entry(path: &Path, body: &[u8]) -> Result<(Kind, u64, Artifact), StoreE
 // Store-only types: the entry payloads and the telemetry halves of an
 // artifact. The evaluation outcome goes through the shared codec.
 
-impl Artifact {
-    /// Append the entry payload.
+object_codec!(CachedEval {
+    state: "state",
+    sim: "sim",
+    trace: "trace",
+    registry: "metrics",
+});
+
+/// The winner is `{"sys":…,"score":…}`, or `null` when there is none.
+impl Codec for CachedSystem {
     fn put(&self, out: &mut String) {
-        let o = Obj::into(out);
-        match self {
-            Artifact::Eval {
-                state,
-                sim,
-                ops,
-                metrics,
-            } => o
-                .put("state", state)
-                .put("sim", sim)
-                .put("trace", ops)
-                .with("metrics", |o| {
-                    // A metric is `["name",snapshot]`: its name leads like
-                    // a tag.
-                    json::arr(o, metrics, |o, (name, snap)| put_tagged(o, name, &[snap]));
-                }),
-            Artifact::Sys { result, ops } => o
-                .with("result", |o| match result {
-                    Some((sys, score)) => {
-                        Obj::into(o).put("sys", sys).put("score", score).finish();
-                    }
-                    None => o.push_str("null"),
-                })
-                .put("trace", ops),
-        }
-        .finish();
+        Obj::into(out)
+            .with("result", |o| match &self.result {
+                Some((sys, score)) => {
+                    Obj::into(o).put("sys", sys).put("score", score).finish();
+                }
+                None => o.push_str("null"),
+            })
+            .put("trace", &self.trace)
+            .finish();
     }
 
-    /// Rebuild an entry payload of kind `kind`.
-    fn take(kind: Kind, v: &Value) -> Result<Artifact, String> {
-        Ok(match kind {
-            Kind::Eval => Artifact::Eval {
-                state: field(v, "state")?,
-                sim: field(v, "sim")?,
-                ops: field(v, "trace")?,
-                metrics: items(get(v, "metrics")?)?
-                    .iter()
-                    .map(|m| match tagged(m)? {
-                        (name, [snap]) => {
-                            let name = names::intern_metric(name)
-                                .ok_or_else(|| format!("undocumented metric name {name:?}"))?;
-                            Ok((name, MetricSnapshot::take(snap)?))
-                        }
-                        _ => Err("expected a [name, snapshot] metric".to_string()),
-                    })
-                    .collect::<Result<_, String>>()
-                    .map_err(|e| format!("metrics: {e}"))?,
+    fn take(v: &Value) -> Result<Self, String> {
+        Ok(CachedSystem {
+            result: match get(v, "result")? {
+                Value::Null => None,
+                r => Some((field(r, "sys")?, field(r, "score")?)),
             },
-            Kind::Sys => Artifact::Sys {
-                result: match get(v, "result")? {
-                    Value::Null => None,
-                    r => Some((field(r, "sys")?, field(r, "score")?)),
-                },
-                ops: field(v, "trace")?,
-            },
+            trace: field(v, "trace")?,
         })
+    }
+}
+
+/// Metric deltas: a metric is `["name",snapshot]`, its name leading like a
+/// tag.
+impl Codec for Registry {
+    fn put(&self, out: &mut String) {
+        json::arr(out, self.export(), |o, (name, snap)| {
+            put_tagged(o, name, &[&snap]);
+        });
+    }
+
+    fn take(v: &Value) -> Result<Self, String> {
+        let registry = Registry::new();
+        for m in items(v)? {
+            match tagged(m)? {
+                (name, [snap]) => {
+                    let name = names::intern_metric(name)
+                        .ok_or_else(|| format!("undocumented metric name {name:?}"))?;
+                    registry.import(name, &MetricSnapshot::take(snap)?);
+                }
+                _ => return Err("expected a [name, snapshot] metric".to_string()),
+            }
+        }
+        Ok(registry)
+    }
+}
+
+/// Each span open is written with its ordinal as its slot, and each close
+/// with the slot of the open it ends; a load checks that they nest.
+impl Codec for CapturedTrace {
+    fn put(&self, out: &mut String) {
+        let mut opened = 0u64;
+        let mut open = Vec::new();
+        json::arr(out, self.ops(), |o, op| match op {
+            TraceOp::Event { kind, fields } => put_tagged(o, "e", &[kind, fields]),
+            TraceOp::SpanOpen => {
+                open.push(opened);
+                put_tagged(o, "o", &[&opened]);
+                opened += 1;
+            }
+            TraceOp::SpanClose {
+                name,
+                rel_depth,
+                fields,
+            } => {
+                let slot = open
+                    .pop()
+                    .expect("a captured span close ends the latest unclosed open");
+                put_tagged(o, "c", &[&slot, name, rel_depth, fields]);
+            }
+            TraceOp::Metrics => put_tagged(o, "m", &[]),
+        });
+    }
+
+    fn take(v: &Value) -> Result<Self, String> {
+        // Slots of the opens not yet closed, latest last.
+        let mut open: Vec<u64> = Vec::new();
+        let mut opened = 0u64;
+        let mut take_op = |v: &Value| -> Result<TraceOp, String> {
+            Ok(match tagged(v)? {
+                ("e", [kind, fields]) => TraceOp::Event {
+                    kind: String::take(kind)?,
+                    fields: Vec::take(fields)?,
+                },
+                ("o", [slot]) => {
+                    let slot = u64::take(slot)?;
+                    if slot != opened {
+                        return Err(format!(
+                            "span pairing: open {slot} where open {opened} comes next"
+                        ));
+                    }
+                    open.push(slot);
+                    opened += 1;
+                    TraceOp::SpanOpen
+                }
+                ("c", [slot, name, depth, fields]) => {
+                    let slot = u64::take(slot)?;
+                    if open.pop() != Some(slot) {
+                        return Err(format!(
+                            "span pairing: close {slot} does not end the latest unclosed open"
+                        ));
+                    }
+                    TraceOp::SpanClose {
+                        name: String::take(name)?,
+                        rel_depth: u64::take(depth)?,
+                        fields: Vec::take(fields)?,
+                    }
+                }
+                ("m", []) => TraceOp::Metrics,
+                (tag, _) => return Err(format!("malformed trace op with tag `{tag}`")),
+            })
+        };
+        let ops = items(v)?
+            .iter()
+            .enumerate()
+            .map(|(i, item)| take_op(item).map_err(|e| format!("item {i}: {e}")))
+            .collect::<Result<Vec<_>, String>>()?;
+        if let Some(slot) = open.pop() {
+            return Err(format!("span pairing: open {slot} never closes"));
+        }
+        Ok(CapturedTrace::new(ops))
     }
 }
 
@@ -492,42 +537,6 @@ impl Codec for FieldValue {
             ("b", [b]) => FieldValue::Bool(bool::take(b)?),
             ("s", [s]) => FieldValue::Str(String::take(s)?),
             (tag, _) => return Err(format!("malformed field value with tag `{tag}`")),
-        })
-    }
-}
-
-impl Codec for PortableOp {
-    fn put(&self, out: &mut String) {
-        match self {
-            PortableOp::Event { kind, fields } => put_tagged(out, "e", &[kind, fields]),
-            PortableOp::SpanOpen { slot } => put_tagged(out, "o", &[slot]),
-            PortableOp::SpanClose {
-                slot,
-                name,
-                rel_depth,
-                fields,
-            } => put_tagged(out, "c", &[slot, name, rel_depth, fields]),
-            PortableOp::Metrics => put_tagged(out, "m", &[]),
-        }
-    }
-
-    fn take(v: &Value) -> Result<Self, String> {
-        Ok(match tagged(v)? {
-            ("e", [kind, fields]) => PortableOp::Event {
-                kind: String::take(kind)?,
-                fields: Vec::take(fields)?,
-            },
-            ("o", [slot]) => PortableOp::SpanOpen {
-                slot: u64::take(slot)?,
-            },
-            ("c", [slot, name, depth, fields]) => PortableOp::SpanClose {
-                slot: u64::take(slot)?,
-                name: String::take(name)?,
-                rel_depth: u64::take(depth)?,
-                fields: Vec::take(fields)?,
-            },
-            ("m", []) => PortableOp::Metrics,
-            (tag, _) => return Err(format!("malformed trace op with tag `{tag}`")),
         })
     }
 }
@@ -564,6 +573,7 @@ impl Codec for MetricSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use overgen_adg::SystemParams;
     use overgen_telemetry::{capture_isolated, event, install, replay, span, Collector};
 
     fn tmp(name: &str) -> PathBuf {
@@ -572,39 +582,43 @@ mod tests {
         dir
     }
 
-    /// A representative eval artifact: spans, an event with every field
-    /// kind, and metric deltas of all three kinds.
-    fn sample_eval() -> CachedEval {
+    /// A representative eval artifact: nested spans, an event with every
+    /// field kind, and metric deltas of all three kinds.
+    fn sample_eval() -> Arc<CachedEval> {
         let ((), trace, registry) = capture_isolated(|| {
             let _s = span!("dse.iteration", iter = 3u64);
-            event!(
-                "dse.propose",
-                temp = 0.5f64,
-                note = "warm",
-                ok = true,
-                delta = -2i64
-            );
+            drop(span!("sched.repair", mdfg = "fir"));
+            {
+                let _inner = span!("sched.place");
+                event!(
+                    "dse.propose",
+                    temp = 0.5f64,
+                    note = "warm",
+                    ok = true,
+                    delta = -2i64
+                );
+            }
             let reg = overgen_telemetry::current().unwrap().registry().clone();
             reg.counter("dse.repairs").add(2);
             reg.gauge("dse.heartbeat.progress").set(0.25);
             reg.histogram("dse.repair_moved").record(5);
         });
-        CachedEval {
+        Arc::new(CachedEval {
             state: None,
             sim: 0.125,
             trace,
             registry,
-        }
+        })
     }
 
-    fn sample_sys(score: f64) -> CachedSystem {
+    fn sample_sys(score: f64) -> Arc<CachedSystem> {
         let ((), trace, _registry) = capture_isolated(|| {
             event!("dse.system", tiles = 4u64);
         });
-        CachedSystem {
+        Arc::new(CachedSystem {
             result: Some((SystemParams::single_tile(), score)),
             trace,
-        }
+        })
     }
 
     /// Replay a trace into a fresh ring collector and return the JSONL it
@@ -639,6 +653,28 @@ mod tests {
         let s2 = st.fetch_sys(7).expect("sys entry survives reload");
         assert_eq!(s2.result, s.result);
         assert_eq!(replay_jsonl(&s2.trace), replay_jsonl(&s.trace));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A serve hands back the stored artifact itself: in-process the very
+    /// one published, and after a reload one allocation per key.
+    #[test]
+    fn serves_share_the_stored_artifact() {
+        let dir = tmp("shared");
+        let (e, s) = (sample_eval(), sample_sys(1.5));
+        {
+            let st = EvalStore::open(&dir).unwrap();
+            st.publish_eval(3, &e);
+            st.publish_sys(4, &s);
+            assert!(Arc::ptr_eq(&st.fetch_eval(3).unwrap(), &e));
+            assert!(Arc::ptr_eq(&st.fetch_sys(4).unwrap(), &s));
+        }
+        let st = EvalStore::open(&dir).unwrap();
+        let first = st.fetch_eval(3).unwrap();
+        assert!(Arc::ptr_eq(&first, &st.fetch_eval(3).unwrap()));
+        assert!(!Arc::ptr_eq(&first, &e));
+        let first = st.fetch_sys(4).unwrap();
+        assert!(Arc::ptr_eq(&first, &st.fetch_sys(4).unwrap()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

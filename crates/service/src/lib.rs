@@ -550,7 +550,8 @@ fn execute(
     // store legitimately elides, so it is diagnostic — outside the
     // byte-identity surface (DESIGN.md §13). Everything event/span-shaped
     // is replayed from captured artifacts and stays deterministic.
-    let mut metrics = collector.registry().snapshot_json();
+    let mut metrics = String::new();
+    collector.registry().snapshot_json(&mut metrics);
     metrics.push('\n');
     write_atomic(dir.join("metrics.json"), metrics.as_bytes())
         .map_err(|e| format!("cannot write job metrics: {e}"))?;

@@ -4,7 +4,7 @@
 //! and deterministic-clock ticks are stamped at emit time, so interleaved
 //! workers would produce a different byte stream on every run. Instead a
 //! worker runs under a *capture* collector that records structured
-//! operations ([`CaptureOp`]) without stamping them; the coordinating
+//! operations ([`TraceOp`]) without stamping them; the coordinating
 //! thread later [`replay`]s each worker's [`CapturedTrace`] in a canonical
 //! order, re-stamping `seq`/`t` through the real collector exactly as
 //! serial execution would have. The result: the trace produced by N
@@ -14,12 +14,12 @@
 //! [`Registry`](crate::Registry), and counter/histogram updates are
 //! commutative, so concurrent workers land on identical final totals.
 //!
-//! Span open/close pairs are matched through process-global tokens, which
-//! never appear in serialized output — their allocation order may race
-//! across threads without harming determinism.
+//! Span opens and closes pair by nesting. A span guard closes when it
+//! drops, and every capture records one thread's closure, so a close
+//! always ends the latest open that is still unclosed; replay keeps a
+//! stack of start ticks. No op carries a span identity, so a trace means
+//! the same in any process and can be stored and shared as it is.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::span;
@@ -27,137 +27,19 @@ use crate::{Collector, FieldValue};
 
 /// One recorded telemetry operation, to be re-stamped at replay time.
 #[derive(Debug, Clone)]
-pub(crate) enum CaptureOp {
+pub enum TraceOp {
     /// A structured event (`event!` or `Collector::emit`).
-    Event {
-        kind: String,
-        fields: Vec<(String, FieldValue)>,
-    },
-    /// A span opened: consumes one clock tick at replay, like a serial
-    /// span-enter does.
-    SpanOpen { token: u64 },
-    /// A span closed; `rel_depth` is relative to the capture root.
-    SpanClose {
-        token: u64,
-        name: String,
-        rel_depth: u64,
-        fields: Vec<(String, FieldValue)>,
-    },
-    /// A full registry snapshot was requested.
-    Metrics,
-}
-
-/// An ordered recording of the telemetry a closure emitted under
-/// [`capture`]. Replayable any number of times, on any thread.
-#[derive(Debug, Clone, Default)]
-pub struct CapturedTrace {
-    pub(crate) ops: Vec<CaptureOp>,
-}
-
-impl CapturedTrace {
-    /// Number of recorded operations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Export to a serializable form: span tokens are process-global and
-    /// meaningless outside this process, so each distinct token is rewritten
-    /// to a dense per-trace `slot` (numbered in first-appearance order).
-    /// Replaying `from_portable(to_portable())` produces byte-identical
-    /// output to replaying the original trace.
-    pub fn to_portable(&self) -> Vec<PortableOp> {
-        let mut slots: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut slot_of = |token: u64| {
-            let next = slots.len() as u64;
-            *slots.entry(token).or_insert(next)
-        };
-        self.ops
-            .iter()
-            .map(|op| match op {
-                CaptureOp::Event { kind, fields } => PortableOp::Event {
-                    kind: kind.clone(),
-                    fields: fields.clone(),
-                },
-                CaptureOp::SpanOpen { token } => PortableOp::SpanOpen {
-                    slot: slot_of(*token),
-                },
-                CaptureOp::SpanClose {
-                    token,
-                    name,
-                    rel_depth,
-                    fields,
-                } => PortableOp::SpanClose {
-                    slot: slot_of(*token),
-                    name: name.clone(),
-                    rel_depth: *rel_depth,
-                    fields: fields.clone(),
-                },
-                CaptureOp::Metrics => PortableOp::Metrics,
-            })
-            .collect()
-    }
-
-    /// Rebuild a trace from portable ops, allocating a fresh process-global
-    /// token per slot so the rebuilt trace pairs spans like any other
-    /// capture and can be replayed concurrently with unrelated traces.
-    pub fn from_portable(ops: &[PortableOp]) -> CapturedTrace {
-        let mut tokens: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut token_of = |slot: u64| *tokens.entry(slot).or_insert_with(next_token);
-        CapturedTrace {
-            ops: ops
-                .iter()
-                .map(|op| match op {
-                    PortableOp::Event { kind, fields } => CaptureOp::Event {
-                        kind: kind.clone(),
-                        fields: fields.clone(),
-                    },
-                    PortableOp::SpanOpen { slot } => CaptureOp::SpanOpen {
-                        token: token_of(*slot),
-                    },
-                    PortableOp::SpanClose {
-                        slot,
-                        name,
-                        rel_depth,
-                        fields,
-                    } => CaptureOp::SpanClose {
-                        token: token_of(*slot),
-                        name: name.clone(),
-                        rel_depth: *rel_depth,
-                        fields: fields.clone(),
-                    },
-                    PortableOp::Metrics => CaptureOp::Metrics,
-                })
-                .collect(),
-        }
-    }
-}
-
-/// A serializable view of one captured operation; see
-/// [`CapturedTrace::to_portable`]. `slot` is the per-trace span-pair index
-/// that replaces the process-global token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PortableOp {
-    /// A structured event.
     Event {
         /// Dotted event type.
         kind: String,
         /// Event fields in emission order.
         fields: Vec<(String, FieldValue)>,
     },
-    /// A span opened (consumes one clock tick at replay).
-    SpanOpen {
-        /// Per-trace pair index.
-        slot: u64,
-    },
-    /// A span closed.
+    /// A span opened: consumes one clock tick at replay, like a serial
+    /// span-enter does.
+    SpanOpen,
+    /// The latest unclosed span closed.
     SpanClose {
-        /// Per-trace pair index matching the open.
-        slot: u64,
         /// Span name.
         name: String,
         /// Depth relative to the capture root.
@@ -169,13 +51,34 @@ pub enum PortableOp {
     Metrics,
 }
 
-/// Process-global span-token source. Tokens only pair opens with closes
-/// inside one `CapturedTrace`; they are never serialized, so cross-thread
-/// allocation order is free to race.
-static TOKEN: AtomicU64 = AtomicU64::new(0);
+/// An ordered recording of the telemetry a closure emitted under
+/// [`capture`]. Replayable any number of times, on any thread; a clone
+/// shares the recorded ops.
+#[derive(Debug, Clone, Default)]
+pub struct CapturedTrace {
+    ops: Arc<[TraceOp]>,
+}
 
-pub(crate) fn next_token() -> u64 {
-    TOKEN.fetch_add(1, Ordering::Relaxed)
+impl CapturedTrace {
+    /// A trace of `ops`, whose span opens and closes must nest.
+    pub fn new(ops: Vec<TraceOp>) -> CapturedTrace {
+        CapturedTrace { ops: ops.into() }
+    }
+
+    /// The recorded operations, in order.
+    pub fn ops(&self) -> &[TraceOp] {
+        &self.ops
+    }
+
+    /// Number of recorded operations.
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// True when nothing was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
 }
 
 /// Run `f` with its telemetry recorded instead of emitted.
@@ -199,12 +102,7 @@ pub fn capture<T>(parent: Option<&Arc<Collector>>, f: impl FnOnce() -> T) -> (T,
         let _depth = span::DepthResetGuard::new();
         f()
     };
-    (
-        out,
-        CapturedTrace {
-            ops: cap.take_ops(),
-        },
-    )
+    (out, CapturedTrace::new(cap.take_ops()))
 }
 
 /// Like [`capture`], but with a *fresh* metrics registry instead of a
@@ -223,13 +121,7 @@ pub fn capture_isolated<T>(f: impl FnOnce() -> T) -> (T, CapturedTrace, crate::R
         f()
     };
     let registry = cap.registry().clone();
-    (
-        out,
-        CapturedTrace {
-            ops: cap.take_ops(),
-        },
-        registry,
-    )
+    (out, CapturedTrace::new(cap.take_ops()), registry)
 }
 
 /// Like [`capture_isolated`] for a caller that can never replay the trace:
@@ -250,11 +142,11 @@ pub fn count_isolated<T>(f: impl FnOnce() -> T) -> (T, crate::Registry) {
 /// right now. Span depths are rebased onto the replaying thread's current
 /// span depth. No-op when no collector is installed.
 pub fn replay(trace: &CapturedTrace) {
-    if trace.ops.is_empty() {
+    if trace.is_empty() {
         return;
     }
     if let Some(parent) = crate::current() {
-        parent.replay_ops(&trace.ops, span::current_depth());
+        parent.replay_ops(trace.ops(), span::current_depth());
     }
 }
 
@@ -272,26 +164,27 @@ pub(crate) fn own_fields(fields: &[(&str, FieldValue)]) -> Vec<(String, FieldVal
         .collect()
 }
 
-pub(crate) fn replay_into_sink(collector: &Collector, ops: &[CaptureOp], base_depth: u64) {
-    // Token -> start timestamp for spans opened during this replay.
-    let mut starts: BTreeMap<u64, u64> = BTreeMap::new();
+pub(crate) fn replay_into_sink(collector: &Collector, ops: &[TraceOp], base_depth: u64) {
+    // Start ticks of the spans opened during this replay and not yet closed.
+    let mut starts: Vec<u64> = Vec::new();
     for op in ops {
         match op {
-            CaptureOp::SpanOpen { token } => {
+            TraceOp::SpanOpen => {
                 // A serial span-enter consumes one clock tick for its start
                 // timestamp; reproduce that here.
-                starts.insert(*token, collector.now());
+                starts.push(collector.now());
             }
-            CaptureOp::Event { kind, fields } => {
+            TraceOp::Event { kind, fields } => {
                 collector.emit(kind, &borrow_fields(fields));
             }
-            CaptureOp::SpanClose {
-                token,
+            TraceOp::SpanClose {
                 name,
                 rel_depth,
                 fields,
             } => {
-                let start = starts.remove(token).unwrap_or_else(|| collector.now());
+                let start = starts
+                    .pop()
+                    .expect("a span close ends the latest unclosed open of its trace");
                 let end = collector.now();
                 collector.emit_span(
                     name,
@@ -301,7 +194,7 @@ pub(crate) fn replay_into_sink(collector: &Collector, ops: &[CaptureOp], base_de
                     &borrow_fields(fields),
                 );
             }
-            CaptureOp::Metrics => collector.snapshot_metrics(),
+            TraceOp::Metrics => collector.snapshot_metrics(),
         }
     }
 }
@@ -478,35 +371,5 @@ mod tests {
         let ((), t) = capture(None, || emit_workload(0));
         assert!(t.is_empty());
         replay(&t); // no collector installed: must not panic
-    }
-
-    #[test]
-    fn portable_round_trip_replays_byte_identically() {
-        let ((), trace, _reg) = capture_isolated(|| {
-            event!("pre", f = 1.5f64, s = "x", neg = -3i64, b = true);
-            emit_workload(9);
-        });
-        let portable = trace.to_portable();
-        // Slots are dense and start at 0.
-        let max_slot = portable
-            .iter()
-            .filter_map(|op| match op {
-                PortableOp::SpanOpen { slot } | PortableOp::SpanClose { slot, .. } => Some(*slot),
-                _ => None,
-            })
-            .max()
-            .unwrap();
-        assert_eq!(max_slot, 1, "two distinct spans -> slots 0 and 1");
-        let rebuilt = CapturedTrace::from_portable(&portable);
-
-        let replay_to_jsonl = |t: &CapturedTrace| {
-            let (c, ring) = Collector::ring(64);
-            let _g = install(c);
-            replay(t);
-            ring.to_jsonl()
-        };
-        assert_eq!(replay_to_jsonl(&trace), replay_to_jsonl(&rebuilt));
-        // Exporting the rebuilt trace again yields the same portable ops.
-        assert_eq!(rebuilt.to_portable(), portable);
     }
 }

@@ -125,12 +125,6 @@ impl<B: BorrowMut<String>> Obj<B> {
         self
     }
 
-    /// Add a pre-rendered JSON value (object, array, ...).
-    pub fn raw(mut self, k: &str, v: &str) -> Self {
-        self.key(k).push_str(v);
-        self
-    }
-
     /// Add a field holding whatever `put` appends to the buffer.
     pub fn with(mut self, k: &str, put: impl FnOnce(&mut String)) -> Self {
         put(self.key(k));
@@ -509,7 +503,7 @@ mod tests {
             .str("name", "we\u{1f600}ird \"quoted\" \\ path\n")
             .u64("n", 18446744073709551615)
             .f64("x", -1.5e-9)
-            .raw("a", "[1,2,3]")
+            .with("a", |o| arr(o, [1.0, 2.0, 3.0], number))
             .finish();
         let v = parse(&line).unwrap();
         assert_eq!(

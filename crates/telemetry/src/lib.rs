@@ -61,7 +61,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-pub use capture::{capture, capture_isolated, count_isolated, replay, CapturedTrace, PortableOp};
+pub use capture::{capture, capture_isolated, count_isolated, replay, CapturedTrace, TraceOp};
 pub use clock::{Clock, ClockMode};
 pub use metrics::{Counter, Gauge, Histogram, MetricKind, MetricSnapshot, Registry};
 pub use profile::{
@@ -70,8 +70,6 @@ pub use profile::{
 pub use rng::Rng;
 pub use sink::{FileSink, NullSink, RingSink, Sink};
 pub use span::SpanGuard;
-
-use capture::CaptureOp;
 
 use json::Obj;
 
@@ -151,7 +149,7 @@ fn push_fields(mut obj: Obj, fields: &[(&str, FieldValue)]) -> Obj {
 /// only its registry).
 enum Backend {
     Sink(Arc<dyn Sink>),
-    Capture(Mutex<Vec<CaptureOp>>),
+    Capture(Mutex<Vec<TraceOp>>),
     Discard,
 }
 
@@ -213,7 +211,7 @@ impl Collector {
     }
 
     /// Drain the capture buffer (empty for other collectors).
-    pub(crate) fn take_ops(&self) -> Vec<CaptureOp> {
+    pub(crate) fn take_ops(&self) -> Vec<TraceOp> {
         match &self.backend {
             Backend::Capture(ops) => std::mem::take(&mut ops.lock().unwrap()),
             Backend::Sink(_) | Backend::Discard => Vec::new(),
@@ -265,7 +263,7 @@ impl Collector {
                 let obj = self.header(kind);
                 sink.write_line(&push_fields(obj, fields).finish());
             }
-            Backend::Capture(ops) => ops.lock().unwrap().push(CaptureOp::Event {
+            Backend::Capture(ops) => ops.lock().unwrap().push(TraceOp::Event {
                 kind: kind.to_string(),
                 fields: capture::own_fields(fields),
             }),
@@ -279,11 +277,11 @@ impl Collector {
             Backend::Sink(sink) => {
                 let line = self
                     .header("metrics")
-                    .raw("metrics", &self.registry.snapshot_json())
+                    .with("metrics", |o| self.registry.snapshot_json(o))
                     .finish();
                 sink.write_line(&line);
             }
-            Backend::Capture(ops) => ops.lock().unwrap().push(CaptureOp::Metrics),
+            Backend::Capture(ops) => ops.lock().unwrap().push(TraceOp::Metrics),
             Backend::Discard => {}
         }
     }
@@ -326,15 +324,15 @@ impl Collector {
 
     /// Span-enter hook: for a sink backend, returns the start timestamp
     /// (consuming one clock tick); for capture, records the open and
-    /// returns the matching token. Spans never open on a counting
-    /// collector ([`SpanGuard::enter`] checks [`Collector::records`]).
+    /// returns 0, since its close pairs with it by nesting. Spans never
+    /// open on a counting collector ([`SpanGuard::enter`] checks
+    /// [`Collector::records`]).
     pub(crate) fn span_open(&self) -> u64 {
         match &self.backend {
             Backend::Sink(_) | Backend::Discard => self.now(),
             Backend::Capture(ops) => {
-                let token = capture::next_token();
-                ops.lock().unwrap().push(CaptureOp::SpanOpen { token });
-                token
+                ops.lock().unwrap().push(TraceOp::SpanOpen);
+                0
             }
         }
     }
@@ -353,8 +351,7 @@ impl Collector {
                 let end = self.now();
                 self.emit_span(name, depth, handle, end, fields);
             }
-            Backend::Capture(ops) => ops.lock().unwrap().push(CaptureOp::SpanClose {
-                token: handle,
+            Backend::Capture(ops) => ops.lock().unwrap().push(TraceOp::SpanClose {
                 name: name.to_string(),
                 rel_depth: depth,
                 fields: capture::own_fields(fields),
@@ -366,19 +363,17 @@ impl Collector {
     /// Replay recorded ops into this collector, rebasing span depths onto
     /// `base_depth`. Sink backends re-stamp `seq`/`t`; capture backends
     /// splice the ops into their own buffer (nested capture).
-    pub(crate) fn replay_ops(&self, ops: &[CaptureOp], base_depth: u64) {
+    pub(crate) fn replay_ops(&self, ops: &[TraceOp], base_depth: u64) {
         match &self.backend {
             Backend::Sink(_) => capture::replay_into_sink(self, ops, base_depth),
             Backend::Capture(dst) => {
                 let mut dst = dst.lock().unwrap();
                 dst.extend(ops.iter().map(|op| match op {
-                    CaptureOp::SpanClose {
-                        token,
+                    TraceOp::SpanClose {
                         name,
                         rel_depth,
                         fields,
-                    } => CaptureOp::SpanClose {
-                        token: *token,
+                    } => TraceOp::SpanClose {
                         name: name.clone(),
                         rel_depth: base_depth + rel_depth,
                         fields: fields.clone(),

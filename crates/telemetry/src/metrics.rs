@@ -306,29 +306,29 @@ impl Registry {
         }
     }
 
-    /// Render every metric into a JSON object string (counters as integers,
-    /// gauges as floats, histograms as `{count,sum,max,p50,p90,p99}`).
-    pub fn snapshot_json(&self) -> String {
+    /// Append every metric to `out` as one JSON object (counters as
+    /// integers, gauges as floats, histograms as
+    /// `{count,sum,max,p50,p90,p99}`).
+    pub fn snapshot_json(&self, out: &mut String) {
         let m = self.metrics.lock().unwrap();
-        let mut obj = Obj::new();
+        let mut obj = Obj::into(out);
         for (name, metric) in m.iter() {
             obj = match metric {
                 Metric::Counter(c) => obj.u64(name, c.get()),
                 Metric::Gauge(g) => obj.f64(name, g.get()),
-                Metric::Histogram(h) => obj.raw(
-                    name,
-                    &Obj::new()
+                Metric::Histogram(h) => obj.with(name, |o| {
+                    Obj::into(o)
                         .u64("count", h.count())
                         .u64("sum", h.sum())
                         .u64("max", h.max())
                         .u64("p50", h.percentile(50.0))
                         .u64("p90", h.percentile(90.0))
                         .u64("p99", h.percentile(99.0))
-                        .finish(),
-                ),
+                        .finish();
+                }),
             };
         }
-        obj.finish()
+        obj.finish();
     }
 
     /// Fold every metric of `other` into this registry by name: counters
@@ -515,7 +515,8 @@ mod tests {
         assert_eq!(r.counter_value("a"), 3);
         r.gauge("g").set(1.5);
         assert_eq!(r.gauge("g").get(), 1.5);
-        let snap = r.snapshot_json();
+        let mut snap = String::new();
+        r.snapshot_json(&mut snap);
         assert!(snap.contains("\"a\":3"));
         assert!(snap.contains("\"g\":1.5"));
     }
@@ -636,7 +637,12 @@ mod tests {
         for (name, snap) in src.export() {
             via_export.import(name, &snap);
         }
-        assert_eq!(via_export.snapshot_json(), direct.snapshot_json());
+        let json = |r: &Registry| {
+            let mut out = String::new();
+            r.snapshot_json(&mut out);
+            out
+        };
+        assert_eq!(json(&via_export), json(&direct));
         let h_direct = direct.histogram("h");
         let h_rt = via_export.histogram("h");
         for p in [0.0, 50.0, 99.0, 100.0] {

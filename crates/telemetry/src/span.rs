@@ -52,8 +52,8 @@ struct SpanInner {
     collector: Arc<Collector>,
     name: &'static str,
     depth: u64,
-    /// Start timestamp (sink backend) or capture token (capture backend);
-    /// opaque here, interpreted by [`Collector::span_close`].
+    /// Start timestamp (sink backend; 0 while capturing, where the close
+    /// pairs by nesting); interpreted by [`Collector::span_close`].
     handle: u64,
     fields: Vec<(&'static str, FieldValue)>,
 }
@@ -93,7 +93,8 @@ impl SpanGuard {
     /// original [`SpanGuard::enter`] obtained, as reported by
     /// [`SpanGuard::handle`]. Checkpoint resume uses this so the eventual
     /// close event carries the *original* start and the true total
-    /// duration, byte-identical to an uninterrupted run.
+    /// duration, byte-identical to an uninterrupted run. Its close has no
+    /// recorded open, so it must not run inside a capture.
     pub fn reenter(
         name: &'static str,
         handle: u64,
@@ -121,8 +122,8 @@ impl SpanGuard {
     }
 
     /// The span's open handle — the start timestamp for sink-backed
-    /// collectors, or the capture token while capturing. `None` when no
-    /// collector was installed at entry. Checkpoints store this so
+    /// collectors, 0 while capturing. `None` when no collector was
+    /// installed at entry. Checkpoints store this so
     /// [`SpanGuard::reenter`] can resume the span.
     pub fn handle(&self) -> Option<u64> {
         self.inner.as_ref().map(|i| i.handle)

@@ -38,7 +38,9 @@
 #                traces, and BENCH_sim.json holding >= 5x median eval
 #                speedup with winners identical to exhaustive search
 #   service      multi-tenant job-server gates: the persistent-store unit
-#                suite, the pinned store-entry byte digests, the
+#                suite, the hand-edited store-entry cases, the trace-op
+#                capture tests store entries depend on, the pinned
+#                store-entry byte digests, the
 #                cross-tenant differential suite at 1 and 4 workers,
 #                and BENCH_service.json holding >= 2x median
 #                warm-cache speedup with concurrent-vs-sequential job
@@ -418,8 +420,10 @@ stage_sim() {
 }
 
 stage_service() {
-    echo "== service: persistent store edge cases (corruption, versioning, races) =="
-    cargo test -q --release -p overgen-dse store::
+    echo "== service: persistent store edge cases (corruption, versioning, races, span pairing) =="
+    cargo test -q --release -p overgen-dse -- store:: \
+        checkpoint::tests::hand_edited_fields_fail_with_a_reason_that_names_them
+    cargo test -q --release -p overgen-telemetry -- capture::
 
     echo "== service: store entry bytes match the pinned digests =="
     cargo test -q --release --test codec_equivalence

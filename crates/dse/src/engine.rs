@@ -28,7 +28,7 @@ use overgen_telemetry::{
     SpanGuard,
 };
 
-use overgen_adg::{mesh, Adg, MeshSpec, SpadNode, StableHasher, SysAdg};
+use overgen_adg::{mesh, Adg, MeshSpec, SpadNode, StableHasher, SysAdg, SystemParams};
 use overgen_compiler::{compile_variants, CompileError, CompileOptions};
 use overgen_ir::{Expr, FuCap, Kernel, Op};
 use overgen_mdfg::Mdfg;
@@ -576,11 +576,11 @@ impl Dse {
         let base = stat_totals(&run_registry);
 
         // Seed: evaluate, widening ports until the domain schedules.
-        let mut cur_adg = Self::seed_adg(&self.workloads);
+        let mut seed = SysAdg::new(Self::seed_adg(&self.workloads), SystemParams::default());
         let mut seed_sim = 0.0f64;
         let mut widenings = 0usize;
         let seed_state = loop {
-            let (state, sim) = pipe.evaluate(&cur_adg, &BTreeMap::new(), ScheduleFootprint::Pure);
+            let (state, sim) = pipe.evaluate(&seed, BTreeMap::new(), ScheduleFootprint::Pure);
             seed_sim += sim;
             if let Some(s) = state {
                 break s;
@@ -589,13 +589,14 @@ impl Dse {
                 return Err(DseError::UnschedulableSeed { widenings });
             }
             // Widen every input port as a fallback seed fix.
-            for id in cur_adg.nodes_of_kind(overgen_adg::NodeKind::InPort) {
-                if let Some(overgen_adg::AdgNode::InPort(p)) = cur_adg.node_mut(id) {
+            for id in seed.adg.nodes_of_kind(overgen_adg::NodeKind::InPort) {
+                if let Some(overgen_adg::AdgNode::InPort(p)) = seed.adg.node_mut(id) {
                     p.width_bytes = (p.width_bytes * 2).min(64);
                 }
             }
             widenings += 1;
         };
+        let cur_adg = seed.adg;
 
         // Chains all start from the same seed state with split-derived
         // RNGs, and from a frontier holding just the seed point.
@@ -886,8 +887,9 @@ impl Dse {
             counters.iterations.inc();
             let temp = st.t0 * (0.985f64).powi(it as i32);
 
-            // Propose.
-            let mut prop_adg = st.cur_adg.clone();
+            // Propose: the rules mutate `prop.adg`; the evaluation reads the
+            // proposal as it stands, with default system parameters.
+            let mut prop = SysAdg::new(st.cur_adg.clone(), SystemParams::default());
             let mut prop_schedules: Vec<Schedule> = st.cur.schedules.values().cloned().collect();
             let mut kinds = String::new();
             let mut footprint = ScheduleFootprint::Pure;
@@ -911,7 +913,7 @@ impl Dse {
                     }
                     if self.cfg.compound > 1 {
                         let apps = rules.apply_compound(
-                            &mut prop_adg,
+                            &mut prop.adg,
                             &mut ctx,
                             &mut st.rng,
                             epoch,
@@ -926,7 +928,7 @@ impl Dse {
                             delta.absorb(&app.delta);
                         }
                     } else {
-                        let app = rules.apply_random(&mut prop_adg, &mut ctx, &mut st.rng, epoch);
+                        let app = rules.apply_random(&mut prop.adg, &mut ctx, &mut st.rng, epoch);
                         footprint = footprint.merge(app.inferred);
                         kinds.push_str(app.mutation.kind());
                         delta.absorb(&app.delta);
@@ -956,9 +958,9 @@ impl Dse {
             let scope = delta.scope();
             let rule_trace = (self.cfg.compound > 1).then_some(kinds.as_str());
             let (state, sim) =
-                pipe.evaluate_with(&prop_adg, &prior, footprint, Some(&scope), rule_trace);
+                pipe.evaluate_with(&prop, prior, footprint, Some(&scope), rule_trace);
             st.sim_seconds += sim;
-            let Some(prop) = state else {
+            let Some(eval) = state else {
                 counters.invalid.inc();
                 event!("dse.invalid", iter = it);
                 st.history
@@ -968,13 +970,13 @@ impl Dse {
 
             // Every valid evaluation feeds the frontier, accepted or not.
             st.pareto.insert(ParetoPoint {
-                ipc: prop.objective,
-                resources: prop.resources,
-                placement: prop.placement,
+                ipc: eval.objective,
+                resources: eval.resources,
+                placement: eval.placement,
             });
 
-            let delta = prop.fitness - st.cur.fitness;
-            let accept = prop.fitness >= st.cur.fitness || st.rng.gen_f64() < (delta / temp).exp();
+            let delta = eval.fitness - st.cur.fitness;
+            let accept = eval.fitness >= st.cur.fitness || st.rng.gen_f64() < (delta / temp).exp();
             if accept {
                 counters.accepted.inc();
                 event!(
@@ -982,10 +984,10 @@ impl Dse {
                     iter = it,
                     delta = delta,
                     temp = temp,
-                    objective = prop.objective,
+                    objective = eval.objective,
                 );
-                st.cur_adg = prop_adg;
-                st.cur = prop;
+                st.cur_adg = prop.adg;
+                st.cur = eval;
                 if st.cur.fitness > st.best.fitness {
                     st.best = Arc::clone(&st.cur);
                     st.best_adg = st.cur_adg.clone();

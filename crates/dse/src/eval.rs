@@ -34,7 +34,7 @@ use overgen_telemetry::{
     Counter, Phase, Profiler, Registry,
 };
 
-use overgen_adg::{Adg, StableHasher, SysAdg, SystemParams};
+use overgen_adg::{StableHasher, SysAdg, SystemParams};
 use overgen_ir::Kernel;
 use overgen_mdfg::Mdfg;
 use overgen_model::{
@@ -42,7 +42,7 @@ use overgen_model::{
     TimeModel,
 };
 use overgen_scheduler::{
-    repair_with, RepairOptions, RepairOutcome, RepairScope, Schedule, ScheduleFootprint,
+    HwIndex, RepairOptions, RepairOutcome, RepairScope, Schedule, ScheduleFootprint,
 };
 
 use crate::cache::{hash_placement, hash_schedule, Memo};
@@ -144,9 +144,10 @@ pub(crate) struct EvalPipeline<'a> {
     /// can replay them, a collector (now) or a store (later jobs).
     record: bool,
     cfg_hash: u64,
-    /// Domain discriminator folded into persistent-store keys only (the
-    /// full mDFG variant set; see [`EvalPipeline::new`]).
-    store_salt: u64,
+    /// The persistent store, when the run has one, with the domain
+    /// discriminator folded into its keys only (the full mDFG variant set;
+    /// see [`EvalPipeline::new`]).
+    store: Option<(&'a crate::EvalStore, u64)>,
     cache_enabled: bool,
     /// Phase-attribution profiler, captured from the constructing thread
     /// (chain worker threads have no thread-local profiler). Wall-time only —
@@ -181,8 +182,9 @@ impl<'a> EvalPipeline<'a> {
         // can collide (two domains with identical config and seed ADG):
         // salt store keys with the full variant set so entries never cross
         // domain boundaries. In-memory keys stay unsalted — byte-stable
-        // with every pre-existing checkpoint and golden trace.
-        let store_salt = {
+        // with every pre-existing checkpoint and golden trace. A run
+        // without a store hashes nothing for it.
+        let store = cfg.store.as_deref().map(|st| {
             let mut h = StableHasher::new();
             h.write_u64(mdfgs.len() as u64);
             for (name, variants) in mdfgs {
@@ -192,8 +194,8 @@ impl<'a> EvalPipeline<'a> {
                     crate::cache::hash_mdfg(&mut h, m);
                 }
             }
-            h.finish()
-        };
+            (st, h.finish())
+        });
         EvalPipeline {
             workloads,
             cfg,
@@ -210,7 +212,7 @@ impl<'a> EvalPipeline<'a> {
             score_tables: ScoreTables::default(),
             record: overgen_telemetry::current().is_some() || cfg.store.is_some(),
             cfg_hash,
-            store_salt,
+            store,
             cache_enabled: cfg.cache,
             profiler: current_profiler(),
         }
@@ -218,9 +220,9 @@ impl<'a> EvalPipeline<'a> {
 
     /// Persistent-store key for an in-memory memo key: the memo key plus
     /// the domain salt.
-    fn store_key(&self, memo_key: u64) -> u64 {
+    fn store_key(salt: u64, memo_key: u64) -> u64 {
         let mut h = StableHasher::new();
-        h.write_u64(self.store_salt);
+        h.write_u64(salt);
         h.write_u64(memo_key);
         h.finish()
     }
@@ -251,19 +253,19 @@ impl<'a> EvalPipeline<'a> {
         self.sys_cache.keys()
     }
 
-    /// Evaluate an ADG through the fingerprint cache. Returns the outcome
-    /// and the simulated seconds to charge. On a hit the memoized trace is
-    /// replayed and the memoized metric deltas merged, so hits and misses
-    /// are observationally identical; with the cache disabled the same
-    /// capture/replay path runs without memoization, keeping traces
+    /// Evaluate a proposal through the fingerprint cache. Returns the
+    /// outcome and the simulated seconds to charge. On a hit the memoized
+    /// trace is replayed and the memoized metric deltas merged, so hits and
+    /// misses are observationally identical; with the cache disabled the
+    /// same capture/replay path runs without memoization, keeping traces
     /// identical between cache modes.
     pub(crate) fn evaluate(
         &self,
-        adg: &Adg,
-        prior: &BTreeMap<String, Schedule>,
+        sys: &SysAdg,
+        prior: BTreeMap<String, Schedule>,
         footprint: ScheduleFootprint,
     ) -> (Option<Arc<EvalState>>, f64) {
-        self.evaluate_with(adg, prior, footprint, None, None)
+        self.evaluate_with(sys, prior, footprint, None, None)
     }
 
     /// [`Evaluator::evaluate`] with the rewrite engine's extras: a
@@ -273,15 +275,38 @@ impl<'a> EvalPipeline<'a> {
     /// chain in `dse.propose` events, so two proposals that differ only
     /// in how they were composed must not share a cached trace. Default
     /// (single-rule) runs pass `None` and keep historical cache keys.
+    ///
+    /// `sys` is the proposal with default system parameters; the
+    /// evaluation owns `prior`, so repairs take each schedule by value.
     pub(crate) fn evaluate_with(
         &self,
-        adg: &Adg,
-        prior: &BTreeMap<String, Schedule>,
+        sys: &SysAdg,
+        prior: BTreeMap<String, Schedule>,
         footprint: ScheduleFootprint,
         scope: Option<&RepairScope>,
         rule_trace: Option<&str>,
     ) -> (Option<Arc<EvalState>>, f64) {
-        let run = || {
+        // The memo key reads the priors, so it is hashed before the miss
+        // path takes them.
+        let key = self.cache_enabled.then(|| {
+            let mut h = StableHasher::new();
+            h.write_u64(self.cfg_hash);
+            sys.adg.fingerprint_into(&mut h);
+            // The footprint is advisory but recorded in repair trace
+            // events, so two proposals that differ only in footprint must
+            // not share a cached trace.
+            h.write_u64(u64::from(footprint.code()));
+            if let Some(trace) = rule_trace {
+                h.write_str("rules");
+                h.write_str(trace);
+            }
+            h.write_u64(prior.len() as u64);
+            for s in prior.values() {
+                hash_schedule(&mut h, s);
+            }
+            h.finish()
+        });
+        let run = move || {
             // Umbrella phase: one uncached evaluation end to end. Cache
             // hits never reach here; their cost is reconstructed via the
             // cache-adjustment factor in the profile report.
@@ -291,9 +316,9 @@ impl<'a> EvalPipeline<'a> {
             // set-up until the closure starts, its packaging from the
             // moment the closure returns.
             let setup_timer = self.phase(Phase::Memo, footprint.name());
-            let eval = || {
+            let eval = move || {
                 drop(setup_timer);
-                let out = self.evaluate_uncached(adg, prior, footprint, scope);
+                let out = self.evaluate_uncached(sys, prior, footprint, scope);
                 (out, self.phase(Phase::Memo, footprint.name()))
             };
             let ((out, packaging_timer), trace, registry) = if self.record {
@@ -311,34 +336,20 @@ impl<'a> EvalPipeline<'a> {
                 registry,
             }
         };
-        if self.cache_enabled {
-            let mut h = StableHasher::new();
-            h.write_u64(self.cfg_hash);
-            adg.fingerprint_into(&mut h);
-            // The footprint is advisory but recorded in repair trace
-            // events, so two proposals that differ only in footprint must
-            // not share a cached trace.
-            h.write_u64(u64::from(footprint.code()));
-            if let Some(trace) = rule_trace {
-                h.write_str("rules");
-                h.write_str(trace);
-            }
-            h.write_u64(prior.len() as u64);
-            for s in prior.values() {
-                hash_schedule(&mut h, s);
-            }
-            let key = h.finish();
+        if let Some(key) = key {
             // The persistent store sits strictly inside the in-memory miss
             // path: a store-served artifact is byte-identical to
             // recomputation, so per-job hit/miss counters and traces are
             // unaffected by store contents (DESIGN.md §13).
-            let skey = self.store_key(key);
-            let with_store = || match self.cfg.store.as_deref() {
-                Some(st) => st.fetch_eval(skey).unwrap_or_else(|| {
-                    let c = Arc::new(run());
-                    st.publish_eval(skey, &c);
-                    c
-                }),
+            let with_store = || match self.store {
+                Some((st, salt)) => {
+                    let skey = Self::store_key(salt, key);
+                    st.fetch_eval(skey).unwrap_or_else(|| {
+                        let c = Arc::new(run());
+                        st.publish_eval(skey, &c);
+                        c
+                    })
+                }
                 None => Arc::new(run()),
             };
             let (cell, miss) = self.eval_cache.get_or_compute(key, with_store);
@@ -369,15 +380,15 @@ impl<'a> EvalPipeline<'a> {
     /// events and simulated-time charges are part of the recorded trace.
     fn evaluate_uncached(
         &self,
-        adg: &Adg,
-        prior: &BTreeMap<String, Schedule>,
+        proposal: &SysAdg,
+        mut prior: BTreeMap<String, Schedule>,
         footprint: ScheduleFootprint,
         scope: Option<&RepairScope>,
     ) -> (Option<Arc<EvalState>>, f64) {
         let mut sim = 0.0f64;
+        let adg = &proposal.adg;
         let validate_timer = self.phase(Phase::Validate, footprint.name());
-        let sys_probe = SysAdg::new(adg.clone(), SystemParams::default());
-        if sys_probe.validate().is_err() {
+        if proposal.validate().is_err() {
             return (None, sim);
         }
 
@@ -408,9 +419,15 @@ impl<'a> EvalPipeline<'a> {
         drop(validate_timer);
 
         // The per-workload loop: everything but the repair and schedule
-        // phases nested in it (hot-key timers, outcome bookkeeping) is
-        // timed as `fan-out` self time.
+        // phases nested in it (the shared hardware index, hot-key timers,
+        // outcome bookkeeping) is timed as `fan-out` self time.
         let fanout_timer = self.self_phase(Phase::Fanout, footprint.name());
+        let hw = HwIndex::new(proposal);
+        let opts = RepairOptions {
+            incremental: self.cfg.repair,
+            footprint: Some(footprint),
+            scope: scope.cloned(),
+        };
         let reg = eval_collector.registry().clone();
         let counters = EvalCounters {
             full_schedules: reg.counter("dse.full_schedules"),
@@ -427,7 +444,7 @@ impl<'a> EvalPipeline<'a> {
                 .as_ref()
                 .map(|p| p.hot_timer("workload", k.name()));
             let (found, sim_delta) =
-                self.schedule_workload(k, &sys_probe, prior, footprint, scope, &counters);
+                self.schedule_workload(k, &hw, prior.remove(k.name()), footprint, &opts, &counters);
             drop(hot);
             sim += sim_delta;
             match found {
@@ -438,9 +455,9 @@ impl<'a> EvalPipeline<'a> {
                 None => complete = false,
             }
         }
-        // Free the probe's ADG copy, and an incomplete evaluation's partial
-        // schedules, inside the loop's phase rather than untimed at return.
-        drop(sys_probe);
+        // Free the index, and an incomplete evaluation's partial schedules,
+        // inside the loop's phase rather than untimed at return.
+        drop(hw);
         if !complete {
             return (None, sim);
         }
@@ -516,13 +533,15 @@ impl<'a> EvalPipeline<'a> {
             }
             let key = h.finish();
             // Same store-inside-miss-path contract as `evaluate` above.
-            let skey = self.store_key(key);
-            let with_store = || match self.cfg.store.as_deref() {
-                Some(st) => st.fetch_sys(skey).unwrap_or_else(|| {
-                    let c = Arc::new(run_system());
-                    st.publish_sys(skey, &c);
-                    c
-                }),
+            let with_store = || match self.store {
+                Some((st, salt)) => {
+                    let skey = Self::store_key(salt, key);
+                    st.fetch_sys(skey).unwrap_or_else(|| {
+                        let c = Arc::new(run_system());
+                        st.publish_sys(skey, &c);
+                        c
+                    })
+                }
                 None => Arc::new(run_system()),
             };
             let (cell, miss) = self.sys_cache.get_or_compute(key, with_store);
@@ -623,28 +642,23 @@ impl<'a> EvalPipeline<'a> {
     fn schedule_workload(
         &self,
         k: &Kernel,
-        sys_probe: &SysAdg,
-        prior: &BTreeMap<String, Schedule>,
+        hw: &HwIndex<'_>,
+        prior: Option<Schedule>,
         footprint: ScheduleFootprint,
-        scope: Option<&RepairScope>,
+        opts: &RepairOptions,
         counters: &EvalCounters,
     ) -> (Option<(u32, Schedule)>, f64) {
-        let adg_nodes = sys_probe.adg.node_count();
+        let adg_nodes = hw.sys().adg.node_count();
         let mut sim = 0.0f64;
         let name = k.name();
         let Some(vs) = self.mdfgs.get(name) else {
             return (None, sim);
         };
-        let opts = RepairOptions {
-            incremental: self.cfg.repair,
-            footprint: Some(footprint),
-            scope: scope.cloned(),
-        };
         let mut repair_failed_variant = None;
-        if let Some(p) = prior.get(name) {
+        if let Some(p) = prior {
             if let Some(v) = vs.iter().find(|v| v.variant() == p.variant) {
                 let repair_timer = self.phase(Phase::Repair, footprint.name());
-                let outcome = repair_with(p, v, sys_probe, &opts);
+                let outcome = hw.repair(p, v, opts);
                 drop(repair_timer);
                 match outcome {
                     Ok((s, RepairOutcome::Intact)) => {
@@ -667,8 +681,8 @@ impl<'a> EvalPipeline<'a> {
                     }
                     Err(_) => {
                         // The fallback already ran (and failed) the seeded
-                        // full placement inside `repair_with`; charge it
-                        // and skip this variant in the walk below.
+                        // full placement inside the repair; charge it and
+                        // skip this variant in the walk below.
                         counters.full_schedules.inc();
                         event!("dse.repair", workload = name, outcome = "reschedule");
                         sim += self.time.schedule_seconds(v.node_count(), adg_nodes);
@@ -684,7 +698,7 @@ impl<'a> EvalPipeline<'a> {
             counters.full_schedules.inc();
             sim += self.time.schedule_seconds(v.node_count(), adg_nodes);
             let _schedule_timer = self.phase(Phase::Schedule, footprint.name());
-            if let Ok(s) = overgen_scheduler::schedule(v, sys_probe, None) {
+            if let Ok(s) = hw.schedule(v, None) {
                 return (Some((v.variant(), s)), sim);
             }
         }

@@ -6,7 +6,8 @@
 //! classification walks every prior route edge. [`Adg::has_edge`] scans an
 //! adjacency `Vec` and [`Adg::kind`] chases the slot map; both are O(1) here
 //! — one bit test and one indexed load against side tables built once per
-//! placement from the (immutable for its duration) graph.
+//! hardware graph (held by its `HwIndex`, which every placement and repair
+//! against that graph borrows).
 
 use overgen_adg::{Adg, AdgNode, NodeId, NodeKind};
 

@@ -18,6 +18,10 @@
 //! only what broke — the cheap path the DSE prefers (§V-A "schedule
 //! repair").
 //!
+//! [`HwIndex`] indexes one hardware graph once for every placement and
+//! repair against it; [`schedule`], [`repair`] and [`repair_with`] build a
+//! fresh one per call.
+//!
 //! # Example
 //!
 //! ```
@@ -46,6 +50,6 @@ mod repair;
 mod types;
 
 pub use footprint::ScheduleFootprint;
-pub use place::schedule;
+pub use place::{schedule, HwIndex};
 pub use repair::{repair, repair_with, RepairOptions, RepairOutcome, RepairScope};
 pub use types::{Schedule, ScheduleError};

@@ -10,6 +10,102 @@ use overgen_telemetry::{event, span};
 use crate::adj::{spad_budgets, AdjBits};
 use crate::types::{Schedule, ScheduleError};
 
+/// What the placer and the repair classifier read from one hardware graph,
+/// built once and shared by every placement and repair against it: an
+/// evaluation schedules or repairs each workload of its domain on the same
+/// proposal, so it builds one index instead of one per call.
+pub struct HwIndex<'a> {
+    sys: &'a SysAdg,
+    /// Bitset adjacency + kind table for routing and route revalidation.
+    adj: AdjBits,
+    /// Summed scratchpad bandwidth (the §V-C model's on-chip bandwidth).
+    spad_bw: f64,
+    /// First generate engine in id order: every array-less stream's engine.
+    gen: Option<NodeId>,
+    /// First recurrence engine in id order: every recurrence stream's engine.
+    rec: Option<NodeId>,
+}
+
+impl<'a> HwIndex<'a> {
+    /// Index `sys`, which must not change while the index lives (the
+    /// borrow enforces it).
+    pub fn new(sys: &'a SysAdg) -> Self {
+        let adg = &sys.adg;
+        let first_of = |kind| {
+            adg.nodes()
+                .find(|(_, n)| n.kind() == kind)
+                .map(|(id, _)| id)
+        };
+        HwIndex {
+            sys,
+            adj: AdjBits::new(adg),
+            spad_bw: adg
+                .nodes()
+                .filter_map(|(_, n)| n.as_spad().map(|s| f64::from(s.bw_bytes)))
+                .sum(),
+            gen: first_of(NodeKind::Gen),
+            rec: first_of(NodeKind::Rec),
+        }
+    }
+
+    /// The indexed hardware.
+    pub fn sys(&self) -> &'a SysAdg {
+        self.sys
+    }
+
+    pub(crate) fn adj(&self) -> &AdjBits {
+        &self.adj
+    }
+
+    /// [`schedule`](crate::schedule) on the indexed hardware.
+    ///
+    /// # Errors
+    ///
+    /// As [`schedule`](crate::schedule).
+    pub fn schedule(
+        &self,
+        mdfg: &Mdfg,
+        prior: Option<&Schedule>,
+    ) -> Result<Schedule, ScheduleError> {
+        let _span = span!(
+            "sched.place",
+            mdfg = mdfg.name(),
+            variant = mdfg.variant(),
+            seeded = prior.is_some(),
+        );
+        let result = Placer::new(mdfg, self, prior, false).run();
+        if let Err(e) = &result {
+            event!(
+                "sched.fail",
+                mdfg = mdfg.name(),
+                variant = mdfg.variant(),
+                reason = format!("{e}"),
+            );
+        }
+        result
+    }
+
+    /// Engine that produces/consumes a stream's data, given the engine
+    /// each array was assigned to so far.
+    pub(crate) fn engine_of_stream(
+        &self,
+        mdfg: &Mdfg,
+        sid: MdfgNodeId,
+        array_engine: impl FnOnce(MdfgNodeId) -> Option<NodeId>,
+    ) -> Option<NodeId> {
+        let s = mdfg.node(sid)?.as_stream()?;
+        if s.array.is_empty() {
+            return self.gen;
+        }
+        // Recurrence streams use the recurrence engine.
+        if !s.is_write && is_rec_input(mdfg, sid) || s.is_write && feeds_rec_input(mdfg, sid) {
+            return self.rec;
+        }
+        // Otherwise: the engine its array was assigned to.
+        array_engine(array_of_stream(mdfg, sid)?)
+    }
+}
+
 /// Maximum placement candidates tried per instruction before giving up.
 const MAX_CANDIDATES: usize = 32;
 
@@ -35,22 +131,7 @@ pub fn schedule(
     sys_adg: &SysAdg,
     prior: Option<&Schedule>,
 ) -> Result<Schedule, ScheduleError> {
-    let _span = span!(
-        "sched.place",
-        mdfg = mdfg.name(),
-        variant = mdfg.variant(),
-        seeded = prior.is_some(),
-    );
-    let result = Placer::new(mdfg, sys_adg, prior, false).run();
-    if let Err(e) = &result {
-        event!(
-            "sched.fail",
-            mdfg = mdfg.name(),
-            variant = mdfg.variant(),
-            reason = format!("{e}"),
-        );
-    }
-    result
+    HwIndex::new(sys_adg).schedule(mdfg, prior)
 }
 
 /// Full placement without any telemetry output.
@@ -61,10 +142,10 @@ pub fn schedule(
 /// between the two modes.
 pub(crate) fn place_quiet(
     mdfg: &Mdfg,
-    sys_adg: &SysAdg,
+    hw: &HwIndex<'_>,
     prior: Option<&Schedule>,
 ) -> Result<Schedule, ScheduleError> {
-    Placer::new(mdfg, sys_adg, prior, true).run()
+    Placer::new(mdfg, hw, prior, true).run()
 }
 
 // ---- mDFG structure helpers (shared with repair classification) -----------
@@ -109,32 +190,6 @@ pub(crate) fn array_of_stream(mdfg: &Mdfg, sid: MdfgNodeId) -> Option<MdfgNodeId
     }
 }
 
-/// Engine that produces/consumes a stream's data, given the array
-/// assignments decided so far.
-pub(crate) fn engine_of_stream(
-    mdfg: &Mdfg,
-    adg: &Adg,
-    assignment: &BTreeMap<MdfgNodeId, NodeId>,
-    sid: MdfgNodeId,
-) -> Option<NodeId> {
-    let first_of = |kind| {
-        adg.nodes()
-            .find(|(_, n)| n.kind() == kind)
-            .map(|(id, _)| id)
-    };
-    // Recurrence streams use the recurrence engine.
-    let s = mdfg.node(sid)?.as_stream()?;
-    if s.array.is_empty() {
-        return first_of(NodeKind::Gen);
-    }
-    if !s.is_write && is_rec_input(mdfg, sid) || s.is_write && feeds_rec_input(mdfg, sid) {
-        return first_of(NodeKind::Rec);
-    }
-    // Otherwise: the engine its array was assigned to.
-    let aid = array_of_stream(mdfg, sid)?;
-    assignment.get(&aid).copied()
-}
-
 /// Whether any stream of the array uses an indirect access pattern.
 pub(crate) fn array_needs_indirect(mdfg: &Mdfg, aid: MdfgNodeId) -> bool {
     mdfg.succs(aid)
@@ -156,12 +211,12 @@ pub(crate) fn array_needs_indirect(mdfg: &Mdfg, aid: MdfgNodeId) -> bool {
 /// so both produce bit-identical estimates for the same mapping.
 pub(crate) fn score_mapping(
     mdfg: &Mdfg,
-    sys: &SysAdg,
+    hw: &HwIndex<'_>,
     assignment: BTreeMap<MdfgNodeId, NodeId>,
     stream_engines: BTreeMap<MdfgNodeId, NodeId>,
     routes: BTreeMap<(MdfgNodeId, MdfgNodeId), Vec<NodeId>>,
 ) -> Schedule {
-    let adg = &sys.adg;
+    let adg = &hw.sys.adg;
     // Pipeline balance: operand route-length mismatch beyond the PE's
     // delay FIFO creates bubbles (§V-B); port width shortfalls stretch
     // firings over multiple cycles.
@@ -207,21 +262,26 @@ pub(crate) fn score_mapping(
     // so the summed steady-state demand of its streams must fit its
     // bandwidth; oversubscription stretches the firing interval.
     {
-        let mut demand: BTreeMap<NodeId, f64> = BTreeMap::new();
+        let mut demand: BTreeMap<NodeId, (f64, f64)> = BTreeMap::new();
         for (sid, n) in mdfg.nodes() {
             if let Some(s) = n.as_stream() {
-                if let Some(engine) = stream_engines.get(&sid) {
-                    *demand.entry(*engine).or_default() +=
+                if let Some(&engine) = stream_engines.get(&sid) {
+                    // Classification and placement bind streams only to
+                    // DMA, scratchpad, generate, recurrence or register
+                    // engines, all of which declare a bandwidth.
+                    let bw = adg.node(engine).and_then(AdgNode::engine_bw).unwrap_or_else(|| {
+                        panic!(
+                            "stream {sid} of kernel `{}` is bound to n{}, which is not an engine node",
+                            mdfg.name(),
+                            engine.index(),
+                        )
+                    });
+                    demand.entry(engine).or_insert((f64::from(bw), 0.0)).1 +=
                         s.bytes_per_firing as f64 / s.reuse.stationary.max(1.0);
                 }
             }
         }
-        for (engine, d) in demand {
-            let bw = adg
-                .node(engine)
-                .and_then(AdgNode::engine_bw)
-                .map(f64::from)
-                .unwrap_or(8.0);
+        for (bw, d) in demand.into_values() {
             if d > bw {
                 penalty *= bw / d;
             }
@@ -239,11 +299,7 @@ pub(crate) fn score_mapping(
             }
         }
     }
-    let spad_bw: f64 = adg
-        .nodes()
-        .filter_map(|(_, n)| n.as_spad().map(|s| f64::from(s.bw_bytes)))
-        .sum();
-    let mut est = estimate_ipc(mdfg, &sys.sys, spad_bw, &placement);
+    let mut est = estimate_ipc(mdfg, &hw.sys.sys, hw.spad_bw, &placement);
     est.ipc *= penalty;
     est.per_tile_ipc *= penalty;
 
@@ -262,10 +318,10 @@ pub(crate) fn score_mapping(
 struct Placer<'a> {
     mdfg: &'a Mdfg,
     adg: &'a Adg,
-    sys: &'a SysAdg,
+    hw: &'a HwIndex<'a>,
     prior: Option<&'a Schedule>,
     /// Bitset adjacency + kind table for the routing hot loop.
-    adj: AdjBits,
+    adj: &'a AdjBits,
     /// Every PE in id order: the candidate pool of each instruction.
     pes: Vec<(NodeId, &'a PeNode)>,
     assignment: BTreeMap<MdfgNodeId, NodeId>,
@@ -289,14 +345,14 @@ struct Placer<'a> {
 }
 
 impl<'a> Placer<'a> {
-    fn new(mdfg: &'a Mdfg, sys: &'a SysAdg, prior: Option<&'a Schedule>, quiet: bool) -> Self {
-        let adg = &sys.adg;
-        let adj = AdjBits::new(adg);
+    fn new(mdfg: &'a Mdfg, hw: &'a HwIndex<'a>, prior: Option<&'a Schedule>, quiet: bool) -> Self {
+        let adg = &hw.sys.adg;
+        let adj = &hw.adj;
         let slots = adj.slots();
         Placer {
             mdfg,
             adg,
-            sys,
+            hw,
             prior,
             adj,
             pes: adg
@@ -475,32 +531,39 @@ impl<'a> Placer<'a> {
                         continue;
                     }
                     let s = n.as_stream().expect("input stream");
-                    let engine = engine_of_stream(self.mdfg, self.adg, &self.assignment, sid)
-                        .ok_or_else(|| ScheduleError::NoCandidate {
-                            node: sid,
-                            requirement: format!(
-                                "a {} engine",
-                                if s.array.is_empty() {
-                                    "generate"
-                                } else {
-                                    "memory"
-                                }
-                            ),
-                        })?;
+                    let engine =
+                        self.engine_of_stream(sid)
+                            .ok_or_else(|| ScheduleError::NoCandidate {
+                                node: sid,
+                                requirement: format!(
+                                    "a {} engine",
+                                    if s.array.is_empty() {
+                                        "generate"
+                                    } else {
+                                        "memory"
+                                    }
+                                ),
+                            })?;
                     self.bind_in_port(sid, engine)?;
                 }
                 MdfgNodeKind::OutputStream => {
-                    let engine = engine_of_stream(self.mdfg, self.adg, &self.assignment, sid)
-                        .ok_or_else(|| ScheduleError::NoCandidate {
-                            node: sid,
-                            requirement: "a memory/recurrence engine".into(),
-                        })?;
+                    let engine =
+                        self.engine_of_stream(sid)
+                            .ok_or_else(|| ScheduleError::NoCandidate {
+                                node: sid,
+                                requirement: "a memory/recurrence engine".into(),
+                            })?;
                     self.bind_out_port(sid, engine)?;
                 }
                 _ => {}
             }
         }
         Ok(())
+    }
+
+    fn engine_of_stream(&self, sid: MdfgNodeId) -> Option<NodeId> {
+        self.hw
+            .engine_of_stream(self.mdfg, sid, |aid| self.assignment.get(&aid).copied())
     }
 
     fn bind_in_port(&mut self, sid: MdfgNodeId, engine: NodeId) -> Result<(), ScheduleError> {
@@ -949,7 +1012,7 @@ impl<'a> Placer<'a> {
     fn finish(self) -> Schedule {
         score_mapping(
             self.mdfg,
-            self.sys,
+            self.hw,
             self.assignment,
             self.stream_engines,
             self.routes,
@@ -1206,8 +1269,34 @@ mod tests {
         .unwrap();
         let s = sys(&MeshSpec::default());
         let loud = schedule(&mdfg, &s, None).unwrap();
-        let silent = place_quiet(&mdfg, &s, None).unwrap();
+        let silent = place_quiet(&mdfg, &HwIndex::new(&s), None).unwrap();
         assert_eq!(loud, silent);
+    }
+
+    #[test]
+    #[should_panic(expected = "of kernel `vecadd` is bound to n")]
+    fn scoring_a_stream_bound_to_a_pe_panics() {
+        let mdfg = lower(
+            &vecadd(64),
+            0,
+            &LowerChoices {
+                unroll: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let s = sys(&MeshSpec::default());
+        let sched = schedule(&mdfg, &s, None).unwrap();
+        let pe = s.adg.nodes_of_kind(NodeKind::Pe)[0];
+        let mut engines = sched.stream_engines.clone();
+        *engines.values_mut().next().expect("vecadd has streams") = pe;
+        score_mapping(
+            &mdfg,
+            &HwIndex::new(&s),
+            sched.assignment,
+            engines,
+            sched.routes,
+        );
     }
 
     #[test]

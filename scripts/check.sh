@@ -214,25 +214,36 @@ stage_bench() {
     echo "== bench: perf-regression gate against the committed baseline =="
     # Deterministic ratios get hard bands; absolute wall numbers only get
     # presence checks (machines differ). The committed baseline ran at 60
-    # iterations, the candidate at 10 — the bands absorb that.
+    # iterations, the candidate at 10 — the bands absorb that (the timed
+    # mutation chain is the same 60 proposals at any iteration count).
+    # The median-speedup floor sits between the two repair paths it must
+    # tell apart. On a 2-vCPU VM, 40 runs of what an evaluation runs (one
+    # shared hardware index per proposal) read 6.28-7.24x, and 40 runs of
+    # the per-call `repair_with` it replaced read 4.34-4.96x; 18% under
+    # the 6.85x record is a 5.61x floor.
     cargo run -q --release -p overgen-bench --bin bench-compare -- \
         results/BENCH_repair.json "$TRACE_TMP/r1/BENCH_repair.json" \
         min:dse.fast_share=0.5 \
-        max-drop:timing.median_speedup=0.5 \
+        max-drop:timing.median_speedup=0.18 \
         min:timing.min_speedup=1.0 \
         require:timing.proposals \
         require:timing.median_repair_seconds \
         || { echo "FAIL: repair benchmark regressed past the tolerance bands"; exit 1; }
 
     echo "== bench: injected synthetic regression must fail the gate =="
+    # 4.7x is the median of the per-call repair path's 40 runs.
     sed -e 's/"fast_share":[0-9.eE+-]*/"fast_share":0.01/' \
-        -e 's/"median_speedup":[0-9.eE+-]*/"median_speedup":1.01/' \
+        -e 's/"median_speedup":[0-9.eE+-]*/"median_speedup":4.7/' \
         "$TRACE_TMP/r1/BENCH_repair.json" > "$TRACE_TMP/regressed.json"
     if cargo run -q --release -p overgen-bench --bin bench-compare -- \
         results/BENCH_repair.json "$TRACE_TMP/regressed.json" \
-        min:dse.fast_share=0.5 \
-        max-drop:timing.median_speedup=0.5 >/dev/null; then
-        echo "FAIL: bench-compare accepted a synthetic regression"; exit 1
+        min:dse.fast_share=0.5 >/dev/null; then
+        echo "FAIL: bench-compare accepted a synthetic fast-share regression"; exit 1
+    fi
+    if cargo run -q --release -p overgen-bench --bin bench-compare -- \
+        results/BENCH_repair.json "$TRACE_TMP/regressed.json" \
+        max-drop:timing.median_speedup=0.18 >/dev/null; then
+        echo "FAIL: bench-compare accepted a per-call repair median speedup"; exit 1
     fi
 }
 

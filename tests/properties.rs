@@ -10,7 +10,8 @@ use overgen_dse::{AdgDelta, Dse, DseConfig, ParetoFront, ParetoPoint, RuleSet, T
 use overgen_ir::{expr, AffineExpr, DataType, Kernel, KernelBuilder, Suite};
 use overgen_mdfg::Mdfg;
 use overgen_scheduler::{
-    repair, repair_with, schedule, RepairOptions, RepairOutcome, Schedule, ScheduleFootprint,
+    repair, repair_with, schedule, HwIndex, RepairOptions, RepairOutcome, Schedule,
+    ScheduleFootprint,
 };
 use overgen_telemetry::Rng;
 
@@ -187,7 +188,9 @@ fn repair_after_mutations_yields_valid_schedules() {
 /// The repair engine's core contract: for any random mutation sequence,
 /// the incremental fast path and a forced full re-placement produce the
 /// *same* schedule — same validity, same mapping, same estimated latency
-/// (bit-identical IPC), same outcome classification.
+/// (bit-identical IPC), same outcome classification. A repair through one
+/// shared [`HwIndex`] of the mutated hardware, taking the prior by value,
+/// equals the per-call [`repair_with`] in both modes.
 #[test]
 fn incremental_repair_equals_full_replacement() {
     let mut rng = Rng::seed_from_u64(0x1C4E);
@@ -236,6 +239,14 @@ fn incremental_repair_equals_full_replacement() {
         };
         let fast = repair_with(&prior, &mdfg, &mutated, &opts(true));
         let full = repair_with(&prior, &mdfg, &mutated, &opts(false));
+        let hw = HwIndex::new(&mutated);
+        for (incremental, per_call) in [(true, &fast), (false, &full)] {
+            assert_eq!(
+                &hw.repair(prior.clone(), &mdfg, &opts(incremental)),
+                per_call,
+                "shared-index repair != per-call repair (incremental {incremental})"
+            );
+        }
         match (fast, full) {
             (Ok((fs, fo)), Ok((gs, go))) => {
                 assert_eq!(fo, go, "outcome classification diverged");

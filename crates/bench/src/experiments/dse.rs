@@ -5,16 +5,20 @@
 //! proposals/sec, acceptance and cache behaviour, and — when the profiler
 //! is on (`OVERGEN_PROFILE`, default) — per-phase wall-time totals with
 //! attribution coverage, the system sweep's share of eval time and the
-//! scheduler's share of eval time outside the sweep. The `check.sh
-//! profile` stage gates a fresh record with
-//! `bench-compare`: coverage and both shares get hard bounds; the
-//! wall-clock numbers only get `require:` presence checks, since absolute
-//! throughput varies across machines.
+//! scheduler's share of eval time outside the sweep. After the run it
+//! times the domain's variant compilation alone: the fastest of
+//! [`COMPILE_PASSES`] `compile_variants` passes over every kernel. The
+//! `check.sh profile` stage gates a fresh record with `bench-compare`:
+//! coverage and both shares get hard bounds, throughput and the compile
+//! pass relative bands against the committed record.
 
+use std::hint::black_box;
 use std::time::Instant;
 
+use overgen_compiler::{compile_variants, CompileOptions};
 use overgen_dse::{Dse, DseStats};
-use overgen_telemetry::{current_profiler, fs::write_atomic, json, Phase};
+use overgen_ir::Kernel;
+use overgen_telemetry::{count_isolated, current_profiler, fs::write_atomic, json, Phase};
 use overgen_workloads as workloads;
 
 use crate::experiments::repair::DOMAIN;
@@ -39,6 +43,31 @@ pub struct DseReport {
     /// Schedule plus repair time over eval time outside the system sweep;
     /// `0.0` when the profiler is off or nothing was evaluated.
     pub scheduler_share: f64,
+    /// Fastest `compile_variants` pass over the domain, in µs.
+    pub compile_best_us: f64,
+}
+
+/// Timed passes of the domain's variant compilation; the record keeps the
+/// fastest, so one preempted pass does not move it.
+pub const COMPILE_PASSES: usize = 50;
+
+/// The fastest of [`COMPILE_PASSES`] passes compiling every kernel of
+/// `domain`, in µs. The passes run under a counting collector, so no span
+/// or event reaches the run's trace.
+fn compile_best_us(domain: &[Kernel], opts: &CompileOptions) -> f64 {
+    let pass = || {
+        let t = Instant::now();
+        for k in domain {
+            black_box(compile_variants(k, opts).expect("domain compiles"));
+        }
+        t.elapsed().as_secs_f64() * 1e6
+    };
+    count_isolated(|| {
+        (0..COMPILE_PASSES)
+            .map(|_| pass())
+            .fold(f64::INFINITY, f64::min)
+    })
+    .0
 }
 
 /// Run the DSE and write `results/BENCH_dse.json`.
@@ -48,9 +77,11 @@ pub fn run() -> DseReport {
         .map(|n| workloads::by_name(n).expect("workload exists"))
         .collect();
     let cfg = dse_config(dse_iters(), seed() ^ 0x0D5E_0BE2);
+    let (kernels, compile) = (domain.clone(), cfg.compile);
     let wall = Instant::now();
-    let r = Dse::new(domain, cfg).run().expect("domain schedules");
+    let r = Dse::new(kernels, cfg).run().expect("domain schedules");
     let wall_seconds = wall.elapsed().as_secs_f64();
+    let compile_best_us = compile_best_us(&domain, &compile);
     let stats = r.stats;
 
     let (phase_totals, coverage, system_share, scheduler_share) = match current_profiler() {
@@ -83,6 +114,7 @@ pub fn run() -> DseReport {
         coverage,
         system_share,
         scheduler_share,
+        compile_best_us,
     };
 
     let decisions = stats.repair_fast + stats.repair_fallback + stats.full_schedules;
@@ -110,6 +142,12 @@ pub fn run() -> DseReport {
                     "fast_share",
                     stats.repair_fast as f64 / decisions.max(1) as f64,
                 )
+                .finish();
+        })
+        .with("compile", |o| {
+            json::Obj::into(o)
+                .u64("passes", COMPILE_PASSES as u64)
+                .f64("best_us", report.compile_best_us)
                 .finish();
         })
         .with("profile", |o| {
@@ -147,6 +185,10 @@ pub fn render(r: &DseReport) -> String {
     t.row([
         "cache hits / misses".into(),
         format!("{} / {}", r.stats.cache_hits, r.stats.cache_misses),
+    ]);
+    t.row([
+        format!("compile pass, best of {COMPILE_PASSES} (us)"),
+        format!("{:.1}", r.compile_best_us),
     ]);
     for (name, us) in &r.phase_totals {
         t.row([format!("phase {name} (us)"), us.to_string()]);

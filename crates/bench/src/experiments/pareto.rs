@@ -85,7 +85,8 @@ pub fn run() -> ParetoReport {
 
     // Leg 2: the same search under a budget barely above the seed design,
     // so growth proposals trip the feasibility gate.
-    let seed_res = accelerator_resources(&Dse::seed_adg(&domain()), &AnalyticModel);
+    let seed_adg = Dse::seed_adg(&domain()).expect("domain lowers");
+    let seed_res = accelerator_resources(&seed_adg, &AnalyticModel);
     let budget = DeviceBudget {
         name: "bench-tight",
         limit: seed_res * 1.02,

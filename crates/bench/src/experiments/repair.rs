@@ -130,7 +130,7 @@ fn timing_chain() -> (Vec<f64>, usize, usize, f64, f64) {
         })
         .collect();
     let caps = Dse::cap_pool(&kernels);
-    let mut adg = Dse::seed_adg(&kernels);
+    let mut adg = Dse::seed_adg(&kernels).expect("domain lowers");
     let sys_of = |adg: &overgen_adg::Adg| SysAdg::new(adg.clone(), SystemParams::default());
     let sys = sys_of(&adg);
     let mut schedules: Vec<Schedule> = mdfgs

@@ -169,7 +169,7 @@ fn oracle() -> (usize, usize, usize) {
     for k in workloads::all() {
         let kernels = std::slice::from_ref(&k);
         let caps = Dse::cap_pool(kernels);
-        let mut adg = Dse::seed_adg(kernels);
+        let mut adg = Dse::seed_adg(kernels).expect("kernel lowers");
         let sys = SysAdg::new(adg.clone(), SystemParams::default());
         let mdfg = lower(&k, 0, &LowerChoices::default()).expect("unroll-1 lowering succeeds");
         let Ok(prior) = schedule(&mdfg, &sys, None) else {

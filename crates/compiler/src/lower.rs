@@ -1,14 +1,21 @@
 //! Lowering: kernel IR -> one mDFG, for a fixed set of transformation
 //! choices (unroll degree, recurrence usage).
+//!
+//! A kernel is analysed once ([`KernelAnalysis`]): every load resolved to
+//! the stream that serves it, every stream's reuse analysed and every
+//! array's footprint sized. A lowering only builds nodes and edges from
+//! that analysis, so all variants of a kernel share one.
 
 use std::collections::BTreeMap;
 
 use overgen_ir::{ArrayRef, DataType, Expr, IndexExpr, Kernel, Op};
 use overgen_mdfg::{
-    ArrayNode, InstNode, Mdfg, MdfgNode, MdfgNodeId, MemPref, ReuseInfo, StreamNode,
+    ArrayNode, InstNode, Mdfg, MdfgNode, MdfgNodeId, MemPref, RecurrenceInfo, ReuseInfo, StreamNode,
 };
 
-use crate::reuse::{analyze_ref, array_footprint_bytes, declared, placement_pref, recurrence_of};
+use crate::reuse::{
+    analyze_ref, array_footprint_bytes, declared, placement_pref, recurrence_of, RefAnalysis,
+};
 use crate::CompileError;
 
 /// Transformation choices for one lowering.
@@ -36,19 +43,6 @@ impl Default for LowerChoices {
 /// Key identifying a unique stream: array + rendered index + direction.
 fn ref_key(r: &ArrayRef, write: bool) -> String {
     format!("{}{}{}", if write { "w:" } else { "r:" }, r.array, r.index)
-}
-
-struct LowerCtx<'k> {
-    kernel: &'k Kernel,
-    g: Mdfg,
-    unroll: u32,
-    innermost_var: String,
-    arrays: BTreeMap<String, MdfgNodeId>,
-    read_streams: BTreeMap<String, MdfgNodeId>,
-    write_streams: BTreeMap<String, MdfgNodeId>,
-    /// Read clustering: maps (array, variable-part, constant) to a cluster
-    /// descriptor so that window/coefficient loads share one stream.
-    clusters: BTreeMap<(String, String, i64), ClusterInfo>,
 }
 
 /// One cluster of same-array reads whose indices differ only by nearby
@@ -126,112 +120,418 @@ fn build_clusters(kernel: &Kernel) -> BTreeMap<(String, String, i64), ClusterInf
     out
 }
 
-impl<'k> LowerCtx<'k> {
+/// One stream a lowering may create, analysed once per kernel.
+struct StreamPlan<'k> {
+    /// Slot of the stream's key: references with equal keys share one
+    /// stream, created by whichever of them a lowering reaches first.
+    slot: usize,
+    /// The array the stream reads or writes, and its slot.
+    name: &'k str,
+    array: usize,
+    /// Reuse, pattern and dimensionality of the stream's reference.
+    analysis: RefAnalysis,
+    /// Element bytes of the array.
+    elem_bytes: u64,
+    /// Whether the stream moves one element per unrolled copy (its index
+    /// involves the innermost variable, or it is indirect).
+    vectorized: bool,
+    /// Extra bytes per firing a window stream delivers beyond its
+    /// representative element.
+    window_bytes: u64,
+}
+
+impl StreamPlan<'_> {
+    /// The read stream node at `unroll`.
+    fn node(&self, unroll: u32) -> StreamNode {
+        let per_copy = if self.vectorized {
+            u64::from(unroll) * self.elem_bytes
+        } else {
+            self.elem_bytes
+        };
+        StreamNode::read(self.name, per_copy + self.window_bytes, self.analysis.reuse)
+            .with_pattern(self.analysis.pattern, self.analysis.dims)
+    }
+}
+
+/// How one load resolves: the read stream that serves it and, for an
+/// indirect load, the linear stream of its index array.
+struct LoadPlan<'k> {
+    read: StreamPlan<'k>,
+    broadcast: bool,
+    index: Option<StreamPlan<'k>>,
+}
+
+/// The loads of one statement, in [`Expr::loads`] order, the stream it
+/// writes and, when it accumulates, the stream it reads back with the
+/// recurrence the engine may carry (absent when no loop recurs or the
+/// live set exceeds the engine).
+struct StmtPlan<'k> {
+    loads: Vec<LoadPlan<'k>>,
+    dst_vectorized: bool,
+    write: StreamPlan<'k>,
+    accum: Option<(StreamPlan<'k>, Option<RecurrenceInfo>)>,
+}
+
+/// The slot of `key`: equal keys share one dense slot.
+fn slot<K: Ord>(slots: &mut BTreeMap<K, usize>, key: K) -> usize {
+    let next = slots.len();
+    *slots.entry(key).or_insert(next)
+}
+
+/// Everything lowering needs from a kernel, computed once for all of its
+/// variants: the stream serving each load (the slot of its key, and the
+/// [`RefAnalysis`] of its cluster's representative reference and window),
+/// each statement's write and accumulation streams, every array's
+/// footprint, and the kernel traits a stream or graph records.
+pub(crate) struct KernelAnalysis<'k> {
+    kernel: &'k Kernel,
+    innermost_var: &'k str,
+    innermost_trip: u64,
+    /// Any loop has a data-dependent trip count.
+    variable_trip: bool,
+    cross_iteration: bool,
+    /// Stream keys by slot. Read keys start `r:` and write keys `w:`, so
+    /// one table keeps reads and writes apart.
+    stream_slots: BTreeMap<String, usize>,
+    array_slots: BTreeMap<&'k str, usize>,
+    /// Each array's footprint, by slot.
+    footprints: Vec<u64>,
+    stmts: Vec<StmtPlan<'k>>,
+}
+
+impl<'k> KernelAnalysis<'k> {
+    /// Analyse `kernel` for lowering.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::NotConfigured`] when the kernel lacks the `config`
+    /// pragma, [`CompileError::Graph`] when its nest is empty.
+    pub(crate) fn new(kernel: &'k Kernel) -> Result<Self, CompileError> {
+        if !kernel.pragmas().config {
+            return Err(CompileError::NotConfigured);
+        }
+        let innermost = kernel
+            .nest()
+            .innermost()
+            .ok_or(CompileError::Graph("empty nest".into()))?;
+        let traits = kernel.traits();
+        let clusters = build_clusters(kernel);
+        let mut an = KernelAnalysis {
+            kernel,
+            innermost_var: &innermost.var,
+            innermost_trip: innermost.trip.max(),
+            variable_trip: kernel.nest().has_variable_trip(),
+            cross_iteration: traits.cross_iteration,
+            stream_slots: BTreeMap::new(),
+            array_slots: BTreeMap::new(),
+            footprints: Vec::new(),
+            stmts: Vec::with_capacity(kernel.body().len()),
+        };
+        for stmt in kernel.body() {
+            let loads = stmt
+                .value
+                .loads()
+                .into_iter()
+                .map(|r| an.load(r, &clusters, traits.wants_broadcast))
+                .collect();
+            let dst = &stmt.dst;
+            let write = an.stream(ref_key(dst, true), &dst.array, dst, true, 1);
+            let accum = stmt.accumulate.then(|| {
+                let read = an.stream(ref_key(dst, false), &dst.array, dst, false, 1);
+                let recurrence = recurrence_of(kernel, dst).filter(|r| r.concurrent <= 4096);
+                (read, recurrence)
+            });
+            an.stmts.push(StmtPlan {
+                loads,
+                dst_vectorized: dst.index.affine().involves(an.innermost_var),
+                write,
+                accum,
+            });
+        }
+        Ok(an)
+    }
+
+    /// The stream keyed `key` of reference `r` to array `array`, whose
+    /// window spans `window_span` elements.
+    fn stream(
+        &mut self,
+        key: String,
+        array: &'k str,
+        r: &ArrayRef,
+        write: bool,
+        window_span: i64,
+    ) -> StreamPlan<'k> {
+        let array_slot = slot(&mut self.array_slots, array);
+        if array_slot == self.footprints.len() {
+            self.footprints
+                .push(array_footprint_bytes(self.kernel, array));
+        }
+        let elem_bytes = declared(self.kernel, array).dtype.bytes();
+        StreamPlan {
+            slot: slot(&mut self.stream_slots, key),
+            name: array,
+            array: array_slot,
+            analysis: analyze_ref(self.kernel, r, write),
+            elem_bytes,
+            vectorized: r.index.affine().involves(self.innermost_var) || r.index.is_indirect(),
+            window_bytes: (window_span - 1).max(0) as u64 * elem_bytes,
+        }
+    }
+
+    /// Resolve one load. Affine reads resolve through their
+    /// window/coefficient cluster: the cluster's representative ref
+    /// defines the stream.
+    fn load(
+        &mut self,
+        r: &'k ArrayRef,
+        clusters: &BTreeMap<(String, String, i64), ClusterInfo>,
+        wants_broadcast: bool,
+    ) -> LoadPlan<'k> {
+        let clustered = match &r.index {
+            IndexExpr::Affine(e) => clusters
+                .get(&(r.array.clone(), var_part(e), e.constant_term()))
+                .map(|c| {
+                    let rep_e = e.clone().offset(c.min_const - e.constant_term());
+                    (
+                        c.key.clone(),
+                        ArrayRef::affine(r.array.clone(), rep_e),
+                        c.span,
+                    )
+                }),
+            IndexExpr::Indirect { .. } => None,
+        };
+        let (key, rep, window_span) =
+            clustered.unwrap_or_else(|| (ref_key(r, false), r.clone(), 1));
+        // Indirect: the index array is itself read by a linear stream.
+        let index = match &r.index {
+            IndexExpr::Indirect { index_array, .. } => {
+                let idx_ref = ArrayRef::affine(index_array.clone(), r.index.affine().clone());
+                Some(self.stream(ref_key(&idx_ref, false), index_array, &idx_ref, false, 1))
+            }
+            IndexExpr::Affine(_) => None,
+        };
+        LoadPlan {
+            read: self.stream(key, &r.array, &rep, false, window_span),
+            // Broadcast-pathology kernels replicate indirect gather
+            // targets to every tile (the ellpack outlier).
+            broadcast: wants_broadcast && rep.index.is_indirect(),
+            index,
+        }
+    }
+
+    /// Lower the analysed kernel with `choices` into variant `variant`.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::BadUnroll`] for a zero or oversized unroll degree,
+    /// [`CompileError::Graph`] for internal construction failures (a bug).
+    pub(crate) fn lower(&self, variant: u32, choices: &LowerChoices) -> Result<Mdfg, CompileError> {
+        let u = choices.unroll;
+        if u == 0 || u as u64 > self.innermost_trip {
+            return Err(CompileError::BadUnroll { unroll: u });
+        }
+        let kernel = self.kernel;
+        let mut g = Mdfg::new(kernel.name(), variant);
+        g.set_unroll(u);
+        g.set_total_iterations(kernel.nest().total_iterations());
+        g.set_sequential(self.cross_iteration);
+
+        let mut ctx = Lowering {
+            an: self,
+            g,
+            unroll: u,
+            streams: vec![None; self.stream_slots.len()],
+            arrays: vec![None; self.footprints.len()],
+        };
+
+        let dtype = kernel.dtype();
+        let lanes = dtype.subword_lanes().min(u);
+        let groups = u.div_ceil(lanes).max(1);
+
+        for (stmt, plan) in kernel.body().iter().zip(&self.stmts) {
+            let mut group_values: Vec<MdfgNodeId> = Vec::new();
+
+            for _group in 0..groups {
+                let v = ctx.build_expr(&stmt.value, dtype, lanes, &mut plan.loads.iter())?;
+                let v = match v {
+                    Some(id) => id,
+                    // Pure-constant statement: values come from a generate
+                    // stream (empty array name = generate engine).
+                    None => ctx.g.add_node(MdfgNode::InputStream(StreamNode::read(
+                        "",
+                        u64::from(lanes) * dtype.bytes(),
+                        ReuseInfo::default(),
+                    ))),
+                };
+                let v = if stmt.guarded {
+                    // Predicated execution through the control lookup table.
+                    let sel =
+                        ctx.g
+                            .add_node(MdfgNode::Inst(InstNode::new(Op::Select, dtype, lanes)));
+                    ctx.g.add_edge(v, sel).map_err(Lowering::err)?;
+                    sel
+                } else {
+                    v
+                };
+                group_values.push(v);
+            }
+
+            // Cross-group reduction when the destination is not vectorized.
+            let final_values = if !plan.dst_vectorized && group_values.len() > 1 {
+                let mut acc = group_values[0];
+                for &v in &group_values[1..] {
+                    let red = ctx
+                        .g
+                        .add_node(MdfgNode::Inst(InstNode::new(Op::Add, dtype, lanes)));
+                    ctx.g.add_edge(acc, red).map_err(Lowering::err)?;
+                    ctx.g.add_edge(v, red).map_err(Lowering::err)?;
+                    acc = red;
+                }
+                vec![acc]
+            } else {
+                group_values
+            };
+
+            // Write stream (dedup).
+            let w = &plan.write;
+            let wid = match ctx.streams[w.slot] {
+                Some(id) => id,
+                None => {
+                    let stream = StreamNode {
+                        is_write: true,
+                        ..w.node(u)
+                    };
+                    let id = ctx.g.add_node(MdfgNode::OutputStream(stream));
+                    let aid = ctx.ensure_array(w);
+                    ctx.g.add_edge(id, aid).map_err(Lowering::err)?;
+                    ctx.streams[w.slot] = Some(id);
+                    id
+                }
+            };
+
+            if let Some((r, recurrence)) = &plan.accum {
+                let use_rec = choices.use_recurrence && recurrence.is_some();
+                let rid = match ctx.streams[r.slot] {
+                    Some(id) => id,
+                    None => {
+                        let mut stream = r.node(u);
+                        if use_rec {
+                            stream.reuse.recurrent = *recurrence;
+                        }
+                        let id = ctx.g.add_node(MdfgNode::InputStream(stream));
+                        if use_rec {
+                            // Recurrence pair: write stream feeds the read
+                            // stream directly, bypassing memory.
+                            ctx.g.add_edge(wid, id).map_err(Lowering::err)?;
+                        } else {
+                            let aid = ctx.ensure_array(r);
+                            ctx.g.add_edge(aid, id).map_err(Lowering::err)?;
+                        }
+                        ctx.streams[r.slot] = Some(id);
+                        id
+                    }
+                };
+                for v in final_values {
+                    let add = ctx
+                        .g
+                        .add_node(MdfgNode::Inst(InstNode::new(Op::Add, dtype, lanes)));
+                    ctx.g.add_edge(v, add).map_err(Lowering::err)?;
+                    ctx.g.add_edge(rid, add).map_err(Lowering::err)?;
+                    ctx.g.add_edge(add, wid).map_err(Lowering::err)?;
+                }
+            } else {
+                for v in final_values {
+                    ctx.g.add_edge(v, wid).map_err(Lowering::err)?;
+                }
+            }
+        }
+
+        let mut g = ctx.g;
+        refine_placements(&mut g, choices.spad_cap_bytes);
+        g.validate().map_err(Lowering::err)?;
+        Ok(g)
+    }
+}
+
+/// One lowering in progress: the graph and the node of every stream and
+/// array slot created so far.
+struct Lowering<'a, 'k> {
+    an: &'a KernelAnalysis<'k>,
+    g: Mdfg,
+    unroll: u32,
+    streams: Vec<Option<MdfgNodeId>>,
+    arrays: Vec<Option<MdfgNodeId>>,
+}
+
+impl Lowering<'_, '_> {
     fn err(e: impl std::fmt::Display) -> CompileError {
         CompileError::Graph(e.to_string())
     }
 
-    fn elem_bytes(&self, name: &str) -> u64 {
-        declared(self.kernel, name).dtype.bytes()
-    }
-
-    fn ensure_array(&mut self, name: &str) -> MdfgNodeId {
-        if let Some(id) = self.arrays.get(name) {
-            return *id;
+    /// The node of the array `s` streams, created on first use.
+    fn ensure_array(&mut self, s: &StreamPlan) -> MdfgNodeId {
+        if let Some(id) = self.arrays[s.array] {
+            return id;
         }
-        let fp = array_footprint_bytes(self.kernel, name);
+        let fp = self.an.footprints[s.array];
         let id = self
             .g
-            .add_node(MdfgNode::Array(ArrayNode::new(name, fp, MemPref::Either)));
-        self.arrays.insert(name.to_string(), id);
+            .add_node(MdfgNode::Array(ArrayNode::new(s.name, fp, MemPref::Either)));
+        self.arrays[s.array] = Some(id);
         id
     }
 
-    /// Bytes a stream of `r` moves per DFG firing.
-    fn firing_bytes(&self, r: &ArrayRef) -> u64 {
-        let eb = self.elem_bytes(&r.array);
-        let involves_inner =
-            r.index.affine().involves(&self.innermost_var) || r.index.is_indirect();
-        if involves_inner {
-            u64::from(self.unroll) * eb
-        } else {
-            eb
+    /// The read stream serving `load`, created on first use.
+    fn make_read(&mut self, load: &LoadPlan) -> Result<MdfgNodeId, CompileError> {
+        let s = &load.read;
+        if let Some(id) = self.streams[s.slot] {
+            return Ok(id);
         }
-    }
-
-    fn make_read(&mut self, r: &ArrayRef) -> Result<MdfgNodeId, CompileError> {
-        // Affine reads resolve through their window/coefficient cluster:
-        // the cluster's representative ref defines the stream.
-        let (key, rep, window_span) = match &r.index {
-            IndexExpr::Affine(e) => {
-                match self
-                    .clusters
-                    .get(&(r.array.clone(), var_part(e), e.constant_term()))
-                    .cloned()
-                {
-                    Some(c) => {
-                        let rep_e = e.clone().offset(c.min_const - e.constant_term());
-                        (c.key, ArrayRef::affine(r.array.clone(), rep_e), c.span)
-                    }
-                    None => (ref_key(r, false), r.clone(), 1),
-                }
-            }
-            IndexExpr::Indirect { .. } => (ref_key(r, false), r.clone(), 1),
-        };
-        if let Some(id) = self.read_streams.get(&key) {
-            return Ok(*id);
-        }
-        let r = &rep;
-        let an = analyze_ref(self.kernel, r, false);
-        let extra = (window_span - 1).max(0) as u64 * self.elem_bytes(&r.array);
-        let mut stream = StreamNode::read(r.array.clone(), self.firing_bytes(r) + extra, an.reuse)
-            .with_pattern(an.pattern, an.dims);
-        if self.kernel.nest().has_variable_trip() {
+        let mut stream = s.node(self.unroll);
+        if self.an.variable_trip {
             stream = stream.with_variable_tc();
         }
-        // Broadcast-pathology kernels replicate indirect gather targets to
-        // every tile (the ellpack outlier).
-        if self.kernel.traits().wants_broadcast && r.index.is_indirect() {
+        if load.broadcast {
             stream = stream.with_broadcast();
         }
         let sid = self.g.add_node(MdfgNode::InputStream(stream));
-        let aid = self.ensure_array(&r.array);
+        let aid = self.ensure_array(s);
         self.g.add_edge(aid, sid).map_err(Self::err)?;
-        // Indirect: the index array is itself read by a linear stream.
-        if let IndexExpr::Indirect { index_array, .. } = &r.index {
-            let idx_ref = ArrayRef::affine(index_array.clone(), r.index.affine().clone());
-            let ikey = ref_key(&idx_ref, false);
-            if !self.read_streams.contains_key(&ikey) {
-                let ian = analyze_ref(self.kernel, &idx_ref, false);
-                let istream =
-                    StreamNode::read(index_array.clone(), self.firing_bytes(&idx_ref), ian.reuse)
-                        .with_pattern(ian.pattern, ian.dims);
-                let isid = self.g.add_node(MdfgNode::InputStream(istream));
-                let iaid = self.ensure_array(index_array);
-                self.g.add_edge(iaid, isid).map_err(Self::err)?;
-                // The index stream feeds the target stream's indirect
-                // request generator.
-                self.g.add_edge(isid, sid).map_err(Self::err)?;
-                self.read_streams.insert(ikey, isid);
-            }
+        if let Some(i) = load
+            .index
+            .as_ref()
+            .filter(|i| self.streams[i.slot].is_none())
+        {
+            let isid = self.g.add_node(MdfgNode::InputStream(i.node(self.unroll)));
+            let iaid = self.ensure_array(i);
+            self.g.add_edge(iaid, isid).map_err(Self::err)?;
+            // The index stream feeds the target stream's indirect
+            // request generator.
+            self.g.add_edge(isid, sid).map_err(Self::err)?;
+            self.streams[i.slot] = Some(isid);
         }
-        self.read_streams.insert(key, sid);
+        self.streams[s.slot] = Some(sid);
         Ok(sid)
     }
 
-    /// Build instruction nodes for an expression tree. Returns the
-    /// producing node id, or `None` for constant subtrees.
-    fn build_expr(
+    /// Build instruction nodes for an expression tree, taking each load's
+    /// plan from `loads` in walk order. Returns the producing node id, or
+    /// `None` for constant subtrees.
+    fn build_expr<'p>(
         &mut self,
         e: &Expr,
         dtype: DataType,
         lanes: u32,
+        loads: &mut impl Iterator<Item = &'p LoadPlan<'p>>,
     ) -> Result<Option<MdfgNodeId>, CompileError> {
         match e {
             Expr::Const(_) => Ok(None),
-            Expr::Load(r) => Ok(Some(self.make_read(r)?)),
+            Expr::Load(_) => {
+                let load = loads.next().expect("one plan per load");
+                Ok(Some(self.make_read(load)?))
+            }
             Expr::Unary { op, arg } => {
-                let a = self.build_expr(arg, dtype, lanes)?;
+                let a = self.build_expr(arg, dtype, lanes, loads)?;
                 let node = self
                     .g
                     .add_node(MdfgNode::Inst(InstNode::new(*op, dtype, lanes)));
@@ -241,8 +541,8 @@ impl<'k> LowerCtx<'k> {
                 Ok(Some(node))
             }
             Expr::Binary { op, lhs, rhs } => {
-                let l = self.build_expr(lhs, dtype, lanes)?;
-                let r = self.build_expr(rhs, dtype, lanes)?;
+                let l = self.build_expr(lhs, dtype, lanes, loads)?;
+                let r = self.build_expr(rhs, dtype, lanes, loads)?;
                 if l.is_none() && r.is_none() {
                     return Ok(None);
                 }
@@ -259,7 +559,8 @@ impl<'k> LowerCtx<'k> {
 }
 
 /// Lower a kernel into a memory-enhanced dataflow graph (paper Figure 3's
-/// "Decoupled-Spatial Compiler" step plus §IV-B memory enhancement).
+/// "Decoupled-Spatial Compiler" step plus §IV-B memory enhancement): one
+/// analysis of the kernel followed by one lowering.
 ///
 /// # Errors
 ///
@@ -268,144 +569,7 @@ impl<'k> LowerCtx<'k> {
 /// unroll degree, and [`CompileError::Graph`] for internal construction
 /// failures (a bug).
 pub fn lower(kernel: &Kernel, variant: u32, choices: &LowerChoices) -> Result<Mdfg, CompileError> {
-    if !kernel.pragmas().config {
-        return Err(CompileError::NotConfigured);
-    }
-    let innermost = kernel
-        .nest()
-        .innermost()
-        .ok_or(CompileError::Graph("empty nest".into()))?;
-    let u = choices.unroll;
-    if u == 0 || u as u64 > innermost.trip.max() {
-        return Err(CompileError::BadUnroll { unroll: u });
-    }
-
-    let mut g = Mdfg::new(kernel.name(), variant);
-    g.set_unroll(u);
-    g.set_total_iterations(kernel.nest().total_iterations());
-    g.set_sequential(kernel.traits().cross_iteration);
-
-    let mut ctx = LowerCtx {
-        clusters: build_clusters(kernel),
-        kernel,
-        g,
-        unroll: u,
-        innermost_var: innermost.var.clone(),
-        arrays: BTreeMap::new(),
-        read_streams: BTreeMap::new(),
-        write_streams: BTreeMap::new(),
-    };
-
-    let dtype = kernel.dtype();
-    let lanes = dtype.subword_lanes().min(u);
-    let groups = u.div_ceil(lanes).max(1);
-
-    for stmt in kernel.body() {
-        let mut group_values: Vec<MdfgNodeId> = Vec::new();
-
-        for _group in 0..groups {
-            let v = ctx.build_expr(&stmt.value, dtype, lanes)?;
-            let v = match v {
-                Some(id) => id,
-                // Pure-constant statement: values come from a generate
-                // stream (empty array name = generate engine).
-                None => ctx.g.add_node(MdfgNode::InputStream(StreamNode::read(
-                    "",
-                    u64::from(lanes) * dtype.bytes(),
-                    ReuseInfo::default(),
-                ))),
-            };
-            let v = if stmt.guarded {
-                // Predicated execution through the control lookup table.
-                let sel = ctx
-                    .g
-                    .add_node(MdfgNode::Inst(InstNode::new(Op::Select, dtype, lanes)));
-                ctx.g.add_edge(v, sel).map_err(LowerCtx::err)?;
-                sel
-            } else {
-                v
-            };
-            group_values.push(v);
-        }
-
-        let dst = stmt.dst.clone();
-        let dst_involves_inner = dst.index.affine().involves(&ctx.innermost_var);
-
-        // Cross-group reduction when the destination is not vectorized.
-        let final_values = if !dst_involves_inner && group_values.len() > 1 {
-            let mut acc = group_values[0];
-            for &v in &group_values[1..] {
-                let red = ctx
-                    .g
-                    .add_node(MdfgNode::Inst(InstNode::new(Op::Add, dtype, lanes)));
-                ctx.g.add_edge(acc, red).map_err(LowerCtx::err)?;
-                ctx.g.add_edge(v, red).map_err(LowerCtx::err)?;
-                acc = red;
-            }
-            vec![acc]
-        } else {
-            group_values
-        };
-
-        // Write stream (dedup).
-        let wkey = ref_key(&dst, true);
-        let wid = if let Some(id) = ctx.write_streams.get(&wkey) {
-            *id
-        } else {
-            let wan = analyze_ref(kernel, &dst, true);
-            let stream = StreamNode::write(dst.array.clone(), ctx.firing_bytes(&dst), wan.reuse)
-                .with_pattern(wan.pattern, wan.dims);
-            let id = ctx.g.add_node(MdfgNode::OutputStream(stream));
-            let aid = ctx.ensure_array(&dst.array);
-            ctx.g.add_edge(id, aid).map_err(LowerCtx::err)?;
-            ctx.write_streams.insert(wkey, id);
-            id
-        };
-
-        if stmt.accumulate {
-            let rec = recurrence_of(kernel, &dst);
-            let use_rec = choices.use_recurrence && rec.is_some_and(|r| r.concurrent <= 4096);
-            let rkey = ref_key(&dst, false);
-            let rid = if let Some(id) = ctx.read_streams.get(&rkey) {
-                *id
-            } else {
-                let mut ran = analyze_ref(kernel, &dst, false);
-                if use_rec {
-                    ran.reuse.recurrent = rec;
-                }
-                let stream = StreamNode::read(dst.array.clone(), ctx.firing_bytes(&dst), ran.reuse)
-                    .with_pattern(ran.pattern, ran.dims);
-                let id = ctx.g.add_node(MdfgNode::InputStream(stream));
-                if use_rec {
-                    // Recurrence pair: write stream feeds the read stream
-                    // directly, bypassing memory.
-                    ctx.g.add_edge(wid, id).map_err(LowerCtx::err)?;
-                } else {
-                    let aid = ctx.ensure_array(&dst.array);
-                    ctx.g.add_edge(aid, id).map_err(LowerCtx::err)?;
-                }
-                ctx.read_streams.insert(rkey, id);
-                id
-            };
-            for v in final_values {
-                let add = ctx
-                    .g
-                    .add_node(MdfgNode::Inst(InstNode::new(Op::Add, dtype, lanes)));
-                ctx.g.add_edge(v, add).map_err(LowerCtx::err)?;
-                ctx.g.add_edge(rid, add).map_err(LowerCtx::err)?;
-                ctx.g.add_edge(add, wid).map_err(LowerCtx::err)?;
-            }
-        } else {
-            for v in final_values {
-                ctx.g.add_edge(v, wid).map_err(LowerCtx::err)?;
-            }
-        }
-    }
-
-    let mut g = ctx.g;
-    refine_placements(&mut g, choices.spad_cap_bytes);
-    g.validate().map_err(LowerCtx::err)?;
-    Ok(g)
+    KernelAnalysis::new(kernel)?.lower(variant, choices)
 }
 
 /// Set each array node's placement preference from the best scratchpad

@@ -6,7 +6,7 @@ use overgen_ir::Kernel;
 use overgen_mdfg::Mdfg;
 use overgen_telemetry::{event, span};
 
-use crate::lower::{lower, LowerChoices};
+use crate::lower::{KernelAnalysis, LowerChoices};
 use crate::CompileError;
 
 /// Options controlling variant generation.
@@ -33,7 +33,8 @@ impl Default for CompileOptions {
 }
 
 /// Compile a kernel into its pre-generated mDFG variants, most aggressive
-/// (widest) first. Variant indices are assigned in order.
+/// (widest) first. Variant indices are assigned in order. The kernel is
+/// analysed once and every variant lowered from that one analysis.
 ///
 /// # Errors
 ///
@@ -60,31 +61,24 @@ pub fn compile_variants(kernel: &Kernel, opts: &CompileOptions) -> Result<Vec<Md
     degrees.reverse(); // widest first
 
     let has_accum = kernel.body().iter().any(|s| s.accumulate);
+    let recurrence: &[bool] = if has_accum && opts.include_no_recurrence {
+        &[true, false]
+    } else {
+        &[true]
+    };
 
+    let analysis = KernelAnalysis::new(kernel)?;
     let mut out = Vec::new();
-    let mut variant = 0u32;
     for &deg in &degrees {
-        out.push(lower(
-            kernel,
-            variant,
-            &LowerChoices {
-                unroll: deg,
-                use_recurrence: true,
-                spad_cap_bytes: opts.spad_cap_bytes,
-            },
-        )?);
-        variant += 1;
-        if has_accum && opts.include_no_recurrence {
-            out.push(lower(
-                kernel,
-                variant,
+        for &use_recurrence in recurrence {
+            out.push(analysis.lower(
+                out.len() as u32,
                 &LowerChoices {
                     unroll: deg,
-                    use_recurrence: false,
+                    use_recurrence,
                     spad_cap_bytes: opts.spad_cap_bytes,
                 },
             )?);
-            variant += 1;
         }
     }
     if let Some(c) = overgen_telemetry::current() {

@@ -40,6 +40,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 pub use overgen_adg as adg;
 pub use overgen_compiler as compiler;
@@ -53,7 +54,7 @@ pub use overgen_sim as sim;
 pub use overgen_workloads as workloads;
 
 use overgen_adg::{mesh, AdgSummary, MeshSpec, SysAdg, SystemParams};
-use overgen_compiler::{compile_variants, CompileOptions};
+use overgen_compiler::{compile_variants, CompileError, CompileOptions};
 use overgen_dse::{Dse, DseConfig, DseError, DseResult};
 use overgen_ir::Kernel;
 use overgen_mdfg::Mdfg;
@@ -99,6 +100,27 @@ pub struct DseProvenance {
     /// the winner at other resource budgets.
     pub pareto: dse::ParetoFront,
 }
+
+/// Why [`Overlay::compile`] produced no application.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AppCompileError {
+    /// The kernel does not compile into mDFG variants.
+    Compile(CompileError),
+    /// No variant maps onto the overlay's hardware: the last variant's
+    /// scheduling error.
+    Schedule(ScheduleError),
+}
+
+impl fmt::Display for AppCompileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AppCompileError::Compile(e) => write!(f, "does not compile: {e}"),
+            AppCompileError::Schedule(e) => write!(f, "no variant maps: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for AppCompileError {}
 
 /// An application compiled for a specific overlay.
 #[derive(Debug, Clone)]
@@ -179,11 +201,12 @@ impl Overlay {
     ///
     /// # Errors
     ///
-    /// Returns the last [`ScheduleError`] when no variant maps onto the
-    /// overlay's hardware.
-    pub fn compile(&self, kernel: &Kernel) -> Result<CompiledApp, ScheduleError> {
-        let variants = compile_variants(kernel, &self.compile_opts)
-            .map_err(|_| ScheduleError::Unrepairable)?;
+    /// [`AppCompileError::Compile`] when the kernel does not compile, and
+    /// [`AppCompileError::Schedule`] with the last [`ScheduleError`] when
+    /// no variant maps onto the overlay's hardware.
+    pub fn compile(&self, kernel: &Kernel) -> Result<CompiledApp, AppCompileError> {
+        let variants =
+            compile_variants(kernel, &self.compile_opts).map_err(AppCompileError::Compile)?;
         let mut last_err = None;
         let seed = self.seed_schedules.get(kernel.name());
         for v in variants {
@@ -203,7 +226,9 @@ impl Overlay {
                 Err(e) => last_err = Some(e),
             }
         }
-        Err(last_err.unwrap_or(ScheduleError::Unrepairable))
+        Err(AppCompileError::Schedule(
+            last_err.unwrap_or(ScheduleError::Unrepairable),
+        ))
     }
 
     /// Execute a compiled application on the cycle-level simulator.
@@ -341,6 +366,25 @@ mod tests {
             "unexpectedly wide: {}",
             app.mdfg.unroll()
         );
+    }
+
+    #[test]
+    fn compile_reports_a_kernel_that_does_not_compile() {
+        use ir::{expr, DataType, KernelBuilder, Pragmas, Suite};
+        let unconfigured = KernelBuilder::new("copy", Suite::Dsp, DataType::I64)
+            .array_input("a", 64)
+            .array_output("c", 64)
+            .loop_const("i", 64)
+            .assign("c", expr::idx("i"), expr::load("a", expr::idx("i")))
+            .pragmas(Pragmas {
+                config: false,
+                ..Default::default()
+            })
+            .build()
+            .unwrap();
+        let err = Overlay::general().compile(&unconfigured).unwrap_err();
+        assert_eq!(err, AppCompileError::Compile(CompileError::NotConfigured));
+        assert!(err.to_string().contains("pragma dsa config"), "{err}");
     }
 
     #[test]

@@ -431,25 +431,42 @@ impl Dse {
     /// Seed accelerator for the annealer: a mesh whose PEs carry the
     /// domain's capability pool, sized so every kernel's narrowest
     /// (unroll-1) variant is guaranteed to fit with headroom.
-    pub fn seed_adg(workloads: &[Kernel]) -> Adg {
+    ///
+    /// # Errors
+    ///
+    /// [`DseError::Compile`] when a workload does not lower.
+    pub fn seed_adg(workloads: &[Kernel]) -> Result<Adg, DseError> {
+        let narrowest = workloads
+            .iter()
+            .map(|k| {
+                overgen_compiler::lower(
+                    k,
+                    0,
+                    &overgen_compiler::LowerChoices {
+                        unroll: 1,
+                        ..Default::default()
+                    },
+                )
+                .map_err(|error| DseError::Compile {
+                    kernel: k.name().to_string(),
+                    error,
+                })
+            })
+            .collect::<Result<Vec<Mdfg>, DseError>>()?;
+        Ok(Self::seed_mesh(workloads, &narrowest))
+    }
+
+    /// The seed mesh for `workloads`, sized by the largest of their
+    /// unroll-1 DFGs `narrowest`.
+    fn seed_mesh<'m>(workloads: &[Kernel], narrowest: impl IntoIterator<Item = &'m Mdfg>) -> Adg {
         let caps: BTreeSet<FuCap> = Self::cap_pool(workloads).into_iter().collect();
-        // Size by the largest unroll-1 DFG of the domain.
         let mut max_insts = 8usize;
         let mut max_in = 6usize;
         let mut max_out = 4usize;
-        for k in workloads {
-            if let Ok(m) = overgen_compiler::lower(
-                k,
-                0,
-                &overgen_compiler::LowerChoices {
-                    unroll: 1,
-                    ..Default::default()
-                },
-            ) {
-                max_insts = max_insts.max(m.inst_count());
-                max_in = max_in.max(m.input_stream_count());
-                max_out = max_out.max(m.output_stream_count());
-            }
+        for m in narrowest {
+            max_insts = max_insts.max(m.inst_count());
+            max_in = max_in.max(m.input_stream_count());
+            max_out = max_out.max(m.output_stream_count());
         }
         let cols = 5usize;
         let rows = (max_insts + 4).div_ceil(cols).max(3);
@@ -575,8 +592,13 @@ impl Dse {
         );
         let base = stat_totals(&run_registry);
 
-        // Seed: evaluate, widening ports until the domain schedules.
-        let mut seed = SysAdg::new(Self::seed_adg(&self.workloads), SystemParams::default());
+        // Seed: size the mesh from the unroll-1 variants just compiled,
+        // then evaluate, widening ports until the domain schedules.
+        let narrowest = mdfgs
+            .values()
+            .filter_map(|vs| vs.iter().find(|m| m.unroll() == 1));
+        let seed_adg = Self::seed_mesh(&self.workloads, narrowest);
+        let mut seed = SysAdg::new(seed_adg, SystemParams::default());
         let mut seed_sim = 0.0f64;
         let mut widenings = 0usize;
         let seed_state = loop {
@@ -1126,6 +1148,29 @@ mod tests {
             err,
             DseError::Compile {
                 kernel: "vecadd".into(),
+                error: CompileError::NotConfigured,
+            }
+        );
+    }
+
+    #[test]
+    fn seed_adg_reports_a_kernel_that_does_not_lower() {
+        let unconfigured = KernelBuilder::new("gemv", Suite::Dsp, DataType::I64)
+            .array_input("a", 64)
+            .array_output("c", 64)
+            .loop_const("i", 64)
+            .assign("c", expr::idx("i"), expr::load("a", expr::idx("i")))
+            .pragmas(overgen_ir::Pragmas {
+                config: false,
+                ..Default::default()
+            })
+            .build()
+            .unwrap();
+        assert!(Dse::seed_adg(&[vecadd(), fir()]).is_ok());
+        assert_eq!(
+            Dse::seed_adg(&[vecadd(), unconfigured, fir()]).unwrap_err(),
+            DseError::Compile {
+                kernel: "gemv".into(),
                 error: CompileError::NotConfigured,
             }
         );

@@ -385,7 +385,7 @@ mod tests {
         // A budget barely above the seed accelerator: growth mutations
         // quickly overflow it, so the run must record infeasible proposals
         // while still returning a feasible winner.
-        let seed = crate::Dse::seed_adg(&[fir()]);
+        let seed = crate::Dse::seed_adg(&[fir()]).expect("fir lowers");
         let acc = accelerator_resources(&seed, &AnalyticModel);
         let budget = DeviceBudget {
             name: "tight",

@@ -10,8 +10,8 @@ use overgen_adg::{Adg, SystemParams};
 use overgen_mdfg::Mdfg;
 use overgen_model::resources::FpgaDevice;
 use overgen_model::{
-    spad_bandwidth, tile_breakdown, weighted_geomean_ipc, PerfSummary, Placement,
-    ResourceBreakdown, ResourceModel,
+    l2_resources, noc_resources, spad_bandwidth, tile_breakdown, weighted_geomean_ipc, PerfSummary,
+    Placement, ResourceBreakdown, ResourceModel, Resources,
 };
 use overgen_scheduler::Schedule;
 use overgen_sim::{SimBatch, SimConfig};
@@ -82,26 +82,48 @@ impl SystemDseConfig {
             * self.noc_bw_grid.len()
     }
 
-    /// Every grid point with `tiles` tiles, in canonical sweep order
-    /// (L2 banks, then L2 capacity, then NoC bandwidth).
-    fn points(&self, tiles: u32) -> impl Iterator<Item = SystemParams> + '_ {
-        self.l2_banks_grid.iter().flat_map(move |&l2_banks| {
-            self.l2_kb_grid.iter().flat_map(move |&l2_kb| {
-                self.noc_bw_grid.iter().map(move |&noc_bw| SystemParams {
-                    tiles,
-                    l2_banks,
-                    l2_kb,
-                    noc_bw_bytes: noc_bw,
-                    dram_channels: self.dram_channels,
-                })
-            })
-        })
+    /// Append the bits that map walk positions to points: the tile count,
+    /// the DRAM channels and the three grids.
+    fn push_grid_bits(&self, key: &mut Vec<u64>) {
+        key.extend([u64::from(self.max_tiles), u64::from(self.dram_channels)]);
+        for grid in [&self.l2_banks_grid, &self.l2_kb_grid, &self.noc_bw_grid] {
+            key.push(grid.len() as u64);
+            key.extend(grid.iter().map(|&v| u64::from(v)));
+        }
     }
+}
 
-    /// Whether `tile` replicated to `sys` fits the device budget.
-    fn fits(&self, tile: &ResourceBreakdown, sys: &SystemParams) -> bool {
-        self.device
-            .fits(&tile.replicated(sys).total(), self.util_cap)
+/// The points a sweep walks, grouped by ascending tile count and in
+/// canonical order within one (L2 banks, then L2 capacity, then NoC
+/// bandwidth), each with its shared NoC + L2 resources: those depend on
+/// the point alone, so one grid serves every tile swept over it.
+pub(crate) struct Grid {
+    by_tiles: Vec<Vec<(SystemParams, Resources)>>,
+}
+
+impl Grid {
+    fn new(cfg: &SystemDseConfig) -> Grid {
+        let point = |sys: SystemParams| (sys, noc_resources(&sys) + l2_resources(&sys));
+        let by_tiles = (1..=cfg.max_tiles)
+            .map(|tiles| {
+                let mut points = Vec::new();
+                for &l2_banks in &cfg.l2_banks_grid {
+                    for &l2_kb in &cfg.l2_kb_grid {
+                        for &noc_bw_bytes in &cfg.noc_bw_grid {
+                            points.push(point(SystemParams {
+                                tiles,
+                                l2_banks,
+                                l2_kb,
+                                noc_bw_bytes,
+                                dram_channels: cfg.dram_channels,
+                            }));
+                        }
+                    }
+                }
+                points
+            })
+            .collect();
+        Grid { by_tiles }
     }
 }
 
@@ -148,20 +170,22 @@ impl Scorer for Estimate<'_> {
     }
 }
 
-/// Estimate scores shared by the sweeps of one run. A point's score
-/// depends only on every workload's [`PerfSummary`] and weight and on the
-/// tile's scratchpad bandwidth; the tile's resources only decide which
-/// points fit. So each distinct score input gets one table, one score per
+/// Estimate scores and grids shared by the sweeps of one run. A point's
+/// score depends only on every workload's [`PerfSummary`] and weight and
+/// on the tile's scratchpad bandwidth; the tile's resources only decide
+/// which points fit. So each distinct score input gets one table, one score per
 /// grid point in canonical walk order (see [`sweep`]), filled on the point's
 /// first feasible visit, and every later sweep with that input reads it
 /// back whatever its tile. The key is the input's exact bits plus the grid
 /// (which maps walk positions to points), compared whole: `-0.0` and
 /// `0.0`, or two bandwidths one ulp apart, get separate tables. Scores are
 /// pure functions of the key, so which chain fills a slot first never
-/// changes a value.
+/// changes a value. Each grid's [`Grid`] is built once too, keyed by the
+/// grid's bits alone.
 #[derive(Default)]
 pub(crate) struct ScoreTables {
     tables: Mutex<HashMap<Vec<u64>, ScoreTable>>,
+    grids: Mutex<HashMap<Vec<u64>, Arc<Grid>>>,
 }
 
 /// One score per walk position, `None` until the position is scored.
@@ -181,16 +205,20 @@ impl ScoreTables {
             p.key_bits(&mut key);
             key.push(w.to_bits());
         }
-        key.extend([u64::from(cfg.max_tiles), u64::from(cfg.dram_channels)]);
-        for grid in [&cfg.l2_banks_grid, &cfg.l2_kb_grid, &cfg.noc_bw_grid] {
-            key.push(grid.len() as u64);
-            key.extend(grid.iter().map(|&v| u64::from(v)));
-        }
+        cfg.push_grid_bits(&mut key);
         let mut tables = self.tables.lock().unwrap();
         let table = tables
             .entry(key)
             .or_insert_with(|| Arc::new(Mutex::new(vec![None; cfg.len()])));
         Arc::clone(table)
+    }
+
+    /// The grid of `cfg`, built on first use.
+    fn grid(&self, cfg: &SystemDseConfig) -> Arc<Grid> {
+        let mut key = Vec::with_capacity(16);
+        cfg.push_grid_bits(&mut key);
+        let mut grids = self.grids.lock().unwrap();
+        Arc::clone(grids.entry(key).or_insert_with(|| Arc::new(Grid::new(cfg))))
     }
 
     /// How many tables exist.
@@ -251,32 +279,40 @@ struct Sweep {
     admitted: u64,
 }
 
-/// The one grid walk: every point in canonical order (ascending tiles,
-/// then [`SystemDseConfig::points`] order), over-budget points skipped,
-/// points whose bound provably cannot win pruned, the rest scored and
-/// folded through [`beats`]. A bound is tested against the *same
-/// incumbent the exhaustive fold would hold at that position*, so the
-/// incumbent evolves identically with pruning on or off (DESIGN.md §12).
-fn sweep(cfg: &SystemDseConfig, tile: &ResourceBreakdown, scorer: &mut impl Scorer) -> Sweep {
+/// The one grid walk: every point of `grid` in canonical order,
+/// over-budget points skipped, points whose bound provably cannot win
+/// pruned, the rest scored and folded through [`beats`]. A point's budget
+/// check adds its NoC + L2 to the tile's replicated groups, summed once
+/// per tile count, exactly as [`ResourceBreakdown::total`] sums
+/// `tile.replicated(sys)`. A bound is tested against the *same incumbent
+/// the exhaustive fold would hold at that position*, so the incumbent
+/// evolves identically with pruning on or off (DESIGN.md §12).
+fn sweep(
+    cfg: &SystemDseConfig,
+    grid: &Grid,
+    tile: &ResourceBreakdown,
+    scorer: &mut impl Scorer,
+) -> Sweep {
     let mut s = Sweep::default();
-    for tiles in 1..=cfg.max_tiles {
-        for sys in cfg.points(tiles) {
+    for (tiles, points) in (1..).zip(&grid.by_tiles) {
+        let replicated = tile.tiled(tiles).tiles_total();
+        for (sys, system) in points {
             let index = s.candidates as usize;
             s.candidates += 1;
-            if !cfg.fits(tile, &sys) {
+            if !cfg.device.fits(&(replicated + *system), cfg.util_cap) {
                 s.over_budget += 1;
                 continue;
             }
-            if let Some(upper) = scorer.bound(&sys) {
-                if !upper_bound_can_win(&s.best, &sys, upper) {
+            if let Some(upper) = scorer.bound(sys) {
+                if !upper_bound_can_win(&s.best, sys, upper) {
                     s.pruned += 1;
                     continue;
                 }
             }
             s.admitted += 1;
-            let score = scorer.score(index, &sys);
-            if beats(&s.best, &sys, score) {
-                s.best = Some((sys, score));
+            let score = scorer.score(index, sys);
+            if beats(&s.best, sys, score) {
+                s.best = Some((*sys, score));
             }
         }
     }
@@ -320,6 +356,7 @@ pub(crate) fn estimate_sweep(
         .map(|(m, p, w)| (PerfSummary::new(m, p), *w))
         .collect();
     let spad_bw = spad_bandwidth(adg);
+    let grid = tables.map_or_else(|| Arc::new(Grid::new(cfg)), |t| t.grid(cfg));
     let table = tables.map(|t| t.table(&perf, spad_bw, cfg));
     let mut guard = table.as_ref().map(|t| t.lock().unwrap());
     let mut scorer = Estimate {
@@ -328,7 +365,7 @@ pub(crate) fn estimate_sweep(
         ipcs: Vec::with_capacity(per_workload.len()),
         table: guard.as_deref_mut().map(Vec::as_mut_slice),
     };
-    let s = sweep(cfg, &tile_breakdown(adg, model), &mut scorer);
+    let s = sweep(cfg, &grid, &tile_breakdown(adg, model), &mut scorer);
     system_event(&s, &[]);
     s.best
 }
@@ -429,12 +466,13 @@ fn sim_sweep(
         shadow: false,
         scores: Vec::with_capacity(per_workload.len()),
     };
+    let grid = Grid::new(cfg);
     let tile = tile_breakdown(adg, model);
-    let s = sweep(cfg, &tile, &mut scorer);
+    let s = sweep(cfg, &grid, &tile, &mut scorer);
     if oracle {
         scorer.prune = false;
         scorer.shadow = true;
-        let shadow = sweep(cfg, &tile, &mut scorer);
+        let shadow = sweep(cfg, &grid, &tile, &mut scorer);
         let bits = |b: &Option<(SystemParams, f64)>| b.map(|(p, v)| (p, v.to_bits()));
         assert!(
             bits(&s.best) == bits(&shadow.best),

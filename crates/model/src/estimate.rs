@@ -162,7 +162,16 @@ impl ResourceBreakdown {
     /// scaled by the tile count, one control core per tile, and the shared
     /// NoC + L2. Cheap arithmetic, so a system sweep sizes the tile once.
     pub fn replicated(&self, sys: &SystemParams) -> ResourceBreakdown {
-        let tiles = f64::from(sys.tiles);
+        ResourceBreakdown {
+            noc: noc_resources(sys) + l2_resources(sys),
+            ..self.tiled(sys.tiles)
+        }
+    }
+
+    /// [`replicated`](Self::replicated) without the shared NoC + L2
+    /// (`noc` zero): the groups that scale with the tile count alone.
+    pub fn tiled(&self, tiles: u32) -> ResourceBreakdown {
+        let tiles = f64::from(tiles);
         ResourceBreakdown {
             pe: self.pe * tiles,
             network: self.network * tiles,
@@ -170,7 +179,7 @@ impl ResourceBreakdown {
             spad: self.spad * tiles,
             dma: self.dma * tiles,
             core: core_resources() * tiles,
-            noc: noc_resources(sys) + l2_resources(sys),
+            noc: Resources::ZERO,
         }
     }
 }

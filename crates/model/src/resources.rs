@@ -357,7 +357,13 @@ pub struct ResourceBreakdown {
 impl ResourceBreakdown {
     /// Sum of all groups.
     pub fn total(&self) -> Resources {
-        self.pe + self.network + self.ports + self.spad + self.dma + self.core + self.noc
+        self.tiles_total() + self.noc
+    }
+
+    /// Sum of every group but the system NoC + L2, in [`total`](Self::total)'s
+    /// order: adding `noc` to it gives `total()` bit for bit.
+    pub fn tiles_total(&self) -> Resources {
+        self.pe + self.network + self.ports + self.spad + self.dma + self.core
     }
 
     /// Groups as `(name, resources)` pairs in Figure 16 order.

@@ -219,7 +219,7 @@ fn constrained_objective_changes_behavior_only_when_binding() {
     assert!(r.objective > 0.0);
 
     // A tight budget must reject at least one growth proposal.
-    let seed = Dse::seed_adg(&[workloads::by_name("fir").unwrap()]);
+    let seed = Dse::seed_adg(&[workloads::by_name("fir").unwrap()]).expect("fir lowers");
     let acc = overgen_model::accelerator_resources(&seed, &overgen_model::AnalyticModel);
     let (r, trace) = run(DseConfig {
         objective: Objective::ConstrainedIpc(DeviceBudget {

@@ -626,6 +626,165 @@ fn compile_variants_always_validate() {
     }
 }
 
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a64(bytes: &[u8], mut h: u64) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Every compiler output for `kernels`, digested from its `{:?}`: the
+/// `compile_variants` result under the default options and under a narrow
+/// set (unroll 4, no no-recurrence variants, a 4 KiB scratchpad), then
+/// direct `lower` calls at unroll 1, 2, 3 and 8 with and without the
+/// recurrence engine. Errors are digested too.
+fn compiler_digest(kernels: &[Kernel]) -> u64 {
+    let narrow = CompileOptions {
+        max_unroll: 4,
+        include_no_recurrence: false,
+        spad_cap_bytes: 4 * 1024,
+    };
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for k in kernels {
+        for opts in [CompileOptions::default(), narrow] {
+            h = fnv1a64(format!("{:?}", compile_variants(k, &opts)).as_bytes(), h);
+        }
+        for unroll in [1, 2, 3, 8] {
+            for use_recurrence in [true, false] {
+                let choices = LowerChoices {
+                    unroll,
+                    use_recurrence,
+                    ..Default::default()
+                };
+                h = fnv1a64(format!("{:?}", lower(k, unroll, &choices)).as_bytes(), h);
+            }
+        }
+    }
+    h
+}
+
+/// Kernels whose stream sharing the workloads do not reach: an index
+/// stream that an accumulation reads back, a constant-only guarded
+/// statement, and two statements sharing one window stream under a
+/// variable trip count.
+fn stream_sharing_kernels() -> Vec<Kernel> {
+    use overgen_ir::{ArrayRef, Stmt};
+    let gather_back = KernelBuilder::new("gather-back", Suite::MachSuite, DataType::I64)
+        .array_input("val", 2048)
+        .array_output("col", 512)
+        .loop_const("i", 512)
+        .accum(
+            "col",
+            expr::idx("i"),
+            expr::load_indirect("val", "col", expr::idx("i")),
+        )
+        .build()
+        .unwrap();
+    let fill = KernelBuilder::new("fill", Suite::Vision, DataType::I16)
+        .array_input("a", 256)
+        .array_output("c", 256)
+        .array_output("d", 256)
+        .loop_const("i", 256)
+        .stmt(Stmt::assign(ArrayRef::affine("c", expr::idx("i")), expr::lit(3.0)).with_guard())
+        .assign("d", expr::idx("i"), expr::load("a", expr::idx("i")))
+        .build()
+        .unwrap();
+    let shared_window = KernelBuilder::new("shared-window", Suite::Dsp, DataType::F64)
+        .array_input("a", 1024)
+        .array_input("b", 64)
+        .array_output("c", 1024)
+        .array_output("d", 1024)
+        .loop_variable("j", 64, 40.0)
+        .loop_const("i", 512)
+        .assign(
+            "c",
+            expr::idx("i"),
+            expr::load("a", expr::idx("i")) + expr::load("a", expr::idx("i") + expr::idx_const(1)),
+        )
+        .accum(
+            "d",
+            expr::idx("i"),
+            expr::load("a", expr::idx("i") + expr::idx_const(2)) * expr::load("b", expr::idx("j")),
+        )
+        .accum("c", expr::idx("i"), expr::load("d", expr::idx("i")))
+        .build()
+        .unwrap();
+    vec![gather_back, fill, shared_window]
+}
+
+/// Every variant the compiler emits is pinned: the 19 workloads, their
+/// OverGen- and HLS-tuned variants, the generated kernels of
+/// `compile_variants_always_validate` and the stream-sharing kernels, each
+/// digested by [`compiler_digest`]. The digests were recorded before the
+/// compiler analysed each kernel once for all its variants; a digest that
+/// moves means a compiled node, edge or value changed.
+#[test]
+fn compiler_outputs_match_the_pinned_digests() {
+    let plain = overgen_workloads::all();
+    let tuned: Vec<Kernel> = plain
+        .iter()
+        .flat_map(|k| {
+            [
+                overgen_workloads::og_tuned(k.name()),
+                overgen_workloads::hls_tuned(k.name()),
+            ]
+        })
+        .flatten()
+        .collect();
+    let mut rng = Rng::seed_from_u64(0xC0DE);
+    let generated: Vec<Kernel> = (0..48).map(|tag| arb_kernel(&mut rng, tag)).collect();
+    let sharing = stream_sharing_kernels();
+    assert_eq!(
+        [plain.len(), tuned.len(), generated.len(), sharing.len()],
+        [19, 11, 48, 3]
+    );
+    for k in &sharing {
+        let variants = compile_variants(k, &CompileOptions::default()).unwrap();
+        assert_eq!(variants.len(), if k.name() == "fill" { 5 } else { 10 });
+    }
+    let got = [&plain, &tuned, &generated, &sharing].map(|ks| compiler_digest(ks));
+    assert_eq!(
+        got,
+        [
+            18169595028261161039,
+            2023856730049722761,
+            2221002747735162783,
+            13957725350822277994
+        ],
+        "workloads, tuned, generated, sharing"
+    );
+}
+
+/// `Dse::run` sizes its seed mesh from the unroll-1 variants it compiled;
+/// that must be the mesh `Dse::seed_adg` builds by lowering each kernel
+/// itself, for each suite and for all 19 kernels. A zero-iteration run
+/// returns the seed it evaluated, and a single evaluation means no port
+/// widening changed it.
+#[test]
+fn run_seeds_the_mesh_seed_adg_builds() {
+    let mut domains: Vec<Vec<Kernel>> = [Suite::Dsp, Suite::MachSuite, Suite::Vision]
+        .map(overgen_workloads::suite)
+        .into();
+    domains.push(overgen_workloads::all());
+    for domain in domains {
+        let cfg = DseConfig {
+            iterations: 0,
+            ..Default::default()
+        };
+        let r = Dse::new(domain.clone(), cfg).run().unwrap();
+        let label = format!("{} kernels from {}", domain.len(), domain[0].name());
+        assert_eq!(
+            (r.stats.cache_hits, r.stats.cache_misses),
+            (0, 1),
+            "{label}: the seed was widened"
+        );
+        let seed = Dse::seed_adg(&domain).unwrap();
+        assert_eq!(r.sys_adg.adg.fingerprint(), seed.fingerprint(), "{label}");
+    }
+}
+
 #[test]
 fn simulation_terminates_and_conserves_work() {
     use overgen_sim::{simulate, SimConfig};

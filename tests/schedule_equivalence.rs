@@ -116,7 +116,7 @@ fn placements_match_the_pinned_digests() {
 
     let machsuite = workloads::suite(Suite::MachSuite);
     let cap_pool = Dse::cap_pool(&machsuite);
-    let seed = Dse::seed_adg(&machsuite);
+    let seed = Dse::seed_adg(&machsuite).expect("MachSuite lowers");
     let seed_sys = SysAdg::new(seed.clone(), SystemParams::default());
     let base: Vec<Option<Schedule>> = variants
         .iter()

@@ -37,7 +37,7 @@ use crate::table::Table;
 pub const DOMAIN: [&str; 3] = ["stencil-2d", "gemm", "ellpack"];
 
 /// Re-saves of leg 2's checkpoint whose fastest is `save_us`.
-const RESAVES: usize = 5;
+pub const RESAVES: usize = 5;
 
 /// Everything the benchmark measured.
 #[derive(Debug, Clone)]

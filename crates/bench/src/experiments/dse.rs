@@ -4,8 +4,9 @@
 //! MachSuite domain, recorded as a machine-readable throughput baseline:
 //! proposals/sec, acceptance and cache behaviour, and — when the profiler
 //! is on (`OVERGEN_PROFILE`, default) — per-phase wall-time totals with
-//! attribution coverage, the system sweep's share of eval time and the
-//! scheduler's share of eval time outside the sweep. After the run it
+//! attribution coverage, the system step's share of eval time and the
+//! scheduler's share of eval time outside the system step and the memo's
+//! capture. After the run it
 //! times the domain's variant compilation alone: the fastest of
 //! [`COMPILE_PASSES`] `compile_variants` passes over every kernel. The
 //! `check.sh profile` stage gates a fresh record with `bench-compare`:
@@ -37,11 +38,12 @@ pub struct DseReport {
     /// Attribution coverage (attributed / eval total); `1.0` when the
     /// profiler is off or nothing was evaluated.
     pub coverage: f64,
-    /// System-DSE sweep time over eval time; `0.0` when the profiler is
+    /// System-DSE step time over eval time; `0.0` when the profiler is
     /// off or nothing was evaluated.
     pub system_share: f64,
-    /// Schedule plus repair time over eval time outside the system sweep;
-    /// `0.0` when the profiler is off or nothing was evaluated.
+    /// Schedule plus repair time over eval time outside the system step
+    /// and the memo's capture; `0.0` when the profiler is off or nothing
+    /// was evaluated.
     pub scheduler_share: f64,
     /// Fastest `compile_variants` pass over the domain, in µs.
     pub compile_best_us: f64,
@@ -94,13 +96,14 @@ pub fn run() -> DseReport {
                 .collect();
             let share = |us: u64, of: u64| us as f64 / of.max(1) as f64;
             let (eval, system) = (snap.eval_total_us(), snap.phase_total_us(Phase::SystemDse));
+            let memo = snap.phase_total_us(Phase::Memo);
             let scheduler =
                 snap.phase_total_us(Phase::Schedule) + snap.phase_total_us(Phase::Repair);
             (
                 totals,
                 snap.coverage(),
                 share(system, eval),
-                share(scheduler, eval.saturating_sub(system)),
+                share(scheduler, eval.saturating_sub(system + memo)),
             )
         }
         None => (Vec::new(), 1.0, 0.0, 0.0),
@@ -202,7 +205,7 @@ pub fn render(r: &DseReport) -> String {
         format!("{:.1}%", r.system_share * 100.0),
     ]);
     t.row([
-        "scheduler share of eval outside sweep".into(),
+        "scheduler share of eval outside sweep and memo".into(),
         format!("{:.1}%", r.scheduler_share * 100.0),
     ]);
     format!(

@@ -6,8 +6,9 @@
 //! (§VI-D — the paper's quad-tile design closes at 92.87 MHz because of
 //! multi-die congestion, not LUT count). This benchmark sweeps tile count
 //! 1..=[`MAX_TILES`] for every paper workload on the general overlay,
-//! places each point with [`SimpleGridPlacer`], and scores it as
-//! estimated IPC scaled by the placed clock. Two invariants are recorded
+//! places each point with the
+//! [`SimpleGridPlacer`](overgen_model::SimpleGridPlacer), and scores it
+//! as estimated IPC scaled by the placed clock. Two invariants are recorded
 //! for the CI gate:
 //!
 //! * **winner stability** — sweeping tile counts ascending and descending
@@ -30,7 +31,7 @@ use crate::harness::{results_dir, seed};
 use crate::table::Table;
 
 /// Largest tile count the sweep considers (matches the system-DSE default).
-const MAX_TILES: u32 = 8;
+pub const MAX_TILES: u32 = 8;
 
 /// One workload's winning placement point.
 #[derive(Debug, Clone)]

@@ -2,10 +2,10 @@
 //! (`BENCH_sim.json`).
 //!
 //! The simulator-backed system DSE (`system_dse_sim`) earns its keep two
-//! ways: grid points share one warm [`SimBatch`] template per compiled
-//! schedule instead of rebuilding stream state from the mDFG at every
-//! point, and the analytic lower bound prunes points that provably cannot
-//! beat the incumbent. This benchmark wall-clocks both against what every
+//! ways: grid points share one warm [`SimBatch`](overgen_sim::SimBatch)
+//! template per compiled schedule instead of rebuilding stream state from
+//! the mDFG at every point, and the analytic lower bound prunes points
+//! that provably cannot beat the incumbent. This benchmark wall-clocks both against what every
 //! proposal would cost without them — a cold exhaustive fold that calls
 //! `simulate()` (fresh `SysAdg`, fresh stream extraction) on every
 //! feasible grid point — across all 19 paper workloads on the general
@@ -29,7 +29,7 @@ use crate::harness::{results_dir, seed};
 use crate::table::Table;
 
 /// Timing repetitions per path (minimum wins, to shed scheduler noise).
-const REPS: usize = 2;
+pub const REPS: usize = 2;
 
 /// One workload's measurements.
 #[derive(Debug, Clone)]

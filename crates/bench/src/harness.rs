@@ -206,8 +206,6 @@ pub fn run_experiment(name: &str, f: impl FnOnce() -> String) {
         let cache = CacheStats {
             eval_hits: reg.counter_value("dse.cache.hit"),
             eval_misses: reg.counter_value("dse.cache.miss"),
-            system_hits: reg.counter_value("dse.cache.system_hit"),
-            system_misses: reg.counter_value("dse.cache.system_miss"),
         };
         let profile = p.snapshot().render_json(name, &cache, 5);
         let path = dir.join(format!("{name}.profile.json"));

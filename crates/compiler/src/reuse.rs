@@ -27,7 +27,7 @@ pub struct RefAnalysis {
 /// - **Stationary**: product of trip counts of the innermost consecutive
 ///   loops whose variables do not appear in the index.
 /// - **Recurrent**: detected by the caller for accumulations; attached via
-///   [`recurrence_of`].
+///   the crate's `recurrence_of`.
 ///
 /// # Panics
 ///

@@ -26,7 +26,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use overgen_adg::StableHasher;
-use overgen_model::Placement;
 use overgen_scheduler::Schedule;
 
 /// A concurrent memo table from fingerprint keys to lazily-computed
@@ -102,8 +101,9 @@ impl<V> Memo<V> {
 }
 
 /// Absorb a full schedule into a fingerprint: everything `repair` and the
-/// performance model can observe. The derived quantities (`est`,
-/// `balance_penalty`) are functions of the rest and are skipped.
+/// performance model can observe, the scratchpad placement's sorted array
+/// names last. The derived quantities (`est`, `balance_penalty`) are
+/// functions of the rest and are skipped.
 pub(crate) fn hash_schedule(h: &mut StableHasher, s: &Schedule) {
     h.write_str(&s.mdfg_name);
     h.write_u64(u64::from(s.variant));
@@ -126,7 +126,10 @@ pub(crate) fn hash_schedule(h: &mut StableHasher, s: &Schedule) {
             h.write_u64(n.index() as u64);
         }
     }
-    hash_placement(h, &s.placement);
+    h.write_u64(s.placement.spad_arrays.len() as u64);
+    for a in &s.placement.spad_arrays {
+        h.write_str(a);
+    }
 }
 
 /// Absorb a full mDFG variant into a fingerprint: identity, iteration
@@ -182,14 +185,6 @@ pub(crate) fn hash_mdfg(h: &mut StableHasher, m: &overgen_mdfg::Mdfg) {
     for (src, dst) in m.edges() {
         h.write_u64(src.index() as u64);
         h.write_u64(dst.index() as u64);
-    }
-}
-
-/// Absorb a scratchpad placement (sorted array names).
-pub(crate) fn hash_placement(h: &mut StableHasher, p: &Placement) {
-    h.write_u64(p.spad_arrays.len() as u64);
-    for a in &p.spad_arrays {
-        h.write_str(a);
     }
 }
 

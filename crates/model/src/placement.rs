@@ -140,7 +140,7 @@ pub struct PlacementReport {
     /// footprints.
     pub slr_crossings: u64,
     /// Achievable clock implied by congestion and SLR crossings, via the
-    /// shared [`fmax_curve`] with [`SLR_CROSSING_MHZ`] per crossing,
+    /// shared [`fmax_curve`] with `SLR_CROSSING_MHZ` per crossing,
     /// floored at [`FMAX_FLOOR_MHZ`].
     pub fmax_mhz: f64,
 }

@@ -52,7 +52,7 @@ pub struct ServiceConfig {
     /// traces are independent of this value.
     pub workers: usize,
     /// Open (and share) the persistent evaluation store. Off = every job
-    /// runs with only its in-memory caches.
+    /// runs with only its in-memory memo.
     pub store: bool,
 }
 
@@ -546,8 +546,8 @@ fn execute(
     );
     collector.flush();
     // The registry snapshot goes to a side file, NOT into trace.jsonl:
-    // `dse.cache.system_*` counts *work actually performed*, which a warm
-    // store legitimately elides, so it is diagnostic — outside the
+    // `dse.cache.system_miss` counts *system sweeps actually run*, which a
+    // warm store legitimately elides, so it is diagnostic — outside the
     // byte-identity surface (DESIGN.md §13). Everything event/span-shaped
     // is replayed from captured artifacts and stays deterministic.
     let mut metrics = String::new();

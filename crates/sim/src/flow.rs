@@ -702,7 +702,7 @@ impl SimBatch {
     /// tile count, the DRAM channel count, the initial cold-miss budgets
     /// (where `l2_kb` enters), and the per-cycle L2/NoC budgets. When a
     /// grid point differs from the cached run *only* in L2/NoC bandwidth,
-    /// and the cached run's [`Certificate`] shows those budgets never
+    /// and the cached run's `Certificate` shows those budgets never
     /// clamped a transfer — and, for a smaller budget, that the largest
     /// per-cycle requirement still fits under it — the cached report is
     /// returned verbatim: the replay is provably cycle-identical, so this

@@ -14,7 +14,8 @@ pub const COUNTERS: &[&str] = &[
     "dse.accepted",
     "dse.cache.hit",
     "dse.cache.miss",
-    "dse.cache.system_hit",
+    // System sweeps run, one per uncached evaluation that reaches the
+    // system DSE; the name predates the removal of its memo.
     "dse.cache.system_miss",
     "dse.checkpoint.restore",
     "dse.checkpoint.write",

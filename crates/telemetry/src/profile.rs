@@ -55,11 +55,10 @@ pub enum Phase {
     /// use.
     Fanout,
     /// Memoization bookkeeping: the set-up and packaging of the capture
-    /// that makes an evaluation a replayable cache artifact, and, as self
-    /// time, the nested system-DSE step but for its sweep (inputs,
-    /// memo-key hashing, lookup, replay).
+    /// that makes an evaluation a replayable cache artifact.
     Memo,
-    /// The nested exhaustive system-parameter sweep.
+    /// The nested system DSE: its inputs and the exhaustive
+    /// system-parameter sweep.
     SystemDse,
     /// Cycle-level simulation (bench/overlay execution, outside `Eval`).
     Simulate,
@@ -368,35 +367,24 @@ pub struct HotRow {
     pub total_us: u64,
 }
 
-/// Cache traffic the run saw, used to compute cache-hit-adjusted phase
-/// costs: `total_us × lookups ⁄ misses` estimates what a phase would have
-/// cost had every memoized hit been computed fresh.
+/// Evaluation-memo traffic the run saw, used to compute cache-hit-adjusted
+/// phase costs: `total_us × lookups ⁄ misses` estimates what a phase
+/// inside the evaluation would have cost had every memoized hit been
+/// computed fresh.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     pub eval_hits: u64,
     pub eval_misses: u64,
-    pub system_hits: u64,
-    pub system_misses: u64,
 }
 
 impl CacheStats {
-    /// Adjustment factor for phases inside the evaluation cache.
+    /// Adjustment factor for the phases inside an evaluation.
     fn eval_factor(&self) -> f64 {
-        factor(self.eval_hits, self.eval_misses)
-    }
-
-    /// Adjustment factor for the system-DSE cache (which nests inside the
-    /// evaluation cache, so both factors compound).
-    fn system_factor(&self) -> f64 {
-        self.eval_factor() * factor(self.system_hits, self.system_misses)
-    }
-}
-
-fn factor(hits: u64, misses: u64) -> f64 {
-    if misses == 0 {
-        1.0
-    } else {
-        (hits + misses) as f64 / misses as f64
+        if self.eval_misses == 0 {
+            1.0
+        } else {
+            (self.eval_hits + self.eval_misses) as f64 / self.eval_misses as f64
+        }
     }
 }
 
@@ -462,7 +450,6 @@ impl ProfileSnapshot {
                 0.0
             };
             let adjust = match r.phase {
-                Phase::SystemDse => cache.system_factor(),
                 Phase::Compile | Phase::Simulate => 1.0,
                 _ => cache.eval_factor(),
             };
@@ -500,8 +487,6 @@ impl ProfileSnapshot {
                 Obj::into(o)
                     .u64("eval_hits", cache.eval_hits)
                     .u64("eval_misses", cache.eval_misses)
-                    .u64("system_hits", cache.system_hits)
-                    .u64("system_misses", cache.system_misses)
                     .finish();
             })
             .with("phases", |o| json::arr(o, &self.rows, phase))
@@ -637,7 +622,6 @@ mod tests {
         let cache = CacheStats {
             eval_hits: 3,
             eval_misses: 1,
-            ..Default::default()
         };
         let doc = p.snapshot().render_json("unit", &cache, 5);
         let v = json::parse(&doc).expect("profile.json parses");
@@ -671,10 +655,7 @@ mod tests {
         let c = CacheStats {
             eval_hits: 10,
             eval_misses: 0,
-            system_hits: 2,
-            system_misses: 0,
         };
         assert_eq!(c.eval_factor(), 1.0);
-        assert_eq!(c.system_factor(), 1.0);
     }
 }

@@ -9,7 +9,8 @@
 #                stand-alone benchmark package in perfbench/
 #   test         debug + release test suites of every crate (tier-1 gate)
 #   fmt          cargo fmt --check
-#   clippy       cargo clippy --workspace --all-targets -D warnings
+#   clippy       cargo clippy --workspace --all-targets -D warnings, and
+#                the workspace docs built with rustdoc warnings denied
 #   determinism  byte-identical traces: seeded, chain workers 1 vs 4,
 #                repair on/off
 #   checkpoint   resume-equivalence gates: interrupted-then-resumed runs
@@ -26,11 +27,12 @@
 #                traces invariant in worker count
 #   profile      observability gates: profiler + heartbeat trace-invisible,
 #                metric names documented, golden phase table from a
-#                deterministic trace, >= 95% eval-time attribution, and a
-#                fresh 480-proposal BENCH_dse.json holding the system
-#                sweep under 50% of eval time, schedule + repair under
-#                0.60 of eval time outside the sweep, and proposals/s
-#                at least half the committed record (plus
+#                deterministic trace, >= 95% eval-time attribution, and
+#                the median-share one of three fresh 480-proposal
+#                BENCH_dse.json records holding the system step under 50%
+#                of eval time, schedule + repair under 0.70 of eval time
+#                outside the system step and the memo's capture, and
+#                proposals/s at least half the committed record (plus
 #                synthetic-regression negative tests of all three gates)
 #   sim          simulator fast-path gates: differential oracle (pruned +
 #                cached sweep vs exhaustive) across every workload, the
@@ -95,6 +97,8 @@ stage_fmt() {
 stage_clippy() {
     echo "== clippy (-D warnings) =="
     cargo clippy --workspace --all-targets -- -D warnings
+    echo "== docs (-D warnings) =="
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 }
 
 stage_determinism() {
@@ -328,26 +332,42 @@ stage_profile() {
         "$PROF_TMP/dse.profile.json"
 
     echo "== profile: DSE throughput record against the committed baseline =="
-    # A fresh 480-proposal run, as results/BENCH_dse.json was made: one
+    # Fresh 480-proposal runs, as results/BENCH_dse.json was made: one
     # 60-proposal run held ~9 ms of eval, where one preemption moved a
-    # share by tens of points. The nested system sweep must stay a minority
+    # share by tens of points. The nested system step must stay a minority
     # of eval time and eval time stay attributed. The scheduler's share is
-    # schedule + repair over eval time outside the sweep, so a faster sweep
-    # does not raise it. On a 2-vCPU VM it reads 0.51-0.58 with the
-    # per-slot placement tables (130 runs) and 0.62-0.69 with the ordered
-    # maps they replaced (40 runs), so the band fails a revert. Throughput
-    # may drop to half the committed record: a short run is at the mercy
-    # of host load, so the band catches a halving, not a revert of one
-    # optimization. The fastest of 50 variant-compile passes over the
-    # domain may rise to twice the record: on a 2-vCPU VM it reads
+    # schedule + repair over eval time outside the system step and the
+    # memo's capture, so a faster sweep or memo does not raise it. Three
+    # runs are made and the one with the median scheduler share is gated,
+    # so one preempted run cannot decide the gate. On a 2-vCPU VM a single
+    # run reads 0.55-0.69 (one of 122 at 0.71) with the per-slot placement
+    # tables and 0.69-0.77 (60 runs) with what they replaced (ordered
+    # distance maps read on every candidate comparison, and a scan of every
+    # node against an ordered set per instruction); medians of three read
+    # 0.62-0.64 (68 of 69, one at 0.69) and 0.72-0.74 (10 of 10 fail), so
+    # the band fails a revert.
+    # Throughput may drop to half the committed record: a short run is at
+    # the mercy of host load, so the band catches a halving, not a revert
+    # of one optimization. The fastest of 50 variant-compile passes over
+    # the domain may rise to twice the record: on a 2-vCPU VM it reads
     # 173-296 us (40 runs), and 703-1195 us (40 runs) when every variant
     # re-analyses its kernel as lowering did before the shared analysis.
-    OVERGEN_RESULTS_DIR="$PROF_TMP/bench" OVERGEN_DSE_THREADS=1 OVERGEN_DSE_ITERS=480 \
-        cargo run -q --release -p overgen-bench -- dse >/dev/null
+    for run in 1 2 3; do
+        OVERGEN_RESULTS_DIR="$PROF_TMP/bench$run" OVERGEN_DSE_THREADS=1 \
+            OVERGEN_DSE_ITERS=480 cargo run -q --release -p overgen-bench -- dse >/dev/null
+    done
+    shares=$(for run in 1 2 3; do
+        share=$(grep -o '"scheduler_share":[0-9.eE+-]*' "$PROF_TMP/bench$run/BENCH_dse.json")
+        echo "${share#*:} $run"
+    done | sort -n)
+    echo "scheduler shares of the three runs:" $(echo "$shares" | cut -d' ' -f1)
+    median=$(echo "$shares" | sed -n 2p)
+    mkdir -p "$PROF_TMP/bench"
+    cp "$PROF_TMP/bench${median#* }/BENCH_dse.json" "$PROF_TMP/bench/BENCH_dse.json"
     cargo run -q --release -p overgen-bench --bin bench-compare -- \
         results/BENCH_dse.json "$PROF_TMP/bench/BENCH_dse.json" \
         max:profile.system_share=0.5 \
-        max:profile.scheduler_share=0.60 \
+        max:profile.scheduler_share=0.70 \
         min:profile.coverage=0.95 \
         max-drop:proposals_per_sec=0.5 \
         max-rise:compile.best_us=1.0 \
@@ -382,11 +402,11 @@ stage_profile() {
     fi
 
     echo "== profile: injected scheduler-share regression must fail the gate =="
-    sed -e 's/"scheduler_share":[0-9.eE+-]*/"scheduler_share":0.64/' \
+    sed -e 's/"scheduler_share":[0-9.eE+-]*/"scheduler_share":0.73/' \
         "$PROF_TMP/bench/BENCH_dse.json" > "$PROF_TMP/regressed.json"
     if cargo run -q --release -p overgen-bench --bin bench-compare -- \
         results/BENCH_dse.json "$PROF_TMP/regressed.json" \
-        max:profile.scheduler_share=0.60 >/dev/null; then
+        max:profile.scheduler_share=0.70 >/dev/null; then
         echo "FAIL: bench-compare accepted a synthetic scheduler-share regression"; exit 1
     fi
 }
@@ -541,7 +561,8 @@ stage_rewrite() {
     echo "== rewrite: rule / delta / inference unit suite =="
     cargo test -q --release -p overgen-dse rewrite
 
-    echo "== rewrite: golden + compound equivalence suite =="
+    echo "== rewrite: compound-off goldens + compound equivalence suite =="
+    cargo test -q --release --test objective_equivalence default_objective_is_byte_identical
     cargo test -q --release --test rewrite_equivalence
 
     if [ -n "${CHECK_TRACE_DIR:-}" ]; then

@@ -10,6 +10,12 @@
 //! capture/replay ordering changed — all of which are breaking changes for
 //! recorded experiments.
 //!
+//! The same digests pin the rewrite-rule engine with compound proposals
+//! off: they predate mutations being rebuilt as declarative rules, so a
+//! drift can also mean a ported rule's RNG draw sequence, a recorded delta
+//! or an inferred footprint no longer reproduces its hand-rolled mutation
+//! (`rewrite_equivalence.rs` pins the compound runs).
+//!
 //! Also covered here: the non-default objectives' observable behavior
 //! (ConstrainedIpc rejecting infeasible proposals, IpcPerLut preferring
 //! smaller designs) and a checkpoint/resume leg under the golden config.

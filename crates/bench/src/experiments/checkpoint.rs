@@ -26,15 +26,10 @@
 use std::time::Instant;
 
 use overgen_dse::{Checkpoint, CheckpointConfig, Dse, DseResult, DseStats, MIN_WRITE_GAP};
-use overgen_ir::Kernel;
 use overgen_telemetry::{fs::write_atomic, json};
-use overgen_workloads as workloads;
 
-use crate::harness::{dse_config, dse_iters, results_dir, seed};
+use crate::harness::{counter, domain, dse_config, dse_iters, results_dir, seed};
 use crate::table::Table;
-
-/// Domain for all three legs (a MachSuite slice, same as the repair bench).
-pub const DOMAIN: [&str; 3] = ["stencil-2d", "gemm", "ellpack"];
 
 /// Re-saves of leg 2's checkpoint whose fastest is `save_us`.
 pub const RESAVES: usize = 5;
@@ -72,13 +67,6 @@ pub struct CheckpointReport {
     pub stats: DseStats,
 }
 
-fn domain() -> Vec<Kernel> {
-    DOMAIN
-        .iter()
-        .map(|n| workloads::by_name(n).expect("workload exists"))
-        .collect()
-}
-
 /// Bit-level result equality: objective, per-workload variants, history
 /// curve, and activity counters.
 fn same_result(a: &DseResult, b: &DseResult) -> bool {
@@ -90,11 +78,6 @@ fn same_result(a: &DseResult, b: &DseResult) -> bool {
             .zip(&b.history)
             .all(|(x, y)| x.0.to_bits() == y.0.to_bits() && x.1.to_bits() == y.1.to_bits())
         && a.stats == b.stats
-}
-
-/// Counter value on the ambient registry (0 when telemetry is off).
-fn counter(name: &'static str) -> u64 {
-    overgen_telemetry::current().map_or(0, |c| c.registry().counter(name).get())
 }
 
 /// Run all three legs and write `results/BENCH_checkpoint.json`.

@@ -1,12 +1,12 @@
 //! Engine throughput benchmark (`BENCH_dse.json`).
 //!
-//! One wall-clocked preserving DSE run over the repair benchmark's
-//! MachSuite domain, recorded as a machine-readable throughput baseline:
-//! proposals/sec, acceptance and cache behaviour, and — when the profiler
-//! is on (`OVERGEN_PROFILE`, default) — per-phase wall-time totals with
-//! attribution coverage, the system step's share of eval time and the
-//! scheduler's share of eval time outside the system step and the memo's
-//! capture. After the run it
+//! One wall-clocked preserving DSE run over the benchmarks' MachSuite
+//! domain, recorded as a machine-readable throughput baseline:
+//! proposals/sec, acceptance and repair behaviour, and per-phase
+//! wall-time totals with attribution coverage, the system step's share of
+//! eval time and the scheduler's share of eval time outside the system
+//! step and the store's capture (this run has no store, so no capture).
+//! After the run it
 //! times the domain's variant compilation alone: the fastest of
 //! [`COMPILE_PASSES`] `compile_variants` passes over every kernel. The
 //! `check.sh profile` stage gates a fresh record with `bench-compare`:
@@ -20,10 +20,8 @@ use overgen_compiler::{compile_variants, CompileOptions};
 use overgen_dse::{Dse, DseStats};
 use overgen_ir::Kernel;
 use overgen_telemetry::{count_isolated, current_profiler, fs::write_atomic, json, Phase};
-use overgen_workloads as workloads;
 
-use crate::experiments::repair::DOMAIN;
-use crate::harness::{dse_config, dse_iters, results_dir, seed};
+use crate::harness::{domain, dse_config, dse_iters, results_dir, seed};
 use crate::table::Table;
 
 /// Everything the benchmark measured.
@@ -32,18 +30,16 @@ pub struct DseReport {
     pub stats: DseStats,
     pub wall_seconds: f64,
     pub proposals_per_sec: f64,
-    /// `(phase name, total µs)` for every phase that recorded samples;
-    /// empty when the profiler is disabled.
+    /// `(phase name, total µs)` for every phase that recorded samples.
     pub phase_totals: Vec<(&'static str, u64)>,
-    /// Attribution coverage (attributed / eval total); `1.0` when the
-    /// profiler is off or nothing was evaluated.
+    /// Attribution coverage (attributed / eval total); `1.0` when nothing
+    /// was evaluated.
     pub coverage: f64,
-    /// System-DSE step time over eval time; `0.0` when the profiler is
-    /// off or nothing was evaluated.
+    /// System-DSE step time over eval time; `0.0` when nothing was
+    /// evaluated.
     pub system_share: f64,
     /// Schedule plus repair time over eval time outside the system step
-    /// and the memo's capture; `0.0` when the profiler is off or nothing
-    /// was evaluated.
+    /// and the store's capture; `0.0` when nothing was evaluated.
     pub scheduler_share: f64,
     /// Fastest `compile_variants` pass over the domain, in µs.
     pub compile_best_us: f64,
@@ -72,12 +68,10 @@ fn compile_best_us(domain: &[Kernel], opts: &CompileOptions) -> f64 {
     .0
 }
 
-/// Run the DSE and write `results/BENCH_dse.json`.
+/// Run the DSE and write `results/BENCH_dse.json`. Runs under the
+/// profiler [`crate::harness::run_experiment`] installs.
 pub fn run() -> DseReport {
-    let domain: Vec<_> = DOMAIN
-        .iter()
-        .map(|n| workloads::by_name(n).expect("workload exists"))
-        .collect();
+    let domain = domain();
     let cfg = dse_config(dse_iters(), seed() ^ 0x0D5E_0BE2);
     let (kernels, compile) = (domain.clone(), cfg.compile);
     let wall = Instant::now();
@@ -86,42 +80,29 @@ pub fn run() -> DseReport {
     let compile_best_us = compile_best_us(&domain, &compile);
     let stats = r.stats;
 
-    let (phase_totals, coverage, system_share, scheduler_share) = match current_profiler() {
-        Some(p) => {
-            let snap = p.snapshot();
-            let totals = Phase::ALL
-                .iter()
-                .map(|&ph| (ph.name(), snap.phase_total_us(ph)))
-                .filter(|(_, us)| *us > 0)
-                .collect();
-            let share = |us: u64, of: u64| us as f64 / of.max(1) as f64;
-            let (eval, system) = (snap.eval_total_us(), snap.phase_total_us(Phase::SystemDse));
-            let memo = snap.phase_total_us(Phase::Memo);
-            let scheduler =
-                snap.phase_total_us(Phase::Schedule) + snap.phase_total_us(Phase::Repair);
-            (
-                totals,
-                snap.coverage(),
-                share(system, eval),
-                share(scheduler, eval.saturating_sub(system + memo)),
-            )
-        }
-        None => (Vec::new(), 1.0, 0.0, 0.0),
-    };
-
+    let snap = current_profiler()
+        .expect("run under the experiment harness's profiler")
+        .snapshot();
+    let share = |us: u64, of: u64| us as f64 / of.max(1) as f64;
+    let (eval, system) = (snap.eval_total_us(), snap.phase_total_us(Phase::SystemDse));
+    let memo = snap.phase_total_us(Phase::Memo);
+    let scheduler = snap.phase_total_us(Phase::Schedule) + snap.phase_total_us(Phase::Repair);
     let report = DseReport {
         stats,
         wall_seconds,
         proposals_per_sec: stats.iterations as f64 / wall_seconds.max(1e-9),
-        phase_totals,
-        coverage,
-        system_share,
-        scheduler_share,
+        phase_totals: Phase::ALL
+            .iter()
+            .map(|&ph| (ph.name(), snap.phase_total_us(ph)))
+            .filter(|(_, us)| *us > 0)
+            .collect(),
+        coverage: snap.coverage(),
+        system_share: share(system, eval),
+        scheduler_share: share(scheduler, eval.saturating_sub(system + memo)),
         compile_best_us,
     };
 
     let decisions = stats.repair_fast + stats.repair_fallback + stats.full_schedules;
-    let lookups = stats.cache_hits + stats.cache_misses;
     let record = json::Obj::new()
         .str("bench", "dse")
         .u64("seed", seed())
@@ -132,12 +113,6 @@ pub fn run() -> DseReport {
                 .u64("iterations", stats.iterations as u64)
                 .u64("accepted", stats.accepted as u64)
                 .u64("invalid", stats.invalid as u64)
-                .u64("cache_hits", stats.cache_hits as u64)
-                .u64("cache_misses", stats.cache_misses as u64)
-                .f64(
-                    "cache_hit_rate",
-                    stats.cache_hits as f64 / lookups.max(1) as f64,
-                )
                 .u64("repair_fast", stats.repair_fast as u64)
                 .u64("repair_fallback", stats.repair_fallback as u64)
                 .u64("full_schedules", stats.full_schedules as u64)
@@ -186,10 +161,6 @@ pub fn render(r: &DseReport) -> String {
         format!("{:.1}", r.proposals_per_sec),
     ]);
     t.row([
-        "cache hits / misses".into(),
-        format!("{} / {}", r.stats.cache_hits, r.stats.cache_misses),
-    ]);
-    t.row([
         format!("compile pass, best of {COMPILE_PASSES} (us)"),
         format!("{:.1}", r.compile_best_us),
     ]);
@@ -205,7 +176,7 @@ pub fn render(r: &DseReport) -> String {
         format!("{:.1}%", r.system_share * 100.0),
     ]);
     t.row([
-        "scheduler share of eval outside sweep and memo".into(),
+        "scheduler share of eval outside sweep and store capture".into(),
         format!("{:.1}%", r.scheduler_share * 100.0),
     ]);
     format!(

@@ -14,17 +14,11 @@
 //!    the budget — both are recorded as acceptance gates in the JSON.
 
 use overgen_dse::{Dse, DseStats, Objective, ParetoFront};
-use overgen_ir::Kernel;
 use overgen_model::{accelerator_resources, AnalyticModel, DeviceBudget, Resources};
 use overgen_telemetry::{event, fs::write_atomic, json};
-use overgen_workloads as workloads;
 
-use crate::harness::{dse_config, dse_iters, results_dir, seed};
+use crate::harness::{domain, dse_config, dse_iters, results_dir, seed};
 use crate::table::Table;
-
-/// Domain for both legs (a MachSuite slice, same as the repair and
-/// checkpoint benches).
-pub const DOMAIN: [&str; 3] = ["stencil-2d", "gemm", "ellpack"];
 
 /// Everything the benchmark measured.
 #[derive(Debug, Clone)]
@@ -45,13 +39,6 @@ pub struct ParetoReport {
     pub winner_admitted: bool,
     /// Stats of the budgeted leg.
     pub stats: DseStats,
-}
-
-fn domain() -> Vec<Kernel> {
-    DOMAIN
-        .iter()
-        .map(|n| workloads::by_name(n).expect("workload exists"))
-        .collect()
 }
 
 fn res_json(out: &mut String, r: Resources) {

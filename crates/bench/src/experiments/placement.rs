@@ -27,7 +27,7 @@ use overgen_model::{
 use overgen_telemetry::{fs::write_atomic, json};
 use overgen_workloads as workloads;
 
-use crate::harness::{results_dir, seed};
+use crate::harness::{median, results_dir, seed};
 use crate::table::Table;
 
 /// Largest tile count the sweep considers (matches the system-DSE default).
@@ -92,13 +92,6 @@ fn score_point(
         .sum();
     let est = estimate_ipc(&app.mdfg, &sys, spad_bw, &app.schedule.placement);
     (est.ipc * rep.fmax_mhz / 100.0, rep)
-}
-
-fn median(sorted: &[f64]) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[sorted.len() / 2]
 }
 
 /// Run the sweep and write `results/BENCH_placement.json`.

@@ -26,20 +26,16 @@
 
 use std::time::Instant;
 
+use crate::harness::{
+    best_of, domain, dse_config, dse_iters, median, repair_enabled, results_dir, seed,
+};
+use crate::table::Table;
 use overgen_adg::{SysAdg, SystemParams};
 use overgen_compiler::{lower, LowerChoices};
 use overgen_dse::{Dse, DseStats, RuleSet, TransformCtx};
-use overgen_ir::Kernel;
 use overgen_mdfg::Mdfg;
 use overgen_scheduler::{schedule, HwIndex, RepairOptions, Schedule, ScheduleFootprint};
 use overgen_telemetry::{fs::write_atomic, json, Rng};
-use overgen_workloads as workloads;
-
-use crate::harness::{dse_config, dse_iters, repair_enabled, results_dir, seed};
-use crate::table::Table;
-
-/// Domain for both measurements (a MachSuite slice, as in Figure 18).
-pub const DOMAIN: [&str; 3] = ["stencil-2d", "gemm", "ellpack"];
 
 /// Proposals replayed by the timing chain.
 const PROPOSALS: usize = 60;
@@ -67,13 +63,6 @@ pub struct RepairReport {
     pub median_repair_s: f64,
 }
 
-fn domain() -> Vec<Kernel> {
-    DOMAIN
-        .iter()
-        .map(|n| workloads::by_name(n).expect("workload exists"))
-        .collect()
-}
-
 /// Part 1: coverage counters from a real DSE run.
 fn coverage() -> (DseStats, f64) {
     let cfg = dse_config(dse_iters(), seed() ^ 0xBE7C_4EA1);
@@ -84,20 +73,8 @@ fn coverage() -> (DseStats, f64) {
     (stats, share)
 }
 
-fn median(sorted: &[f64]) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[sorted.len() / 2]
-}
-
-/// Wall-clock one closure, best of [`REPS`].
-fn best_of<T>(mut f: impl FnMut() -> T) -> (T, f64) {
-    best_of_with(|| (), |()| f())
-}
-
-/// [`best_of`] for a closure that consumes its input: each repetition
-/// makes a fresh one with `input`, outside the timer.
+/// [`best_of`] of [`REPS`] runs for a closure that consumes its input:
+/// each repetition makes a fresh one with `input`, outside the timer.
 fn best_of_with<I, T>(mut input: impl FnMut() -> I, mut f: impl FnMut(I) -> T) -> (T, f64) {
     let mut best = f64::INFINITY;
     let mut out = None;
@@ -173,7 +150,7 @@ fn timing_chain() -> (Vec<f64>, usize, usize, f64, f64) {
         };
         // What the DSE's common path runs: one index of the proposal,
         // shared by every workload's repair.
-        let (hw, mut repair_s) = best_of(|| HwIndex::new(&sys));
+        let (hw, mut repair_s) = best_of(REPS, || HwIndex::new(&sys));
         let mut full_s = 0.0;
         let mut next = Vec::with_capacity(schedules.len());
         let mut moved_any = false;
@@ -183,7 +160,7 @@ fn timing_chain() -> (Vec<f64>, usize, usize, f64, f64) {
             repair_s += t;
             // What every proposal would cost without the repair engine:
             // a from-scratch placement (the DSE's no-prior path).
-            let (_, t) = best_of(|| schedule(m, &sys, None));
+            let (_, t) = best_of(REPS, || schedule(m, &sys, None));
             full_s += t;
             match rep {
                 Ok((s, outcome)) => {

@@ -34,7 +34,7 @@ use overgen_scheduler::schedule;
 use overgen_telemetry::{fs::write_atomic, json, Rng};
 use overgen_workloads as workloads;
 
-use crate::harness::{dse_config, dse_iters, results_dir, seed};
+use crate::harness::{counter, dse_config, dse_iters, results_dir, seed};
 use crate::table::Table;
 
 /// Rule applications per workload in the oracle pass.
@@ -93,10 +93,6 @@ pub struct RewriteReport {
     pub oracle_weaker: usize,
     /// Applications whose inferred footprint equalled the hand class.
     pub oracle_exact: usize,
-}
-
-fn counter(name: &str) -> u64 {
-    overgen_telemetry::current().map_or(0, |c| c.registry().counter_value(name))
 }
 
 /// One small DSE run; returns (fast, fallback, full, proposals, seconds).

@@ -26,13 +26,8 @@ use overgen_service::{JobRequest, JobServer, JobStatus, ServiceConfig};
 use overgen_telemetry::{fs::write_atomic, json};
 use overgen_workloads as workloads;
 
-use crate::harness::{dse_config, dse_iters, results_dir, seed};
+use crate::harness::{domain, dse_config, dse_iters, median, results_dir, seed, DOMAIN};
 use crate::table::Table;
-
-/// Workloads for both legs (a MachSuite slice, same as the checkpoint
-/// bench). The warm-speedup job explores all three at once; the identity
-/// fleet gives each tenant one of them.
-pub const DOMAIN: [&str; 3] = ["stencil-2d", "gemm", "ellpack"];
 
 /// Cold/warm pairs measured for the speedup leg.
 pub const TRIALS: usize = 3;
@@ -52,13 +47,6 @@ pub struct ServiceReport {
     pub identity: bool,
     /// Cross-tenant serves observed in the sequential fleet run.
     pub shared_serves: u64,
-}
-
-fn domain() -> Vec<Kernel> {
-    DOMAIN
-        .iter()
-        .map(|n| workloads::by_name(n).expect("workload exists"))
-        .collect()
 }
 
 /// Run one job on a single-worker server rooted at `root` and return its
@@ -84,8 +72,9 @@ fn run_job(root: &Path, name: &str, kernels: Vec<Kernel>, config: DseConfig) -> 
     (wall_s, report.store.expect("store enabled"))
 }
 
-/// The identity-leg fleet: one tenant per workload plus a duplicate of
-/// the first, so the duplicate is served from its sibling's entries.
+/// The identity-leg fleet: one tenant per [`DOMAIN`] workload (the
+/// warm-speedup job explores all three at once) plus a duplicate of the
+/// first, so the duplicate is served from its sibling's entries.
 fn fleet(run_seed: u64) -> Vec<JobRequest> {
     let iters = dse_iters();
     let mut jobs: Vec<JobRequest> = DOMAIN
@@ -173,7 +162,7 @@ pub fn run() -> ServiceReport {
     }
     let mut speedups: Vec<f64> = trials.iter().map(|(c, w)| c / w.max(1e-9)).collect();
     speedups.sort_by(f64::total_cmp);
-    let median_warm_speedup = speedups[speedups.len() / 2];
+    let median_warm_speedup = median(&speedups);
 
     // Leg 2: the same fleet at workers=1 and workers=4 in separate roots
     // must leave byte-identical per-tenant artifacts.
@@ -196,8 +185,13 @@ pub fn run() -> ServiceReport {
         shared_serves: seq_stats.shared_serves,
     };
 
-    let cold_median = median(report.trials.iter().map(|t| t.0));
-    let warm_median = median(report.trials.iter().map(|t| t.1));
+    let sorted = |side: fn(&(f64, f64)) -> f64| {
+        let mut v: Vec<f64> = report.trials.iter().map(side).collect();
+        v.sort_by(f64::total_cmp);
+        v
+    };
+    let cold_median = median(&sorted(|t| t.0));
+    let warm_median = median(&sorted(|t| t.1));
     let record = json::Obj::new()
         .str("bench", "service")
         .u64("seed", seed())
@@ -227,12 +221,6 @@ pub fn run() -> ServiceReport {
         eprintln!("warning: cannot write {}: {e}", path.display());
     }
     report
-}
-
-fn median(values: impl Iterator<Item = f64>) -> f64 {
-    let mut v: Vec<f64> = values.collect();
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
 }
 
 /// Render.

@@ -15,8 +15,6 @@
 //! of [`REPS`] each); the record reports the median, minimum, and a
 //! `winner_match_all` flag the CI gate pins at 1.
 
-use std::time::Instant;
-
 use overgen::Overlay;
 use overgen_adg::{SysAdg, SystemParams};
 use overgen_dse::{system_dse_sim, SystemDseConfig};
@@ -25,7 +23,7 @@ use overgen_sim::{simulate, SimConfig};
 use overgen_telemetry::{fs::write_atomic, json};
 use overgen_workloads as workloads;
 
-use crate::harness::{results_dir, seed};
+use crate::harness::{best_of, counter, median, results_dir, seed};
 use crate::table::Table;
 
 /// Timing repetitions per path (minimum wins, to shed scheduler noise).
@@ -134,30 +132,6 @@ fn exhaustive_cold(
     (best, feasible)
 }
 
-/// Wall-clock one closure, best of [`REPS`].
-fn best_of<T>(mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let v = f();
-        best = best.min(t.elapsed().as_secs_f64());
-        out = Some(v);
-    }
-    (out.expect("REPS >= 1"), best)
-}
-
-fn counter(name: &str) -> u64 {
-    overgen_telemetry::current().map_or(0, |c| c.registry().counter_value(name))
-}
-
-fn median(sorted: &[f64]) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[sorted.len() / 2]
-}
-
 /// Run the comparison and write `results/BENCH_sim.json`.
 pub fn run() -> SimReportBench {
     let overlay = Overlay::general();
@@ -170,7 +144,7 @@ pub fn run() -> SimReportBench {
             .unwrap_or_else(|e| panic!("{} failed to compile: {e}", k.name()));
 
         let ((baseline, feasible), baseline_s) =
-            best_of(|| exhaustive_cold(&overlay, &app, &cfg, &sim_cfg));
+            best_of(REPS, || exhaustive_cold(&overlay, &app, &cfg, &sim_cfg));
 
         let per = vec![(&app.mdfg, &app.schedule, 1.0)];
         let (pruned_before, admitted_before, reused_before) = (
@@ -178,7 +152,7 @@ pub fn run() -> SimReportBench {
             counter("sim.analytic.admitted"),
             counter("sim.batch.reuse"),
         );
-        let (candidate, pruned_s) = best_of(|| {
+        let (candidate, pruned_s) = best_of(REPS, || {
             system_dse_sim(
                 &overlay.sys_adg.adg,
                 &per,

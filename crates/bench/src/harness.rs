@@ -12,8 +12,7 @@ use overgen_hls::{explore, AutoDseConfig, AutoDseResult};
 use overgen_ir::{Kernel, Suite};
 use overgen_sim::SimConfig;
 use overgen_telemetry::{
-    event, fs::write_atomic, json, CacheStats, ClockMode, Collector, FileSink, NullSink, Profiler,
-    Sink,
+    event, fs::write_atomic, json, ClockMode, Collector, FileSink, NullSink, Profiler, Sink,
 };
 use overgen_workloads as workloads;
 
@@ -98,39 +97,20 @@ fn trace_enabled() -> bool {
     )
 }
 
-/// Whether to attribute wall time to phases (env `OVERGEN_PROFILE`,
-/// default on). The profiler is invisible to traces — it never emits
-/// events and never touches the metrics registry — so leaving it on does
-/// not perturb determinism gates; `OVERGEN_PROFILE=0` only skips the
-/// (tiny) timing overhead and the `<name>.profile.json` artifact.
-pub fn profile_enabled() -> bool {
-    !matches!(
-        std::env::var("OVERGEN_PROFILE").as_deref(),
-        Ok("0") | Ok("false") | Ok("no")
-    )
-}
-
-/// Live-progress heartbeat (env `OVERGEN_HEARTBEAT`, default off;
-/// `OVERGEN_HEARTBEAT_EVERY` sets the proposal period, default 25).
-/// When enabled the engine publishes `dse.heartbeat.*` gauges to the
-/// metrics registry and prints a one-line progress summary to stderr at
-/// each threshold. Heartbeat state never reaches the trace stream, so
-/// traces stay byte-identical either way.
+/// Live-progress heartbeat (env `OVERGEN_HEARTBEAT`, default off), every
+/// [`HeartbeatConfig::default`] period of proposals. When enabled the
+/// engine publishes `dse.heartbeat.*` gauges to the metrics registry and
+/// prints a one-line progress summary to stderr at each threshold.
+/// Heartbeat state never reaches the trace stream, so traces stay
+/// byte-identical either way.
 pub fn heartbeat_config() -> Option<HeartbeatConfig> {
-    if !matches!(
+    matches!(
         std::env::var("OVERGEN_HEARTBEAT").as_deref(),
         Ok("1") | Ok("true") | Ok("yes")
-    ) {
-        return None;
-    }
-    let every = std::env::var("OVERGEN_HEARTBEAT_EVERY")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or(25);
-    Some(HeartbeatConfig {
-        every,
+    )
+    .then(|| HeartbeatConfig {
         stderr: true,
+        ..HeartbeatConfig::default()
     })
 }
 
@@ -145,9 +125,9 @@ pub fn heartbeat_config() -> Option<HeartbeatConfig> {
 ///   only when `OVERGEN_TRACE=1` (feed it to `trace-summary` or
 ///   `overgen-profile`);
 /// - `results/<name>.profile.json` — phase-level wall-time attribution
-///   (per-phase histograms keyed by phase × footprint class, cache-hit
-///   adjusted totals, hottest workloads and system grid points), unless
-///   `OVERGEN_PROFILE=0`.
+///   (per-phase histograms keyed by phase × footprint class, hottest
+///   workloads and system grid points). The profiler never reaches the
+///   trace or the metrics registry, so it always runs.
 pub fn run_experiment(name: &str, f: impl FnOnce() -> String) {
     let dir = results_dir();
     let tracing = trace_enabled();
@@ -165,10 +145,8 @@ pub fn run_experiment(name: &str, f: impl FnOnce() -> String) {
     };
     let collector = Collector::new(sink, mode);
     let _install = overgen_telemetry::install(collector.clone());
-    let profiler = profile_enabled().then(Profiler::new);
-    let _profile_install = profiler
-        .as_ref()
-        .map(|p| overgen_telemetry::install_profiler(p.clone()));
+    let profiler = Profiler::new();
+    let _profile_install = overgen_telemetry::install_profiler(profiler.clone());
     event!(
         "bench.run",
         experiment = name,
@@ -201,17 +179,10 @@ pub fn run_experiment(name: &str, f: impl FnOnce() -> String) {
         eprintln!("warning: cannot write {}: {e}", path.display());
     }
 
-    if let Some(p) = profiler {
-        let reg = collector.registry();
-        let cache = CacheStats {
-            eval_hits: reg.counter_value("dse.cache.hit"),
-            eval_misses: reg.counter_value("dse.cache.miss"),
-        };
-        let profile = p.snapshot().render_json(name, &cache, 5);
-        let path = dir.join(format!("{name}.profile.json"));
-        if let Err(e) = write_atomic(&path, format!("{profile}\n").as_bytes()) {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-        }
+    let profile = profiler.snapshot().render_json(name, 5);
+    let path = dir.join(format!("{name}.profile.json"));
+    if let Err(e) = write_atomic(&path, format!("{profile}\n").as_bytes()) {
+        eprintln!("warning: cannot write {}: {e}", path.display());
     }
 }
 
@@ -330,6 +301,46 @@ pub fn og_seconds_with(
         }
     }
     best
+}
+
+/// The MachSuite slice the DSE-driven benchmarks (repair, checkpoint,
+/// pareto, service, dse) explore, as in Figure 18.
+pub const DOMAIN: [&str; 3] = ["stencil-2d", "gemm", "ellpack"];
+
+/// The kernels of [`DOMAIN`].
+pub fn domain() -> Vec<Kernel> {
+    DOMAIN
+        .iter()
+        .map(|n| workloads::by_name(n).expect("workload exists"))
+        .collect()
+}
+
+/// Counter `name` on the installed collector's registry (0 when no
+/// collector is installed or the counter was never registered).
+pub fn counter(name: &str) -> u64 {
+    overgen_telemetry::current().map_or(0, |c| c.registry().counter_value(name))
+}
+
+/// Upper median of sorted values (`sorted[len / 2]`); 0 when empty.
+pub fn median(sorted: &[f64]) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted[sorted.len() / 2]
+}
+
+/// Wall-clock `f`, best of `reps` runs: the last run's output and the
+/// fastest run's seconds.
+pub fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..reps {
+        let t = Instant::now();
+        let v = f();
+        best = best.min(t.elapsed().as_secs_f64());
+        out = Some(v);
+    }
+    (out.expect("reps >= 1"), best)
 }
 
 /// Geometric mean of positive values.

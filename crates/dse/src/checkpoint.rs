@@ -3,8 +3,7 @@
 //! A checkpoint captures everything [`crate::Dse`] needs to continue an
 //! annealing run *exactly* where it left off: per-chain RNG state, current
 //! and best design points (ADG + evaluation), the accumulated stats and
-//! simulated time, the evaluation memo's key set (the warm set — artifacts
-//! are recomputed, see `cache.rs`), and the telemetry trace cursor. The
+//! simulated time, and the telemetry trace cursor. The
 //! invariant the whole format serves is **resume equivalence**: an
 //! interrupted-then-resumed run produces the same `DseResult`, the same
 //! `DseStats`, and (at a checkpoint-aligned boundary, or with one chain)
@@ -105,7 +104,6 @@ pub struct Checkpoint {
     pub(crate) done: usize,
     pub(crate) stats: DseStats,
     pub(crate) chains: Vec<ChainState>,
-    pub(crate) eval_keys: Vec<u64>,
     pub(crate) cursor: Option<TraceCursor>,
 }
 
@@ -210,7 +208,6 @@ impl Checkpoint {
             done,
             stats: prior.merged(&stat_delta(pipe.registry(), base)),
             chains: states.to_vec(),
-            eval_keys: pipe.eval_keys(),
             cursor,
         };
         let t = std::time::Instant::now();
@@ -233,7 +230,6 @@ impl Checkpoint {
             .put("done", &self.done)
             .put("stats", &self.stats)
             .put("chains", &self.chains)
-            .put("eval_keys", &self.eval_keys)
             .put("cursor", &self.cursor)
             .finish()
     }
@@ -276,9 +272,9 @@ impl Checkpoint {
             done: field(&v, "done")?,
             stats: field(&v, "stats")?,
             chains,
-            // Members the format no longer has, like the warm set of the
-            // retired system-DSE memo, are ignored.
-            eval_keys: field(&v, "eval_keys")?,
+            // Members the format no longer has, the warm sets of the
+            // retired evaluation and system-DSE memos (`eval_keys`,
+            // `sys_keys`), are ignored.
             cursor: field(&v, "cursor")?,
         })
     }
@@ -619,12 +615,34 @@ mod tests {
     }
 
     /// A checkpoint written while the system sweep had a memo of its own
-    /// carries that memo's warm set as one more member after `eval_keys`;
-    /// a load ignores it and the resumed run ends as the uninterrupted one
-    /// does.
+    /// carries that memo's warm set as one more member after the
+    /// evaluation memo's; a load ignores it and the resumed run ends as
+    /// the uninterrupted one does.
     #[test]
     fn retired_system_memo_warm_set_is_ignored() {
-        let path = tmp("legacy-sys-keys");
+        resume_with_legacy_members(
+            "legacy-sys-keys",
+            &[("eval_keys", "[]"), ("sys_keys", "[\"1f\",\"2a\"]")],
+        );
+    }
+
+    /// A checkpoint written while the evaluation memo existed carries its
+    /// warm set, `eval_keys`; a load ignores it and the resumed run ends as
+    /// the uninterrupted one does.
+    #[test]
+    fn retired_eval_memo_warm_set_is_ignored() {
+        resume_with_legacy_members(
+            "legacy-eval-keys",
+            &[("eval_keys", "[\"3c\",\"4d\",\"5e\"]")],
+        );
+    }
+
+    /// Cut a run at proposal 3 of 6, write `members` (name, JSON value)
+    /// into its checkpoint before `cursor`, where the retired warm sets
+    /// sat, then load and resume it: the result must equal the
+    /// uninterrupted run's, and a save must drop the members again.
+    fn resume_with_legacy_members(name: &str, members: &[(&str, &str)]) {
+        let path = tmp(name);
         let full = Dse::new(vec![vecadd()], small_cfg(path.clone()))
             .run()
             .unwrap();
@@ -635,18 +653,16 @@ mod tests {
         assert!(!Dse::new(vec![vecadd()], cut).run().unwrap().completed);
         let text = std::fs::read_to_string(&path).unwrap();
         let at = text.rfind(",\"cursor\":").unwrap();
-        // The member as those checkpoints named it.
-        let member = ["sys", "keys"].join("_");
-        let legacy = format!(
-            "{},\"{member}\":[\"1f\",\"2a\"]{}",
-            &text[..at],
-            &text[at..]
-        );
-        std::fs::write(&path, legacy).unwrap();
-        let resumed = Checkpoint::load(&path)
-            .unwrap()
-            .resume(vec![vecadd()])
-            .unwrap();
+        let legacy: String = members
+            .iter()
+            .map(|(member, value)| format!(",\"{member}\":{value}"))
+            .collect();
+        std::fs::write(&path, format!("{}{legacy}{}", &text[..at], &text[at..])).unwrap();
+        let ck = Checkpoint::load(&path).unwrap();
+        let mut re = ck.to_json();
+        re.push('\n');
+        assert_eq!(re, text, "a load kept a retired member");
+        let resumed = ck.resume(vec![vecadd()]).unwrap();
         assert!(resumed.completed);
         assert_eq!(full.objective.to_bits(), resumed.objective.to_bits());
         assert_eq!(full.history, resumed.history);

@@ -11,7 +11,7 @@
 //! JSONL trace are byte-identical for any thread count.
 //!
 //! Proposal *evaluation* — scheduling, the nested system DSE, performance
-//! estimation, memoization — lives in [`crate::eval::EvalPipeline`], and
+//! estimation, the persistent store — lives in [`crate::eval::EvalPipeline`], and
 //! the mapping from an evaluation report to scalar fitness lives in
 //! [`crate::Objective`]. This driver only proposes mutations, runs the
 //! accept/reject rule on the fitness the pipeline returns, exchanges best
@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use overgen_telemetry::profile::{maybe_phase, NO_CLASS};
 use overgen_telemetry::{
-    capture, capture_isolated, event, replay, span, Counter, FieldValue, Phase, Registry, Rng,
+    capture, count_isolated, event, replay, span, Counter, FieldValue, Phase, Registry, Rng,
     SpanGuard,
 };
 
@@ -59,7 +59,7 @@ pub struct DseConfig {
     /// reproduces the classic weighted-geomean-IPC behavior bit-for-bit;
     /// [`Objective::ConstrainedIpc`] adds a hard device budget. The
     /// objective is folded into the config hash, so it also keys the
-    /// evaluation memo and checkpoint compatibility.
+    /// persistent store and checkpoint compatibility.
     pub objective: Objective,
     /// Nested system-DSE configuration.
     pub system: SystemDseConfig,
@@ -79,7 +79,10 @@ pub struct DseConfig {
     pub chains: usize,
     /// Iterations between best-state exchanges among chains.
     pub exchange_interval: usize,
-    /// Memoize evaluations and system-DSE winners by ADG fingerprint.
+    /// Consult the configured [`DseConfig::store`]: serve evaluations
+    /// from it and publish new ones to it. Without a store this changes
+    /// nothing (no in-memory memo is kept; a run rarely meets one design
+    /// point twice).
     pub cache: bool,
     /// Compound proposals: maximum rewrite rules chained into one
     /// proposal step. `1` (the default) applies exactly one rule per step
@@ -87,7 +90,7 @@ pub struct DseConfig {
     /// `K > 1` draws 1..=K rules per step — the first from the full
     /// registry, follow-ups from the benign (non-removing) subset — with
     /// their deltas and inferred footprints merged into the proposal and
-    /// the rule chain folded into evaluation cache keys. Folded into the
+    /// the rule chain folded into store keys. Folded into the
     /// config hash (only when enabled, so default hashes are unchanged)
     /// and persisted in checkpoints.
     pub compound: usize,
@@ -121,11 +124,11 @@ pub struct DseConfig {
     /// budgets, not persisted in checkpoints. `None` disables it.
     pub heartbeat: Option<HeartbeatConfig>,
     /// Persistent shared evaluation store ([`crate::EvalStore`]), consulted
-    /// and fed on the in-memory memo's miss path when `cache` is on. A
-    /// store-served artifact is byte-identical to recomputation, so
-    /// results, counters, and traces are independent of store contents
-    /// (DESIGN.md §13). Not part of the config hash; not persisted in
-    /// checkpoints. `None` runs fully in-memory.
+    /// and fed by every evaluation when `cache` is on. A store-served
+    /// artifact is byte-identical to recomputation, so results, counters,
+    /// and traces are independent of store contents (DESIGN.md §13). Not
+    /// part of the config hash; not persisted in checkpoints. `None`
+    /// evaluates every proposal in place.
     pub store: Option<std::sync::Arc<crate::EvalStore>>,
     /// Cooperative cancellation flag for service-managed runs. When raised
     /// the run stops at the next segment boundary with `stop_reason`
@@ -244,9 +247,11 @@ pub struct DseStats {
     pub repairs: usize,
     /// Repairs that found the schedule intact.
     pub intact: usize,
-    /// Evaluations served from the fingerprint cache.
+    /// Always 0 (a checkpoint from before the evaluation memo was retired
+    /// may carry a count). Kept because benchmark harnesses that spell
+    /// out these stats read it.
     pub cache_hits: usize,
-    /// Evaluations computed fresh (distinct design points visited).
+    /// Always 0, like [`DseStats::cache_hits`].
     pub cache_misses: usize,
     /// Repairs resolved on the incremental fast path (empty dirty set — no
     /// placement search ran).
@@ -280,11 +285,11 @@ impl DseStats {
 }
 
 /// Live counters the driver updates directly. Everything evaluation-side
-/// (`dse.full_schedules`, `dse.repairs`, `dse.intact`, `dse.cache.*`,
-/// `dse.eval.infeasible`, `sched.*`) is owned by the evaluation pipeline
-/// or incremented inside isolated captures and reaches the run registry
-/// through [`Registry::merge_from`] — identically on a cache miss and on
-/// every hit.
+/// (`dse.full_schedules`, `dse.repairs`, `dse.intact`,
+/// `dse.cache.system_miss`, `dse.eval.infeasible`, `sched.*`) is owned by
+/// the evaluation pipeline: counted into the run registry in place, or,
+/// with a store, merged into it from the stored artifact through
+/// [`Registry::merge_from`] — identically whether the store served it.
 struct DseCounters {
     iterations: Counter,
     accepted: Counter,
@@ -310,11 +315,10 @@ fn stat_totals(reg: &Registry) -> DseStats {
         full_schedules: reg.counter_value("dse.full_schedules") as usize,
         repairs: reg.counter_value("dse.repairs") as usize,
         intact: reg.counter_value("dse.intact") as usize,
-        cache_hits: reg.counter_value("dse.cache.hit") as usize,
-        cache_misses: reg.counter_value("dse.cache.miss") as usize,
         repair_fast: reg.counter_value("scheduler.repair.fast") as usize,
         repair_fallback: reg.counter_value("scheduler.repair.fallback") as usize,
         infeasible: reg.counter_value("dse.eval.infeasible") as usize,
+        ..DseStats::default()
     }
 }
 
@@ -327,11 +331,10 @@ pub(crate) fn stat_delta(reg: &Registry, base: &DseStats) -> DseStats {
         full_schedules: now.full_schedules - base.full_schedules,
         repairs: now.repairs - base.repairs,
         intact: now.intact - base.intact,
-        cache_hits: now.cache_hits - base.cache_hits,
-        cache_misses: now.cache_misses - base.cache_misses,
         repair_fast: now.repair_fast - base.repair_fast,
         repair_fallback: now.repair_fallback - base.repair_fallback,
         infeasible: now.infeasible - base.infeasible,
+        ..DseStats::default()
     }
 }
 
@@ -370,8 +373,8 @@ pub struct DseResult {
 
 /// One annealing chain's mutable state. `Clone` + `pub(crate)` so
 /// checkpoints can snapshot and rebuild it (`checkpoint.rs`). `cur` and
-/// `best` share their evaluation with the memo cell that produced it, so
-/// an accept, a new best or an exchange copies no schedule.
+/// `best` share the evaluation that produced them, so an accept, a new
+/// best or an exchange copies no schedule.
 #[derive(Clone)]
 pub(crate) struct ChainState {
     pub(crate) rng: Rng,
@@ -490,10 +493,10 @@ impl Dse {
     }
 
     /// Everything outside the ADG that evaluation outcomes depend on —
-    /// including the objective. Folded into every cache key so a `Memo`
-    /// never confuses two configurations (cheap insurance, even though
-    /// the memo is per-run), and into checkpoints so a run can only resume
-    /// under the configuration that produced it.
+    /// including the objective. Folded into every store key so two
+    /// configurations never share a stored evaluation, and into
+    /// checkpoints so a run can only resume under the configuration that
+    /// produced it.
     pub(crate) fn config_hash(cfg: &DseConfig) -> u64 {
         let mut h = StableHasher::new();
         h.write_str(cfg.system.device.name);
@@ -520,7 +523,7 @@ impl Dse {
             h.write_f64(*w);
         }
         cfg.objective.hash_into(&mut h);
-        // Folded in only when non-default so every pre-existing cache key,
+        // Folded in only when non-default so every pre-existing store key,
         // checkpoint hash, and golden trace stays byte-identical for the
         // historical Estimate backend.
         match cfg.system.backend {
@@ -587,8 +590,6 @@ impl Dse {
             &mdfgs,
             model,
             &run_registry,
-            Self::config_hash(&self.cfg),
-            None,
         );
         let base = stat_totals(&run_registry);
 
@@ -655,18 +656,18 @@ impl Dse {
         Ok(out.into_result(mdfgs))
     }
 
-    /// Continue a checkpointed run: rebuild the evaluation pipeline with
-    /// a warmed memo, restore the telemetry cursor and re-enter the
-    /// `dse.run` span, then run the shared annealing loop from `ck.done`.
-    /// The seed evaluation is skipped entirely — the chains carry their
-    /// state.
+    /// Continue a checkpointed run: rebuild the evaluation pipeline,
+    /// restore the telemetry cursor and re-enter the `dse.run` span, then
+    /// run the shared annealing loop from `ck.done`. The seed evaluation
+    /// is skipped entirely — the chains carry their state.
     pub(crate) fn resume_from(&self, ck: &Checkpoint) -> Result<DseResult, DseError> {
         // Variants are recompiled rather than persisted (large, and a
         // deterministic function of the kernels). The interrupted run
-        // emitted its `dse.compile_variants` span *before* the cursor, so
-        // recompilation runs under a discarded capture collector and the
-        // resumed trace continues exactly at the cursor.
-        let (mdfgs, _trace, _registry) = capture_isolated(|| self.compile_domain());
+        // emitted its `dse.compile_variants` span and counted its variants
+        // *before* the cursor, so recompilation runs under a counting
+        // collector whose registry is dropped, and the resumed trace
+        // continues exactly at the cursor.
+        let (mdfgs, _registry) = count_isolated(|| self.compile_domain());
         let mdfgs = mdfgs?;
 
         let collector = overgen_telemetry::current();
@@ -695,8 +696,6 @@ impl Dse {
             &mdfgs,
             &AnalyticModel,
             &run_registry,
-            Self::config_hash(&self.cfg),
-            Some(&ck.eval_keys),
         );
         run_registry.counter("dse.checkpoint.restore").inc();
         let base = stat_totals(&run_registry);
@@ -867,6 +866,8 @@ impl Dse {
         let champ = states.swap_remove(winner);
         let stats = prior.merged(&stat_delta(pipe.registry(), &base));
         match stop_reason {
+            // `cache_hits` is always 0 now but stays, so traces keep the
+            // bytes pinned for runs with the cache off.
             None => event!(
                 "dse.done",
                 objective = champ.best.objective,
@@ -975,8 +976,8 @@ impl Dse {
                 .collect();
             // The proposal's merged delta feeds repair classification (an
             // empty scope skips the dirty-set scan); the rule chain keys
-            // the evaluation cache only in compound mode, so default-run
-            // cache keys stay historical.
+            // the store only in compound mode, so default-run store keys
+            // stay historical.
             let scope = delta.scope();
             let rule_trace = (self.cfg.compound > 1).then_some(kinds.as_str());
             let (state, sim) =
@@ -1234,32 +1235,27 @@ mod tests {
         assert!(r.objective > 0.0);
     }
 
-    #[test]
-    fn cache_hits_on_revisited_designs() {
-        let r = Dse::new(vec![fir()], quick_cfg(40, true)).run().unwrap();
-        assert_eq!(
-            r.stats.cache_hits + r.stats.cache_misses,
-            r.stats.iterations + 1, // +1: the seed evaluation
-        );
-        assert!(r.stats.cache_misses > 0);
-    }
-
-    /// The memo changes nothing but the `dse.cache.*` counts: the result
-    /// and every other run-registry metric match a run with the cache off,
-    /// under both system-DSE backends. On a four-point grid the default
-    /// seed meets one system-DSE input twice in two uncached evaluations,
-    /// so a memo of the system sweep alone would lose that sweep's
-    /// simulator counts.
+    /// Evaluating through a store (cache on: each evaluation captured,
+    /// published and replayed, or served) and in place (cache off) reach
+    /// the same result, the same trace and the same run-registry metrics,
+    /// under both system-DSE backends, with and without a collector. On a
+    /// four-point grid the default seed meets one system-DSE input twice
+    /// in two evaluations, so a memo of the system sweep alone would lose
+    /// that sweep's simulator counts.
     #[test]
     fn cache_off_matches_cache_on() {
-        let run = |cache: bool, backend: SystemDseBackend| {
-            let collector = overgen_telemetry::Collector::new(
-                Arc::new(overgen_telemetry::NullSink),
-                overgen_telemetry::ClockMode::Deterministic,
-            );
-            let _install = overgen_telemetry::install(collector.clone());
+        let store_dir = std::env::temp_dir().join(format!(
+            "overgen-engine-store-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let run = |cache: bool, backend: SystemDseBackend, traced: bool| {
+            let (collector, ring) = overgen_telemetry::Collector::ring(1 << 16);
+            let _install = traced.then(|| overgen_telemetry::install(collector.clone()));
+            let _ = std::fs::remove_dir_all(&store_dir);
             let cfg = DseConfig {
                 cache,
+                store: Some(crate::EvalStore::open(&store_dir).unwrap()),
                 system: SystemDseConfig {
                     max_tiles: 2,
                     l2_banks_grid: vec![2, 4],
@@ -1271,23 +1267,33 @@ mod tests {
                 ..quick_cfg(20, true)
             };
             let r = Dse::new(vec![fir()], cfg).run().unwrap();
-            let mut metrics = collector.registry().export();
-            metrics.retain(|(name, _)| !name.starts_with("dse.cache."));
-            (r, metrics)
+            (r, collector.registry().export(), ring.to_jsonl())
         };
         for backend in [
             SystemDseBackend::Estimate,
             SystemDseBackend::Simulate { prune: true },
         ] {
-            let (on, on_metrics) = run(true, backend);
-            let (off, off_metrics) = run(false, backend);
-            assert_eq!(on.objective.to_bits(), off.objective.to_bits());
-            assert_eq!(on.variants, off.variants);
-            assert_eq!(on.history, off.history);
-            assert_eq!(on.pareto, off.pareto);
-            assert_eq!((off.stats.cache_hits, off.stats.cache_misses), (0, 0));
-            assert_eq!(on_metrics, off_metrics, "{backend:?}");
+            for traced in [true, false] {
+                let (on, on_metrics, on_trace) = run(true, backend, traced);
+                assert!(
+                    std::fs::read_dir(&store_dir).unwrap().next().is_some(),
+                    "the cache-on run published nothing"
+                );
+                let (off, off_metrics, off_trace) = run(false, backend, traced);
+                assert!(
+                    std::fs::read_dir(&store_dir).unwrap().next().is_none(),
+                    "the cache-off run consulted the store"
+                );
+                assert_eq!(on.objective.to_bits(), off.objective.to_bits());
+                assert_eq!(on.variants, off.variants);
+                assert_eq!(on.history, off.history);
+                assert_eq!(on.pareto, off.pareto);
+                assert_eq!(on.stats, off.stats);
+                assert_eq!(on_metrics, off_metrics, "{backend:?}");
+                assert_eq!(on_trace, off_trace, "{backend:?}");
+            }
         }
+        let _ = std::fs::remove_dir_all(&store_dir);
     }
 
     #[test]

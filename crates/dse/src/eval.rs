@@ -6,19 +6,21 @@
 //!
 //! [`EvalPipeline`] owns everything a proposal evaluation needs — the
 //! workload set, pre-compiled mDFG variants, the resource model, the
-//! evaluation memo, the system sweep's score tables, and the telemetry
-//! plumbing. The annealer in `engine.rs` only proposes mutations and
-//! accepts/rejects on the fitness the pipeline returns; it contains no
-//! objective math.
+//! persistent store (when the run consults one), the system sweep's score
+//! tables, and the telemetry plumbing. The annealer in `engine.rs` only
+//! proposes mutations and accepts/rejects on the fitness the pipeline
+//! returns; it contains no objective math.
 //!
-//! Determinism contract (unchanged from the pre-split engine): every
-//! evaluation runs under an isolated capture collector, per-workload
-//! results fold in workload-name order, and a cache hit replays the stored
-//! trace and merges the stored metric deltas, so hits and misses are
-//! observationally identical. The objective is folded into every cache key
-//! through the run's config hash. A run that starts with no collector and
-//! no store could never replay a trace, so its evaluations record none:
-//! they run under a counting collector that keeps only the metric deltas.
+//! Determinism contract: per-workload results fold in workload-name
+//! order, and an evaluation runs one of two ways with the same observable
+//! effects. Without a store it runs in place, emitting into the current
+//! collector (or, when none is installed, counting into the run registry
+//! under a counting collector that builds no event). With a store it runs
+//! under an isolated capture whose trace and metric deltas are published
+//! as the key's artifact; a store hit replays that trace and merges those
+//! deltas, which is observationally identical to evaluating in place (the
+//! capture/replay contract of `overgen_telemetry::capture`). The objective
+//! is folded into every store key through the run's config hash.
 //!
 //! This module also hosts the [`ParetoFront`] tracker: the set of
 //! non-dominated (IPC, accelerator-resource) points the search has
@@ -31,11 +33,11 @@ use std::time::Instant;
 
 use overgen_telemetry::profile::{elapsed_us, PhaseTimer};
 use overgen_telemetry::{
-    capture_isolated, count_isolated, current_profiler, event, replay, CapturedTrace, Counter,
-    Phase, Profiler, Registry,
+    capture_isolated, count_into, current_profiler, event, replay, Counter, Phase, Profiler,
+    Registry,
 };
 
-use overgen_adg::{StableHasher, SysAdg, SystemParams};
+use overgen_adg::{SysAdg, SystemParams};
 use overgen_ir::Kernel;
 use overgen_mdfg::Mdfg;
 use overgen_model::{
@@ -46,8 +48,8 @@ use overgen_scheduler::{
     HwIndex, RepairOptions, RepairOutcome, RepairScope, Schedule, ScheduleFootprint,
 };
 
-use crate::cache::{hash_schedule, Memo};
-use crate::engine::DseConfig;
+use crate::cache::{domain_salt, eval_key};
+use crate::engine::{Dse, DseConfig};
 use crate::system::{estimate_sweep, system_dse_sim, ScoreTables, SystemDseBackend};
 
 /// Structured outcome of one successful proposal evaluation: everything an
@@ -96,8 +98,8 @@ pub(crate) struct EvalState {
     pub(crate) placement: Option<PlacementMetrics>,
 }
 
-/// A memoized evaluation: outcome plus every side effect it produced, so
-/// replaying the trace and merging the registry makes a cache hit
+/// A stored evaluation: outcome plus every side effect it produced, so
+/// replaying the trace and merging the registry makes a store hit
 /// indistinguishable from re-running. `pub(crate)` so the persistent
 /// store (`store.rs`) can share, serialize and rebuild whole artifacts.
 pub(crate) struct CachedEval {
@@ -107,8 +109,9 @@ pub(crate) struct CachedEval {
     pub(crate) registry: Registry,
 }
 
-/// Handles for the counters an evaluation updates, bound to the isolated
-/// capture registry so they travel with the cached artifact.
+/// Handles for the counters an evaluation updates, bound to the registry
+/// of the collector it runs under (an isolated capture's when the
+/// evaluation becomes a store artifact).
 struct EvalCounters {
     full_schedules: Counter,
     repairs: Counter,
@@ -117,7 +120,7 @@ struct EvalCounters {
 }
 
 /// The evaluation pipeline: shared, read-only context for scoring
-/// proposals. All interior mutability (the memo, the score tables,
+/// proposals. All interior mutability (the store, the score tables,
 /// counters) is thread-safe and commutative, so concurrent chains may
 /// query one pipeline.
 pub(crate) struct EvalPipeline<'a> {
@@ -127,22 +130,14 @@ pub(crate) struct EvalPipeline<'a> {
     mdfgs: &'a BTreeMap<String, Vec<Mdfg>>,
     model: &'a dyn ResourceModel,
     run_registry: &'a Registry,
-    cache_hit: Counter,
-    cache_miss: Counter,
     /// System sweeps run (`dse.cache.system_miss`, a historical name).
     system_sweeps: Counter,
-    eval_cache: Memo<Arc<CachedEval>>,
     /// Estimate scores shared by every system sweep of the run.
     score_tables: ScoreTables,
-    /// Whether evaluations record their trace ops: only when something
-    /// can replay them, a collector (now) or a store (later jobs).
-    record: bool,
-    cfg_hash: u64,
-    /// The persistent store, when the run has one, with the domain
-    /// discriminator folded into its keys only (the full mDFG variant set;
-    /// see [`EvalPipeline::new`]).
-    store: Option<(&'a crate::EvalStore, u64)>,
-    cache_enabled: bool,
+    /// The persistent store, when the run consults one (`cfg.cache` on
+    /// and `cfg.store` set), with the config hash and the domain salt its
+    /// keys fold in.
+    store: Option<(&'a crate::EvalStore, u64, u64)>,
     /// Phase-attribution profiler, captured from the constructing thread
     /// (chain worker threads have no thread-local profiler). Wall-time only —
     /// records nothing into traces or the run registry, so determinism is
@@ -151,10 +146,8 @@ pub(crate) struct EvalPipeline<'a> {
 }
 
 impl<'a> EvalPipeline<'a> {
-    /// Build a pipeline. `warm` carries the memo keys a checkpoint
-    /// recorded, so a resumed run re-computes exactly the evaluations the
-    /// interrupted run had already memoized (warm keys count as hits).
-    #[allow(clippy::too_many_arguments)]
+    /// Build a pipeline. A run that consults no store hashes nothing for
+    /// it.
     pub(crate) fn new(
         workloads: &'a [Kernel],
         cfg: &'a DseConfig,
@@ -162,31 +155,12 @@ impl<'a> EvalPipeline<'a> {
         mdfgs: &'a BTreeMap<String, Vec<Mdfg>>,
         model: &'a dyn ResourceModel,
         run_registry: &'a Registry,
-        cfg_hash: u64,
-        warm: Option<&[u64]>,
     ) -> Self {
-        let eval_cache = match warm {
-            Some(keys) => Memo::with_warm(keys.iter().copied()),
-            None => Memo::new(),
-        };
-        // The persistent store is shared across tenants whose memo keys
-        // can collide (two domains with identical config and seed ADG):
-        // salt store keys with the full variant set so entries never cross
-        // domain boundaries. In-memory keys stay unsalted — byte-stable
-        // with every pre-existing checkpoint and golden trace. A run
-        // without a store hashes nothing for it.
-        let store = cfg.store.as_deref().map(|st| {
-            let mut h = StableHasher::new();
-            h.write_u64(mdfgs.len() as u64);
-            for (name, variants) in mdfgs {
-                h.write_str(name);
-                h.write_u64(variants.len() as u64);
-                for m in variants {
-                    crate::cache::hash_mdfg(&mut h, m);
-                }
-            }
-            (st, h.finish())
-        });
+        let store = cfg
+            .store
+            .as_deref()
+            .filter(|_| cfg.cache)
+            .map(|st| (st, Dse::config_hash(cfg), domain_salt(mdfgs)));
         EvalPipeline {
             workloads,
             cfg,
@@ -194,26 +168,11 @@ impl<'a> EvalPipeline<'a> {
             mdfgs,
             model,
             run_registry,
-            cache_hit: run_registry.counter("dse.cache.hit"),
-            cache_miss: run_registry.counter("dse.cache.miss"),
             system_sweeps: run_registry.counter("dse.cache.system_miss"),
-            eval_cache,
             score_tables: ScoreTables::default(),
-            record: overgen_telemetry::current().is_some() || cfg.store.is_some(),
-            cfg_hash,
             store,
-            cache_enabled: cfg.cache,
             profiler: current_profiler(),
         }
-    }
-
-    /// Persistent-store key for an in-memory memo key: the memo key plus
-    /// the domain salt.
-    fn store_key(salt: u64, memo_key: u64) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(salt);
-        h.write_u64(memo_key);
-        h.finish()
     }
 
     /// Start a phase timer when a profiler is installed (`None` otherwise,
@@ -233,17 +192,8 @@ impl<'a> EvalPipeline<'a> {
         self.run_registry
     }
 
-    /// Memo-key snapshot for checkpointing.
-    pub(crate) fn eval_keys(&self) -> Vec<u64> {
-        self.eval_cache.keys()
-    }
-
-    /// Evaluate a proposal through the fingerprint cache. Returns the
-    /// outcome and the simulated seconds to charge. On a hit the memoized
-    /// trace is replayed and the memoized metric deltas merged, so hits and
-    /// misses are observationally identical; with the cache disabled the
-    /// same capture/replay path runs without memoization, keeping traces
-    /// identical between cache modes.
+    /// Evaluate a proposal. Returns the outcome and the simulated seconds
+    /// to charge.
     pub(crate) fn evaluate(
         &self,
         sys: &SysAdg,
@@ -253,16 +203,20 @@ impl<'a> EvalPipeline<'a> {
         self.evaluate_with(sys, prior, footprint, None, None)
     }
 
-    /// [`Evaluator::evaluate`] with the rewrite engine's extras: a
+    /// [`EvalPipeline::evaluate`] with the rewrite engine's extras: a
     /// recorded [`RepairScope`] (an empty one lets repair skip its full
     /// decision scan) and, for compound proposals, the rule trace string
-    /// folded into the cache key — compound proposals carry their rule
-    /// chain in `dse.propose` events, so two proposals that differ only
-    /// in how they were composed must not share a cached trace. Default
-    /// (single-rule) runs pass `None` and keep historical cache keys.
+    /// folded into the store key ([`eval_key`]). Default (single-rule)
+    /// runs pass `None` and keep historical store keys.
     ///
     /// `sys` is the proposal with default system parameters; the
     /// evaluation owns `prior`, so repairs take each schedule by value.
+    ///
+    /// Without a store nothing could replay the evaluation, so it runs in
+    /// place. With one, the stored artifact is replayed, or the evaluation
+    /// is captured, published and replayed: a store-served artifact is
+    /// byte-identical to recomputation, so results, counters and traces do
+    /// not depend on store contents (DESIGN.md §13).
     pub(crate) fn evaluate_with(
         &self,
         sys: &SysAdg,
@@ -271,95 +225,65 @@ impl<'a> EvalPipeline<'a> {
         scope: Option<&RepairScope>,
         rule_trace: Option<&str>,
     ) -> (Option<Arc<EvalState>>, f64) {
-        // The memo key reads the priors, so it is hashed before the miss
-        // path takes them.
-        let key = self.cache_enabled.then(|| {
-            let mut h = StableHasher::new();
-            h.write_u64(self.cfg_hash);
-            sys.adg.fingerprint_into(&mut h);
-            // The footprint is advisory but recorded in repair trace
-            // events, so two proposals that differ only in footprint must
-            // not share a cached trace.
-            h.write_u64(u64::from(footprint.code()));
-            if let Some(trace) = rule_trace {
-                h.write_str("rules");
-                h.write_str(trace);
-            }
-            h.write_u64(prior.len() as u64);
-            for s in prior.values() {
-                hash_schedule(&mut h, s);
-            }
-            h.finish()
-        });
-        let run = move || {
-            // Umbrella phase: one uncached evaluation end to end. Cache
-            // hits never reach here; their cost is reconstructed via the
-            // cache-adjustment factor in the profile report.
+        let Some((st, cfg_hash, salt)) = self.store else {
+            // Umbrella phase: one evaluation end to end.
             let _eval_timer = self.phase(Phase::Eval, footprint.name());
-            // Capturing the evaluation as a replayable cache artifact is
-            // memo bookkeeping. Only the capture's own work is timed: its
-            // set-up until the closure starts, its packaging from the
-            // moment the closure returns.
-            let setup_timer = self.phase(Phase::Memo, footprint.name());
-            let eval = move || {
-                drop(setup_timer);
-                let out = self.evaluate_uncached(sys, prior, footprint, scope);
-                (out, self.phase(Phase::Memo, footprint.name()))
-            };
-            let ((out, packaging_timer), trace, registry) = if self.record {
-                capture_isolated(eval)
+            let eval = || self.evaluate_uncached(sys, prior, footprint, scope);
+            return if overgen_telemetry::current().is_some() {
+                eval()
             } else {
-                let (out, registry) = count_isolated(eval);
-                (out, CapturedTrace::default(), registry)
+                count_into(self.run_registry, eval)
             };
-            drop(packaging_timer);
-            let (state, sim) = out;
-            CachedEval {
-                state,
-                sim,
-                trace,
-                registry,
-            }
         };
-        if let Some(key) = key {
-            // The persistent store sits strictly inside the in-memory miss
-            // path: a store-served artifact is byte-identical to
-            // recomputation, so per-job hit/miss counters and traces are
-            // unaffected by store contents (DESIGN.md §13).
-            let with_store = || match self.store {
-                Some((st, salt)) => {
-                    let skey = Self::store_key(salt, key);
-                    st.fetch(skey).unwrap_or_else(|| {
-                        let c = Arc::new(run());
-                        st.publish(skey, &c);
-                        c
-                    })
-                }
-                None => Arc::new(run()),
-            };
-            let (cell, miss) = self.eval_cache.get_or_compute(key, with_store);
-            if miss {
-                self.cache_miss.inc();
-            } else {
-                self.cache_hit.inc();
-            }
-            let c = cell.get().expect("memo cell initialized");
-            replay(&c.trace);
-            self.run_registry.merge_from(&c.registry);
-            (c.state.clone(), c.sim)
-        } else {
-            let c = run();
-            replay(&c.trace);
-            self.run_registry.merge_from(&c.registry);
-            (c.state, c.sim)
+        // The key reads the priors, so it is hashed before the evaluation
+        // takes them.
+        let key = eval_key(cfg_hash, salt, &sys.adg, footprint, rule_trace, &prior);
+        let c = st.fetch(key).unwrap_or_else(|| {
+            let c = Arc::new(self.capture(sys, prior, footprint, scope));
+            st.publish(key, &c);
+            c
+        });
+        replay(&c.trace);
+        self.run_registry.merge_from(&c.registry);
+        (c.state.clone(), c.sim)
+    }
+
+    /// Evaluate under an isolated capture, as a replayable store artifact.
+    fn capture(
+        &self,
+        sys: &SysAdg,
+        prior: BTreeMap<String, Schedule>,
+        footprint: ScheduleFootprint,
+        scope: Option<&RepairScope>,
+    ) -> CachedEval {
+        // Umbrella phase: one evaluation the store did not serve, end to
+        // end; a store hit costs no attributable phase time.
+        let _eval_timer = self.phase(Phase::Eval, footprint.name());
+        // Capturing the evaluation as an artifact is store bookkeeping.
+        // Only the capture's own work is timed: its set-up until the
+        // closure starts, its packaging from the moment the closure
+        // returns.
+        let setup_timer = self.phase(Phase::Memo, footprint.name());
+        let ((out, packaging_timer), trace, registry) = capture_isolated(move || {
+            drop(setup_timer);
+            let out = self.evaluate_uncached(sys, prior, footprint, scope);
+            (out, self.phase(Phase::Memo, footprint.name()))
+        });
+        drop(packaging_timer);
+        let (state, sim) = out;
+        CachedEval {
+            state,
+            sim,
+            trace,
+            registry,
         }
     }
 
     /// One full evaluation (Figure 6 steps 2-3): gate on the objective's
     /// hard resource budget, schedule or repair every workload in
     /// workload-name order, then run the nested system DSE and score the
-    /// report. Always runs under an isolated collector (see
-    /// [`capture_isolated`] and [`count_isolated`]).
+    /// report. Runs under a collector whose registry is the run registry
+    /// or an isolated capture's (see [`EvalPipeline::evaluate_with`]).
     ///
     /// Every workload is processed even after one fails: each one's repair
     /// events and simulated-time charges are part of the recorded trace.
@@ -377,8 +301,8 @@ impl<'a> EvalPipeline<'a> {
             return (None, sim);
         }
 
-        let eval_collector = overgen_telemetry::current()
-            .expect("evaluate_uncached runs under an isolated collector");
+        let eval_collector =
+            overgen_telemetry::current().expect("evaluate_uncached runs under a collector");
 
         // Hard feasibility gate: under a budgeted objective an oversized
         // accelerator is rejected before any scheduling or system-DSE work
@@ -789,6 +713,90 @@ impl ParetoFront {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use overgen_compiler::{compile_variants, CompileOptions};
+    use overgen_ir::{expr, DataType, KernelBuilder, Suite};
+    use overgen_model::AnalyticModel;
+    use overgen_telemetry::Collector;
+
+    /// One proposal evaluated twice against a store: the second call is
+    /// served the artifact the first published, so it returns the same
+    /// state bits and emits the same trace lines and metric deltas. An
+    /// in-place evaluation (cache off) does too.
+    #[test]
+    fn a_store_serves_a_repeated_evaluation_unchanged() {
+        let kernels = vec![KernelBuilder::new("vecadd", Suite::Dsp, DataType::I64)
+            .array_input("a", 4096)
+            .array_input("b", 4096)
+            .array_output("c", 4096)
+            .loop_const("i", 4096)
+            .assign(
+                "c",
+                expr::idx("i"),
+                expr::load("a", expr::idx("i")) + expr::load("b", expr::idx("i")),
+            )
+            .build()
+            .unwrap()];
+        let dir = std::env::temp_dir().join(format!("overgen-eval-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = crate::EvalStore::open(&dir).unwrap();
+        let with_store = DseConfig {
+            store: Some(store.clone()),
+            compile: CompileOptions {
+                max_unroll: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let in_place = DseConfig {
+            cache: false,
+            ..with_store.clone()
+        };
+        let mdfgs: BTreeMap<String, Vec<Mdfg>> = kernels
+            .iter()
+            .map(|k| {
+                let vs = compile_variants(k, &with_store.compile).unwrap();
+                (k.name().to_string(), vs)
+            })
+            .collect();
+        let time = TimeModel::default();
+        let seed = SysAdg::new(Dse::seed_adg(&kernels).unwrap(), SystemParams::default());
+        let evaluate = |cfg: &DseConfig| {
+            let (collector, ring) = Collector::ring(1 << 12);
+            let _install = overgen_telemetry::install(collector.clone());
+            let registry = collector.registry();
+            let pipe = EvalPipeline::new(&kernels, cfg, &time, &mdfgs, &AnalyticModel, registry);
+            let (state, sim) = pipe.evaluate(&seed, BTreeMap::new(), ScheduleFootprint::Pure);
+            let state = state.expect("the seed schedules");
+            // `dse.cache.system_miss` counts the sweeps that ran, which a
+            // store hit does not; every other metric is the evaluation's.
+            let sweeps = registry.counter_value("dse.cache.system_miss");
+            let mut metrics = registry.export();
+            metrics.retain(|(name, _)| *name != "dse.cache.system_miss");
+            (state, sim, ring.to_jsonl(), metrics, sweeps)
+        };
+        let first = evaluate(&with_store);
+        assert_eq!(store.stats().publishes, 1);
+        let second = evaluate(&with_store);
+        let stats = store.stats();
+        assert_eq!(
+            (stats.lookups, stats.publishes, stats.shared_serves),
+            (2, 1, 1)
+        );
+        assert!(Arc::ptr_eq(&first.0, &second.0), "not served by the store");
+        let third = evaluate(&in_place);
+        assert_eq!(store.stats().lookups, 2, "cache off consulted the store");
+        assert!(first.2.contains("sched.placed"), "nothing traced");
+        assert_eq!((first.4, second.4, third.4), (1, 0, 1));
+        for other in [&second, &third] {
+            assert_eq!(first.0.objective.to_bits(), other.0.objective.to_bits());
+            assert_eq!(first.0.fitness.to_bits(), other.0.fitness.to_bits());
+            assert_eq!(format!("{:?}", first.0), format!("{:?}", other.0));
+            assert_eq!(first.1.to_bits(), other.1.to_bits());
+            assert_eq!(first.2, other.2);
+            assert_eq!(first.3, other.3);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     fn pt(ipc: f64, lut: f64, bram: f64) -> ParetoPoint {
         ParetoPoint::new(

@@ -3,8 +3,8 @@
 //! Every [`HeartbeatConfig::every`] proposals (checked at segment
 //! boundaries, so segmentation and the trace byte stream are untouched)
 //! the engine refreshes a set of `dse.heartbeat.*` gauges on the run
-//! registry: proposals/sec, acceptance rate, eval-cache hit rate, repair
-//! fast-path share, Pareto-front size, progress, and an ETA derived from
+//! registry: proposals/sec, acceptance rate, repair fast-path share,
+//! Pareto-front size, progress, and an ETA derived from
 //! the iteration budget. A monitoring thread — or `DSE-as-a-service`
 //! tenant — polls the registry; nothing is ever written to the trace, the
 //! same contract `dse.checkpoint.write_us` follows, so deterministic trace
@@ -53,7 +53,6 @@ pub(crate) struct Heartbeat {
     count: Counter,
     proposals_per_sec: Gauge,
     accept_rate: Gauge,
-    cache_hit_rate: Gauge,
     repair_fast_share: Gauge,
     pareto_size: Gauge,
     eta_seconds: Gauge,
@@ -72,7 +71,6 @@ impl Heartbeat {
             count: reg.counter("dse.heartbeat.count"),
             proposals_per_sec: reg.gauge("dse.heartbeat.proposals_per_sec"),
             accept_rate: reg.gauge("dse.heartbeat.accept_rate"),
-            cache_hit_rate: reg.gauge("dse.heartbeat.cache_hit_rate"),
             repair_fast_share: reg.gauge("dse.heartbeat.repair_fast_share"),
             pareto_size: reg.gauge("dse.heartbeat.pareto_size"),
             eta_seconds: reg.gauge("dse.heartbeat.eta_seconds"),
@@ -104,8 +102,6 @@ impl Heartbeat {
         let rate = d.iterations as f64 / elapsed;
         self.proposals_per_sec.set(rate);
         self.accept_rate.set(share(d.accepted, d.iterations));
-        self.cache_hit_rate
-            .set(share(d.cache_hits, d.cache_hits + d.cache_misses));
         self.repair_fast_share
             .set(share(d.repair_fast, d.repair_fast + d.repair_fallback));
         self.pareto_size.set(pareto_size as f64);
@@ -118,11 +114,10 @@ impl Heartbeat {
         if self.stderr {
             eprintln!(
                 "dse.heartbeat: {done}/{budget} ({:.0}%) | {rate:.1} prop/s | \
-                 accept {:.0}% | cache {:.0}% | fast-repair {:.0}% | \
+                 accept {:.0}% | fast-repair {:.0}% | \
                  pareto {pareto_size} | eta {eta:.0}s",
                 frac * 100.0,
                 self.accept_rate.get() * 100.0,
-                self.cache_hit_rate.get() * 100.0,
                 self.repair_fast_share.get() * 100.0,
             );
         }
@@ -183,8 +178,6 @@ mod tests {
         let reg = Registry::new();
         reg.counter("dse.iterations").add(40);
         reg.counter("dse.accepted").add(10);
-        reg.counter("dse.cache.hit").add(30);
-        reg.counter("dse.cache.miss").add(10);
         reg.counter("scheduler.repair.fast").add(9);
         reg.counter("scheduler.repair.fallback").add(1);
         // A baseline from a previous leg is subtracted out.
@@ -197,7 +190,6 @@ mod tests {
         hb.tick(25, 50, &reg, &base, 4);
         assert_eq!(reg.counter_value("dse.heartbeat.count"), 1);
         assert_eq!(reg.gauge("dse.heartbeat.accept_rate").get(), 0.25);
-        assert_eq!(reg.gauge("dse.heartbeat.cache_hit_rate").get(), 0.75);
         assert_eq!(reg.gauge("dse.heartbeat.repair_fast_share").get(), 0.9);
         assert!(reg.gauge("dse.heartbeat.proposals_per_sec").get() > 0.0);
         assert!(reg.gauge("dse.heartbeat.eta_seconds").get() >= 0.0);
@@ -229,7 +221,7 @@ mod tests {
         );
         hb.tick(1, 0, &reg, &DseStats::default(), 0);
         assert_eq!(reg.gauge("dse.heartbeat.accept_rate").get(), 0.0);
-        assert_eq!(reg.gauge("dse.heartbeat.cache_hit_rate").get(), 0.0);
+        assert_eq!(reg.gauge("dse.heartbeat.repair_fast_share").get(), 0.0);
         assert_eq!(reg.gauge("dse.heartbeat.progress").get(), 0.0);
     }
 }

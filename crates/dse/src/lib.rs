@@ -23,10 +23,10 @@
 //! The driver is parallel and deterministic: [`DseConfig::chains`] runs
 //! independent annealing chains with periodic best-state exchange,
 //! [`DseConfig::threads`] of them at once on `std::thread::scope`
-//! workers, each evaluating its proposals serially; an evaluation cache
-//! keyed by [`overgen_adg::Adg::fingerprint`] memoizes repeated design
-//! points. Results and telemetry traces are byte-identical for any
-//! thread count (see `engine` module docs).
+//! workers, each evaluating its proposals serially; an optional
+//! persistent [`EvalStore`] shares evaluations across runs and tenants.
+//! Results and telemetry traces are byte-identical for any thread count
+//! (see `engine` module docs).
 //!
 //! # Example
 //!

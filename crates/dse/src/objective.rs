@@ -8,9 +8,9 @@
 //! hard device budgets with rejection-before-system-DSE, or area
 //! efficiency as in DSP-block time-multiplexed overlays — are expressed
 //! without touching the annealer. The objective is part of every
-//! evaluation-cache key and of the checkpoint config hash, so two runs
-//! under different objectives can never share cached fitness or resume
-//! into each other (see `cache.rs` and `checkpoint.rs`).
+//! store key and of the checkpoint config hash, so two runs under
+//! different objectives can never share stored fitness or resume into
+//! each other (see `cache.rs` and `checkpoint.rs`).
 //!
 //! Three policies ship:
 //!
@@ -188,8 +188,8 @@ impl Objective {
         }
     }
 
-    /// Fold the objective into a configuration hash (evaluation-cache
-    /// keys, checkpoint cfg-hash): kind tag plus every parameter, so two
+    /// Fold the objective into a configuration hash (store keys,
+    /// checkpoint cfg-hash): kind tag plus every parameter, so two
     /// objectives that score differently always hash differently.
     pub(crate) fn hash_into(&self, h: &mut StableHasher) {
         h.write_str(self.kind());

@@ -375,7 +375,7 @@ mod tests {
     fn rule_mutated_fingerprint_is_pinned() {
         // Seeded applications remove nodes (holes in the slot map) and
         // append edges out of id order. The digest of such a graph is part
-        // of every memo and store key, so it must never move.
+        // of every store key, so it must never move.
         use overgen_adg::{mesh, MeshSpec};
         use overgen_ir::{DataType, Op};
         let caps = [

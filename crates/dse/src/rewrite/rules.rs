@@ -883,7 +883,7 @@ mod tests {
         // The byte-identity contract: over many seeded applications of
         // every rule, in both preserving modes, the inferred footprint
         // must *equal* the legacy hand classification — not merely
-        // dominate it — or default-config cache keys and traces drift.
+        // dominate it — or default-config store keys and traces drift.
         let caps = pool();
         let set = RuleSet::legacy();
         for preserving in [false, true] {

@@ -1,16 +1,17 @@
 //! The persistent, on-disk, content-addressed evaluation store.
 //!
-//! The in-memory evaluation [`Memo`](crate::cache) dies with the process,
-//! so every run starts cold even when another tenant just evaluated the
-//! same domain. This module promotes the memo's own artifacts to disk and
-//! shares them (a fetch hands back the stored `Arc`): each entry is one
-//! *whole* cached evaluation — the `EvalState` outcome, the captured
-//! telemetry trace, and the isolated metric deltas — keyed by the exact
-//! ADG-fingerprint × config-hash key the in-memory memo already uses.
-//! Because an evaluation is a deterministic function of its key, and a
-//! cache hit replays the stored trace and merges the stored registry (see
-//! `eval.rs`), a store-served artifact is byte-for-byte indistinguishable
-//! from recomputation — the foundation of the cross-tenant determinism
+//! Runs that share a domain (tenants of one service, or one tenant run
+//! again) evaluate the same design points. This module keeps evaluations
+//! on disk and shares them in memory (a fetch hands back the stored
+//! `Arc`): each entry is one *whole* evaluation — the `EvalState`
+//! outcome, the captured telemetry trace, and the isolated metric deltas
+//! — keyed by the proposal's fingerprint, the config hash and the domain
+//! salt (`cache.rs`). Every evaluation of a run with a store (and
+//! `DseConfig::cache` on) looks its key up here. Because an evaluation is
+//! a deterministic function of its key, and a store hit replays the
+//! stored trace and merges the stored registry (see `eval.rs`), a
+//! store-served artifact is byte-for-byte indistinguishable from
+//! recomputation — the foundation of the cross-tenant determinism
 //! argument in DESIGN.md §13.
 //!
 //! ## On-disk layout
@@ -40,9 +41,10 @@
 //!
 //! [`EvalStore::open`] snapshots the key set found on disk (the *warm*
 //! set). A lookup counts as a `hit` iff its key is in that snapshot, else
-//! as a `miss` — even when a sibling job published the entry seconds ago
-//! (the value is still served; such serves increment the separate,
-//! scheduling-dependent `shared_serves` counter). `hits`/`misses` are
+//! as a `miss` — even when a sibling job, or an earlier evaluation of the
+//! same job, published the entry after open (the value is still served;
+//! such serves increment the separate, scheduling-dependent
+//! `shared_serves` counter). `hits`/`misses` are
 //! therefore a pure function of the open snapshot and each job's key
 //! stream, deterministic for any worker count and interleaving, and the
 //! `hits + misses == lookups` invariant holds across reloads.
@@ -132,8 +134,9 @@ pub struct StoreStats {
     /// Entries inserted (and written to disk) by this store instance.
     pub publishes: u64,
     /// Miss-path lookups nevertheless served from memory because a
-    /// sibling job published the key after open. Scheduling-dependent —
-    /// excluded from all determinism claims.
+    /// sibling job, or an earlier evaluation of the same job, published
+    /// the key after open. Scheduling-dependent — excluded from all
+    /// determinism claims.
     pub shared_serves: u64,
     /// Entries loaded from disk at open (the warm set size).
     pub warm_entries: u64,
@@ -158,8 +161,8 @@ pub struct EvalStore {
     dir: PathBuf,
     /// Keys present on disk at open — the deterministic warm set.
     snapshot: BTreeSet<u64>,
-    /// Every entry, shared read-only between jobs: the very artifacts the
-    /// in-memory memo holds.
+    /// Every entry, shared read-only between jobs and with the chains
+    /// that replayed them.
     entries: Mutex<BTreeMap<u64, Arc<CachedEval>>>,
     stats: StatsInner,
 }
@@ -530,7 +533,7 @@ mod tests {
     }
 
     /// Replay a trace into a fresh ring collector and return the JSONL it
-    /// produces — the byte-level identity the cache-hit path relies on.
+    /// produces — the byte-level identity the store-hit path relies on.
     fn replay_jsonl(trace: &CapturedTrace) -> String {
         let (c, ring) = Collector::ring(256);
         let _g = install(c);

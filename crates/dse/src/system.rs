@@ -36,7 +36,7 @@ pub enum SystemDseBackend {
 
 /// System DSE configuration, including the candidate grids the exhaustive
 /// sweep walks. The grids are plain data so tests can shrink or extend the
-/// sweep and so evaluation-cache keys can cover non-default grids.
+/// sweep and so store keys can cover non-default grids.
 #[derive(Debug, Clone)]
 pub struct SystemDseConfig {
     /// Device budget.

@@ -2,7 +2,7 @@
 //!
 //! Every DSE hardware mutation is classified by what it *can* do to existing
 //! schedules — its schedule footprint. The footprint travels with a proposal
-//! (so the evaluation cache can key on it and traces can attribute repair
+//! (so the evaluation store can key on it and traces can attribute repair
 //! outcomes to mutation classes), but it is advisory: the repair engine
 //! always verifies the prior schedule against the mutated hardware and
 //! derives the actual dirty set, so a mislabelled mutation can cost time,
@@ -49,7 +49,7 @@ impl ScheduleFootprint {
         self.max(other)
     }
 
-    /// Stable discriminant for cache keys.
+    /// Stable discriminant for store keys.
     pub fn code(self) -> u8 {
         match self {
             ScheduleFootprint::Pure => 0,

@@ -73,7 +73,7 @@ impl<'a> HwIndex<'a> {
             variant = mdfg.variant(),
             seeded = prior.is_some(),
         );
-        let result = Placer::new(mdfg, self, prior, false).run();
+        let result = Placer::new(mdfg, self, prior).run();
         if let Err(e) = &result {
             event!(
                 "sched.fail",
@@ -132,20 +132,6 @@ pub fn schedule(
     prior: Option<&Schedule>,
 ) -> Result<Schedule, ScheduleError> {
     HwIndex::new(sys_adg).schedule(mdfg, prior)
-}
-
-/// Full placement without any telemetry output.
-///
-/// The repair engine's verification mode (`OVERGEN_REPAIR=0`) runs the full
-/// placer where the fast path would have reconstructed the schedule from the
-/// prior mapping; the run must be silent so traces stay byte-identical
-/// between the two modes.
-pub(crate) fn place_quiet(
-    mdfg: &Mdfg,
-    hw: &HwIndex<'_>,
-    prior: Option<&Schedule>,
-) -> Result<Schedule, ScheduleError> {
-    Placer::new(mdfg, hw, prior, true).run()
 }
 
 // ---- mDFG structure helpers (shared with repair classification) -----------
@@ -340,12 +326,10 @@ struct Placer<'a> {
     attempts: u64,
     /// Candidates abandoned after a routing failure (telemetry).
     backtracks: u64,
-    /// Suppress all counters/events (repair verification mode).
-    quiet: bool,
 }
 
 impl<'a> Placer<'a> {
-    fn new(mdfg: &'a Mdfg, hw: &'a HwIndex<'a>, prior: Option<&'a Schedule>, quiet: bool) -> Self {
+    fn new(mdfg: &'a Mdfg, hw: &'a HwIndex<'a>, prior: Option<&'a Schedule>) -> Self {
         let adg = &hw.sys.adg;
         let adj = &hw.adj;
         let slots = adj.slots();
@@ -369,7 +353,6 @@ impl<'a> Placer<'a> {
             dist: vec![Vec::new(); slots],
             attempts: 0,
             backtracks: 0,
-            quiet,
         }
     }
 
@@ -384,21 +367,19 @@ impl<'a> Placer<'a> {
         self.place_streams()?;
         self.place_insts_and_route()?;
         self.route_outputs()?;
-        if !self.quiet {
-            if let Some(c) = overgen_telemetry::current() {
-                c.registry().counter("sched.attempts").add(self.attempts);
-                c.registry()
-                    .counter("sched.backtracks")
-                    .add(self.backtracks);
-            }
-            event!(
-                "sched.placed",
-                mdfg = self.mdfg.name(),
-                variant = self.mdfg.variant(),
-                attempts = self.attempts,
-                backtracks = self.backtracks,
-            );
+        if let Some(c) = overgen_telemetry::current() {
+            c.registry().counter("sched.attempts").add(self.attempts);
+            c.registry()
+                .counter("sched.backtracks")
+                .add(self.backtracks);
         }
+        event!(
+            "sched.placed",
+            mdfg = self.mdfg.name(),
+            variant = self.mdfg.variant(),
+            attempts = self.attempts,
+            backtracks = self.backtracks,
+        );
         Ok(self.finish())
     }
 
@@ -1256,6 +1237,9 @@ mod tests {
         assert_eq!(first, second);
     }
 
+    /// Repair verification mode places under a counting collector whose
+    /// registry it drops: the placement is the traced one, and nothing
+    /// reaches the caller's trace or registry.
     #[test]
     fn quiet_placement_matches_loud_placement() {
         let mdfg = lower(
@@ -1269,8 +1253,17 @@ mod tests {
         .unwrap();
         let s = sys(&MeshSpec::default());
         let loud = schedule(&mdfg, &s, None).unwrap();
-        let silent = place_quiet(&mdfg, &HwIndex::new(&s), None).unwrap();
-        assert_eq!(loud, silent);
+        let (c, ring) = overgen_telemetry::Collector::ring(64);
+        let _install = overgen_telemetry::install(c.clone());
+        let (silent, counted) =
+            overgen_telemetry::count_isolated(|| HwIndex::new(&s).schedule(&mdfg, None));
+        assert_eq!(loud, silent.unwrap());
+        assert!(counted.counter_value("sched.attempts") > 0);
+        assert_eq!(ring.len(), 0, "the quiet placement emitted an event");
+        assert!(
+            c.registry().export().is_empty(),
+            "the quiet placement counted"
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ use overgen_telemetry::{event, span};
 
 use crate::footprint::ScheduleFootprint;
 use crate::place::{
-    array_needs_indirect, array_of_stream, is_index_stream, place_quiet, score_mapping, HwIndex,
+    array_needs_indirect, array_of_stream, is_index_stream, score_mapping, HwIndex,
 };
 use crate::types::{Schedule, ScheduleError};
 
@@ -168,7 +168,7 @@ impl HwIndex<'_> {
         // single-rule proposals, where empty delta ⟺ Pure, but merged
         // compound deltas can cancel to empty under a non-Pure merged
         // footprint) so that whether it fires — and the scoped counter with
-        // it — is a pure function of cache-key-visible data. Debug builds
+        // it — is a pure function of store-key-visible data. Debug builds
         // keep running the scan and hold the caller to the scope contract.
         let scoped_exit = opts.footprint == Some(ScheduleFootprint::Pure)
             && matches!(&opts.scope, Some(scope) if scope.is_empty());
@@ -195,11 +195,12 @@ impl HwIndex<'_> {
             // Verification mode: the seeded placer must land on exactly the
             // schedule the fast path reconstructs, or the fast path is
             // wrong. Placement runs first, while the prior is still whole,
-            // and silently so both modes trace alike.
+            // under a counting collector whose registry is dropped, so both
+            // modes trace and count alike.
             let full = if opts.incremental {
                 None
             } else {
-                Some(place_quiet(mdfg, self, Some(&prior))?)
+                Some(overgen_telemetry::count_isolated(|| self.schedule(mdfg, Some(&prior))).0?)
             };
             let fast = score_mapping(
                 mdfg,

@@ -52,7 +52,7 @@ pub struct ServiceConfig {
     /// traces are independent of this value.
     pub workers: usize,
     /// Open (and share) the persistent evaluation store. Off = every job
-    /// runs with only its in-memory memo.
+    /// evaluates every proposal itself.
     pub store: bool,
 }
 
@@ -575,8 +575,6 @@ fn result_json(name: &str, r: &DseResult) -> String {
         .u64("pareto_points", r.pareto.points().len() as u64)
         .u64("iterations", r.stats.iterations as u64)
         .u64("accepted", r.stats.accepted as u64)
-        .u64("cache_hits", r.stats.cache_hits as u64)
-        .u64("cache_misses", r.stats.cache_misses as u64)
         .finish();
     s.push('\n');
     s

@@ -110,8 +110,8 @@ pub fn capture<T>(parent: Option<&Arc<Collector>>, f: impl FnOnce() -> T) -> (T,
 /// active). Every metric update `f` makes lands in the returned
 /// [`Registry`](crate::Registry), so callers can treat the full side
 /// effects of `f` — trace *and* metrics — as a replayable artifact:
-/// memoize the triple, then on every use (first run or cache hit) replay
-/// the trace and `merge_from` the registry. That makes a cache hit
+/// store the triple, then on every use (first run or store hit) replay
+/// the trace and `merge_from` the registry. That makes a store hit
 /// observationally identical to re-running `f`.
 pub fn capture_isolated<T>(f: impl FnOnce() -> T) -> (T, CapturedTrace, crate::Registry) {
     let cap = Collector::capture(crate::Registry::new());
@@ -124,17 +124,19 @@ pub fn capture_isolated<T>(f: impl FnOnce() -> T) -> (T, CapturedTrace, crate::R
     (out, CapturedTrace::new(cap.take_ops()), registry)
 }
 
-/// Like [`capture_isolated`] for a caller that can never replay the trace:
-/// `f` runs under a counting collector with a fresh registry, so every
-/// metric update lands in the returned registry, but no event or span is
-/// recorded, nor are their fields built.
+/// Run `f` under a counting collector over `registry`: every metric
+/// update lands there, but no event or span is recorded, nor are their
+/// fields built. For a caller with no trace to emit into.
+pub fn count_into<T>(registry: &crate::Registry, f: impl FnOnce() -> T) -> T {
+    let _install = crate::install(Collector::counting(registry.clone()));
+    f()
+}
+
+/// [`count_into`] a fresh registry, returned beside `f`'s result: for a
+/// caller that keeps `f`'s telemetry apart from its own (or drops it).
 pub fn count_isolated<T>(f: impl FnOnce() -> T) -> (T, crate::Registry) {
-    let cap = Collector::counting(crate::Registry::new());
-    let out = {
-        let _install = crate::install(cap.clone());
-        f()
-    };
-    (out, cap.registry().clone())
+    let registry = crate::Registry::new();
+    (count_into(&registry, f), registry)
 }
 
 /// Replay a captured trace into this thread's current collector,
@@ -364,6 +366,23 @@ mod tests {
         assert_eq!(built.get(), 0, "a field expression was evaluated");
         assert_eq!(reg.counter_value("count.n"), 3);
         assert!(crate::current().is_none());
+    }
+
+    #[test]
+    fn count_into_lands_in_the_given_registry() {
+        let (c, ring) = Collector::ring(8);
+        let _g = install(c.clone());
+        count_into(c.registry(), || {
+            event!("count.event");
+            crate::current()
+                .unwrap()
+                .registry()
+                .counter("count.n")
+                .inc();
+        });
+        assert_eq!(c.registry().counter_value("count.n"), 1);
+        assert_eq!(ring.len(), 0, "a counting collector emitted an event");
+        assert!(Arc::ptr_eq(&crate::current().unwrap(), &c));
     }
 
     #[test]

@@ -61,11 +61,13 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-pub use capture::{capture, capture_isolated, count_isolated, replay, CapturedTrace, TraceOp};
+pub use capture::{
+    capture, capture_isolated, count_into, count_isolated, replay, CapturedTrace, TraceOp,
+};
 pub use clock::{Clock, ClockMode};
 pub use metrics::{Counter, Gauge, Histogram, MetricKind, MetricSnapshot, Registry};
 pub use profile::{
-    current_profiler, install_profiler, CacheStats, Phase, PhaseTimer, ProfileSnapshot, Profiler,
+    current_profiler, install_profiler, Phase, PhaseTimer, ProfileSnapshot, Profiler,
 };
 pub use rng::Rng;
 pub use sink::{FileSink, NullSink, RingSink, Sink};

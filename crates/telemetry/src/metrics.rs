@@ -332,10 +332,12 @@ impl Registry {
     }
 
     /// Fold every metric of `other` into this registry by name: counters
-    /// add, histograms merge bucket-wise, gauges take `other`'s value.
+    /// add, histograms merge bucket-wise, gauges take `other`'s value. A
+    /// metric `other` registered but never updated is registered here too.
     /// Used to apply a captured evaluation's metric deltas to the run
-    /// registry — both when the evaluation just ran and when a cache hit
-    /// re-applies a stored delta, so hits and misses are indistinguishable.
+    /// registry — both when the evaluation just ran and when a store hit
+    /// re-applies a stored delta — so either reads as if the evaluation had
+    /// run in place.
     ///
     /// # Panics
     ///
@@ -348,18 +350,9 @@ impl Registry {
         let src = other.metrics.lock().unwrap();
         for (name, metric) in src.iter() {
             match metric {
-                Metric::Counter(c) => {
-                    let v = c.get();
-                    if v != 0 {
-                        self.counter(name).add(v);
-                    }
-                }
+                Metric::Counter(c) => self.counter(name).add(c.get()),
                 Metric::Gauge(g) => self.gauge(name).set(g.get()),
-                Metric::Histogram(h) => {
-                    if h.count() != 0 {
-                        self.histogram(name).merge_from(h);
-                    }
-                }
+                Metric::Histogram(h) => self.histogram(name).merge_from(h),
             }
         }
     }
@@ -420,22 +413,14 @@ impl Registry {
     /// Panics if `name` is already registered with a different metric kind.
     pub fn import(&self, name: &'static str, snap: &MetricSnapshot) {
         match snap {
-            MetricSnapshot::Counter(v) => {
-                if *v != 0 {
-                    self.counter(name).add(*v);
-                }
-            }
+            MetricSnapshot::Counter(v) => self.counter(name).add(*v),
             MetricSnapshot::Gauge(v) => self.gauge(name).set(*v),
             MetricSnapshot::Histogram {
                 buckets,
                 count,
                 sum,
                 max,
-            } => {
-                if *count != 0 || !buckets.is_empty() {
-                    self.histogram(name).add_parts(buckets, *count, *sum, *max);
-                }
-            }
+            } => self.histogram(name).add_parts(buckets, *count, *sum, *max),
         }
     }
 }
@@ -536,6 +521,8 @@ mod tests {
         a.counter("c").add(2);
         b.counter("c").add(3);
         b.counter("only_b").inc();
+        b.counter("zero_b");
+        b.histogram("empty_b");
         b.gauge("g").set(4.5);
         b.histogram("h").record(7);
         b.histogram("h").record(100);
@@ -543,6 +530,10 @@ mod tests {
         a.merge_from(&b);
         assert_eq!(a.counter_value("c"), 5);
         assert_eq!(a.counter_value("only_b"), 1);
+        // Registered but never updated: registered here too, as running
+        // the update in place would have left it.
+        let names: Vec<&str> = a.metric_names().iter().map(|(n, _)| *n).collect();
+        assert!(names.contains(&"zero_b") && names.contains(&"empty_b"));
         assert_eq!(a.gauge("g").get(), 4.5);
         let h = a.histogram("h");
         assert_eq!(h.count(), 3);

@@ -12,10 +12,9 @@
 pub const COUNTERS: &[&str] = &[
     "compiler.variants",
     "dse.accepted",
-    "dse.cache.hit",
-    "dse.cache.miss",
-    // System sweeps run, one per uncached evaluation that reaches the
-    // system DSE; the name predates the removal of its memo.
+    // System sweeps run, one per evaluation that reaches the system DSE
+    // and is not served from the store; the name predates the memos'
+    // removal.
     "dse.cache.system_miss",
     "dse.checkpoint.restore",
     "dse.checkpoint.write",
@@ -64,7 +63,6 @@ pub const COUNTERS: &[&str] = &[
 /// DESIGN.md §11).
 pub const GAUGES: &[&str] = &[
     "dse.heartbeat.accept_rate",
-    "dse.heartbeat.cache_hit_rate",
     "dse.heartbeat.eta_seconds",
     "dse.heartbeat.pareto_size",
     "dse.heartbeat.progress",
@@ -193,8 +191,8 @@ mod tests {
 
     #[test]
     fn intern_metric_returns_canonical_statics() {
-        let owned = String::from("dse.cache.hit");
-        assert_eq!(intern_metric(&owned), Some("dse.cache.hit"));
+        let owned = String::from("dse.full_schedules");
+        assert_eq!(intern_metric(&owned), Some("dse.full_schedules"));
         assert_eq!(
             intern_metric("dse.heartbeat.progress"),
             Some("dse.heartbeat.progress")

@@ -35,10 +35,10 @@ use crate::metrics::Histogram;
 /// A pipeline phase, as attributed in `profile.json`.
 ///
 /// [`Phase::Eval`] is the umbrella around one full proposal evaluation
-/// (cache misses only — a hit replays a stored artifact and costs no
-/// attributable phase time); the other evaluation-side phases nest inside
-/// it, so `attributed / eval_total` is the coverage ratio the acceptance
-/// gate checks.
+/// (one the persistent store did not serve — a store hit replays a stored
+/// artifact and costs no attributable phase time); the other
+/// evaluation-side phases nest inside it, so `attributed / eval_total` is
+/// the coverage ratio the acceptance gate checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// System-ADG validation plus the objective's hard admissibility gate.
@@ -54,8 +54,10 @@ pub enum Phase {
     /// bookkeeping). Its label stays `fan-out`, the key recorded profiles
     /// use.
     Fanout,
-    /// Memoization bookkeeping: the set-up and packaging of the capture
-    /// that makes an evaluation a replayable cache artifact.
+    /// Store bookkeeping: the set-up and packaging of the capture that
+    /// makes an evaluation a replayable store artifact (runs without a
+    /// store evaluate in place and record none). Its label stays `memo`,
+    /// the key recorded profiles use.
     Memo,
     /// The nested system DSE: its inputs and the exhaustive
     /// system-parameter sweep.
@@ -70,7 +72,8 @@ pub enum Phase {
     Place,
     /// Performance estimation and fitness scoring.
     Objective,
-    /// Umbrella: one uncached proposal evaluation end to end.
+    /// Umbrella: one proposal evaluation the store did not serve, end to
+    /// end.
     Eval,
 }
 
@@ -367,27 +370,6 @@ pub struct HotRow {
     pub total_us: u64,
 }
 
-/// Evaluation-memo traffic the run saw, used to compute cache-hit-adjusted
-/// phase costs: `total_us × lookups ⁄ misses` estimates what a phase
-/// inside the evaluation would have cost had every memoized hit been
-/// computed fresh.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheStats {
-    pub eval_hits: u64,
-    pub eval_misses: u64,
-}
-
-impl CacheStats {
-    /// Adjustment factor for the phases inside an evaluation.
-    fn eval_factor(&self) -> f64 {
-        if self.eval_misses == 0 {
-            1.0
-        } else {
-            (self.eval_hits + self.eval_misses) as f64 / self.eval_misses as f64
-        }
-    }
-}
-
 /// A frozen view of a [`Profiler`], ready for reporting.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileSnapshot {
@@ -415,7 +397,7 @@ impl ProfileSnapshot {
             .sum()
     }
 
-    /// Total umbrella evaluation microseconds (uncached evaluations only).
+    /// Total umbrella evaluation microseconds (store hits excluded).
     pub fn eval_total_us(&self) -> u64 {
         self.phase_total_us(Phase::Eval)
     }
@@ -441,17 +423,13 @@ impl ProfileSnapshot {
     }
 
     /// Render the `overgen.profile/1` JSON document (DESIGN.md §11).
-    pub fn render_json(&self, experiment: &str, cache: &CacheStats, top_k: usize) -> String {
+    pub fn render_json(&self, experiment: &str, top_k: usize) -> String {
         let eval_total = self.eval_total_us();
         let phase = |out: &mut String, r: &PhaseRow| {
             let share = if eval_total > 0 {
                 r.total_us as f64 / eval_total as f64
             } else {
                 0.0
-            };
-            let adjust = match r.phase {
-                Phase::Compile | Phase::Simulate => 1.0,
-                _ => cache.eval_factor(),
             };
             Obj::into(out)
                 .str("phase", r.phase.name())
@@ -464,7 +442,6 @@ impl ProfileSnapshot {
                 .u64("p99_us", r.p99_us)
                 .u64("max_us", r.max_us)
                 .f64("share", share)
-                .f64("cache_adjusted_us", r.total_us as f64 * adjust)
                 .finish();
         };
         let hot_dim = |out: &mut String, dim: &str| {
@@ -483,12 +460,6 @@ impl ProfileSnapshot {
             .u64("eval_total_us", eval_total)
             .u64("attributed_us", self.attributed_us())
             .f64("coverage", self.coverage())
-            .with("cache", |o| {
-                Obj::into(o)
-                    .u64("eval_hits", cache.eval_hits)
-                    .u64("eval_misses", cache.eval_misses)
-                    .finish();
-            })
             .with("phases", |o| json::arr(o, &self.rows, phase))
             .with("hot", |o| {
                 Obj::into(o)
@@ -614,21 +585,17 @@ mod tests {
     }
 
     #[test]
-    fn render_json_carries_schema_and_cache_adjustment() {
+    fn render_json_carries_schema_phases_and_hot_keys() {
         let p = Profiler::new();
         p.record(Phase::Eval, "pure", 1000);
         p.record(Phase::Schedule, "pure", 980);
         p.record_hot("workload", "gemm", 980);
-        let cache = CacheStats {
-            eval_hits: 3,
-            eval_misses: 1,
-        };
-        let doc = p.snapshot().render_json("unit", &cache, 5);
+        let doc = p.snapshot().render_json("unit", 5);
         let v = json::parse(&doc).expect("profile.json parses");
         assert_eq!(v.get("schema").unwrap().as_str(), Some("overgen.profile/1"));
         assert_eq!(v.get("eval_total_us").unwrap().as_u64(), Some(1000));
         assert_eq!(v.get("attributed_us").unwrap().as_u64(), Some(980));
-        // 4 lookups / 1 miss: adjusted cost is 4x the measured cost.
+        assert!(v.get("cache").is_none(), "no memo left to adjust for");
         let phases = match v.get("phases").unwrap() {
             json::Value::Arr(a) => a,
             other => panic!("phases not an array: {other:?}"),
@@ -638,9 +605,11 @@ mod tests {
             .find(|p| p.get("phase").and_then(json::Value::as_str) == Some("schedule"))
             .unwrap();
         assert_eq!(
-            sched.get("cache_adjusted_us").and_then(json::Value::as_f64),
-            Some(3920.0)
+            sched.get("total_us").and_then(json::Value::as_u64),
+            Some(980)
         );
+        assert_eq!(sched.get("share").and_then(json::Value::as_f64), Some(0.98));
+        assert!(sched.get("cache_adjusted_us").is_none());
         let hot = v.get("hot").unwrap().get("workload").unwrap();
         match hot {
             json::Value::Arr(a) => {
@@ -648,14 +617,5 @@ mod tests {
             }
             other => panic!("hot.workload not an array: {other:?}"),
         }
-    }
-
-    #[test]
-    fn zero_misses_mean_no_adjustment() {
-        let c = CacheStats {
-            eval_hits: 10,
-            eval_misses: 0,
-        };
-        assert_eq!(c.eval_factor(), 1.0);
     }
 }

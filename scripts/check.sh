@@ -31,7 +31,7 @@
 #                the median-share one of three fresh 480-proposal
 #                BENCH_dse.json records holding the system step under 50%
 #                of eval time, schedule + repair under 0.70 of eval time
-#                outside the system step and the memo's capture, and
+#                outside the system step and the store's capture, and
 #                proposals/s at least half the committed record (plus
 #                synthetic-regression negative tests of all three gates)
 #   sim          simulator fast-path gates: differential oracle (pruned +
@@ -72,6 +72,23 @@
 # Experiments run through the single `overgen-bench <experiment>`
 # dispatcher binary.
 set -e
+
+# One temp root for every stage's traces and records, removed on exit.
+# CI sets CHECK_TRACE_DIR so failing traces survive for artifact upload:
+# it is the root then, and is kept.
+if [ -n "${CHECK_TRACE_DIR:-}" ]; then
+    CHECK_TMP=$CHECK_TRACE_DIR
+    mkdir -p "$CHECK_TMP"
+else
+    CHECK_TMP=$(mktemp -d)
+    trap 'rm -rf "$CHECK_TMP"' EXIT INT TERM
+fi
+
+# Print a fresh subdirectory of the temp root for one stage.
+stage_dir() {
+    mkdir -p "$CHECK_TMP/$1"
+    echo "$CHECK_TMP/$1"
+}
 
 stage_build() {
     echo "== build: release workspace =="
@@ -128,13 +145,7 @@ stage_checkpoint() {
     cargo test -q --test codec_equivalence
 
     echo "== checkpoint: kill-and-resume bench, write count and cost of a write =="
-    if [ -n "${CHECK_TRACE_DIR:-}" ]; then
-        CK_TMP=$CHECK_TRACE_DIR/checkpoint
-        mkdir -p "$CK_TMP"
-    else
-        CK_TMP=$(mktemp -d)
-        trap 'rm -rf "$CK_TMP"' EXIT INT TERM
-    fi
+    CK_TMP=$(stage_dir checkpoint)
     OVERGEN_RESULTS_DIR="$CK_TMP" cargo run -q --release -p overgen-bench \
         -- checkpoint >/dev/null
     grep -q '"resume_match":true' "$CK_TMP/BENCH_checkpoint.json" \
@@ -178,15 +189,7 @@ check_writes() {
 }
 
 stage_bench() {
-    # CI sets CHECK_TRACE_DIR so failing traces survive for artifact upload;
-    # locally the temp dir is cleaned up on exit.
-    if [ -n "${CHECK_TRACE_DIR:-}" ]; then
-        TRACE_TMP=$CHECK_TRACE_DIR
-        mkdir -p "$TRACE_TMP"
-    else
-        TRACE_TMP=$(mktemp -d)
-        trap 'rm -rf "$TRACE_TMP"' EXIT INT TERM
-    fi
+    TRACE_TMP=$(stage_dir bench)
 
     echo "== bench: trace diff across worker counts =="
     # `threads` only runs chains in parallel (one chain evaluates serially
@@ -259,13 +262,7 @@ stage_objectives() {
     cargo test -q --test properties \
         pareto_front_is_the_non_dominated_subset_in_canonical_order
 
-    if [ -n "${CHECK_TRACE_DIR:-}" ]; then
-        PF_TMP=$CHECK_TRACE_DIR/pareto
-        mkdir -p "$PF_TMP"
-    else
-        PF_TMP=$(mktemp -d)
-        trap 'rm -rf "$PF_TMP"' EXIT INT TERM
-    fi
+    PF_TMP=$(stage_dir pareto)
 
     echo "== objectives: budgeted bench trace diff across worker counts =="
     # At one chain both legs run the same serial path; the t1 leg's record
@@ -296,13 +293,7 @@ stage_profile() {
     cargo test -q --test profiling_determinism
     cargo test -q --test metric_names
 
-    if [ -n "${CHECK_TRACE_DIR:-}" ]; then
-        PROF_TMP=$CHECK_TRACE_DIR/profile
-        mkdir -p "$PROF_TMP"
-    else
-        PROF_TMP=$(mktemp -d)
-        trap 'rm -rf "$PROF_TMP"' EXIT INT TERM
-    fi
+    PROF_TMP=$(stage_dir profile)
 
     echo "== profile: golden phase table from a deterministic trace =="
     # The trace clock is logical ticks, so the rendered table is identical
@@ -337,7 +328,8 @@ stage_profile() {
     # share by tens of points. The nested system step must stay a minority
     # of eval time and eval time stay attributed. The scheduler's share is
     # schedule + repair over eval time outside the system step and the
-    # memo's capture, so a faster sweep or memo does not raise it. Three
+    # store's capture (none here: the bench has no store), so a faster
+    # sweep does not raise it. Three
     # runs are made and the one with the median scheduler share is gated,
     # so one preempted run cannot decide the gate. On a 2-vCPU VM a single
     # run reads 0.55-0.69 (one of 122 at 0.71) with the per-slot placement
@@ -421,13 +413,7 @@ stage_sim() {
     echo "== sim: analytic model is a true lower bound =="
     cargo test -q --test properties analytic_bound_never_exceeds_simulated_cycles
 
-    if [ -n "${CHECK_TRACE_DIR:-}" ]; then
-        SIM_TMP=$CHECK_TRACE_DIR/sim
-        mkdir -p "$SIM_TMP"
-    else
-        SIM_TMP=$(mktemp -d)
-        trap 'rm -rf "$SIM_TMP"' EXIT INT TERM
-    fi
+    SIM_TMP=$(stage_dir sim)
 
     echo "== sim: oracle shadow sweep invisible in the bench trace =="
     # The shadow sweep must not emit telemetry: the deterministic
@@ -478,13 +464,7 @@ stage_service() {
     OVERGEN_DSE_THREADS=1 cargo test -q --release --test service_determinism
     OVERGEN_DSE_THREADS=4 cargo test -q --release --test service_determinism
 
-    if [ -n "${CHECK_TRACE_DIR:-}" ]; then
-        SVC_TMP=$CHECK_TRACE_DIR/service
-        mkdir -p "$SVC_TMP"
-    else
-        SVC_TMP=$(mktemp -d)
-        trap 'rm -rf "$SVC_TMP"' EXIT INT TERM
-    fi
+    SVC_TMP=$(stage_dir service)
 
     echo "== service: >= 2x warm-cache speedup, concurrent == sequential =="
     OVERGEN_RESULTS_DIR="$SVC_TMP" cargo run -q --release -p overgen-bench \
@@ -525,13 +505,7 @@ stage_placement() {
     echo "== placement: property + golden suite (default runs untouched) =="
     cargo test -q --release --test placement
 
-    if [ -n "${CHECK_TRACE_DIR:-}" ]; then
-        PL_TMP=$CHECK_TRACE_DIR/placement
-        mkdir -p "$PL_TMP"
-    else
-        PL_TMP=$(mktemp -d)
-        trap 'rm -rf "$PL_TMP"' EXIT INT TERM
-    fi
+    PL_TMP=$(stage_dir placement)
 
     echo "== placement: sweep-stable winners inside the tolerance bands =="
     OVERGEN_RESULTS_DIR="$PL_TMP" cargo run -q --release -p overgen-bench \
@@ -565,13 +539,7 @@ stage_rewrite() {
     cargo test -q --release --test objective_equivalence default_objective_is_byte_identical
     cargo test -q --release --test rewrite_equivalence
 
-    if [ -n "${CHECK_TRACE_DIR:-}" ]; then
-        RW_TMP=$CHECK_TRACE_DIR/rewrite
-        mkdir -p "$RW_TMP"
-    else
-        RW_TMP=$(mktemp -d)
-        trap 'rm -rf "$RW_TMP"' EXIT INT TERM
-    fi
+    RW_TMP=$(stage_dir rewrite)
 
     echo "== rewrite: fast-path share and inference oracle inside the gate =="
     OVERGEN_RESULTS_DIR="$RW_TMP" cargo run -q --release -p overgen-bench \
@@ -607,13 +575,7 @@ diff_tables() {
 }
 
 stage_results() {
-    if [ -n "${CHECK_TRACE_DIR:-}" ]; then
-        RES_TMP=$CHECK_TRACE_DIR/results
-        mkdir -p "$RES_TMP"
-    else
-        RES_TMP=$(mktemp -d)
-        trap 'rm -rf "$RES_TMP"' EXIT INT TERM
-    fi
+    RES_TMP=$(stage_dir results)
 
     echo "== results: every paper table regenerates byte-identically =="
     # The beyond-paper BENCH tables carry wall times, so only the paper

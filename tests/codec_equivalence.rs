@@ -8,10 +8,13 @@
 //! before the checkpoint and store codecs were rewritten, so a digest that
 //! moves means an on-disk byte changed.
 //!
-//! They were re-pinned once, when the system-DSE memo was retired: each
-//! checkpoint then equalled the earlier one minus the member that held
-//! that memo's warm set, and each store the earlier files minus its
-//! `sys-*` entries.
+//! They were re-pinned twice. When the system-DSE memo was retired, each
+//! checkpoint equalled the earlier one minus the member that held that
+//! memo's warm set, and each store the earlier files minus its `sys-*`
+//! entries. When the evaluation memo was retired, each checkpoint
+//! equalled the earlier one minus its warm set (`eval_keys`) and with
+//! `stats.cache_hits`/`cache_misses` zeroed, and every store file was
+//! byte-identical.
 //!
 //! The cases cover the format's quirks: hex-string integers next to the
 //! store header's decimal `version`, `"op.dtype"` PE capabilities, flat
@@ -177,18 +180,19 @@ fn store_cfg() -> DseConfig {
 }
 
 // Pinned before the codec rewrite and re-pinned when the system-DSE memo
-// was retired (see module docs); `store-untraced` was pinned before
-// untraced runs stopped recording evaluation traces.
+// and then the evaluation memo were retired (see module docs);
+// `store-untraced` was pinned before untraced runs stopped recording
+// evaluation traces.
 const GOLDEN: [(&str, u64); 9] = [
-    ("default-traced", 0xb312b30977be3434),
-    ("default-untraced", 0x4720e09eaab76af7),
-    ("constrained", 0x3ecb57c20de09080),
-    ("ipc-per-lut", 0x59dc5b6684ed6eb9),
-    ("placement-aware", 0x2df8698aabfc61e3),
-    ("compound", 0xba65d9202e987d22),
-    ("custom-device", 0xb761cee0c734c1f1),
-    ("store", 0xf17f792d5fc6907d),
-    ("store-untraced", 0xb6c1ef4237d5ec98),
+    ("default-traced", 0xd62233c23ca116ef),
+    ("default-untraced", 0x01f74dda2c49e3e6),
+    ("constrained", 0xadb112b743f9ee4f),
+    ("ipc-per-lut", 0x727ea58b1333e86d),
+    ("placement-aware", 0xa7102c40f303614a),
+    ("compound", 0x94c009fc223e745d),
+    ("custom-device", 0xc64e77795ae734db),
+    ("store", 0x6fc0df70850947ae),
+    ("store-untraced", 0x7e8f5a7b61c9a359),
 ];
 
 #[test]

@@ -79,10 +79,8 @@ fn the_core_names_are_actually_emitted() {
     // run must produce the load-bearing names the docs talk about.
     let (collector, trace) = exercised_collector();
     let reg = collector.registry();
-    // (`dse.cache.hit` is deliberately absent: a short annealing run may
-    // never revisit a design point.)
     for counter in [
-        "dse.cache.miss",
+        "dse.cache.system_miss",
         "dse.heartbeat.count",
         "dse.iterations",
         "sched.attempts",

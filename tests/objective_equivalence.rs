@@ -105,22 +105,18 @@ fn run_dse(cfg: DseConfig) -> DseResult {
     Dse::new(domain, cfg).run().unwrap()
 }
 
-// Captured pre-refactor (see module docs). The trace differs between
-// cache modes only in the `cache_hits` field of the final `dse.done`
-// event; thread count must not change a single byte.
-const GOLDEN_RESULT_CACHE: u64 = 0xec61d8114f3cb3ad;
-const GOLDEN_TRACE_CACHE: u64 = 0xb61ade7abb564cdb;
+// Captured pre-refactor (see module docs) with the cache off. With no
+// store configured the cache changes nothing, so the cache-on runs reach
+// the same digests (they differed, in the memo's hit and miss counts,
+// while an in-memory evaluation memo existed); thread count must not
+// change a single byte.
 const GOLDEN_RESULT_NOCACHE: u64 = 0x4604efe105b411dc;
 const GOLDEN_TRACE_NOCACHE: u64 = 0xd6ef98dbfbaf1d5e;
 
 #[test]
 fn default_objective_is_byte_identical_to_pre_refactor() {
-    for (threads, cache, want_r, want_t) in [
-        (1, true, GOLDEN_RESULT_CACHE, GOLDEN_TRACE_CACHE),
-        (4, true, GOLDEN_RESULT_CACHE, GOLDEN_TRACE_CACHE),
-        (1, false, GOLDEN_RESULT_NOCACHE, GOLDEN_TRACE_NOCACHE),
-        (4, false, GOLDEN_RESULT_NOCACHE, GOLDEN_TRACE_NOCACHE),
-    ] {
+    for (threads, cache) in [(1, true), (4, true), (1, false), (4, false)] {
+        let (want_r, want_t) = (GOLDEN_RESULT_NOCACHE, GOLDEN_TRACE_NOCACHE);
         let (r, trace) = run(golden_cfg(threads, cache));
         assert_eq!(
             r.stats.infeasible, 0,
@@ -175,7 +171,7 @@ fn checkpoint_resume_reproduces_the_golden_result() {
     assert!(resumed.completed);
     assert_eq!(
         result_digest(&resumed),
-        GOLDEN_RESULT_CACHE,
+        GOLDEN_RESULT_NOCACHE,
         "interrupted-then-resumed run drifted from the pre-refactor golden"
     );
     std::fs::remove_file(&path).ok();

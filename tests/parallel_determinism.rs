@@ -120,20 +120,3 @@ fn chain_count_changes_exploration_but_not_determinism() {
         "multi-chain run emitted no exchange events"
     );
 }
-
-#[test]
-fn long_runs_hit_the_evaluation_cache() {
-    // An annealer revisits designs (rejected proposals return to the
-    // current state); with 150 iterations the fingerprint-keyed cache
-    // must see real traffic.
-    let (r, _) = traced_dse(1, 1, 150);
-    assert!(
-        r.stats.cache_hits > 0,
-        "150 iterations produced zero cache hits"
-    );
-    assert_eq!(
-        r.stats.cache_hits + r.stats.cache_misses,
-        r.stats.iterations + 1,
-        "every proposal plus the seed must be exactly one cache lookup"
-    );
-}

@@ -92,42 +92,22 @@ fn run(cfg: DseConfig) -> (DseResult, String) {
 }
 
 // Captured at the introduction of compound proposals (`compound: 3`,
-// otherwise the golden config). New surface, so fresh pins: they hold
-// the compound trajectory deterministic across threads, cache modes,
-// and checkpoint/resume.
-const GOLDEN_RESULT_COMPOUND_CACHE: u64 = 0x8f09eafbde585634;
-const GOLDEN_TRACE_COMPOUND_CACHE: u64 = 0x7f4a5231ff7eddd1;
+// otherwise the golden config) with the cache off. New surface, so fresh
+// pins: they hold the compound trajectory deterministic across threads,
+// cache modes, and checkpoint/resume. With no store configured the cache
+// changes nothing, so the cache-on runs reach the same digests (their
+// results differed, in the in-memory memo's miss count, while it
+// existed).
 const GOLDEN_RESULT_COMPOUND_NOCACHE: u64 = 0x163b3b86079ab225;
 const GOLDEN_TRACE_COMPOUND_NOCACHE: u64 = 0x7f4a5231ff7eddd1;
 
 #[test]
 fn compound_proposals_are_deterministic_across_threads_and_cache() {
-    for (threads, cache, want_r, want_t) in [
-        (
-            1,
-            true,
-            GOLDEN_RESULT_COMPOUND_CACHE,
-            GOLDEN_TRACE_COMPOUND_CACHE,
-        ),
-        (
-            4,
-            true,
-            GOLDEN_RESULT_COMPOUND_CACHE,
-            GOLDEN_TRACE_COMPOUND_CACHE,
-        ),
-        (
-            1,
-            false,
+    for (threads, cache) in [(1, true), (4, true), (1, false), (4, false)] {
+        let (want_r, want_t) = (
             GOLDEN_RESULT_COMPOUND_NOCACHE,
             GOLDEN_TRACE_COMPOUND_NOCACHE,
-        ),
-        (
-            4,
-            false,
-            GOLDEN_RESULT_COMPOUND_NOCACHE,
-            GOLDEN_TRACE_COMPOUND_NOCACHE,
-        ),
-    ] {
+        );
         let (r, trace) = run(compound_cfg(threads, cache));
         assert_eq!(
             result_digest(&r),
@@ -180,7 +160,7 @@ fn compound_checkpoint_resume_reproduces_the_full_run() {
     assert!(resumed.completed);
     assert_eq!(
         result_digest(&resumed),
-        GOLDEN_RESULT_COMPOUND_CACHE,
+        GOLDEN_RESULT_COMPOUND_NOCACHE,
         "interrupted-then-resumed compound run drifted from the golden"
     );
     std::fs::remove_file(&path).ok();

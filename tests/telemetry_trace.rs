@@ -45,11 +45,10 @@ fn traced_run() -> (String, DseStats, DseStats) {
         full_schedules: r.counter_value("dse.full_schedules") as usize,
         repairs: r.counter_value("dse.repairs") as usize,
         intact: r.counter_value("dse.intact") as usize,
-        cache_hits: r.counter_value("dse.cache.hit") as usize,
-        cache_misses: r.counter_value("dse.cache.miss") as usize,
         repair_fast: r.counter_value("scheduler.repair.fast") as usize,
         repair_fallback: r.counter_value("scheduler.repair.fallback") as usize,
         infeasible: r.counter_value("dse.eval.infeasible") as usize,
+        ..DseStats::default()
     };
     (ring.to_jsonl(), stats, registry_view)
 }

@@ -5,9 +5,9 @@
 //! 1. **Fast-path share, compound off** — one small DSE run per paper
 //!    workload (all 19) with single-rule proposals (the default,
 //!    `compound: 1`), pooling how many scheduling decisions resolved on
-//!    the repair fast path. The inferred footprints and delta-derived
-//!    repair scopes must keep this share at the level the hand-maintained
-//!    classification achieved (`BENCH_repair.json`'s ~0.83).
+//!    the repair fast path. Proposals built from the rule registry must
+//!    keep this share at the level the hand-maintained mutation table
+//!    achieved (`BENCH_repair.json`'s ~0.83).
 //!
 //! 2. **Fast-path share + amortization, compound on** — the same runs
 //!    with `compound: 3`. Follow-up rules draw from the benign subset, so

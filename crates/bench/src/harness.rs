@@ -2,7 +2,6 @@
 //! baselines, and end-to-end run-time measurement.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 use overgen::{generate, GenerateConfig, Overlay};
@@ -12,7 +11,7 @@ use overgen_hls::{explore, AutoDseConfig, AutoDseResult};
 use overgen_ir::{Kernel, Suite};
 use overgen_sim::SimConfig;
 use overgen_telemetry::{
-    event, fs::write_atomic, json, ClockMode, Collector, FileSink, NullSink, Profiler, Sink,
+    count_into, event, fs::write_atomic, json, ClockMode, Collector, FileSink, Profiler, Registry,
 };
 use overgen_workloads as workloads;
 
@@ -128,38 +127,49 @@ pub fn heartbeat_config() -> Option<HeartbeatConfig> {
 ///   (per-phase histograms keyed by phase × footprint class, hottest
 ///   workloads and system grid points). The profiler never reaches the
 ///   trace or the metrics registry, so it always runs.
+///
+/// Without a trace file (`OVERGEN_TRACE` off, or the file cannot be
+/// opened) the experiment runs under a counting collector: every metric
+/// lands in the registry the manifest snapshots, and no event or span is
+/// built.
 pub fn run_experiment(name: &str, f: impl FnOnce() -> String) {
     let dir = results_dir();
     let tracing = trace_enabled();
     let trace_path = dir.join(format!("{name}.trace.jsonl"));
-    let (sink, mode): (Arc<dyn Sink>, ClockMode) = if tracing {
-        match FileSink::create(&trace_path) {
-            Ok(s) => (s, ClockMode::Deterministic),
-            Err(e) => {
-                eprintln!("warning: cannot open {}: {e}", trace_path.display());
-                (Arc::new(NullSink), ClockMode::Wall)
-            }
-        }
-    } else {
-        (Arc::new(NullSink), ClockMode::Wall)
-    };
-    let collector = Collector::new(sink, mode);
-    let _install = overgen_telemetry::install(collector.clone());
+    let sink = tracing
+        .then(|| FileSink::create(&trace_path))
+        .and_then(|created| {
+            created
+                .map_err(|e| eprintln!("warning: cannot open {}: {e}", trace_path.display()))
+                .ok()
+        });
     let profiler = Profiler::new();
     let _profile_install = overgen_telemetry::install_profiler(profiler.clone());
-    event!(
-        "bench.run",
-        experiment = name,
-        seed = seed(),
-        dse_iters = dse_iters(),
-    );
-
-    let wall = Instant::now();
-    let content = f();
-    let wall_seconds = wall.elapsed().as_secs_f64();
-
-    collector.snapshot_metrics();
-    collector.flush();
+    let run = || {
+        event!(
+            "bench.run",
+            experiment = name,
+            seed = seed(),
+            dse_iters = dse_iters(),
+        );
+        let wall = Instant::now();
+        let content = f();
+        (content, wall.elapsed().as_secs_f64())
+    };
+    let ((content, wall_seconds), registry) = match sink {
+        Some(sink) => {
+            let collector = Collector::new(sink, ClockMode::Deterministic);
+            let _install = overgen_telemetry::install(collector.clone());
+            let out = run();
+            collector.snapshot_metrics();
+            collector.flush();
+            (out, collector.registry().clone())
+        }
+        None => {
+            let registry = Registry::new();
+            (count_into(&registry, run), registry)
+        }
+    };
 
     print!("{content}");
     let txt = dir.join(format!("{name}.txt"));
@@ -172,7 +182,7 @@ pub fn run_experiment(name: &str, f: impl FnOnce() -> String) {
         .u64("dse_iters", dse_iters() as u64)
         .f64("wall_seconds", wall_seconds)
         .bool("trace", tracing)
-        .with("metrics", |o| collector.registry().snapshot_json(o))
+        .with("metrics", |o| registry.snapshot_json(o))
         .finish();
     let path = dir.join(format!("{name}.json"));
     if let Err(e) = write_atomic(&path, format!("{manifest}\n").as_bytes()) {

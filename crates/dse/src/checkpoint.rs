@@ -141,7 +141,8 @@ impl Checkpoint {
 
     /// Trace sequence number at the checkpoint: events with `seq` below
     /// this were emitted before the cut, events from the resumed run start
-    /// here. `None` when the interrupted run had no collector installed.
+    /// here. `None` when the interrupted run recorded no trace (no
+    /// collector, or a counting one).
     pub fn trace_seq(&self) -> Option<u64> {
         self.cursor.as_ref().map(|c| c.seq)
     }
@@ -194,14 +195,18 @@ impl Checkpoint {
         let Some(ckc) = dse.cfg.checkpoint.as_ref() else {
             return Ok(());
         };
-        let cursor = overgen_telemetry::current().map(|c| {
-            let (seq, tick) = c.cursor();
-            TraceCursor {
-                seq,
-                tick,
-                span: run_span.handle().unwrap_or(0),
-            }
-        });
+        // A counting collector records no trace, so a checkpoint written
+        // under one claims no cursor, as one written under no collector.
+        let cursor = overgen_telemetry::current()
+            .filter(|c| c.records())
+            .map(|c| {
+                let (seq, tick) = c.cursor();
+                TraceCursor {
+                    seq,
+                    tick,
+                    span: run_span.handle().unwrap_or(0),
+                }
+            });
         let ck = Checkpoint {
             cfg: dse.cfg.clone(),
             workloads: dse.workloads.iter().map(|k| k.name().to_string()).collect(),

@@ -40,7 +40,7 @@ use crate::eval::{EvalPipeline, EvalState, ParetoFront, ParetoPoint};
 use crate::heartbeat::{Heartbeat, HeartbeatConfig};
 use crate::objective::Objective;
 use crate::pool::fan_out;
-use crate::rewrite::{AdgDelta, RuleSet, TransformCtx};
+use crate::rewrite::{RuleSet, TransformCtx};
 use crate::system::SystemDseConfig;
 
 /// DSE configuration.
@@ -603,7 +603,7 @@ impl Dse {
         let mut seed_sim = 0.0f64;
         let mut widenings = 0usize;
         let seed_state = loop {
-            let (state, sim) = pipe.evaluate(&seed, BTreeMap::new(), ScheduleFootprint::Pure);
+            let (state, sim) = pipe.evaluate(&seed, BTreeMap::new(), ScheduleFootprint::Pure, None);
             seed_sim += sim;
             if let Some(s) = state {
                 break s;
@@ -916,7 +916,6 @@ impl Dse {
             let mut prop_schedules: Vec<Schedule> = st.cur.schedules.values().cloned().collect();
             let mut kinds = String::new();
             let mut footprint = ScheduleFootprint::Pure;
-            let mut delta = AdgDelta::new((it * self.cfg.mutations_per_step) as u64);
             {
                 // "ADG* is constructed using a combination of random and
                 // schedule-preserving transformations" (§V-A): preserving
@@ -948,13 +947,11 @@ impl Dse {
                                 kinds.push('+');
                             }
                             kinds.push_str(app.mutation.kind());
-                            delta.absorb(&app.delta);
                         }
                     } else {
                         let app = rules.apply_random(&mut prop.adg, &mut ctx, &mut st.rng, epoch);
                         footprint = footprint.merge(app.inferred);
                         kinds.push_str(app.mutation.kind());
-                        delta.absorb(&app.delta);
                     }
                     if preserving {
                         kinds.push('*');
@@ -974,14 +971,10 @@ impl Dse {
                 .into_iter()
                 .map(|s| (s.mdfg_name.clone(), s))
                 .collect();
-            // The proposal's merged delta feeds repair classification (an
-            // empty scope skips the dirty-set scan); the rule chain keys
-            // the store only in compound mode, so default-run store keys
-            // stay historical.
-            let scope = delta.scope();
+            // The rule chain keys the store only in compound mode, so
+            // default-run store keys stay historical.
             let rule_trace = (self.cfg.compound > 1).then_some(kinds.as_str());
-            let (state, sim) =
-                pipe.evaluate_with(&prop, prior, footprint, Some(&scope), rule_trace);
+            let (state, sim) = pipe.evaluate(&prop, prior, footprint, rule_trace);
             st.sim_seconds += sim;
             let Some(eval) = state else {
                 counters.invalid.inc();

@@ -7,9 +7,13 @@
 //! [`EvalPipeline`] owns everything a proposal evaluation needs — the
 //! workload set, pre-compiled mDFG variants, the resource model, the
 //! persistent store (when the run consults one), the system sweep's score
-//! tables, and the telemetry plumbing. The annealer in `engine.rs` only
-//! proposes mutations and accepts/rejects on the fitness the pipeline
-//! returns; it contains no objective math.
+//! tables over the run's one grid, and the telemetry plumbing. The
+//! annealer in `engine.rs` only proposes mutations and accepts/rejects on
+//! the fitness the pipeline returns; it contains no objective math. A
+//! proposal arrives as its hardware, its prior schedules and its merged
+//! footprint; each prior is repaired against one shared index of that
+//! hardware, which classifies it by scanning, so no rule delta reaches
+//! the pipeline.
 //!
 //! Determinism contract: per-workload results fold in workload-name
 //! order, and an evaluation runs one of two ways with the same observable
@@ -44,9 +48,7 @@ use overgen_model::{
     accelerator_resources, Placement, PlacementMetrics, PlacementReport, ResourceModel, Resources,
     TimeModel,
 };
-use overgen_scheduler::{
-    HwIndex, RepairOptions, RepairOutcome, RepairScope, Schedule, ScheduleFootprint,
-};
+use overgen_scheduler::{HwIndex, RepairOptions, RepairOutcome, Schedule, ScheduleFootprint};
 
 use crate::cache::{domain_salt, eval_key};
 use crate::engine::{Dse, DseConfig};
@@ -169,7 +171,7 @@ impl<'a> EvalPipeline<'a> {
             model,
             run_registry,
             system_sweeps: run_registry.counter("dse.cache.system_miss"),
-            score_tables: ScoreTables::default(),
+            score_tables: ScoreTables::new(&cfg.system),
             store,
             profiler: current_profiler(),
         }
@@ -193,42 +195,28 @@ impl<'a> EvalPipeline<'a> {
     }
 
     /// Evaluate a proposal. Returns the outcome and the simulated seconds
-    /// to charge.
-    pub(crate) fn evaluate(
-        &self,
-        sys: &SysAdg,
-        prior: BTreeMap<String, Schedule>,
-        footprint: ScheduleFootprint,
-    ) -> (Option<Arc<EvalState>>, f64) {
-        self.evaluate_with(sys, prior, footprint, None, None)
-    }
-
-    /// [`EvalPipeline::evaluate`] with the rewrite engine's extras: a
-    /// recorded [`RepairScope`] (an empty one lets repair skip its full
-    /// decision scan) and, for compound proposals, the rule trace string
-    /// folded into the store key ([`eval_key`]). Default (single-rule)
-    /// runs pass `None` and keep historical store keys.
-    ///
-    /// `sys` is the proposal with default system parameters; the
-    /// evaluation owns `prior`, so repairs take each schedule by value.
+    /// to charge. `sys` is the proposal with default system parameters;
+    /// the evaluation owns `prior`, so repairs take each schedule by
+    /// value. A compound proposal's rule trace string is folded into the
+    /// store key ([`eval_key`]); single-rule proposals pass `None` and keep
+    /// historical store keys.
     ///
     /// Without a store nothing could replay the evaluation, so it runs in
     /// place. With one, the stored artifact is replayed, or the evaluation
     /// is captured, published and replayed: a store-served artifact is
     /// byte-identical to recomputation, so results, counters and traces do
     /// not depend on store contents (DESIGN.md §13).
-    pub(crate) fn evaluate_with(
+    pub(crate) fn evaluate(
         &self,
         sys: &SysAdg,
         prior: BTreeMap<String, Schedule>,
         footprint: ScheduleFootprint,
-        scope: Option<&RepairScope>,
         rule_trace: Option<&str>,
     ) -> (Option<Arc<EvalState>>, f64) {
         let Some((st, cfg_hash, salt)) = self.store else {
             // Umbrella phase: one evaluation end to end.
             let _eval_timer = self.phase(Phase::Eval, footprint.name());
-            let eval = || self.evaluate_uncached(sys, prior, footprint, scope);
+            let eval = || self.evaluate_uncached(sys, prior, footprint);
             return if overgen_telemetry::current().is_some() {
                 eval()
             } else {
@@ -239,7 +227,7 @@ impl<'a> EvalPipeline<'a> {
         // takes them.
         let key = eval_key(cfg_hash, salt, &sys.adg, footprint, rule_trace, &prior);
         let c = st.fetch(key).unwrap_or_else(|| {
-            let c = Arc::new(self.capture(sys, prior, footprint, scope));
+            let c = Arc::new(self.capture(sys, prior, footprint));
             st.publish(key, &c);
             c
         });
@@ -254,7 +242,6 @@ impl<'a> EvalPipeline<'a> {
         sys: &SysAdg,
         prior: BTreeMap<String, Schedule>,
         footprint: ScheduleFootprint,
-        scope: Option<&RepairScope>,
     ) -> CachedEval {
         // Umbrella phase: one evaluation the store did not serve, end to
         // end; a store hit costs no attributable phase time.
@@ -266,7 +253,7 @@ impl<'a> EvalPipeline<'a> {
         let setup_timer = self.phase(Phase::Memo, footprint.name());
         let ((out, packaging_timer), trace, registry) = capture_isolated(move || {
             drop(setup_timer);
-            let out = self.evaluate_uncached(sys, prior, footprint, scope);
+            let out = self.evaluate_uncached(sys, prior, footprint);
             (out, self.phase(Phase::Memo, footprint.name()))
         });
         drop(packaging_timer);
@@ -283,7 +270,7 @@ impl<'a> EvalPipeline<'a> {
     /// hard resource budget, schedule or repair every workload in
     /// workload-name order, then run the nested system DSE and score the
     /// report. Runs under a collector whose registry is the run registry
-    /// or an isolated capture's (see [`EvalPipeline::evaluate_with`]).
+    /// or an isolated capture's (see [`EvalPipeline::evaluate`]).
     ///
     /// Every workload is processed even after one fails: each one's repair
     /// events and simulated-time charges are part of the recorded trace.
@@ -292,7 +279,6 @@ impl<'a> EvalPipeline<'a> {
         proposal: &SysAdg,
         mut prior: BTreeMap<String, Schedule>,
         footprint: ScheduleFootprint,
-        scope: Option<&RepairScope>,
     ) -> (Option<Arc<EvalState>>, f64) {
         let mut sim = 0.0f64;
         let adg = &proposal.adg;
@@ -335,7 +321,7 @@ impl<'a> EvalPipeline<'a> {
         let opts = RepairOptions {
             incremental: self.cfg.repair,
             footprint: Some(footprint),
-            scope: scope.cloned(),
+            scope: None,
         };
         let reg = eval_collector.registry().clone();
         let counters = EvalCounters {
@@ -765,7 +751,7 @@ mod tests {
             let _install = overgen_telemetry::install(collector.clone());
             let registry = collector.registry();
             let pipe = EvalPipeline::new(&kernels, cfg, &time, &mdfgs, &AnalyticModel, registry);
-            let (state, sim) = pipe.evaluate(&seed, BTreeMap::new(), ScheduleFootprint::Pure);
+            let (state, sim) = pipe.evaluate(&seed, BTreeMap::new(), ScheduleFootprint::Pure, None);
             let state = state.expect("the seed schedules");
             // `dse.cache.system_miss` counts the sweeps that ran, which a
             // store hit does not; every other metric is the evaluation's.

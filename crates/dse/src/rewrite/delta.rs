@@ -9,20 +9,18 @@
 //! delta leaves the graph indistinguishable from untouched.
 //!
 //! The delta is what makes footprints *inferable* (see
-//! [`super::infer_footprint`]) and what feeds the scheduler's repair
-//! dirty-set directly (see [`AdgDelta::scope`]), replacing the hand
-//! classification the legacy mutation table carried.
+//! [`super::infer_footprint`]), replacing the hand classification the
+//! legacy mutation table carried. It feeds inference only: the scheduler's
+//! repair classifies a proposal from the mutated hardware itself.
 
 use std::collections::BTreeSet;
 
 use overgen_adg::{Adg, AdgError, AdgNode, NodeId};
-use overgen_scheduler::RepairScope;
 
-/// The recorded net effect of one or more rule applications on an ADG.
+/// The recorded net effect of one rule application on an ADG.
 ///
 /// The `epoch` stamps which proposal step produced the delta (iteration ×
-/// mutations-per-step + step in the annealer); merged deltas keep the
-/// epoch of the first application they absorbed.
+/// mutations-per-step + step in the annealer).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdgDelta {
     /// Proposal step that opened this delta.
@@ -55,57 +53,6 @@ impl AdgDelta {
             && self.added_edges.is_empty()
             && self.removed_edges.is_empty()
             && self.touched_attrs.is_empty()
-    }
-
-    /// Total recorded entities, for telemetry and debugging.
-    pub fn len(&self) -> usize {
-        self.added_nodes.len()
-            + self.removed_nodes.len()
-            + self.added_edges.len()
-            + self.removed_edges.len()
-            + self.touched_attrs.len()
-    }
-
-    /// Fold another delta (a *later* application on the same graph) into
-    /// this one, with the same cancellation semantics the recorder applies
-    /// within a single application: removing what an earlier application
-    /// added erases both records, because node ids are never reused.
-    pub fn absorb(&mut self, other: &AdgDelta) {
-        for &e in &other.added_edges {
-            if !self.removed_edges.remove(&e) {
-                self.added_edges.insert(e);
-            }
-        }
-        for &e in &other.removed_edges {
-            if !self.added_edges.remove(&e) {
-                self.removed_edges.insert(e);
-            }
-        }
-        for &n in &other.added_nodes {
-            self.added_nodes.insert(n);
-        }
-        for &n in &other.removed_nodes {
-            self.touched_attrs.remove(&n);
-            if !self.added_nodes.remove(&n) {
-                self.removed_nodes.insert(n);
-            }
-        }
-        for &n in &other.touched_attrs {
-            self.touched_attrs.insert(n);
-        }
-    }
-
-    /// Everything this delta touched, in the shape the scheduler's repair
-    /// classifier consumes. An empty scope lets repair skip its full
-    /// decision scan (see [`RepairScope`] for the contract).
-    pub fn scope(&self) -> RepairScope {
-        let mut scope = RepairScope::new();
-        scope.nodes.extend(self.added_nodes.iter().copied());
-        scope.nodes.extend(self.removed_nodes.iter().copied());
-        scope.nodes.extend(self.touched_attrs.iter().copied());
-        scope.edges.extend(self.added_edges.iter().copied());
-        scope.edges.extend(self.removed_edges.iter().copied());
-        scope
     }
 }
 
@@ -220,7 +167,6 @@ mod tests {
         r.touch_attr(pe);
         r.remove_node(pe);
         assert!(delta.is_empty(), "net no-op must record nothing: {delta:?}");
-        assert!(delta.scope().is_empty());
         assert_eq!(delta.epoch, 7);
     }
 
@@ -235,9 +181,6 @@ mod tests {
         r.remove_node(pe);
         assert!(delta.removed_nodes.contains(&pe));
         assert_eq!(delta.removed_edges.len(), degree);
-        let scope = delta.scope();
-        assert!(scope.nodes.contains(&pe));
-        assert_eq!(scope.len(), 1 + degree);
     }
 
     #[test]
@@ -254,35 +197,5 @@ mod tests {
         assert!(r.remove_edge(a, b));
         r.add_edge(a, b).unwrap();
         assert!(delta.is_empty(), "remove+re-add must cancel: {delta:?}");
-    }
-
-    #[test]
-    fn absorb_cancels_across_applications() {
-        let mut adg = mesh(&MeshSpec::default());
-        let sw = adg.nodes_of_kind(NodeKind::Switch)[0];
-
-        let mut first = AdgDelta::new(1);
-        let pe = {
-            let mut r = RecordedAdg::new(&mut adg, &mut first);
-            let pe = r.add_node(AdgNode::Pe(PeNode::with_caps([FuCap::new(
-                Op::Add,
-                DataType::I64,
-            )])));
-            r.add_edge(sw, pe).unwrap();
-            r.touch_attr(pe);
-            pe
-        };
-        let mut second = AdgDelta::new(2);
-        {
-            let mut r = RecordedAdg::new(&mut adg, &mut second);
-            r.remove_node(pe);
-        }
-        let mut merged = first.clone();
-        merged.absorb(&second);
-        assert!(
-            merged.is_empty(),
-            "add in one application + remove in the next must cancel: {merged:?}"
-        );
-        assert_eq!(merged.epoch, 1, "merged delta keeps the first epoch");
     }
 }

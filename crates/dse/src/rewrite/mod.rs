@@ -4,9 +4,9 @@
 //! [`Rule`]s. Applying a rule runs it against a [`RecordedAdg`], which
 //! logs the net change into an epoch-stamped [`AdgDelta`]; from the delta
 //! the [`ScheduleFootprint`] is *inferred* mechanically
-//! ([`infer_footprint`]) instead of hand-maintained, and the delta's
-//! [`AdgDelta::scope`] feeds the scheduler's repair classifier directly so
-//! provably-pure proposals skip the full decision scan.
+//! ([`infer_footprint`]) instead of hand-maintained. The delta feeds that
+//! inference only: the scheduler's repair classifies every proposal by
+//! scanning the prior schedule against the mutated hardware.
 //!
 //! A debug oracle in [`RuleSet::apply_index`] asserts the inferred class
 //! is never weaker than the rule's legacy hand classification; the ported
@@ -14,8 +14,8 @@
 //! is what keeps default-config DSE byte-identical to the pre-rewrite
 //! goldens.
 //!
-//! [`RuleSet::apply_compound`] chains up to K rules into one proposal with
-//! a merged delta and footprint — enabled by `DseConfig::compound`,
+//! [`RuleSet::apply_compound`] chains up to K rules into one proposal
+//! whose footprint merges theirs — enabled by `DseConfig::compound`,
 //! default off. Follow-up rules draw from the *benign* subset (additive
 //! and attribute rules only) so compound proposals keep the repair
 //! fast-path share at its single-rule level.
@@ -278,8 +278,9 @@ impl RuleSet {
     /// epoch. The first draw runs the full registry (so compound mode
     /// explores everything single-rule mode does); follow-up draws are
     /// restricted to the benign subset, which keeps the repair fast-path
-    /// share at its single-rule level. Callers merge the per-application
-    /// deltas/footprints into the proposal.
+    /// share at its single-rule level. Callers merge the applications'
+    /// footprints into the proposal's; each delta stays with its
+    /// application.
     pub fn apply_compound(
         &self,
         adg: &mut Adg,

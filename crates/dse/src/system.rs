@@ -73,26 +73,6 @@ impl Default for SystemDseConfig {
     }
 }
 
-impl SystemDseConfig {
-    /// How many grid points the sweep walks.
-    fn len(&self) -> usize {
-        self.max_tiles as usize
-            * self.l2_banks_grid.len()
-            * self.l2_kb_grid.len()
-            * self.noc_bw_grid.len()
-    }
-
-    /// Append the bits that map walk positions to points: the tile count,
-    /// the DRAM channels and the three grids.
-    fn push_grid_bits(&self, key: &mut Vec<u64>) {
-        key.extend([u64::from(self.max_tiles), u64::from(self.dram_channels)]);
-        for grid in [&self.l2_banks_grid, &self.l2_kb_grid, &self.noc_bw_grid] {
-            key.push(grid.len() as u64);
-            key.extend(grid.iter().map(|&v| u64::from(v)));
-        }
-    }
-}
-
 /// The points a sweep walks, grouped by ascending tile count and in
 /// canonical order within one (L2 banks, then L2 capacity, then NoC
 /// bandwidth), each with its shared NoC + L2 resources: those depend on
@@ -170,55 +150,49 @@ impl Scorer for Estimate<'_> {
     }
 }
 
-/// Estimate scores and grids shared by the sweeps of one run. A point's
-/// score depends only on every workload's [`PerfSummary`] and weight and
-/// on the tile's scratchpad bandwidth; the tile's resources only decide
-/// which points fit. So each distinct score input gets one table, one score per
-/// grid point in canonical walk order (see [`sweep`]), filled on the point's
-/// first feasible visit, and every later sweep with that input reads it
-/// back whatever its tile. The key is the input's exact bits plus the grid
-/// (which maps walk positions to points), compared whole: `-0.0` and
-/// `0.0`, or two bandwidths one ulp apart, get separate tables. Scores are
-/// pure functions of the key, so which chain fills a slot first never
-/// changes a value. Each grid's [`Grid`] is built once too, keyed by the
-/// grid's bits alone.
-#[derive(Default)]
+/// Estimate scores shared by the sweeps of one run, over the run's one
+/// [`Grid`], built with the tables. A point's score depends only on every
+/// workload's [`PerfSummary`] and weight and on the tile's scratchpad
+/// bandwidth; the tile's resources only decide which points fit. So each
+/// distinct score input gets one table, one score per grid point in
+/// canonical walk order (see [`sweep`]), filled on the point's first
+/// feasible visit, and every later sweep with that input reads it back
+/// whatever its tile. The key is the input's exact bits, compared whole:
+/// `-0.0` and `0.0`, or two bandwidths one ulp apart, get separate tables.
+/// Scores are pure functions of the key, so which chain fills a slot first
+/// never changes a value. Every sweep over the tables must walk the grid
+/// they were made for.
 pub(crate) struct ScoreTables {
     tables: Mutex<HashMap<Vec<u64>, ScoreTable>>,
-    grids: Mutex<HashMap<Vec<u64>, Arc<Grid>>>,
+    grid: Grid,
 }
 
 /// One score per walk position, `None` until the position is scored.
 type ScoreTable = Arc<Mutex<Vec<Option<f64>>>>;
 
 impl ScoreTables {
+    /// Empty tables over the grid of `cfg`.
+    pub(crate) fn new(cfg: &SystemDseConfig) -> ScoreTables {
+        ScoreTables {
+            tables: Mutex::default(),
+            grid: Grid::new(cfg),
+        }
+    }
+
     /// The table of one score input, created empty on first use.
-    fn table(
-        &self,
-        perf: &[(PerfSummary, f64)],
-        spad_bw: f64,
-        cfg: &SystemDseConfig,
-    ) -> ScoreTable {
+    fn table(&self, perf: &[(PerfSummary, f64)], spad_bw: f64) -> ScoreTable {
         let mut key = Vec::with_capacity(128);
         key.extend([spad_bw.to_bits(), perf.len() as u64]);
         for (p, w) in perf {
             p.key_bits(&mut key);
             key.push(w.to_bits());
         }
-        cfg.push_grid_bits(&mut key);
         let mut tables = self.tables.lock().unwrap();
-        let table = tables
-            .entry(key)
-            .or_insert_with(|| Arc::new(Mutex::new(vec![None; cfg.len()])));
+        let table = tables.entry(key).or_insert_with(|| {
+            let points = self.grid.by_tiles.iter().map(Vec::len).sum();
+            Arc::new(Mutex::new(vec![None; points]))
+        });
         Arc::clone(table)
-    }
-
-    /// The grid of `cfg`, built on first use.
-    fn grid(&self, cfg: &SystemDseConfig) -> Arc<Grid> {
-        let mut key = Vec::with_capacity(16);
-        cfg.push_grid_bits(&mut key);
-        let mut grids = self.grids.lock().unwrap();
-        Arc::clone(grids.entry(key).or_insert_with(|| Arc::new(Grid::new(cfg))))
     }
 
     /// How many tables exist.
@@ -341,8 +315,9 @@ pub fn system_dse(
     estimate_sweep(adg, per_workload, model, cfg, None)
 }
 
-/// [`system_dse`], reading and filling `tables` when given: the same
-/// winner, score bits and `dse.system` event either way.
+/// [`system_dse`], reading and filling `tables` (made for `cfg`'s grid)
+/// when given: the same winner, score bits and `dse.system` event either
+/// way.
 pub(crate) fn estimate_sweep(
     adg: &Adg,
     per_workload: &[(&Mdfg, &Placement, f64)],
@@ -356,8 +331,15 @@ pub(crate) fn estimate_sweep(
         .map(|(m, p, w)| (PerfSummary::new(m, p), *w))
         .collect();
     let spad_bw = spad_bandwidth(adg);
-    let grid = tables.map_or_else(|| Arc::new(Grid::new(cfg)), |t| t.grid(cfg));
-    let table = tables.map(|t| t.table(&perf, spad_bw, cfg));
+    let owned;
+    let grid = match tables {
+        Some(t) => &t.grid,
+        None => {
+            owned = Grid::new(cfg);
+            &owned
+        }
+    };
+    let table = tables.map(|t| t.table(&perf, spad_bw));
     let mut guard = table.as_ref().map(|t| t.lock().unwrap());
     let mut scorer = Estimate {
         perf,
@@ -365,7 +347,7 @@ pub(crate) fn estimate_sweep(
         ipcs: Vec::with_capacity(per_workload.len()),
         table: guard.as_deref_mut().map(Vec::as_mut_slice),
     };
-    let s = sweep(cfg, &grid, &tile_breakdown(adg, model), &mut scorer);
+    let s = sweep(cfg, grid, &tile_breakdown(adg, model), &mut scorer);
     system_event(&s, &[]);
     s.best
 }
@@ -600,8 +582,9 @@ mod tests {
     /// chains of them, the analytic and a trained MLP resource model, the
     /// default grid, a custom grid and a device too small for one tile.
     /// Winner, score bits and the `dse.system` event must agree. One set of
-    /// score tables serves every ADG, so later tiles read scores that
-    /// earlier tiles filled at a different feasibility.
+    /// score tables per grid serves every ADG and resource model, so later
+    /// tiles read scores that earlier tiles filled at a different
+    /// feasibility.
     #[test]
     fn precompiled_sweep_matches_the_per_point_oracle() {
         let kernels_mdfgs = [fir_mdfg(1), fir_mdfg(2), mdfg(1024, 1), mdfg(65536, 4)];
@@ -677,7 +660,7 @@ mod tests {
         };
         let grids = [SystemDseConfig::default(), custom, tiny];
 
-        let tables = ScoreTables::default();
+        let tables: Vec<ScoreTables> = grids.iter().map(ScoreTables::new).collect();
         let mut sweeps = 0;
         let mut feasible = 0;
         let mut infeasible = 0;
@@ -696,7 +679,7 @@ mod tests {
                     assert_eq!(bits(want), bits(got), "{label}");
                     assert_eq!(want_trace, got_trace, "{label}");
                     let (tabled, tabled_trace) =
-                        traced(|| estimate_sweep(adg, per, *model, cfg, Some(&tables)));
+                        traced(|| estimate_sweep(adg, per, *model, cfg, Some(&tables[gi])));
                     assert_eq!(bits(want), bits(tabled), "{label} tabled");
                     assert_eq!(want_trace, tabled_trace, "{label} tabled");
                     sweeps += 1;
@@ -704,11 +687,8 @@ mod tests {
             }
         }
         assert!(feasible > 0 && infeasible > 0, "{feasible} / {infeasible}");
-        assert!(
-            tables.len() < sweeps,
-            "{} tables for {sweeps} sweeps",
-            tables.len()
-        );
+        let made: usize = tables.iter().map(ScoreTables::len).sum();
+        assert!(made < sweeps, "{made} tables for {sweeps} sweeps");
     }
 
     /// Table keys are exact bits: inputs that `==` or a rounding would
@@ -718,11 +698,10 @@ mod tests {
     fn score_tables_key_on_exact_bits() {
         let m = fir_mdfg(2);
         let perf = vec![(PerfSummary::new(&m, &Placement::from_prefs(&m)), 1.0)];
-        let cfg = SystemDseConfig::default();
-        let tables = ScoreTables::default();
+        let tables = ScoreTables::new(&SystemDseConfig::default());
         let at = |spad_bw: f64, weight: f64| {
             let perf: Vec<_> = perf.iter().map(|(p, _)| (p.clone(), weight)).collect();
-            tables.table(&perf, spad_bw, &cfg)
+            tables.table(&perf, spad_bw)
         };
         let base = at(64.0, 1.0);
         assert!(Arc::ptr_eq(&base, &at(64.0, 1.0)));
@@ -730,14 +709,13 @@ mod tests {
         assert!(!Arc::ptr_eq(&at(0.0, 1.0), &at(-0.0, 1.0)));
         assert!(!Arc::ptr_eq(&base, &at(64.0f64.next_up(), 1.0)));
         assert!(!Arc::ptr_eq(&base, &at(64.0, 1.0f64.next_up())));
-        let other_grid = SystemDseConfig {
+        assert_eq!(base.lock().unwrap().len(), 512);
+        assert_eq!(tables.len(), 5);
+        let narrow = ScoreTables::new(&SystemDseConfig {
             noc_bw_grid: vec![32],
             ..SystemDseConfig::default()
-        };
-        let narrow = tables.table(&perf, 64.0, &other_grid);
-        assert_eq!(narrow.lock().unwrap().len(), 256);
-        assert_eq!(base.lock().unwrap().len(), 512);
-        assert_eq!(tables.len(), 6);
+        });
+        assert_eq!(narrow.table(&perf, 64.0).lock().unwrap().len(), 256);
     }
 
     fn mdfg(n: u64, unroll: u32) -> Mdfg {

@@ -7,7 +7,9 @@
 //!    mDFG nodes whose decision no longer holds: assignment targets that
 //!    vanished or lost a capability, streams whose engine or port binding
 //!    changed, scratchpads that no longer fit their arrays, and routes with
-//!    missing links or link-exclusivity conflicts.
+//!    missing links or link-exclusivity conflicts. Every repair runs this
+//!    scan: the hardware alone decides, and no caller's account of what a
+//!    proposal changed lets repair skip it.
 //! 2. **Repair** — an empty dirty set means the seeded placer would
 //!    reproduce the prior mapping decision-for-decision (prior targets are
 //!    tried first and prior routes are reused verbatim), so the *fast path*
@@ -46,43 +48,13 @@ pub enum RepairOutcome {
     },
 }
 
-/// The hardware a proposal touched, as recorded by the rewrite engine's
-/// delta: every node added, removed, or attribute-modified, and every edge
-/// added or removed, between the graph the prior schedule was produced on
-/// and the graph being repaired against.
-///
-/// Passing a scope to [`repair_with`] is a *contract*, not a hint: the
-/// caller asserts the two graphs differ only within the scope and that the
-/// prior schedule was clean against the pre-delta graph. Under that
-/// contract an **empty** scope proves the dirty set is empty, so
-/// classification skips the full decision scan entirely (the
-/// `scheduler.repair.scoped` counter records these exits); debug builds
-/// still run the scan and assert it agrees.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RepairScope {
-    /// Nodes added, removed, or attribute-touched by the proposal.
-    pub nodes: BTreeSet<NodeId>,
-    /// Edges added or removed by the proposal.
-    pub edges: BTreeSet<(NodeId, NodeId)>,
-}
-
-impl RepairScope {
-    /// A scope containing nothing: the proposal provably changed no
-    /// hardware.
-    pub fn new() -> RepairScope {
-        RepairScope::default()
-    }
-
-    /// True when the proposal touched no hardware at all.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty() && self.edges.is_empty()
-    }
-
-    /// Total touched entities (nodes + edges), for telemetry.
-    pub fn len(&self) -> usize {
-        self.nodes.len() + self.edges.len()
-    }
-}
+/// Uninhabited: no value of it exists, so [`RepairOptions::scope`] can
+/// only be `None`. Repair classifies every proposal by scanning the prior
+/// schedule's decisions against the hardware ([`HwIndex::repair`]) and
+/// takes no caller-asserted scope; the type and the field remain only so
+/// that callers spelling out `scope: None` keep compiling.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RepairScope {}
 
 /// Knobs for [`repair_with`].
 #[derive(Debug, Clone)]
@@ -95,9 +67,7 @@ pub struct RepairOptions {
     /// Advisory: recorded in the `sched.repaired` event so traces attribute
     /// repair outcomes to mutation classes; never trusted for eligibility.
     pub footprint: Option<ScheduleFootprint>,
-    /// Touched-hardware scope of the proposal, when the caller recorded
-    /// one (see [`RepairScope`] for the contract it asserts). `None` keeps
-    /// the historical behavior: classification always runs the full scan.
+    /// Always `None`: [`RepairScope`] has no values.
     pub scope: Option<RepairScope>,
 }
 
@@ -162,30 +132,7 @@ impl HwIndex<'_> {
         opts: &RepairOptions,
     ) -> Result<(Schedule, RepairOutcome), ScheduleError> {
         let _span = span!("sched.repair", mdfg = mdfg.name(), variant = mdfg.variant());
-        // An empty recorded scope proves nothing the prior schedule decided
-        // on has changed, so skip scanning every placement decision. The
-        // exit additionally requires a Pure footprint (redundant for
-        // single-rule proposals, where empty delta ⟺ Pure, but merged
-        // compound deltas can cancel to empty under a non-Pure merged
-        // footprint) so that whether it fires — and the scoped counter with
-        // it — is a pure function of store-key-visible data. Debug builds
-        // keep running the scan and hold the caller to the scope contract.
-        let scoped_exit = opts.footprint == Some(ScheduleFootprint::Pure)
-            && matches!(&opts.scope, Some(scope) if scope.is_empty());
-        let dirty = if scoped_exit {
-            if let Some(c) = overgen_telemetry::current() {
-                c.registry().counter("scheduler.repair.scoped").inc();
-            }
-            debug_assert!(
-                dirty_set(&prior, mdfg, self).is_empty(),
-                "empty rewrite scope but the prior schedule for {} v{} is dirty",
-                prior.mdfg_name,
-                prior.variant
-            );
-            BTreeSet::new()
-        } else {
-            dirty_set(&prior, mdfg, self)
-        };
+        let dirty = dirty_set(&prior, mdfg, self);
         let footprint = opts.footprint.map_or("unknown", ScheduleFootprint::name);
 
         if dirty.is_empty() {
@@ -731,51 +678,6 @@ mod tests {
             RepairOutcome::Intact => panic!("expected a repair"),
         }
         // new target is a different, existing PE
-        assert!(again.assignment.values().all(|a| sys.adg.contains(*a)));
-    }
-
-    #[test]
-    fn empty_scope_skips_scan_and_matches_unscoped_repair() {
-        let (mdfg, sys, sched) = setup();
-        let unscoped = repair(&sched, &mdfg, &sys).unwrap();
-        let opts = RepairOptions {
-            incremental: true,
-            footprint: Some(ScheduleFootprint::Pure),
-            scope: Some(RepairScope::new()),
-        };
-        let scoped = repair_with(&sched, &mdfg, &sys, &opts).unwrap();
-        assert_eq!(scoped.1, RepairOutcome::Intact);
-        assert_eq!(scoped.0, unscoped.0);
-    }
-
-    #[test]
-    fn non_empty_scope_still_runs_the_full_scan() {
-        let (mdfg, mut sys, sched) = setup();
-        // Remove the instruction's PE and declare it in the scope: the
-        // scope is non-empty so classification must fall back to the scan
-        // and find the evicted instruction.
-        let inst = *sched
-            .assignment
-            .iter()
-            .find(|(mid, _)| mdfg.node(**mid).unwrap().kind() == MdfgNodeKind::Inst)
-            .map(|(mid, _)| mid)
-            .unwrap();
-        let inst_pe = sched.assignment[&inst];
-        sys.adg.remove_node(inst_pe);
-        let mut scope = RepairScope::new();
-        scope.nodes.insert(inst_pe);
-        assert!(!scope.is_empty());
-        assert_eq!(scope.len(), 1);
-        let opts = RepairOptions {
-            incremental: true,
-            footprint: Some(ScheduleFootprint::Structural),
-            scope: Some(scope),
-        };
-        let (again, outcome) = repair_with(&sched, &mdfg, &sys, &opts).unwrap();
-        match outcome {
-            RepairOutcome::Repaired { moved } => assert!(moved >= 1),
-            RepairOutcome::Intact => panic!("expected a repair"),
-        }
         assert!(again.assignment.values().all(|a| sys.adg.contains(*a)));
     }
 

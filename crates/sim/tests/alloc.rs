@@ -6,10 +6,12 @@
 //! per-run allocation would put the allocator back on the profile the
 //! SoA rewrite removed. A counting global allocator wraps the system
 //! one; after a warm-up run, a full grid of `run` and `bound` calls must
-//! leave the allocation counter untouched.
+//! leave the allocation counter untouched. The counter is per thread, so
+//! only the thread that runs the grid is counted, not the test harness's
+//! other threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use overgen_adg::{mesh, MeshSpec, SysAdg, SystemParams};
 use overgen_compiler::{lower, LowerChoices};
@@ -19,11 +21,25 @@ use overgen_sim::{SimBatch, SimConfig};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations (and reallocations) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation on this thread. `try_with` skips the count while
+/// the thread-local is being torn down.
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// This thread's allocation count so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.alloc(layout)
     }
 
@@ -32,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -89,7 +105,7 @@ fn warm_batch_runs_allocate_nothing() {
         })
         .collect();
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut sink = 0u64;
     for sys in &grid {
         let bound = batch.bound(sys);
@@ -100,7 +116,7 @@ fn warm_batch_runs_allocate_nothing() {
             .wrapping_add(cached.cycles)
             .wrapping_add(bound.cycles);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert!(sink > 0);
     assert_eq!(
         after - before,

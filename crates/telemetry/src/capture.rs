@@ -90,12 +90,16 @@ impl CapturedTrace {
 /// restored), so capturing inline on the coordinating thread and capturing
 /// on a fresh worker thread record identical operations.
 ///
-/// When `parent` is `None` (telemetry disabled) or records nothing (a
-/// [`count_isolated`] collector), `f` runs bare and the trace is empty.
+/// When `parent` is `None` (telemetry disabled), `f` runs bare; when it
+/// records nothing (a counting collector), `f` counts into its registry,
+/// on whatever thread it runs. Either way the trace is empty.
 pub fn capture<T>(parent: Option<&Arc<Collector>>, f: impl FnOnce() -> T) -> (T, CapturedTrace) {
-    let Some(parent) = parent.filter(|p| p.records()) else {
+    let Some(parent) = parent else {
         return (f(), CapturedTrace::default());
     };
+    if !parent.records() {
+        return (count_into(parent.registry(), f), CapturedTrace::default());
+    }
     let cap = Collector::capture(parent.registry().clone());
     let out = {
         let _install = crate::install(cap.clone());
@@ -383,6 +387,26 @@ mod tests {
         assert_eq!(c.registry().counter_value("count.n"), 1);
         assert_eq!(ring.len(), 0, "a counting collector emitted an event");
         assert!(Arc::ptr_eq(&crate::current().unwrap(), &c));
+    }
+
+    #[test]
+    fn capture_under_a_counting_parent_counts_on_a_worker_thread() {
+        let ((), reg) = count_isolated(|| {
+            let parent = crate::current();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let ((), t) = capture(parent.as_ref(), || {
+                        crate::current()
+                            .expect("a worker counts under a counting parent")
+                            .registry()
+                            .counter("count.n")
+                            .inc();
+                    });
+                    assert!(t.is_empty());
+                });
+            });
+        });
+        assert_eq!(reg.counter_value("count.n"), 1);
     }
 
     #[test]

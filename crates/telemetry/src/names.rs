@@ -40,7 +40,6 @@ pub const COUNTERS: &[&str] = &[
     "scheduler.repair.dirty_nodes",
     "scheduler.repair.fallback",
     "scheduler.repair.fast",
-    "scheduler.repair.scoped",
     "service.jobs.cancelled",
     "service.jobs.completed",
     "service.jobs.failed",

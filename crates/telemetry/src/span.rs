@@ -94,13 +94,15 @@ impl SpanGuard {
     /// [`SpanGuard::handle`]. Checkpoint resume uses this so the eventual
     /// close event carries the *original* start and the true total
     /// duration, byte-identical to an uninterrupted run. Its close has no
-    /// recorded open, so it must not run inside a capture.
+    /// recorded open, so it must not run inside a capture. Like
+    /// [`SpanGuard::enter`], it is a no-op while no collector that records
+    /// is installed.
     pub fn reenter(
         name: &'static str,
         handle: u64,
         fields: Vec<(&'static str, FieldValue)>,
     ) -> SpanGuard {
-        match crate::current() {
+        match crate::current().filter(|c| c.records()) {
             Some(collector) => {
                 let depth = DEPTH.with(|d| {
                     let v = d.get();

@@ -30,7 +30,7 @@
 #                deterministic trace, >= 95% eval-time attribution, and
 #                the median-share one of three fresh 480-proposal
 #                BENCH_dse.json records holding the system step under 50%
-#                of eval time, schedule + repair under 0.70 of eval time
+#                of eval time, schedule + repair under 0.76 of eval time
 #                outside the system step and the store's capture, and
 #                proposals/s at least half the committed record (plus
 #                synthetic-regression negative tests of all three gates)
@@ -331,13 +331,12 @@ stage_profile() {
     # store's capture (none here: the bench has no store), so a faster
     # sweep does not raise it. Three
     # runs are made and the one with the median scheduler share is gated,
-    # so one preempted run cannot decide the gate. On a 2-vCPU VM a single
-    # run reads 0.55-0.69 (one of 122 at 0.71) with the per-slot placement
-    # tables and 0.69-0.77 (60 runs) with what they replaced (ordered
-    # distance maps read on every candidate comparison, and a scan of every
-    # node against an ordered set per instruction); medians of three read
-    # 0.62-0.64 (68 of 69, one at 0.69) and 0.72-0.74 (10 of 10 fail), so
-    # the band fails a revert.
+    # so one preempted run cannot decide the gate. On a 2-vCPU VM medians
+    # of three read 0.688-0.729 (50) with the per-slot placement tables and
+    # 0.785-0.807 (25) with what they replaced (ordered distance maps read
+    # on every candidate comparison, and a scan of every node against an
+    # ordered set per instruction), so the band sits between the two and
+    # fails a revert.
     # Throughput may drop to half the committed record: a short run is at
     # the mercy of host load, so the band catches a halving, not a revert
     # of one optimization. The fastest of 50 variant-compile passes over
@@ -359,7 +358,7 @@ stage_profile() {
     cargo run -q --release -p overgen-bench --bin bench-compare -- \
         results/BENCH_dse.json "$PROF_TMP/bench/BENCH_dse.json" \
         max:profile.system_share=0.5 \
-        max:profile.scheduler_share=0.70 \
+        max:profile.scheduler_share=0.76 \
         min:profile.coverage=0.95 \
         max-drop:proposals_per_sec=0.5 \
         max-rise:compile.best_us=1.0 \
@@ -394,11 +393,11 @@ stage_profile() {
     fi
 
     echo "== profile: injected scheduler-share regression must fail the gate =="
-    sed -e 's/"scheduler_share":[0-9.eE+-]*/"scheduler_share":0.73/' \
+    sed -e 's/"scheduler_share":[0-9.eE+-]*/"scheduler_share":0.79/' \
         "$PROF_TMP/bench/BENCH_dse.json" > "$PROF_TMP/regressed.json"
     if cargo run -q --release -p overgen-bench --bin bench-compare -- \
         results/BENCH_dse.json "$PROF_TMP/regressed.json" \
-        max:profile.scheduler_share=0.70 >/dev/null; then
+        max:profile.scheduler_share=0.76 >/dev/null; then
         echo "FAIL: bench-compare accepted a synthetic scheduler-share regression"; exit 1
     fi
 }

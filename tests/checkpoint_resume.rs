@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 
 use overgen_compiler::CompileOptions;
 use overgen_dse::{Checkpoint, CheckpointConfig, Dse, DseConfig, DseResult};
-use overgen_telemetry::Collector;
+use overgen_telemetry::{count_isolated, Collector};
 use overgen_workloads as workloads;
 
 fn domain() -> Vec<overgen_ir::Kernel> {
@@ -131,6 +131,36 @@ fn resume_reproduces_uninterrupted_run_at_any_thread_count() {
         assert_eq!(full.stats, resumed.stats);
         assert_trace_composes(&trace_full, &trace_partial, &ck, &trace_resumed);
     }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A run under a counting collector records no trace, so its checkpoint
+/// claims no cursor; resumed under one, it reproduces the run.
+#[test]
+fn counting_run_checkpoints_without_a_cursor_and_resumes_exactly() {
+    let iterations = 12;
+    let path = ck_path("counting");
+    let (full, _) = traced(cfg(1, 1, iterations, 25), None, None);
+    let (partial, _) = count_isolated(|| {
+        let mut c = cfg(1, 1, iterations, 25);
+        c.checkpoint = Some(CheckpointConfig {
+            path: path.clone(),
+            interval: 5,
+        });
+        c.max_proposals = Some(7);
+        Dse::new(domain(), c).run().unwrap()
+    });
+    assert!(!partial.completed, "budgeted run must report early stop");
+    let ck = Checkpoint::load(&path).unwrap();
+    assert_eq!(
+        ck.trace_seq(),
+        None,
+        "a counting run claimed a trace cursor"
+    );
+    let (resumed, _) = count_isolated(|| ck.resume(domain()).unwrap());
+    assert!(resumed.completed);
+    assert_eq!(digest(&full), digest(&resumed));
+    assert_eq!(full.stats, resumed.stats);
     let _ = std::fs::remove_file(&path);
 }
 

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use overgen_adg::{mesh, AdgSummary, MeshSpec, SysAdg, SystemParams};
 use overgen_compiler::{compile_variants, lower, CompileOptions, LowerChoices};
-use overgen_dse::{AdgDelta, Dse, DseConfig, ParetoFront, ParetoPoint, RuleSet, TransformCtx};
+use overgen_dse::{Dse, DseConfig, ParetoFront, ParetoPoint, RuleSet, TransformCtx};
 use overgen_ir::{expr, AffineExpr, DataType, Kernel, KernelBuilder, Suite};
 use overgen_mdfg::Mdfg;
 use overgen_scheduler::{
@@ -190,10 +190,17 @@ fn repair_after_mutations_yields_valid_schedules() {
 /// *same* schedule — same validity, same mapping, same estimated latency
 /// (bit-identical IPC), same outcome classification. A repair through one
 /// shared [`HwIndex`] of the mutated hardware, taking the prior by value,
-/// equals the per-call [`repair_with`] in both modes.
+/// equals the per-call [`repair_with`] in both modes. Each of two seeds
+/// draws 32 kernels, each mutated by a chain of one to four rules.
 #[test]
 fn incremental_repair_equals_full_replacement() {
-    let mut rng = Rng::seed_from_u64(0x1C4E);
+    for seed in [0x1C4E, 0x5C0B] {
+        incremental_repair_equals_full_replacement_from(seed);
+    }
+}
+
+fn incremental_repair_equals_full_replacement_from(seed: u64) {
+    let mut rng = Rng::seed_from_u64(seed);
     let mut compared = 0;
     for tag in 0..32 {
         let k = arb_kernel(&mut rng, tag);
@@ -267,7 +274,10 @@ fn incremental_repair_equals_full_replacement() {
             ),
         }
     }
-    assert!(compared >= 10, "only {compared} repairs compared");
+    assert!(
+        compared >= 10,
+        "seed {seed:#x}: only {compared} repairs compared"
+    );
 }
 
 /// The rewrite engine's inference contract: for any seeded sequence of
@@ -306,8 +316,8 @@ fn inferred_footprint_dominates_hand_classification() {
                 app.inferred,
                 app.hand
             );
-            // A pure inference must come from an empty recorded delta —
-            // that pair is what licenses the scheduler's scoped exit.
+            // A pure inference must come from an empty recorded delta:
+            // Pure claims the proposal changed no hardware at all.
             if app.inferred == ScheduleFootprint::Pure {
                 assert!(app.delta.is_empty(), "pure inference from non-empty delta");
             }
@@ -315,82 +325,6 @@ fn inferred_footprint_dominates_hand_classification() {
         }
     }
     assert!(applied >= 100, "only {applied} rule applications checked");
-}
-
-/// Repair driven by the delta-derived scope must be observationally
-/// identical to the unscoped incremental repair *and* to a full forced
-/// re-placement: same outcome class, bit-identical schedule.
-#[test]
-fn scoped_repair_equals_unscoped_and_full_reschedule() {
-    let mut rng = Rng::seed_from_u64(0x5C0B);
-    let set = RuleSet::legacy();
-    let mut compared = 0;
-    for tag in 0..32 {
-        let k = arb_kernel(&mut rng, tag);
-        let cap_pool = Dse::cap_pool(std::slice::from_ref(&k));
-        let base = mesh(&MeshSpec::general());
-        let sys = SysAdg::new(base.clone(), SystemParams::default());
-        let mdfg = lower(
-            &k,
-            0,
-            &LowerChoices {
-                unroll: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let Ok(prior) = schedule(&mdfg, &sys, None) else {
-            continue;
-        };
-
-        let mut adg = base;
-        let mut schedules = vec![prior];
-        let mut footprint = ScheduleFootprint::Pure;
-        let mut delta = AdgDelta::new(0);
-        for step in 0..rng.gen_range(1u64..=4) {
-            let preserving = rng.gen_bool(0.7);
-            let mut ctx = TransformCtx {
-                cap_pool: &cap_pool,
-                schedules: &mut schedules,
-                preserving,
-            };
-            let app = set.apply_random(&mut adg, &mut ctx, &mut rng, step);
-            footprint = footprint.merge(app.inferred);
-            delta.absorb(&app.delta);
-        }
-        let prior = schedules.pop().unwrap();
-        let mutated = SysAdg::new(adg, SystemParams::default());
-        if mutated.validate().is_err() {
-            continue;
-        }
-
-        let opts = |incremental, scope| RepairOptions {
-            incremental,
-            footprint: Some(footprint),
-            scope,
-        };
-        let scoped = repair_with(&prior, &mdfg, &mutated, &opts(true, Some(delta.scope())));
-        let unscoped = repair_with(&prior, &mdfg, &mutated, &opts(true, None));
-        let full = repair_with(&prior, &mdfg, &mutated, &opts(false, None));
-        match (scoped, unscoped, full) {
-            (Ok((ss, so)), Ok((us, uo)), Ok((fs, fo))) => {
-                assert_eq!(so, uo, "scope changed the outcome classification");
-                assert_eq!(ss, us, "scoped repair != unscoped repair");
-                assert_eq!(so, fo, "incremental outcome != full outcome");
-                assert_eq!(ss, fs, "scoped repair != full re-placement");
-                assert_schedule_valid(&ss, &mdfg, &mutated);
-                compared += 1;
-            }
-            (Err(_), Err(_), Err(_)) => {} // all three agree the mapping is dead
-            (a, b, c) => panic!(
-                "repair modes disagree on schedulability: scoped={:?} unscoped={:?} full={:?}",
-                a.is_ok(),
-                b.is_ok(),
-                c.is_ok()
-            ),
-        }
-    }
-    assert!(compared >= 10, "only {compared} repairs compared");
 }
 
 #[test]

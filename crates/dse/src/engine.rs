@@ -1289,6 +1289,62 @@ mod tests {
         let _ = std::fs::remove_dir_all(&store_dir);
     }
 
+    /// `config_hash` keys every store entry and checkpoint, so these
+    /// values must not move unless a change means to invalidate both.
+    #[test]
+    fn config_hash_is_pinned() {
+        use crate::{DeviceBudget, Objective, PlacementObjective};
+        let cases = [
+            ("default", DseConfig::default(), 0xcca8e82773476e96),
+            (
+                "constrained_ipc(vcu118_medium)",
+                DseConfig {
+                    objective: Objective::ConstrainedIpc(DeviceBudget::vcu118_medium()),
+                    ..Default::default()
+                },
+                0x779a47363aa84590,
+            ),
+            (
+                "ipc_per_lut",
+                DseConfig {
+                    objective: Objective::IpcPerLut,
+                    ..Default::default()
+                },
+                0x6ce87c546a6e722e,
+            ),
+            (
+                "placement_aware",
+                DseConfig {
+                    objective: Objective::PlacementAware(PlacementObjective::default()),
+                    ..Default::default()
+                },
+                0x71ba9cdd6e752cae,
+            ),
+            (
+                "simulate",
+                DseConfig {
+                    system: crate::SystemDseConfig {
+                        backend: SystemDseBackend::Simulate { prune: true },
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                },
+                0xdcb9d33e389c605b,
+            ),
+            (
+                "compound_3",
+                DseConfig {
+                    compound: 3,
+                    ..Default::default()
+                },
+                0x6bdd00034a45f0f0,
+            ),
+        ];
+        for (name, cfg, want) in cases {
+            assert_eq!(Dse::config_hash(&cfg), want, "{name}");
+        }
+    }
+
     #[test]
     fn multi_chain_runs_and_improves() {
         let cfg = DseConfig {

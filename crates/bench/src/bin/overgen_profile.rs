@@ -1,72 +1,30 @@
-//! `overgen-profile` — export a JSONL telemetry trace for profiling UIs.
+//! `overgen-profile` — summarize a JSONL telemetry trace, or export it for
+//! profiling UIs.
 //!
 //! ```text
-//! overgen-profile results/dse.trace.jsonl                 # phase table
+//! overgen-profile results/dse.trace.jsonl                 # summary
 //! overgen-profile results/dse.trace.jsonl --chrome out.json
 //! ```
 //!
 //! Prints a flame-style phase table (span aggregates indented by nesting
-//! depth, share of the root span) to stdout. With `--chrome PATH` it also
+//! depth, share of the root span), the count of each event type and the
+//! trace's final metrics snapshot to stdout. With `--chrome PATH` it also
 //! writes Chrome trace-event JSON loadable in `chrome://tracing` or
-//! Perfetto (`-` writes to stdout instead of the table).
+//! Perfetto (`-` writes to stdout instead of the summary). Exits 2 on a
+//! usage error and 1 when the trace cannot be read; malformed lines are
+//! counted, not fatal.
 //!
 //! Times are in the trace's own clock: microseconds for wall-clock
 //! traces, logical ticks for deterministic (`OVERGEN_TRACE=1`) ones —
 //! tick tables diff cleanly across machines, which is what the golden
 //! check in `scripts/check.sh profile` relies on.
 
-use overgen_bench::profile_export::{chrome_trace, phase_table};
-
 fn main() {
-    let mut trace: Option<String> = None;
-    let mut chrome: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--chrome" => match args.next() {
-                Some(p) => chrome = Some(p),
-                None => usage("--chrome needs a path (or `-` for stdout)"),
-            },
-            "--help" | "-h" => usage(""),
-            _ if trace.is_none() => trace = Some(a),
-            _ => usage(&format!("unexpected argument `{a}`")),
+    match overgen_bench::profile_export::run(std::env::args().skip(1)) {
+        Ok(out) => print!("{out}"),
+        Err(f) => {
+            eprintln!("{}", f.message);
+            std::process::exit(f.code);
         }
     }
-    let Some(path) = trace else {
-        usage("missing trace path");
-    };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("overgen-profile: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    match chrome.as_deref() {
-        Some("-") => {
-            println!("{}", chrome_trace(&text));
-            return;
-        }
-        Some(out) => {
-            let json = chrome_trace(&text);
-            if let Err(e) =
-                overgen_telemetry::fs::write_atomic(std::path::Path::new(out), json.as_bytes())
-            {
-                eprintln!("overgen-profile: cannot write {out}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wrote {out}");
-        }
-        None => {}
-    }
-    print!("{}", phase_table(&text));
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("overgen-profile: {err}");
-    }
-    eprintln!("usage: overgen-profile <trace.jsonl> [--chrome <out.json>|-]");
-    std::process::exit(2);
 }

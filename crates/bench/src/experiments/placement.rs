@@ -6,8 +6,7 @@
 //! (§VI-D — the paper's quad-tile design closes at 92.87 MHz because of
 //! multi-die congestion, not LUT count). This benchmark sweeps tile count
 //! 1..=[`MAX_TILES`] for every paper workload on the general overlay,
-//! places each point with the
-//! [`SimpleGridPlacer`](overgen_model::SimpleGridPlacer), and scores it
+//! places each point with the [`SimpleGridPlacer`], and scores it
 //! as estimated IPC scaled by the placed clock. Two invariants are recorded
 //! for the CI gate:
 //!
@@ -22,7 +21,7 @@ use std::time::Instant;
 use overgen::Overlay;
 use overgen_adg::{SysAdg, SystemParams};
 use overgen_model::{
-    accelerator_resources, estimate_ipc, AnalyticModel, ClockRegionGrid, PlacerKind,
+    accelerator_resources, estimate_ipc, AnalyticModel, ClockRegionGrid, SimpleGridPlacer,
 };
 use overgen_telemetry::{fs::write_atomic, json};
 use overgen_workloads as workloads;
@@ -83,7 +82,7 @@ fn score_point(
         ..overlay.sys_adg.sys
     };
     let sys_adg = SysAdg::new(overlay.sys_adg.adg.clone(), sys);
-    let rep = PlacerKind::SimpleGrid.placer().place(&sys_adg, tile, grid);
+    let rep = SimpleGridPlacer.place(&sys_adg, tile, grid);
     let spad_bw: f64 = overlay
         .sys_adg
         .adg
@@ -156,7 +155,6 @@ pub fn run() -> PlacementReportBench {
         .u64("seed", seed())
         .with("grid", |o| {
             json::Obj::into(o)
-                .str("placer", PlacerKind::SimpleGrid.name())
                 .str("device", grid.device.name)
                 .u64("cols", u64::from(grid.cols))
                 .u64("rows", u64::from(grid.rows))

@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use overgen::{generate, GenerateConfig, Overlay};
+use overgen::{generate, Overlay};
 use overgen_compiler::CompileOptions;
 use overgen_dse::{DseConfig, HeartbeatConfig, SystemDseConfig};
 use overgen_hls::{explore, AutoDseConfig, AutoDseResult};
@@ -121,8 +121,7 @@ pub fn heartbeat_config() -> Option<HeartbeatConfig> {
 /// - `results/<name>.json` — a run manifest: seed, DSE iterations, wall
 ///   seconds, and the final metrics-registry snapshot;
 /// - `results/<name>.trace.jsonl` — the deterministic JSONL event trace,
-///   only when `OVERGEN_TRACE=1` (feed it to `trace-summary` or
-///   `overgen-profile`);
+///   only when `OVERGEN_TRACE=1` (feed it to `overgen-profile`);
 /// - `results/<name>.profile.json` — phase-level wall-time attribution
 ///   (per-phase histograms keyed by phase × footprint class, hottest
 ///   workloads and system grid points). The profiler never reaches the
@@ -220,32 +219,20 @@ pub fn dse_config(iterations: usize, seed: u64) -> DseConfig {
 /// Generate the suite-specialised overlay (Table III columns).
 pub fn suite_overlay(suite: Suite) -> Overlay {
     let domain = workloads::suite(suite);
-    generate(
-        &domain,
-        &GenerateConfig {
-            dse: dse_config(dse_iters(), seed() ^ suite as u64),
-        },
-    )
+    generate(&domain, &dse_config(dse_iters(), seed() ^ suite as u64))
 }
 
 /// Generate a workload-specialised overlay.
 pub fn workload_overlay(kernel: &Kernel) -> Overlay {
     generate(
         std::slice::from_ref(kernel),
-        &GenerateConfig {
-            dse: dse_config(dse_iters(), seed() ^ hash_name(kernel.name())),
-        },
+        &dse_config(dse_iters(), seed() ^ hash_name(kernel.name())),
     )
 }
 
 /// Generate an overlay for an arbitrary domain subset.
 pub fn domain_overlay(domain: &[Kernel], salt: u64) -> Overlay {
-    generate(
-        domain,
-        &GenerateConfig {
-            dse: dse_config(dse_iters(), seed() ^ salt),
-        },
-    )
+    generate(domain, &dse_config(dse_iters(), seed() ^ salt))
 }
 
 fn hash_name(name: &str) -> u64 {

@@ -1,4 +1,4 @@
-//! Trace exporters behind the `overgen-profile` binary.
+//! The `overgen-profile` trace reader ([`run`]) and its exporters.
 //!
 //! Converts a deterministic (or wall-clock) JSONL telemetry trace into
 //! two downstream-friendly forms:
@@ -6,21 +6,85 @@
 //! - [`chrome_trace`] — Chrome trace-event JSON (`chrome://tracing`,
 //!   Perfetto): every span becomes a complete `"X"` event, every plain
 //!   event an instant `"i"` marker;
-//! - [`phase_table`] — a flame-style text table: span aggregates grouped
-//!   by nesting depth, indented so callers read above callees, with
-//!   share-of-root attribution.
+//! - [`summary`] — a flame-style text table (span aggregates grouped by
+//!   nesting depth, indented so callers read above callees, with
+//!   share-of-root attribution), then the count of each event type and
+//!   the trace's final metrics snapshot.
 //!
 //! Both outputs are fully determined by the input trace — rendering the
 //! same trace twice yields byte-identical text, which is what lets
-//! `scripts/check.sh profile` golden-diff the table.
+//! `scripts/check.sh profile` golden-diff the summary.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use overgen_telemetry::json::{self, Obj, Value};
 
-/// One parsed trace line we care about (metrics snapshots are skipped by
-/// the exporters; `trace-summary` renders those).
+const USAGE: &str = "usage: overgen-profile <trace.jsonl> [--chrome <out.json>|-]";
+
+/// Why `overgen-profile` stopped: the process exit code and the message
+/// for stderr.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Failure {
+    /// 2 for a usage error, 1 for a trace that cannot be read or a Chrome
+    /// file that cannot be written.
+    pub code: i32,
+    pub message: String,
+}
+
+impl Failure {
+    fn usage(err: &str) -> Failure {
+        let message = if err.is_empty() {
+            USAGE.to_string()
+        } else {
+            format!("overgen-profile: {err}\n{USAGE}")
+        };
+        Failure { code: 2, message }
+    }
+}
+
+/// Run `overgen-profile` on its arguments (program name excluded) and
+/// return what it prints on stdout: the [`summary`] of the trace, or with
+/// `--chrome -` its [`chrome_trace`] instead. `--chrome PATH` writes the
+/// Chrome trace to `PATH` as well as returning the summary.
+pub fn run<I: IntoIterator<Item = String>>(args: I) -> Result<String, Failure> {
+    let mut trace: Option<String> = None;
+    let mut chrome: Option<String> = None;
+    let mut args = args.into_iter();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--chrome" => match args.next() {
+                Some(p) => chrome = Some(p),
+                None => return Err(Failure::usage("--chrome needs a path (or `-` for stdout)")),
+            },
+            "--help" | "-h" => return Err(Failure::usage("")),
+            _ if trace.is_none() => trace = Some(a),
+            _ => return Err(Failure::usage(&format!("unexpected argument `{a}`"))),
+        }
+    }
+    let Some(path) = trace else {
+        return Err(Failure::usage("missing trace path"));
+    };
+    let text = std::fs::read_to_string(&path).map_err(|e| Failure {
+        code: 1,
+        message: format!("overgen-profile: cannot read {path}: {e}"),
+    })?;
+    match chrome.as_deref() {
+        Some("-") => return Ok(format!("{}\n", chrome_trace(&text))),
+        Some(out) => {
+            let json = chrome_trace(&text);
+            overgen_telemetry::fs::write_atomic(std::path::Path::new(out), json.as_bytes())
+                .map_err(|e| Failure {
+                    code: 1,
+                    message: format!("overgen-profile: cannot write {out}: {e}"),
+                })?;
+        }
+        None => {}
+    }
+    Ok(summary(&text))
+}
+
+/// One parsed span or event line.
 enum Line {
     Span {
         name: String,
@@ -34,14 +98,21 @@ enum Line {
     },
 }
 
-/// Parse the JSONL text into exporter lines. Malformed lines and metrics
-/// snapshots are counted, not fatal — a truncated trace should still
-/// render what it has.
-fn parse_lines(text: &str) -> (Vec<Line>, u64) {
+/// A parsed trace: its span and event lines in order, the count of the
+/// other lines (metrics snapshots and malformed lines — a truncated trace
+/// should still render what it has), and the last metrics snapshot.
+struct Trace {
+    lines: Vec<Line>,
+    skipped: u64,
+    metrics: Option<Value>,
+}
+
+fn parse(text: &str) -> Trace {
     let mut out = Vec::new();
     let mut skipped = 0u64;
+    let mut metrics = None;
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let Ok(v) = json::parse(line) else {
+        let Ok(mut v) = json::parse(line) else {
             skipped += 1;
             continue;
         };
@@ -59,7 +130,12 @@ fn parse_lines(text: &str) -> (Vec<Line>, u64) {
                     dur: v.get("dur").and_then(Value::as_u64).unwrap_or(0),
                 });
             }
-            Some("metrics") => skipped += 1,
+            Some("metrics") => {
+                skipped += 1;
+                if let Value::Obj(fields) = &mut v {
+                    metrics = fields.remove("metrics");
+                }
+            }
             Some(kind) => out.push(Line::Event {
                 kind: kind.to_string(),
                 t: v.get("t").and_then(Value::as_u64).unwrap_or(0),
@@ -67,7 +143,11 @@ fn parse_lines(text: &str) -> (Vec<Line>, u64) {
             None => skipped += 1,
         }
     }
-    (out, skipped)
+    Trace {
+        lines: out,
+        skipped,
+        metrics,
+    }
 }
 
 /// Render the trace as Chrome trace-event JSON (the object form, so a
@@ -76,7 +156,7 @@ fn parse_lines(text: &str) -> (Vec<Line>, u64) {
 /// passed through in the trace's own clock — microseconds for wall-clock
 /// traces, logical ticks for deterministic ones.
 pub fn chrome_trace(text: &str) -> String {
-    let (lines, _) = parse_lines(text);
+    let lines = parse(text).lines;
     Obj::new()
         .str("displayTimeUnit", "ms")
         .with("traceEvents", |o| {
@@ -120,16 +200,61 @@ struct Agg {
     max: u64,
 }
 
-/// Render a flame-style phase table: span aggregates keyed by
-/// `(depth, name)`, ordered depth-first (callers above callees), within a
-/// depth by total descending then name. `share` is relative to the total
-/// of depth-0 spans; nested spans overlap their parents, so deeper rows
-/// can sum past 100%.
-pub fn phase_table(text: &str) -> String {
-    let (lines, skipped) = parse_lines(text);
+/// Render the trace's phase table (see `phase_table`), then the count of
+/// each event type (most frequent first) and the trace's final metrics
+/// snapshot, when it has one.
+pub fn summary(text: &str) -> String {
+    let trace = parse(text);
+    let mut out = phase_table(&trace);
+    let mut kinds: BTreeMap<&str, u64> = BTreeMap::new();
+    for l in &trace.lines {
+        if let Line::Event { kind, .. } = l {
+            *kinds.entry(kind).or_default() += 1;
+        }
+    }
+    if !kinds.is_empty() {
+        let mut rows: Vec<(&str, u64)> = kinds.into_iter().collect();
+        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        let _ = writeln!(out, "\n{:<36} {:>8}", "event", "count");
+        for (kind, n) in rows {
+            let _ = writeln!(out, "{kind:<36} {n:>8}");
+        }
+    }
+    if let Some(Value::Obj(metrics)) = &trace.metrics {
+        let _ = writeln!(out, "\n{:<36} {:>14}", "metric", "value");
+        for (name, v) in metrics {
+            let _ = match v {
+                Value::Num(n) => writeln!(out, "{name:<36} {n:>14}"),
+                Value::Obj(hist) => {
+                    // A histogram snapshot: its headline statistics.
+                    let g = |key: &str| hist.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+                    let count = g("count");
+                    let mean = if count > 0.0 { g("sum") / count } else { 0.0 };
+                    writeln!(
+                        out,
+                        "{name:<36} count={count} mean={mean:.1} p50={} p90={} p99={} max={}",
+                        g("p50"),
+                        g("p90"),
+                        g("p99"),
+                        g("max"),
+                    )
+                }
+                other => writeln!(out, "{name:<36} {other:>14?}"),
+            };
+        }
+    }
+    out
+}
+
+/// A flame-style phase table: span aggregates keyed by `(depth, name)`,
+/// ordered depth-first (callers above callees), within a depth by total
+/// descending then name. `share` is relative to the total of depth-0
+/// spans; nested spans overlap their parents, so deeper rows can sum past
+/// 100%. The `events:` line after it counts events and skipped lines.
+fn phase_table(trace: &Trace) -> String {
     let mut aggs: BTreeMap<(u64, String), Agg> = BTreeMap::new();
     let mut events = 0u64;
-    for l in &lines {
+    for l in &trace.lines {
         match l {
             Line::Span {
                 name, depth, dur, ..
@@ -180,7 +305,7 @@ pub fn phase_table(text: &str) -> String {
             share,
         );
     }
-    let _ = writeln!(out, "\nevents: {events}  skipped-lines: {skipped}");
+    let _ = writeln!(out, "\nevents: {events}  skipped-lines: {}", trace.skipped);
     out
 }
 
@@ -225,7 +350,7 @@ mod tests {
 
     #[test]
     fn phase_table_orders_by_depth_then_total() {
-        let table = phase_table(TRACE);
+        let table = summary(TRACE);
         let lines: Vec<&str> = table.lines().collect();
         assert!(lines[1].starts_with("dse.run"), "{table}");
         assert!(lines[2].starts_with("  sched.place"), "{table}");
@@ -237,14 +362,77 @@ mod tests {
     }
 
     #[test]
+    fn summary_appends_event_counts_and_the_final_metrics_snapshot() {
+        let trace = format!(
+            "{TRACE}{}\n{}\n",
+            r#"{"seq":5,"t":6,"type":"bench.run","experiment":"y"}"#,
+            r#"{"seq":6,"t":7,"type":"metrics","metrics":{"dse.accepted":8,"dse.repair_moved":{"count":2,"sum":6,"max":4,"p50":2,"p90":4,"p99":4}}}"#,
+        );
+        let table = phase_table(&parse(&trace));
+        let out = summary(&trace);
+        // The phase table and its `events:` line come first, unchanged.
+        assert!(out.starts_with(&table), "{out}");
+        assert!(table.contains("events: 2  skipped-lines: 3"), "{table}");
+        let tail: Vec<&str> = out[table.len()..].lines().collect();
+        assert!(tail[1].starts_with("event ") && tail[2].starts_with("bench.run "));
+        assert!(tail[2].ends_with(" 2"), "{out}");
+        // Only the last snapshot is rendered; a histogram by its headline
+        // statistics.
+        assert!(tail[4].starts_with("metric ") && tail[5].starts_with("dse.accepted "));
+        assert!(tail[5].ends_with(" 8"), "{out}");
+        assert!(
+            tail[6].ends_with("count=2 mean=3.0 p50=2 p90=4 p99=4 max=4"),
+            "{out}"
+        );
+        assert_eq!(tail.len(), 7, "{out}");
+    }
+
+    fn run_on(args: &[&str]) -> Result<String, Failure> {
+        run(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn usage_errors_exit_2_and_an_unreadable_trace_exits_1() {
+        for args in [&[][..], &["--chrome"], &["a.jsonl", "b.jsonl"], &["--help"]] {
+            let err = run_on(args).unwrap_err();
+            assert_eq!(err.code, 2, "{args:?}");
+            assert!(err.message.contains("usage: overgen-profile"), "{args:?}");
+        }
+        let missing = std::env::temp_dir().join(format!(
+            "overgen-profile-missing-{}.jsonl",
+            std::process::id()
+        ));
+        let err = run_on(&[missing.to_str().unwrap()]).unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(err.message.contains("cannot read"), "{}", err.message);
+    }
+
+    /// A line nested past the parser's depth limit is one more malformed
+    /// line: counted, and the rest of the trace still renders.
+    #[test]
+    fn malformed_and_too_deep_lines_are_counted_not_fatal() {
+        let n = json::MAX_DEPTH + 1;
+        let deep = format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let path =
+            std::env::temp_dir().join(format!("overgen-profile-deep-{}.jsonl", std::process::id()));
+        std::fs::write(&path, format!("{TRACE}{deep}\n")).unwrap();
+        let out = run_on(&[path.to_str().unwrap()]);
+        std::fs::remove_file(&path).ok();
+        let out = out.unwrap();
+        assert!(out.starts_with("phase "), "{out}");
+        // The metrics line, `not json` and the deep line.
+        assert!(out.contains("skipped-lines: 3"), "{out}");
+    }
+
+    #[test]
     fn rendering_is_deterministic() {
-        assert_eq!(phase_table(TRACE), phase_table(TRACE));
+        assert_eq!(summary(TRACE), summary(TRACE));
         assert_eq!(chrome_trace(TRACE), chrome_trace(TRACE));
     }
 
     #[test]
     fn empty_trace_renders_without_root() {
-        let table = phase_table("");
+        let table = summary("");
         assert!(table.contains("events: 0"));
         let out = chrome_trace("");
         let v = json::parse(&out).unwrap();

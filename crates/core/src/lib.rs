@@ -31,11 +31,11 @@
 //! Generating a domain-specific overlay (the full DSE):
 //!
 //! ```no_run
-//! use overgen::{generate, GenerateConfig, workloads};
+//! use overgen::{dse::DseConfig, generate, workloads};
 //! use overgen_ir::Suite;
 //!
 //! let domain = workloads::suite(Suite::MachSuite);
-//! let overlay = generate(&domain, &GenerateConfig::default());
+//! let overlay = generate(&domain, &DseConfig::default());
 //! println!("{}", overlay.summary());
 //! ```
 
@@ -61,13 +61,6 @@ use overgen_mdfg::Mdfg;
 use overgen_model::{breakdown, AnalyticModel, ResourceBreakdown, TimeModel, XCVU9P};
 use overgen_scheduler::{schedule, Schedule, ScheduleError};
 use overgen_sim::{simulate, SimConfig, SimReport};
-
-/// Configuration for [`generate`].
-#[derive(Debug, Clone, Default)]
-pub struct GenerateConfig {
-    /// DSE configuration (iterations, seed, schedule-preserving, budget).
-    pub dse: DseConfig,
-}
 
 /// A generated (or hand-designed) overlay: the deployable artifact.
 #[derive(Debug, Clone)]
@@ -263,16 +256,15 @@ impl Overlay {
 /// (Figure 1's "Domain-Specific Overlay Generation" path). Panics when the
 /// domain cannot be scheduled even on a widened seed mesh; use
 /// [`try_generate`] to handle that case.
-pub fn generate(domain: &[Kernel], cfg: &GenerateConfig) -> Overlay {
+pub fn generate(domain: &[Kernel], cfg: &DseConfig) -> Overlay {
     try_generate(domain, cfg).expect("seed accelerator must schedule the domain")
 }
 
 /// Fallible [`generate`]: surfaces [`DseError`] instead of panicking when
 /// the seed accelerator cannot schedule every workload.
-pub fn try_generate(domain: &[Kernel], cfg: &GenerateConfig) -> Result<Overlay, DseError> {
-    let dse = Dse::new(domain.to_vec(), cfg.dse.clone());
-    let result = dse.run()?;
-    Ok(Overlay::from_dse(result, cfg.dse.compile))
+pub fn try_generate(domain: &[Kernel], cfg: &DseConfig) -> Result<Overlay, DseError> {
+    let result = Dse::new(domain.to_vec(), cfg.clone()).run()?;
+    Ok(Overlay::from_dse(result, cfg.compile))
 }
 
 /// Resume an interrupted overlay generation from a DSE checkpoint file

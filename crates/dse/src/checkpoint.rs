@@ -22,7 +22,7 @@ use std::time::Duration;
 use overgen_compiler::CompileOptions;
 use overgen_ir::Kernel;
 use overgen_model::{
-    ClockRegionGrid, DeviceBudget, FpgaDevice, PlacementMetrics, PlacerKind, Resources, XCVU9P,
+    ClockRegionGrid, DeviceBudget, FpgaDevice, PlacementMetrics, Resources, XCVU9P,
 };
 use overgen_telemetry::json::{self, Obj, Value};
 use overgen_telemetry::{Rng, SpanGuard};
@@ -402,7 +402,6 @@ impl Codec for Objective {
                 .put("soft_penalty", &b.soft_penalty),
             Objective::IpcPerLut => o,
             Objective::PlacementAware(p) => o
-                .str("placer", p.placer.name())
                 .put("grid", &p.grid)
                 .put("wirelength_penalty", &p.wirelength_penalty)
                 .put("wirelength_scale", &p.wirelength_scale)
@@ -445,17 +444,14 @@ impl Codec for Objective {
                 Objective::ConstrainedIpc(budget)
             }
             "ipc_per_lut" => Objective::IpcPerLut,
-            "placement_aware" => {
-                let placer = text(get(v, "placer")?)?;
-                Objective::PlacementAware(PlacementObjective {
-                    placer: PlacerKind::from_name(placer)
-                        .ok_or_else(|| format!("unknown placer `{placer}`"))?,
-                    grid: field(v, "grid")?,
-                    wirelength_penalty: field(v, "wirelength_penalty")?,
-                    wirelength_scale: field(v, "wirelength_scale")?,
-                    base_mhz: field(v, "base_mhz")?,
-                })
-            }
+            // A `placer` member, written while the placer was a
+            // configurable choice, is ignored.
+            "placement_aware" => Objective::PlacementAware(PlacementObjective {
+                grid: field(v, "grid")?,
+                wirelength_penalty: field(v, "wirelength_penalty")?,
+                wirelength_scale: field(v, "wirelength_scale")?,
+                base_mhz: field(v, "base_mhz")?,
+            }),
             k => return Err(format!("unknown objective kind `{k}`")),
         })
     }
@@ -642,27 +638,53 @@ mod tests {
         );
     }
 
-    /// Cut a run at proposal 3 of 6, write `members` (name, JSON value)
-    /// into its checkpoint before `cursor`, where the retired warm sets
-    /// sat, then load and resume it: the result must equal the
-    /// uninterrupted run's, and a save must drop the members again.
+    /// A placement-aware checkpoint written while the placer was a
+    /// configurable choice names it in the objective; a load ignores the
+    /// member and the resumed run ends as the uninterrupted one does.
+    #[test]
+    fn retired_placer_member_is_ignored() {
+        let objective = Objective::PlacementAware(PlacementObjective::default());
+        resume_legacy("legacy-placer", objective, |text| {
+            let kind = "\"kind\":\"placement_aware\",";
+            text.replacen(kind, &format!("{kind}\"placer\":\"simple_grid\","), 1)
+        });
+    }
+
+    /// Write `members` (name, JSON value) into a checkpoint before
+    /// `cursor`, where the retired warm sets sat, and resume it.
     fn resume_with_legacy_members(name: &str, members: &[(&str, &str)]) {
+        resume_legacy(name, Objective::default(), |text| {
+            let at = text.rfind(",\"cursor\":").unwrap();
+            let legacy: String = members
+                .iter()
+                .map(|(member, value)| format!(",\"{member}\":{value}"))
+                .collect();
+            format!("{}{legacy}{}", &text[..at], &text[at..])
+        });
+    }
+
+    /// Cut a run under `objective` at proposal 3 of 6, rewrite its
+    /// checkpoint in a retired format with `legacy`, then load and resume
+    /// it: the result must equal the uninterrupted run's, and a save must
+    /// write the current format again.
+    fn resume_legacy(name: &str, objective: Objective, legacy: impl FnOnce(&str) -> String) {
         let path = tmp(name);
-        let full = Dse::new(vec![vecadd()], small_cfg(path.clone()))
-            .run()
-            .unwrap();
-        let cut = DseConfig {
-            max_proposals: Some(3),
+        let cfg = |max_proposals| DseConfig {
+            objective: objective.clone(),
+            max_proposals,
             ..small_cfg(path.clone())
         };
-        assert!(!Dse::new(vec![vecadd()], cut).run().unwrap().completed);
+        let full = Dse::new(vec![vecadd()], cfg(None)).run().unwrap();
+        assert!(
+            !Dse::new(vec![vecadd()], cfg(Some(3)))
+                .run()
+                .unwrap()
+                .completed
+        );
         let text = std::fs::read_to_string(&path).unwrap();
-        let at = text.rfind(",\"cursor\":").unwrap();
-        let legacy: String = members
-            .iter()
-            .map(|(member, value)| format!(",\"{member}\":{value}"))
-            .collect();
-        std::fs::write(&path, format!("{}{legacy}{}", &text[..at], &text[at..])).unwrap();
+        let edited = legacy(&text);
+        assert_ne!(edited, text, "the retired format was not written");
+        std::fs::write(&path, edited).unwrap();
         let ck = Checkpoint::load(&path).unwrap();
         let mut re = ck.to_json();
         re.push('\n');
@@ -673,6 +695,7 @@ mod tests {
         assert_eq!(full.history, resumed.history);
         assert_eq!(full.variants, resumed.variants);
         assert_eq!(full.stats, resumed.stats);
+        assert_eq!(full.pareto, resumed.pareto);
         std::fs::remove_file(&path).ok();
     }
 

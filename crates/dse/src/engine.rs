@@ -36,7 +36,7 @@ use overgen_model::{AnalyticModel, ResourceModel, TimeModel};
 use overgen_scheduler::{Schedule, ScheduleFootprint};
 
 use crate::checkpoint::{Checkpoint, CheckpointConfig, MIN_WRITE_GAP};
-use crate::eval::{EvalPipeline, EvalState, ParetoFront, ParetoPoint};
+use crate::eval::{EvalPipeline, EvalState, ParetoFront};
 use crate::heartbeat::{Heartbeat, HeartbeatConfig};
 use crate::objective::Objective;
 use crate::pool::fan_out;
@@ -624,11 +624,7 @@ impl Dse {
         // Chains all start from the same seed state with split-derived
         // RNGs, and from a frontier holding just the seed point.
         let t0 = (seed_state.objective * 0.25).max(1e-3);
-        let seed_pareto = ParetoFront::from_points([ParetoPoint {
-            ipc: seed_state.objective,
-            resources: seed_state.resources,
-            placement: seed_state.placement,
-        }]);
+        let seed_pareto = ParetoFront::from_points([seed_state.pareto_point()]);
         let mut master = Rng::seed_from_u64(self.cfg.seed);
         let states: Vec<ChainState> = (0..chains)
             .map(|_| ChainState {
@@ -985,11 +981,7 @@ impl Dse {
             };
 
             // Every valid evaluation feeds the frontier, accepted or not.
-            st.pareto.insert(ParetoPoint {
-                ipc: eval.objective,
-                resources: eval.resources,
-                placement: eval.placement,
-            });
+            st.pareto.insert(eval.pareto_point());
 
             let delta = eval.fitness - st.cur.fitness;
             let accept = eval.fitness >= st.cur.fitness || st.rng.gen_f64() < (delta / temp).exp();

@@ -1,8 +1,7 @@
 //! The proposal evaluation pipeline (paper Figure 6, steps 2–3), split out
 //! of the annealing driver: compile-variant lookup → per-workload
-//! schedule/repair → nested system DSE → performance estimate, producing a
-//! structured [`EvalReport`] that an [`Objective`](crate::Objective) maps
-//! to scalar fitness.
+//! schedule/repair → nested system DSE → performance estimate, scored to
+//! a scalar fitness by the run's [`Objective`](crate::Objective).
 //!
 //! [`EvalPipeline`] owns everything a proposal evaluation needs — the
 //! workload set, pre-compiled mDFG variants, the resource model, the
@@ -45,7 +44,7 @@ use overgen_adg::{SysAdg, SystemParams};
 use overgen_ir::Kernel;
 use overgen_mdfg::Mdfg;
 use overgen_model::{
-    accelerator_resources, Placement, PlacementMetrics, PlacementReport, ResourceModel, Resources,
+    accelerator_resources, Placement, PlacementMetrics, ResourceModel, Resources, SimpleGridPlacer,
     TimeModel,
 };
 use overgen_scheduler::{HwIndex, RepairOptions, RepairOutcome, Schedule, ScheduleFootprint};
@@ -53,33 +52,6 @@ use overgen_scheduler::{HwIndex, RepairOptions, RepairOutcome, Schedule, Schedul
 use crate::cache::{domain_salt, eval_key};
 use crate::engine::{Dse, DseConfig};
 use crate::system::{estimate_sweep, system_dse_sim, ScoreTables, SystemDseBackend};
-
-/// Structured outcome of one successful proposal evaluation: everything an
-/// [`Objective`](crate::Objective) may want to score, plus the artifacts
-/// the annealer keeps for the winning design.
-#[derive(Debug, Clone)]
-pub struct EvalReport {
-    /// Estimated IPC per workload (balance-penalty applied, weights not),
-    /// in workload-name order.
-    pub per_workload_ipc: BTreeMap<String, f64>,
-    /// Weighted-geomean estimated IPC over the domain — the run's primary
-    /// objective regardless of fitness policy.
-    pub ipc: f64,
-    /// Accelerator-tile resource vector (no core/NoC/L2).
-    pub resources: Resources,
-    /// Winning system parameters from the nested system DSE.
-    pub sys: SystemParams,
-    /// Best schedule per workload on this hardware.
-    pub schedules: BTreeMap<String, Schedule>,
-    /// Chosen variant index per workload.
-    pub variants: BTreeMap<String, u32>,
-    /// Merged footprint of the mutations that produced this proposal.
-    pub footprint: ScheduleFootprint,
-    /// Spatial placement of the winning system configuration. `Some` only
-    /// under a placement-aware objective; `None` keeps default-config
-    /// evaluations placement-invisible.
-    pub placement: Option<PlacementReport>,
-}
 
 /// Outcome of evaluating one design point, as the annealer keeps it.
 /// `pub(crate)` so checkpoints can persist and rebuild it
@@ -91,13 +63,25 @@ pub(crate) struct EvalState {
     pub(crate) variants: BTreeMap<String, u32>,
     /// Weighted-geomean estimated IPC (the display objective).
     pub(crate) objective: f64,
-    /// Scalar the annealer compares: `Objective::fitness` of the report.
+    /// Scalar the annealer compares: `Objective::fitness` of `objective`,
+    /// `resources` and `placement`.
     pub(crate) fitness: f64,
     /// Accelerator resource vector, kept for Pareto tracking.
     pub(crate) resources: Resources,
     /// Placement quality axes (placement-aware objectives only), kept for
     /// three-axis Pareto tracking.
     pub(crate) placement: Option<PlacementMetrics>,
+}
+
+impl EvalState {
+    /// This design's point on the trade-off frontier.
+    pub(crate) fn pareto_point(&self) -> ParetoPoint {
+        ParetoPoint {
+            ipc: self.objective,
+            resources: self.resources,
+            placement: self.placement,
+        }
+    }
 }
 
 /// A stored evaluation: outcome plus every side effect it produced, so
@@ -269,7 +253,7 @@ impl<'a> EvalPipeline<'a> {
     /// One full evaluation (Figure 6 steps 2-3): gate on the objective's
     /// hard resource budget, schedule or repair every workload in
     /// workload-name order, then run the nested system DSE and score the
-    /// report. Runs under a collector whose registry is the run registry
+    /// outcome. Runs under a collector whose registry is the run registry
     /// or an isolated capture's (see [`EvalPipeline::evaluate`]).
     ///
     /// Every workload is processed even after one fails: each one's repair
@@ -421,10 +405,7 @@ impl<'a> EvalPipeline<'a> {
         // counters, and no events here, keeping its traces byte-identical.
         let placement = self.cfg.objective.placement().map(|p| {
             let _place_timer = self.phase(Phase::Place, footprint.name());
-            let rep = p
-                .placer
-                .placer()
-                .place(&SysAdg::new(adg.clone(), sys), &resources, &p.grid);
+            let rep = SimpleGridPlacer.place(&SysAdg::new(adg.clone(), sys), &resources, &p.grid);
             eval_collector.registry().counter("dse.place.runs").inc();
             eval_collector
                 .registry()
@@ -432,7 +413,6 @@ impl<'a> EvalPipeline<'a> {
                 .add(rep.slr_crossings);
             event!(
                 "dse.place",
-                placer = p.placer.name(),
                 tiles = u64::from(sys.tiles),
                 span = u64::from(rep.span),
                 wirelength = rep.wirelength,
@@ -440,7 +420,7 @@ impl<'a> EvalPipeline<'a> {
                 slr_crossings = rep.slr_crossings,
                 fmax_mhz = rep.fmax_mhz,
             );
-            rep
+            rep.metrics()
         });
 
         // Performance estimate: per-workload IPC (with the schedule's
@@ -448,36 +428,28 @@ impl<'a> EvalPipeline<'a> {
         // objective of §V-A.
         let _objective_timer = self.phase(Phase::Objective, footprint.name());
         let spad_bw = overgen_model::spad_bandwidth(adg);
-        let mut per_workload_ipc: BTreeMap<String, f64> = BTreeMap::new();
-        let mut ipcs: Vec<(f64, f64)> = Vec::with_capacity(chosen.len());
-        for (k, (m, s, w)) in self.workloads.iter().zip(&chosen) {
-            let ipc =
-                overgen_model::estimate_ipc(m, &sys, spad_bw, &s.placement).ipc * s.balance_penalty;
-            per_workload_ipc.insert(k.name().to_string(), ipc);
-            ipcs.push((ipc, *w));
-        }
+        let ipcs: Vec<(f64, f64)> = chosen
+            .iter()
+            .map(|(m, s, w)| {
+                let ipc = overgen_model::estimate_ipc(m, &sys, spad_bw, &s.placement).ipc
+                    * s.balance_penalty;
+                (ipc, *w)
+            })
+            .collect();
         let ipc = overgen_model::weighted_geomean_ipc(&ipcs);
-
-        let report = EvalReport {
-            per_workload_ipc,
-            ipc,
-            resources,
-            sys,
-            schedules,
-            variants,
-            footprint,
-            placement,
-        };
-        let fitness = self.cfg.objective.fitness(&report);
+        let fitness = self
+            .cfg
+            .objective
+            .fitness(ipc, &resources, placement.as_ref());
         (
             Some(Arc::new(EvalState {
-                sys: report.sys,
-                schedules: report.schedules,
-                variants: report.variants,
-                objective: report.ipc,
+                sys,
+                schedules,
+                variants,
+                objective: ipc,
                 fitness,
-                resources: report.resources,
-                placement: report.placement.as_ref().map(PlacementReport::metrics),
+                resources,
+                placement,
             })),
             sim,
         )
@@ -575,16 +547,6 @@ pub struct ParetoPoint {
 }
 
 impl ParetoPoint {
-    /// A two-axis point (no placement), as every pre-placement caller
-    /// built them.
-    pub fn new(ipc: f64, resources: Resources) -> ParetoPoint {
-        ParetoPoint {
-            ipc,
-            resources,
-            placement: None,
-        }
-    }
-
     /// `self` dominates `other` when it is no worse on every axis (IPC
     /// maximized; resource channels and — when both points carry them —
     /// placement wirelength/congestion/SLR-crossings minimized) and
@@ -785,15 +747,16 @@ mod tests {
     }
 
     fn pt(ipc: f64, lut: f64, bram: f64) -> ParetoPoint {
-        ParetoPoint::new(
+        ParetoPoint {
             ipc,
-            Resources {
+            resources: Resources {
                 lut,
                 ff: lut * 1.2,
                 bram,
                 dsp: 8.0,
             },
-        )
+            placement: None,
+        }
     }
 
     fn place_pt(ipc: f64, lut: f64, wirelength: f64, congestion: f64, slr: u64) -> ParetoPoint {

@@ -60,15 +60,14 @@ mod system;
 
 pub use checkpoint::{Checkpoint, CheckpointConfig, MIN_WRITE_GAP};
 pub use engine::{Dse, DseConfig, DseError, DseResult, DseStats, StopFlag};
-pub use eval::{EvalReport, ParetoFront, ParetoPoint};
+pub use eval::{ParetoFront, ParetoPoint};
 pub use heartbeat::HeartbeatConfig;
 pub use objective::{GeomeanIpcWeights, Objective, PlacementObjective};
 // Re-exported so `Objective::ConstrainedIpc(DeviceBudget::vcu118())` and
 // `Objective::PlacementAware(PlacementObjective::default())` need only
 // this crate.
 pub use overgen_model::{
-    ClockRegionGrid, DeviceBudget, GridCell, PlacementMetrics, PlacementReport, Placer, PlacerKind,
-    SimpleGridPlacer,
+    ClockRegionGrid, DeviceBudget, GridCell, PlacementMetrics, PlacementReport, SimpleGridPlacer,
 };
 pub use rewrite::{
     infer_footprint, kind_name, AdgDelta, Application, Mutation, RecordedAdg, Rule, RuleOutcome,

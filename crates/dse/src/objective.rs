@@ -1,5 +1,7 @@
-//! Pluggable DSE objectives: the mapping from a structured evaluation
-//! report ([`EvalReport`]) to the scalar fitness the annealer optimizes.
+//! Pluggable DSE objectives: the mapping from what an evaluation keeps —
+//! its weighted-geomean IPC, accelerator resources and, under a
+//! placement-aware objective, placement metrics — to the scalar fitness
+//! the annealer optimizes.
 //!
 //! The paper's DSE favours "estimated performance first and
 //! resources-per-accelerator second" (§V-A) under a hard FPGA budget.
@@ -12,7 +14,7 @@
 //! different objectives can never share stored fitness or resume into
 //! each other (see `cache.rs` and `checkpoint.rs`).
 //!
-//! Three policies ship:
+//! Four policies ship:
 //!
 //! * [`Objective::WeightedGeomeanIpc`] — the default, bit-identical to the
 //!   pre-refactor behavior: weighted-geomean estimated IPC with a small
@@ -26,11 +28,14 @@
 //! * [`Objective::IpcPerLut`] — area efficiency: IPC per kilo-LUT of
 //!   accelerator, for overlays where the device is shared and every LUT
 //!   has an opportunity cost.
+//! * [`Objective::PlacementAware`] — every admitted evaluation is placed
+//!   onto the clock-region grid by [`SimpleGridPlacer`], and the placed
+//!   clock and NoC wirelength scale fitness ([`PlacementObjective`]).
+//!
+//! [`SimpleGridPlacer`]: overgen_model::SimpleGridPlacer
 
 use overgen_adg::StableHasher;
-use overgen_model::{ClockRegionGrid, DeviceBudget, PlacerKind, Resources};
-
-use crate::eval::EvalReport;
+use overgen_model::{ClockRegionGrid, DeviceBudget, PlacementMetrics, Resources};
 
 /// Named calibration of the default objective's resource pressure term.
 ///
@@ -57,22 +62,18 @@ impl Default for GeomeanIpcWeights {
     }
 }
 
-/// Configuration of the placement-aware objective: which placer runs,
-/// which grid it places onto, and how placement quality scales fitness.
+/// Configuration of the placement-aware objective: which grid the
+/// placer places onto, and how placement quality scales fitness.
 ///
 /// Fitness is
 /// `ipc * (fmax_mhz / base_mhz) * (1 - wirelength_penalty * min(wirelength / wirelength_scale, 1))`
-/// where `fmax_mhz` comes from the [`PlacementReport`] and already folds
+/// where `fmax_mhz` comes from the [`PlacementMetrics`] and already folds
 /// in congestion (through the shared clock curve) and SLR crossings, so
 /// an over-congested or die-straddling design pays directly in fitness,
 /// and NoC wirelength adds the same mild pressure the default objective
 /// applies to LUTs.
-///
-/// [`PlacementReport`]: overgen_model::PlacementReport
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementObjective {
-    /// The placer to run on every admitted evaluation.
-    pub placer: PlacerKind,
     /// The clock-region/SLR grid to place onto.
     pub grid: ClockRegionGrid,
     /// Maximum fitness discount for NoC wirelength pressure (mirrors
@@ -90,7 +91,6 @@ pub struct PlacementObjective {
 impl Default for PlacementObjective {
     fn default() -> Self {
         PlacementObjective {
-            placer: PlacerKind::SimpleGrid,
             grid: ClockRegionGrid::vcu118(),
             wirelength_penalty: 0.05,
             wirelength_scale: 64.0,
@@ -161,29 +161,34 @@ impl Objective {
         }
     }
 
-    /// Map an evaluation report to the scalar fitness the annealer
-    /// maximizes. `report.ipc` (the weighted-geomean estimated IPC) stays
-    /// the run's *display* objective regardless of policy; fitness is what
-    /// accept/reject, best-state, and island exchange compare.
-    pub fn fitness(&self, report: &EvalReport) -> f64 {
+    /// Map an evaluation's weighted-geomean estimated IPC, accelerator
+    /// resources and placement metrics to the scalar fitness the annealer
+    /// maximizes. `ipc` stays the run's *display* objective regardless of
+    /// policy; fitness is what accept/reject, best-state, and island
+    /// exchange compare.
+    pub fn fitness(
+        &self,
+        ipc: f64,
+        resources: &Resources,
+        placement: Option<&PlacementMetrics>,
+    ) -> f64 {
         match self {
             Objective::WeightedGeomeanIpc(w) => {
-                report.ipc * (1.0 - w.lut_penalty * (report.resources.lut / w.lut_scale).min(1.0))
+                ipc * (1.0 - w.lut_penalty * (resources.lut / w.lut_scale).min(1.0))
             }
-            Objective::ConstrainedIpc(budget) => report.ipc * budget.soft_factor(&report.resources),
-            Objective::IpcPerLut => report.ipc * 1.0e3 / report.resources.lut.max(1.0),
-            Objective::PlacementAware(p) => match &report.placement {
+            Objective::ConstrainedIpc(budget) => ipc * budget.soft_factor(resources),
+            Objective::IpcPerLut => ipc * 1.0e3 / resources.lut.max(1.0),
+            Objective::PlacementAware(p) => match placement {
                 Some(place) => {
-                    report.ipc
-                        * (place.fmax_mhz / p.base_mhz)
+                    ipc * (place.fmax_mhz / p.base_mhz)
                         * (1.0
                             - p.wirelength_penalty
                                 * (place.wirelength / p.wirelength_scale).min(1.0))
                 }
                 // Unreachable through the pipeline (a placement-aware run
                 // places every admitted evaluation); score plain IPC for
-                // library callers building reports by hand.
-                None => report.ipc,
+                // library callers that pass no placement.
+                None => ipc,
             },
         }
     }
@@ -209,7 +214,9 @@ impl Objective {
             }
             Objective::IpcPerLut => {}
             Objective::PlacementAware(p) => {
-                h.write_str(p.placer.name());
+                // The name of the one placer, hashed as when the placer
+                // was a configurable choice, so no key moves.
+                h.write_str("simple_grid");
                 h.write_str(p.grid.device.name);
                 h.write_f64(p.grid.device.total.lut);
                 h.write_f64(p.grid.device.total.ff);
@@ -229,38 +236,26 @@ impl Objective {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
-    use overgen_adg::{mesh, MeshSpec, SpadNode, SystemParams};
+    use overgen_adg::{mesh, MeshSpec, SpadNode};
     use overgen_model::{accelerator_resources, AnalyticModel};
-    use overgen_scheduler::ScheduleFootprint;
 
-    fn report(ipc: f64, resources: Resources) -> EvalReport {
-        EvalReport {
-            per_workload_ipc: BTreeMap::new(),
-            ipc,
-            resources,
-            sys: SystemParams::default(),
-            schedules: BTreeMap::new(),
-            variants: BTreeMap::new(),
-            footprint: ScheduleFootprint::Pure,
-            placement: None,
+    fn lut(lut: f64) -> Resources {
+        Resources {
+            lut,
+            ..Resources::ZERO
         }
     }
 
     #[test]
     fn default_fitness_matches_the_legacy_inline_formula() {
         let obj = Objective::default();
-        for (ipc, lut) in [(154.0, 48_213.0), (3.25, 2_400_000.0), (12.0, 0.0)] {
-            let r = report(
-                ipc,
-                Resources {
-                    lut,
-                    ..Resources::ZERO
-                },
+        for (ipc, luts) in [(154.0, 48_213.0_f64), (3.25, 2_400_000.0), (12.0, 0.0)] {
+            let legacy = ipc * (1.0 - 0.05 * (luts / 1.0e6).min(1.0));
+            assert_eq!(
+                obj.fitness(ipc, &lut(luts), None).to_bits(),
+                legacy.to_bits()
             );
-            let legacy = ipc * (1.0 - 0.05 * (lut / 1.0e6).min(1.0));
-            assert_eq!(obj.fitness(&r).to_bits(), legacy.to_bits());
         }
     }
 
@@ -328,24 +323,12 @@ mod tests {
 
     #[test]
     fn ipc_per_lut_prefers_the_smaller_design() {
-        let small = report(
-            10.0,
-            Resources {
-                lut: 50_000.0,
-                ..Resources::ZERO
-            },
-        );
-        let big = report(
-            12.0,
-            Resources {
-                lut: 400_000.0,
-                ..Resources::ZERO
-            },
-        );
+        let small = |o: &Objective| o.fitness(10.0, &lut(50_000.0), None);
+        let big = |o: &Objective| o.fitness(12.0, &lut(400_000.0), None);
         let obj = Objective::IpcPerLut;
-        assert!(obj.fitness(&small) > obj.fitness(&big));
+        assert!(small(&obj) > big(&obj));
         // ...while the default prefers the faster one.
-        assert!(Objective::default().fitness(&big) > Objective::default().fitness(&small));
+        assert!(big(&Objective::default()) > small(&Objective::default()));
     }
 
     fn fir() -> overgen_ir::Kernel {
@@ -410,56 +393,23 @@ mod tests {
     /// placement-aware analogue of the default LUT-pressure test.
     #[test]
     fn placement_aware_fitness_penalizes_bad_placement() {
-        use overgen_model::{PlacementReport, Placer, SimpleGridPlacer};
-
         let obj = Objective::PlacementAware(PlacementObjective::default());
-        let place = |fmax: f64, wl: f64| {
-            let mut r = report(
-                10.0,
-                Resources {
-                    lut: 50_000.0,
-                    ..Resources::ZERO
-                },
-            );
-            r.placement = Some(PlacementReport {
-                cells: Vec::new(),
-                hub: overgen_model::GridCell { col: 3, row: 7 },
-                span: 1,
-                wirelength: wl,
+        let place = |fmax_mhz: f64, wirelength: f64| {
+            let metrics = PlacementMetrics {
+                wirelength,
                 congestion: 0.5,
                 slr_crossings: 0,
-                fmax_mhz: fmax,
-            });
-            r
+                fmax_mhz,
+            };
+            obj.fitness(10.0, &lut(50_000.0), Some(&metrics))
         };
         // At the 100 MHz base with zero wirelength, fitness is plain IPC.
-        assert_eq!(obj.fitness(&place(100.0, 0.0)), 10.0);
+        assert_eq!(place(100.0, 0.0), 10.0);
         // A slower clock scales fitness down proportionally...
-        assert_eq!(obj.fitness(&place(50.0, 0.0)), 5.0);
+        assert_eq!(place(50.0, 0.0), 5.0);
         // ...and wirelength adds the saturating discount.
-        assert!(obj.fitness(&place(100.0, 32.0)) < 10.0);
-        assert_eq!(
-            obj.fitness(&place(100.0, 64.0)),
-            obj.fitness(&place(100.0, 640.0))
-        );
-        // The shipped placer exists and self-identifies.
-        assert_eq!(SimpleGridPlacer.name(), PlacerKind::SimpleGrid.name());
-    }
-
-    #[test]
-    fn placement_aware_objective_runs_and_fills_a_three_axis_frontier() {
-        let cfg = crate::DseConfig {
-            objective: Objective::PlacementAware(PlacementObjective::default()),
-            ..quick_cfg(15)
-        };
-        let r = crate::Dse::new(vec![fir()], cfg).run().unwrap();
-        assert!(r.objective > 0.0);
-        assert!(!r.pareto.is_empty());
-        for p in r.pareto.points() {
-            let m = p.placement.expect("placement-aware points carry metrics");
-            assert!(m.fmax_mhz >= 40.0 && m.fmax_mhz < 160.0);
-            assert!(m.congestion > 0.0);
-        }
+        assert!(place(100.0, 32.0) < 10.0);
+        assert_eq!(place(100.0, 64.0), place(100.0, 640.0));
     }
 
     #[test]

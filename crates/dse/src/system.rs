@@ -107,9 +107,8 @@ impl Grid {
     }
 }
 
-/// How the sweep scores a feasible grid point, in the `Placer` style of
-/// `overgen_model::placement`: the walk, the budget check and the
-/// selection rule are shared, only the scoring differs.
+/// How the sweep scores a feasible grid point: the walk, the budget check
+/// and the selection rule are shared, only the scoring differs.
 trait Scorer {
     /// An upper bound on the point's score; the walk skips the point when
     /// even the bound cannot win. `None` admits every point.

@@ -42,8 +42,7 @@ pub use perf::{
     estimate_ipc, spad_bandwidth, weighted_geomean_ipc, Level, PerfEstimate, PerfSummary, Placement,
 };
 pub use placement::{
-    noc_wirelength, ClockRegionGrid, GridCell, PlacementMetrics, PlacementReport, Placer,
-    PlacerKind, SimpleGridPlacer,
+    noc_wirelength, ClockRegionGrid, GridCell, PlacementMetrics, PlacementReport, SimpleGridPlacer,
 };
 pub use resources::{
     fmax_curve, DeviceBudget, FpgaDevice, ResourceBreakdown, Resources, Utilization,

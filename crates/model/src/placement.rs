@@ -6,7 +6,7 @@
 //! (§VI-D). The four-channel [`Resources`] sums the rest of the model
 //! works with cannot see that axis, so this module adds the coarsest
 //! physical model that can: the device is a grid of *clock regions*
-//! grouped into SLRs ([`ClockRegionGrid`]), a [`Placer`] maps the
+//! grouped into SLRs ([`ClockRegionGrid`]), a placer maps the
 //! system-level tiles and their NoC links onto grid cells, and the
 //! resulting [`PlacementReport`] carries NoC wirelength, peak region
 //! congestion, SLR-boundary crossings, and the achievable clock those
@@ -14,13 +14,11 @@
 //! work (arXiv:2001.11886): tiles are relocatable rectangular footprints
 //! on a device grid, and quality is a function of where they land.
 //!
-//! Placers are trait objects so DSE configuration can carry a placer
-//! *choice* (see [`PlacerKind`]) while the shipped implementation stays a
-//! zero-state deterministic function: [`SimpleGridPlacer`] packs tile
-//! footprints row-major and routes every NoC link to a central hub.
-//! Everything here is a pure function of its inputs — no RNG, no ambient
-//! state — which is what lets DSE traces stay byte-identical at any
-//! thread count when placement is enabled.
+//! One placer ships, and the DSE calls it directly: [`SimpleGridPlacer`]
+//! packs tile footprints row-major and routes every NoC link to a central
+//! hub. Everything here is a pure function of its inputs — no RNG, no
+//! ambient state — which is what lets DSE traces stay byte-identical at
+//! any thread count when placement is enabled.
 
 use overgen_adg::SysAdg;
 
@@ -171,33 +169,21 @@ pub struct PlacementMetrics {
     pub fmax_mhz: f64,
 }
 
-/// A spatial placer: maps the system-level tiles (and their NoC links) of
-/// an overlay onto a [`ClockRegionGrid`]. Implementations must be pure
-/// deterministic functions of their arguments — reports feed cached,
-/// byte-compared DSE evaluations.
-pub trait Placer: Send + Sync {
-    /// Stable identifier, folded into config hashes and checkpoints.
-    fn name(&self) -> &'static str;
-
-    /// Place `sys.sys.tiles` homogeneous tiles of `tile` resources each
-    /// (plus the shared L2 at the hub) onto `grid`.
-    fn place(&self, sys: &SysAdg, tile: &Resources, grid: &ClockRegionGrid) -> PlacementReport;
-}
-
-/// The shipped deterministic placer: tiles take contiguous row-major runs
-/// of clock regions sized to their demand, the L2/NoC hub sits at the
-/// grid's center region, and every tile's NoC link routes straight to it.
-/// No search — placement cost must stay negligible against scheduling and
-/// the system DSE, and a pure layout function is trivially deterministic.
+/// The spatial placer: maps the system-level tiles (and their NoC links)
+/// of an overlay onto a [`ClockRegionGrid`]. Tiles take contiguous
+/// row-major runs of clock regions sized to their demand, the L2/NoC hub
+/// sits at the grid's center region, and every tile's NoC link routes
+/// straight to it. No search — placement cost must stay negligible against
+/// scheduling and the system DSE, and a pure layout function is trivially
+/// deterministic, as the cached, byte-compared DSE evaluations its reports
+/// feed require.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimpleGridPlacer;
 
-impl Placer for SimpleGridPlacer {
-    fn name(&self) -> &'static str {
-        "simple_grid"
-    }
-
-    fn place(&self, sys: &SysAdg, tile: &Resources, grid: &ClockRegionGrid) -> PlacementReport {
+impl SimpleGridPlacer {
+    /// Place `sys.sys.tiles` homogeneous tiles of `tile` resources each
+    /// (plus the shared L2 at the hub) onto `grid`.
+    pub fn place(&self, sys: &SysAdg, tile: &Resources, grid: &ClockRegionGrid) -> PlacementReport {
         let tiles = sys.sys.tiles.max(1);
         let regions = grid.regions().max(1);
         // Footprint: enough regions that no channel of the spread-out tile
@@ -274,42 +260,8 @@ impl Placer for SimpleGridPlacer {
     }
 }
 
-/// A serializable placer choice, resolvable to the trait object the
-/// evaluation pipeline calls. This is what configs, hashes, and
-/// checkpoints carry; [`Placer`] stays open for unregistered
-/// implementations in library use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacerKind {
-    /// [`SimpleGridPlacer`].
-    SimpleGrid,
-}
-
-impl PlacerKind {
-    /// Stable name (checkpoints, config hashes).
-    pub fn name(self) -> &'static str {
-        match self {
-            PlacerKind::SimpleGrid => "simple_grid",
-        }
-    }
-
-    /// Parse a stable name back to a kind.
-    pub fn from_name(name: &str) -> Option<PlacerKind> {
-        match name {
-            "simple_grid" => Some(PlacerKind::SimpleGrid),
-            _ => None,
-        }
-    }
-
-    /// The placer this kind names.
-    pub fn placer(self) -> &'static dyn Placer {
-        match self {
-            PlacerKind::SimpleGrid => &SimpleGridPlacer,
-        }
-    }
-}
-
 /// Total NoC wirelength of a set of tile anchors linked to one hub, in
-/// clock-region hops. Exposed separately from [`Placer::place`] so the
+/// clock-region hops. Exposed separately from [`SimpleGridPlacer::place`] so the
 /// relabeling-invariance property (wirelength is a function of the cell
 /// *multiset*, never of tile ids) is testable directly.
 pub fn noc_wirelength(cells: &[GridCell], hub: GridCell) -> f64 {
@@ -419,13 +371,5 @@ mod tests {
         let a = SimpleGridPlacer.place(&sys_with_tiles(5), &tile(70_000.0), &g);
         let b = SimpleGridPlacer.place(&sys_with_tiles(5), &tile(70_000.0), &g);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn placer_kind_round_trips() {
-        let k = PlacerKind::SimpleGrid;
-        assert_eq!(PlacerKind::from_name(k.name()), Some(k));
-        assert_eq!(PlacerKind::from_name("no_such_placer"), None);
-        assert_eq!(k.placer().name(), "simple_grid");
     }
 }

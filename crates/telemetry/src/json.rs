@@ -5,7 +5,7 @@
 //! strings are escaped per RFC 8259. [`Obj`] is the one object writer:
 //! trace lines, manifests, BENCH records, checkpoints and store entries
 //! all append through it. The parser is the minimal recursive-descent
-//! reader `trace-summary` needs to consume JSONL traces; it refuses
+//! reader `overgen-profile` needs to consume JSONL traces; it refuses
 //! documents nested deeper than [`MAX_DEPTH`].
 
 use std::borrow::BorrowMut;

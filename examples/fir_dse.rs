@@ -6,7 +6,7 @@
 //! cargo run --release --example fir_dse
 //! ```
 
-use overgen::{generate, generation_hours, workloads, GenerateConfig, Overlay};
+use overgen::{generate, generation_hours, workloads, Overlay};
 use overgen_dse::DseConfig;
 use overgen_hls::{explore, AutoDseConfig};
 
@@ -17,12 +17,10 @@ fn main() {
     println!("running DSE for a fir-specialised overlay ...");
     let overlay = generate(
         std::slice::from_ref(&fir),
-        &GenerateConfig {
-            dse: DseConfig {
-                iterations: 60,
-                seed: 7,
-                ..Default::default()
-            },
+        &DseConfig {
+            iterations: 60,
+            seed: 7,
+            ..Default::default()
         },
     );
     let p = overlay.dse.as_ref().expect("generated by DSE");

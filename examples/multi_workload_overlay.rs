@@ -7,7 +7,7 @@
 //! cargo run --release --example multi_workload_overlay
 //! ```
 
-use overgen::{generate, workloads, GenerateConfig};
+use overgen::{generate, workloads};
 use overgen_dse::DseConfig;
 use overgen_ir::Suite;
 
@@ -26,12 +26,10 @@ fn main() {
     );
     let overlay = generate(
         &training,
-        &GenerateConfig {
-            dse: DseConfig {
-                iterations: 60,
-                seed: 11,
-                ..Default::default()
-            },
+        &DseConfig {
+            iterations: 60,
+            seed: 11,
+            ..Default::default()
         },
     );
     println!("chosen system: {:?}", overlay.sys_adg.sys);

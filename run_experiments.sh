@@ -7,7 +7,7 @@
 #   results/<name>.json         run manifest (seed, iters, wall time, metrics)
 #   results/<name>.trace.jsonl  JSONL event trace, when OVERGEN_TRACE=1
 # OVERGEN_DSE_ITERS scales DSE effort (EXPERIMENTS.md runs used 100).
-# Summarize a trace with: $B/trace-summary results/<name>.trace.jsonl
+# Summarize a trace with: $B/overgen-profile results/<name>.trace.jsonl
 set -eu
 cargo build -q --release -p overgen-bench
 B=${CARGO_TARGET_DIR:-./target}/release

@@ -503,6 +503,7 @@ stage_placement() {
 
     echo "== placement: property + golden suite (default runs untouched) =="
     cargo test -q --release --test placement
+    cargo test -q --release --test objective_equivalence default_objective_is_byte_identical
 
     PL_TMP=$(stage_dir placement)
 

@@ -8,13 +8,15 @@
 //! before the checkpoint and store codecs were rewritten, so a digest that
 //! moves means an on-disk byte changed.
 //!
-//! They were re-pinned twice. When the system-DSE memo was retired, each
-//! checkpoint equalled the earlier one minus the member that held that
-//! memo's warm set, and each store the earlier files minus its `sys-*`
-//! entries. When the evaluation memo was retired, each checkpoint
+//! They were re-pinned three times. When the system-DSE memo was retired,
+//! each checkpoint equalled the earlier one minus the member that held
+//! that memo's warm set, and each store the earlier files minus its
+//! `sys-*` entries. When the evaluation memo was retired, each checkpoint
 //! equalled the earlier one minus its warm set (`eval_keys`) and with
 //! `stats.cache_hits`/`cache_misses` zeroed, and every store file was
-//! byte-identical.
+//! byte-identical. When the placer stopped being a configurable choice,
+//! only `placement-aware` moved: its checkpoint equalled the earlier one
+//! minus the objective's `"placer":"simple_grid",` member.
 //!
 //! The cases cover the format's quirks: hex-string integers next to the
 //! store header's decimal `version`, `"op.dtype"` PE capabilities, flat
@@ -180,7 +182,8 @@ fn store_cfg() -> DseConfig {
 }
 
 // Pinned before the codec rewrite and re-pinned when the system-DSE memo
-// and then the evaluation memo were retired (see module docs);
+// and then the evaluation memo were retired, and `placement-aware` when
+// the placer choice was (see module docs);
 // `store-untraced` was pinned before untraced runs stopped recording
 // evaluation traces.
 const GOLDEN: [(&str, u64); 9] = [
@@ -188,7 +191,7 @@ const GOLDEN: [(&str, u64); 9] = [
     ("default-untraced", 0x01f74dda2c49e3e6),
     ("constrained", 0xadb112b743f9ee4f),
     ("ipc-per-lut", 0x727ea58b1333e86d),
-    ("placement-aware", 0xa7102c40f303614a),
+    ("placement-aware", 0x27c408491a398e05),
     ("compound", 0x94c009fc223e745d),
     ("custom-device", 0xc64e77795ae734db),
     ("store", 0x6fc0df70850947ae),

@@ -1,23 +1,21 @@
 //! Cross-crate integration: the full OverGen pipeline — compile, DSE,
 //! schedule, simulate — on real paper workloads.
 
-use overgen::{generate, workloads, GenerateConfig, Overlay};
+use overgen::{generate, workloads, Overlay};
 use overgen_compiler::CompileOptions;
 use overgen_dse::DseConfig;
 use overgen_hls::{explore, AutoDseConfig};
 use overgen_ir::Suite;
 
-fn quick_dse(iterations: usize, seed: u64) -> GenerateConfig {
-    GenerateConfig {
-        dse: DseConfig {
-            iterations,
-            seed,
-            compile: CompileOptions {
-                max_unroll: 8,
-                ..Default::default()
-            },
+fn quick_dse(iterations: usize, seed: u64) -> DseConfig {
+    DseConfig {
+        iterations,
+        seed,
+        compile: CompileOptions {
+            max_unroll: 8,
             ..Default::default()
         },
+        ..Default::default()
     }
 }
 

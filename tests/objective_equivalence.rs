@@ -132,6 +132,15 @@ fn default_objective_is_byte_identical_to_pre_refactor() {
             want_t,
             "trace drifted from pre-refactor golden (threads={threads} cache={cache})"
         );
+        // The placement stage runs only under a placement-aware objective.
+        assert!(
+            !trace.contains("dse.place"),
+            "default runs must emit no placement events"
+        );
+        assert!(
+            r.pareto.points().iter().all(|p| p.placement.is_none()),
+            "default runs must keep two-axis Pareto points"
+        );
         assert_eq!(
             result_digest(&run_dse(golden_cfg(threads, cache))),
             want_r,

@@ -1,10 +1,9 @@
-//! The spatial-placement contract (DESIGN.md §14), in two halves.
+//! The spatial-placement contract (DESIGN.md §14).
 //!
-//! **Default configs cannot see placement.** The placement stage runs only
-//! under `Objective::PlacementAware`; a default-objective run must stay
-//! byte-identical to the pre-placement goldens captured in
-//! `objective_equivalence.rs` — same result digest, same trace digest, no
-//! `dse.place` events, no placement metrics on any Pareto point.
+//! The placement stage runs only under `Objective::PlacementAware`; that
+//! a default-objective run cannot see it (its pre-placement goldens, no
+//! `dse.place` events, no placement metrics on any Pareto point) is
+//! pinned in `objective_equivalence.rs`.
 //!
 //! **Placement-aware runs inherit every determinism guarantee.** Same
 //! results and byte-identical traces at any thread count, every tile
@@ -15,7 +14,7 @@
 use overgen_adg::{mesh, MeshSpec, SysAdg, SystemParams};
 use overgen_compiler::CompileOptions;
 use overgen_dse::{Dse, DseConfig, DseResult, Objective, PlacementObjective};
-use overgen_model::{noc_wirelength, ClockRegionGrid, Placer, Resources, SimpleGridPlacer};
+use overgen_model::{noc_wirelength, ClockRegionGrid, Resources, SimpleGridPlacer};
 use overgen_telemetry::Collector;
 use overgen_workloads as workloads;
 
@@ -31,8 +30,7 @@ fn fold_u64(h: u64, v: u64) -> u64 {
     fnv1a64(&v.to_le_bytes(), h)
 }
 
-/// Same digest as `objective_equivalence.rs`, so the golden constants
-/// there are directly comparable here.
+/// Same digest as `objective_equivalence.rs`.
 fn result_digest(r: &DseResult) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     h = fold_u64(h, r.objective.to_bits());
@@ -67,7 +65,7 @@ fn trace_digest(trace: &str) -> u64 {
     fnv1a64(trace.as_bytes(), 0xcbf2_9ce4_8422_2325)
 }
 
-/// The golden run configuration from `objective_equivalence.rs`.
+/// The golden run configuration of `objective_equivalence.rs`.
 fn golden_cfg(threads: usize) -> DseConfig {
     DseConfig {
         iterations: 24,
@@ -91,55 +89,31 @@ fn run(cfg: DseConfig) -> (DseResult, String) {
     (result, ring.to_jsonl())
 }
 
-// The pre-placement goldens of the default config, pinned in
-// `objective_equivalence.rs` (captured with the cache off; with no store
-// the cache changes nothing).
-const GOLDEN_RESULT: u64 = 0x4604efe105b411dc;
-const GOLDEN_TRACE: u64 = 0xd6ef98dbfbaf1d5e;
-
-#[test]
-fn default_objective_runs_are_untouched_by_the_placement_stage() {
-    let (r, trace) = run(golden_cfg(1));
-    assert_eq!(
-        result_digest(&r),
-        GOLDEN_RESULT,
-        "adding the placement stage changed a default-objective result"
-    );
-    assert_eq!(
-        trace_digest(&trace),
-        GOLDEN_TRACE,
-        "adding the placement stage changed a default-objective trace"
-    );
-    assert!(
-        !trace.contains("dse.place"),
-        "default runs must emit no placement events"
-    );
-    assert!(
-        r.pareto.points().iter().all(|p| p.placement.is_none()),
-        "default runs must keep two-axis Pareto points"
-    );
-}
-
 #[test]
 fn placement_aware_runs_differ_and_fill_a_three_axis_frontier() {
     let (r, trace) = run(DseConfig {
         objective: Objective::PlacementAware(PlacementObjective::default()),
         ..golden_cfg(1)
     });
+    let (default, _) = run(golden_cfg(1));
     assert_ne!(
         result_digest(&r),
-        GOLDEN_RESULT,
+        result_digest(&default),
         "a placement-aware objective must actually change selection"
     );
     assert!(
         trace.contains("\"type\":\"dse.place\""),
         "placement evaluations must be visible in the trace"
     );
+    assert!(r.objective > 0.0);
     assert!(!r.pareto.points().is_empty());
-    assert!(
-        r.pareto.points().iter().all(|p| p.placement.is_some()),
-        "every placement-aware Pareto point must carry the third axis"
-    );
+    for p in r.pareto.points() {
+        let m = p
+            .placement
+            .expect("every placement-aware Pareto point must carry the third axis");
+        assert!(m.fmax_mhz >= 40.0 && m.fmax_mhz < 160.0, "{m:?}");
+        assert!(m.congestion > 0.0, "{m:?}");
+    }
 }
 
 #[test]

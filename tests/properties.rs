@@ -398,15 +398,16 @@ fn pareto_front_is_the_non_dominated_subset_in_canonical_order() {
         let mut pts = Vec::with_capacity(n);
         for _ in 0..n {
             let mut q = |scale: f64| rng.gen_range(0u64..6) as f64 * scale;
-            pts.push(ParetoPoint::new(
-                q(0.5),
-                overgen_model::Resources {
+            pts.push(ParetoPoint {
+                ipc: q(0.5),
+                resources: overgen_model::Resources {
                     lut: q(1000.0),
                     ff: q(500.0),
                     bram: q(8.0),
                     dsp: q(4.0),
                 },
-            ));
+                placement: None,
+            });
         }
 
         let front = ParetoFront::from_points(pts.iter().copied());

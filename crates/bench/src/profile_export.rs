@@ -99,8 +99,9 @@ enum Line {
 }
 
 /// A parsed trace: its span and event lines in order, the count of the
-/// other lines (metrics snapshots and malformed lines — a truncated trace
-/// should still render what it has), and the last metrics snapshot.
+/// lines it could not read (malformed lines and lines without a type — a
+/// truncated trace should still render what it has), and the last metrics
+/// snapshot.
 struct Trace {
     lines: Vec<Line>,
     skipped: u64,
@@ -131,7 +132,6 @@ fn parse(text: &str) -> Trace {
                 });
             }
             Some("metrics") => {
-                skipped += 1;
                 if let Value::Obj(fields) = &mut v {
                     metrics = fields.remove("metrics");
                 }
@@ -357,8 +357,8 @@ mod tests {
         // 2 calls totalling 60 ticks = 60% of the 100-tick root.
         assert!(lines[2].contains("60.0%"), "{table}");
         assert!(table.contains("events: 1"), "{table}");
-        // metrics line + malformed line are skipped, not fatal.
-        assert!(table.contains("skipped-lines: 2"), "{table}");
+        // The malformed line is skipped, not fatal; the metrics line is read.
+        assert!(table.contains("skipped-lines: 1"), "{table}");
     }
 
     #[test]
@@ -372,7 +372,7 @@ mod tests {
         let out = summary(&trace);
         // The phase table and its `events:` line come first, unchanged.
         assert!(out.starts_with(&table), "{out}");
-        assert!(table.contains("events: 2  skipped-lines: 3"), "{table}");
+        assert!(table.contains("events: 2  skipped-lines: 1"), "{table}");
         let tail: Vec<&str> = out[table.len()..].lines().collect();
         assert!(tail[1].starts_with("event ") && tail[2].starts_with("bench.run "));
         assert!(tail[2].ends_with(" 2"), "{out}");
@@ -420,8 +420,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let out = out.unwrap();
         assert!(out.starts_with("phase "), "{out}");
-        // The metrics line, `not json` and the deep line.
-        assert!(out.contains("skipped-lines: 3"), "{out}");
+        // `not json` and the deep line.
+        assert!(out.contains("skipped-lines: 2"), "{out}");
     }
 
     #[test]

@@ -59,7 +59,7 @@ use overgen_dse::{Dse, DseConfig, DseError, DseResult};
 use overgen_ir::Kernel;
 use overgen_mdfg::Mdfg;
 use overgen_model::{breakdown, AnalyticModel, ResourceBreakdown, TimeModel, XCVU9P};
-use overgen_scheduler::{schedule, Schedule, ScheduleError};
+use overgen_scheduler::{HwIndex, Schedule, ScheduleError};
 use overgen_sim::{simulate, SimConfig, SimReport};
 
 /// A generated (or hand-designed) overlay: the deployable artifact.
@@ -190,7 +190,8 @@ impl Overlay {
     }
 
     /// Compile a kernel for this overlay: pre-generated variants are tried
-    /// widest-first until one schedules ("relax DFG complexity", §III-A).
+    /// widest-first until one schedules ("relax DFG complexity", §III-A),
+    /// all on one index of the overlay's hardware.
     ///
     /// # Errors
     ///
@@ -202,9 +203,10 @@ impl Overlay {
             compile_variants(kernel, &self.compile_opts).map_err(AppCompileError::Compile)?;
         let mut last_err = None;
         let seed = self.seed_schedules.get(kernel.name());
+        let hw = HwIndex::new(&self.sys_adg);
         for v in variants {
             let prior = seed.filter(|s| s.variant == v.variant());
-            match schedule(&v, &self.sys_adg, prior) {
+            match hw.schedule(&v, prior) {
                 Ok(s) => {
                     let secs = self
                         .time

@@ -1,5 +1,6 @@
 //! The placement + routing algorithm.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use overgen_adg::{Adg, AdgNode, NodeId, NodeKind, PeNode, SysAdg};
@@ -18,6 +19,13 @@ pub struct HwIndex<'a> {
     sys: &'a SysAdg,
     /// Bitset adjacency + kind table for routing and route revalidation.
     adj: AdjBits,
+    /// Per slot, the id of its first outgoing link: the links of slot `a`
+    /// are `link_start[a]..link_start[a + 1]`, numbered in `adg.succs(a)`
+    /// order, so every fabric link has one dense id below [`Self::links`].
+    link_start: Vec<u32>,
+    /// Per source slot: hop distances to every slot, filled on first use
+    /// and shared by every placement against this index.
+    dist: Vec<OnceCell<Vec<u32>>>,
     /// Summed scratchpad bandwidth (the §V-C model's on-chip bandwidth).
     spad_bw: f64,
     /// First generate engine in id order: every array-less stream's engine.
@@ -36,9 +44,20 @@ impl<'a> HwIndex<'a> {
                 .find(|(_, n)| n.kind() == kind)
                 .map(|(id, _)| id)
         };
+        let adj = AdjBits::new(adg);
+        let slots = adj.slots();
+        let mut link_start = Vec::with_capacity(slots + 1);
+        let mut links = 0u32;
+        for a in 0..slots {
+            link_start.push(links);
+            links += adg.succs(NodeId::from_index(a)).len() as u32;
+        }
+        link_start.push(links);
         HwIndex {
             sys,
-            adj: AdjBits::new(adg),
+            adj,
+            link_start,
+            dist: (0..slots).map(|_| OnceCell::new()).collect(),
             spad_bw: adg
                 .nodes()
                 .filter_map(|(_, n)| n.as_spad().map(|s| f64::from(s.bw_bytes)))
@@ -55,6 +74,50 @@ impl<'a> HwIndex<'a> {
 
     pub(crate) fn adj(&self) -> &AdjBits {
         &self.adj
+    }
+
+    /// Number of fabric links: every link id is below it.
+    pub(crate) fn links(&self) -> usize {
+        self.link_start.last().map_or(0, |&l| l as usize)
+    }
+
+    /// Id of the first outgoing link of `a`; its `j`-th successor in
+    /// `adg.succs(a)` order is link `first_link(a) + j`.
+    #[inline]
+    pub(crate) fn first_link(&self, a: NodeId) -> usize {
+        self.link_start[a.index()] as usize
+    }
+
+    /// Id of link `a -> b`, or `None` when there is no such link.
+    #[inline]
+    pub(crate) fn link(&self, a: NodeId, b: NodeId) -> Option<usize> {
+        let j = self.sys.adg.succs(a).iter().position(|&s| s == b)?;
+        Some(self.first_link(a) + j)
+    }
+
+    /// BFS hop distances from `from` through the fabric to every slot,
+    /// filled on the first call per source. Only switches are traversed,
+    /// but every node reached gets its distance; nodes never reached stay
+    /// [`UNREACHED`].
+    pub(crate) fn distances(&self, from: NodeId) -> &[u32] {
+        self.dist[from.index()].get_or_init(|| {
+            let mut dist = vec![UNREACHED; self.adj.slots()];
+            dist[from.index()] = 0;
+            let mut queue = VecDeque::from([from]);
+            while let Some(cur) = queue.pop_front() {
+                let d = dist[cur.index()] + 1;
+                for &next in self.sys.adg.succs(cur) {
+                    if dist[next.index()] != UNREACHED {
+                        continue;
+                    }
+                    dist[next.index()] = d;
+                    if self.adj.is_switch(next) {
+                        queue.push_back(next);
+                    }
+                }
+            }
+            dist
+        })
     }
 
     /// [`schedule`](crate::schedule) on the indexed hardware.
@@ -111,6 +174,9 @@ const MAX_CANDIDATES: usize = 32;
 
 /// Hop-distance table entry of a node the distance BFS never reaches.
 const UNREACHED: u32 = u32::MAX;
+
+/// Link-claim table entry of a link no value holds.
+pub(crate) const FREE: u32 = u32::MAX;
 
 /// Ordering cost a candidate pays per placed predecessor that cannot
 /// reach it.
@@ -317,11 +383,15 @@ struct Placer<'a> {
     pe_used: Vec<bool>,
     port_used: BTreeSet<NodeId>,
     spad_left: BTreeMap<NodeId, i64>,
-    /// link -> value source currently carried (fanout of one value shares).
-    link_use: BTreeMap<(NodeId, NodeId), MdfgNodeId>,
-    /// Per source slot: hop distances to every slot, memoized for
-    /// candidate ordering (empty until first asked for).
-    dist: Vec<Vec<u32>>,
+    /// Per link id: the index of the value source it carries, or [`FREE`]
+    /// (fanout of one value shares its links).
+    link_use: Vec<u32>,
+    /// Routing BFS buffers, reused across calls: per slot, the
+    /// predecessor on the search tree, valid where `seen` holds `epoch`.
+    prev: Vec<NodeId>,
+    seen: Vec<u32>,
+    epoch: u32,
+    queue: VecDeque<NodeId>,
     /// Placement candidates tried for instructions (telemetry).
     attempts: u64,
     /// Candidates abandoned after a routing failure (telemetry).
@@ -349,8 +419,11 @@ impl<'a> Placer<'a> {
             pe_used: vec![false; slots],
             port_used: BTreeSet::new(),
             spad_left: spad_budgets(adg),
-            link_use: BTreeMap::new(),
-            dist: vec![Vec::new(); slots],
+            link_use: vec![FREE; hw.links()],
+            prev: vec![NodeId::from_index(0); slots],
+            seen: vec![0; slots],
+            epoch: 0,
+            queue: VecDeque::new(),
             attempts: 0,
             backtracks: 0,
         }
@@ -681,12 +754,9 @@ impl<'a> Placer<'a> {
                 // Free compatible PEs in id order, keyed by closeness to
                 // the placed predecessors: each key is summed once, and the
                 // stable sort keeps id order on ties.
-                for (_, a) in &placed_preds {
-                    self.fill_distances(*a);
-                }
                 let tables: Vec<&[u32]> = placed_preds
                     .iter()
-                    .map(|(_, a)| self.dist[a.index()].as_slice())
+                    .map(|(_, a)| self.hw.distances(*a))
                     .collect();
                 let mut keyed: Vec<(usize, NodeId)> = self
                     .pes
@@ -743,7 +813,7 @@ impl<'a> Placer<'a> {
     ) -> bool {
         self.attempts += 1;
         let mut committed: Vec<(MdfgNodeId, MdfgNodeId)> = Vec::new();
-        let mut claimed: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut claimed: Vec<usize> = Vec::new();
         for (pid, padg) in placed_preds {
             // Commit each pred route immediately so later preds see the
             // links it claimed.
@@ -752,13 +822,13 @@ impl<'a> Placer<'a> {
                 .or_else(|| self.route(*pid, *padg, cand));
             match path {
                 Some(path) => {
-                    self.commit_route_logged((*pid, iid), path, &mut claimed);
+                    self.commit_route((*pid, iid), path, &mut claimed);
                     committed.push((*pid, iid));
                 }
                 None => {
                     self.backtracks += 1;
                     for link in claimed {
-                        self.link_use.remove(&link);
+                        self.link_use[link] = FREE;
                     }
                     for edge in committed {
                         self.routes.remove(&edge);
@@ -836,7 +906,7 @@ impl<'a> Placer<'a> {
                 .reusable_prior_route((src, dst), src, sa, da)
                 .or_else(|| self.route(src, sa, da));
             match path {
-                Some(path) => self.commit_route((src, dst), path),
+                Some(path) => self.commit_route((src, dst), path, &mut Vec::new()),
                 None => return Err(ScheduleError::NoRoute { edge: (src, dst) }),
             }
         }
@@ -861,6 +931,7 @@ impl<'a> Placer<'a> {
             return None;
         }
         let last = path.len() - 1;
+        let value = value.index() as u32;
         for (i, w) in path.windows(2).enumerate() {
             if !self.adj.has_edge(w[0], w[1]) {
                 return None;
@@ -870,122 +941,100 @@ impl<'a> Placer<'a> {
                 return None;
             }
             if self.adj.exclusive_link(w[0], w[1]) {
-                if let Some(v) = self.link_use.get(&(w[0], w[1])) {
-                    if *v != value {
-                        return None;
-                    }
+                let link = self
+                    .hw
+                    .link(w[0], w[1])
+                    .expect("an existing link has an id");
+                if !self.free_for(link, value) {
+                    return None;
                 }
             }
         }
         Some(path.clone())
     }
 
+    /// Whether `link` is free or already carries `value` (a value index).
+    #[inline]
+    fn free_for(&self, link: usize, value: u32) -> bool {
+        let v = self.link_use[link];
+        v == FREE || v == value
+    }
+
     /// Directed BFS from `from` to `to` through switches, honouring the
     /// one-value-per-link constraint (fanout of `value` may share links).
-    fn route(&self, value: MdfgNodeId, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
+    fn route(&mut self, value: MdfgNodeId, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
         if from == to {
             return Some(vec![from]);
         }
-        let usable = |a: NodeId, b: NodeId| -> bool {
-            // Only switch-to-switch links are exclusive per value. Links
-            // touching a port are wide (multi-lane) and links into a PE
-            // are its operand slots — both carry several values.
-            if !self.adj.exclusive_link(a, b) {
-                return true;
-            }
-            match self.link_use.get(&(a, b)) {
-                None => true,
-                Some(v) => *v == value,
-            }
-        };
-        let mut prev: Vec<Option<NodeId>> = vec![None; self.adj.slots()];
-        let mut queue = VecDeque::from([from]);
-        while let Some(cur) = queue.pop_front() {
-            for &next in self.adg.succs(cur) {
-                if prev[next.index()].is_some() || next == from {
+        let value = value.index() as u32;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        self.seen[from.index()] = epoch;
+        self.queue.clear();
+        self.queue.push_back(from);
+        while let Some(cur) = self.queue.pop_front() {
+            let first = self.hw.first_link(cur);
+            for (j, &next) in self.adg.succs(cur).iter().enumerate() {
+                if self.seen[next.index()] == epoch {
                     continue;
                 }
-                if !usable(cur, next) {
+                // Only switch-to-switch links are exclusive per value. Links
+                // touching a port are wide (multi-lane) and links into a PE
+                // are its operand slots — both carry several values.
+                if self.adj.exclusive_link(cur, next) && !self.free_for(first + j, value) {
                     continue;
                 }
                 // Only switches may be traversed; the destination itself
                 // may be any fabric node or port.
                 let is_dst = next == to;
-                let is_switch = self.adj.is_switch(next);
-                if !is_dst && !is_switch {
+                if !is_dst && !self.adj.is_switch(next) {
                     continue;
                 }
-                prev[next.index()] = Some(cur);
+                self.seen[next.index()] = epoch;
+                self.prev[next.index()] = cur;
                 if is_dst {
-                    // reconstruct
                     let mut path = vec![to];
                     let mut c = to;
                     while c != from {
-                        c = prev[c.index()].expect("reached nodes have a predecessor");
+                        c = self.prev[c.index()];
                         path.push(c);
                     }
                     path.reverse();
                     return Some(path);
                 }
-                queue.push_back(next);
+                self.queue.push_back(next);
             }
         }
         None
     }
 
-    fn commit_route(&mut self, edge: (MdfgNodeId, MdfgNodeId), path: Vec<NodeId>) {
-        for w in path.windows(2) {
-            if self.adj.exclusive_link(w[0], w[1]) {
-                self.link_use.insert((w[0], w[1]), edge.0);
-            }
-        }
-        self.routes.insert(edge, path);
-    }
-
-    /// [`Self::commit_route`], recording every link this commit *newly*
-    /// claimed so a failed candidate can undo precisely those claims.
-    /// Links already carried by the same value (fanout sharing) stay put.
-    fn commit_route_logged(
+    /// Route `edge` along `path`, claiming its exclusive links for the
+    /// edge's value. Every link this commit *newly* claimed is pushed onto
+    /// `claimed`, so a failed candidate can undo precisely those claims;
+    /// links already carried by the same value (fanout sharing) stay put.
+    fn commit_route(
         &mut self,
         edge: (MdfgNodeId, MdfgNodeId),
         path: Vec<NodeId>,
-        claimed: &mut Vec<(NodeId, NodeId)>,
+        claimed: &mut Vec<usize>,
     ) {
         for w in path.windows(2) {
             if self.adj.exclusive_link(w[0], w[1]) {
-                let key = (w[0], w[1]);
-                if self.link_use.insert(key, edge.0).is_none() {
-                    claimed.push(key);
+                let link = self
+                    .hw
+                    .link(w[0], w[1])
+                    .expect("an existing link has an id");
+                if self.link_use[link] == FREE {
+                    claimed.push(link);
                 }
+                self.link_use[link] = edge.0.index() as u32;
             }
         }
         self.routes.insert(edge, path);
-    }
-
-    /// BFS hop distances from a node through the fabric into
-    /// `self.dist[from]`, memoized per source (the ADG is immutable for the
-    /// placement's duration). Nodes never reached stay [`UNREACHED`].
-    fn fill_distances(&mut self, from: NodeId) {
-        if !self.dist[from.index()].is_empty() {
-            return;
-        }
-        let mut dist = vec![UNREACHED; self.adj.slots()];
-        dist[from.index()] = 0;
-        let mut queue = VecDeque::from([from]);
-        while let Some(cur) = queue.pop_front() {
-            let d = dist[cur.index()] + 1;
-            for &next in self.adg.succs(cur) {
-                if dist[next.index()] != UNREACHED {
-                    continue;
-                }
-                // traverse switches; record distance for all nodes
-                dist[next.index()] = d;
-                if self.adj.is_switch(next) {
-                    queue.push_back(next);
-                }
-            }
-        }
-        self.dist[from.index()] = dist;
     }
 
     // ---- scoring -----------------------------------------------------------
@@ -1319,6 +1368,77 @@ mod tests {
         let s = sys(&MeshSpec::default());
         let sched = schedule(&mdfg, &s, None).unwrap();
         assert!(!sched.placement.spad_arrays.contains("val"));
+    }
+
+    /// The general mesh with a switch, a PE and a port deleted: the id
+    /// space has holes, and the victims' links are gone.
+    fn holed_general() -> SysAdg {
+        let mut adg = mesh(&MeshSpec::general());
+        for kind in [NodeKind::Switch, NodeKind::Pe, NodeKind::InPort] {
+            let victim = adg.nodes_of_kind(kind)[1];
+            adg.remove_node(victim);
+        }
+        SysAdg::new(adg, SystemParams::default())
+    }
+
+    #[test]
+    fn link_ids_are_dense_and_cover_every_edge_once() {
+        let s = holed_general();
+        let hw = HwIndex::new(&s);
+        let mut ids: Vec<usize> = s
+            .adg
+            .edges()
+            .map(|(a, b)| hw.link(a, b).expect("every edge has a link id"))
+            .collect();
+        assert_eq!(ids.len(), s.adg.edge_count());
+        assert_eq!(hw.links(), s.adg.edge_count());
+        ids.sort_unstable();
+        assert!(
+            ids.iter().copied().eq(0..hw.links()),
+            "ids are not 0..links"
+        );
+        let nodes: Vec<NodeId> = (0..hw.adj().slots() + 2).map(NodeId::from_index).collect();
+        for &a in &nodes {
+            for &b in &nodes {
+                assert_eq!(
+                    hw.link(a, b).is_some(),
+                    s.adg.has_edge(a, b),
+                    "{a:?} -> {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_distances_equal_a_fresh_bfs_from_every_source() {
+        for s in [sys(&MeshSpec::default()), holed_general()] {
+            let hw = HwIndex::new(&s);
+            let slots = hw.adj().slots();
+            for (from, _) in s.adg.nodes() {
+                let mut want = vec![UNREACHED; slots];
+                want[from.index()] = 0;
+                let mut frontier = vec![from];
+                let mut hops = 0;
+                while !frontier.is_empty() {
+                    hops += 1;
+                    let mut next = Vec::new();
+                    for cur in frontier {
+                        for &n in s.adg.succs(cur) {
+                            if want[n.index()] == UNREACHED {
+                                want[n.index()] = hops;
+                                if s.adg.kind(n) == Some(NodeKind::Switch) {
+                                    next.push(n);
+                                }
+                            }
+                        }
+                    }
+                    frontier = next;
+                }
+                assert_eq!(hw.distances(from), want.as_slice(), "from {from:?}");
+                // A second call answers from the memo.
+                assert!(std::ptr::eq(hw.distances(from), hw.distances(from)));
+            }
+        }
     }
 
     #[test]

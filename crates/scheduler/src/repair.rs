@@ -24,7 +24,7 @@
 //! mode the determinism gates run to prove the fast path changes nothing:
 //! counters, events, and results are byte-identical in both modes.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use overgen_adg::{AdgNode, NodeId, SysAdg};
 use overgen_mdfg::{Mdfg, MdfgNode, MdfgNodeId, MdfgNodeKind};
@@ -32,7 +32,7 @@ use overgen_telemetry::{event, span};
 
 use crate::footprint::ScheduleFootprint;
 use crate::place::{
-    array_needs_indirect, array_of_stream, is_index_stream, score_mapping, HwIndex,
+    array_needs_indirect, array_of_stream, is_index_stream, score_mapping, HwIndex, FREE,
 };
 use crate::types::{Schedule, ScheduleError};
 
@@ -218,8 +218,9 @@ impl HwIndex<'_> {
 ///   interior hops are still switches, and no exclusive link carries two
 ///   different values across the whole schedule.
 ///
-/// The prior's assignment is read from one table indexed by mDFG node, and
-/// the engines and links from `hw`.
+/// The prior's assignment is read from one table indexed by mDFG node, the
+/// engines and links from `hw`, and link claims from a table indexed by
+/// `hw`'s link ids.
 pub(crate) fn dirty_set(prior: &Schedule, mdfg: &Mdfg, hw: &HwIndex<'_>) -> BTreeSet<MdfgNodeId> {
     let adg = &hw.sys().adg;
     let adj = hw.adj();
@@ -336,24 +337,29 @@ pub(crate) fn dirty_set(prior: &Schedule, mdfg: &Mdfg, hw: &HwIndex<'_>) -> BTre
         }
     }
 
-    // Routes (hop existence, switch interiors, link exclusivity).
-    let mut link_use: BTreeMap<(NodeId, NodeId), MdfgNodeId> = BTreeMap::new();
+    // Routes (hop existence, switch interiors, link exclusivity): per link
+    // id, the first value source seen on it, or `FREE`.
+    let mut link_use: Vec<u32> = vec![FREE; hw.links()];
     for ((src, dst), path) in &prior.routes {
         let mut ok = !path.is_empty()
             && assigned(*src).as_ref() == path.first()
             && assigned(*dst).as_ref() == path.last();
         if ok {
             let last = path.len() - 1;
+            let value = src.index() as u32;
             for (i, w) in path.windows(2).enumerate() {
                 if !adj.has_edge(w[0], w[1]) || (i + 1 < last && !adj.is_switch(w[1])) {
                     ok = false;
                     break;
                 }
-                if adj.exclusive_link(w[0], w[1])
-                    && *link_use.entry((w[0], w[1])).or_insert(*src) != *src
-                {
-                    ok = false;
-                    break;
+                if adj.exclusive_link(w[0], w[1]) {
+                    let link = hw.link(w[0], w[1]).expect("an existing link has an id");
+                    if link_use[link] == FREE {
+                        link_use[link] = value;
+                    } else if link_use[link] != value {
+                        ok = false;
+                        break;
+                    }
                 }
             }
         }
@@ -373,6 +379,7 @@ mod oracle {
     use super::*;
     use crate::adj::AdjBits;
     use overgen_adg::{Adg, NodeKind};
+    use std::collections::BTreeMap;
 
     fn engine_of_stream(
         mdfg: &Mdfg,

@@ -12,7 +12,7 @@
 #   clippy       cargo clippy --workspace --all-targets -D warnings, and
 #                the workspace docs built with rustdoc warnings denied
 #   determinism  byte-identical traces: seeded, chain workers 1 vs 4,
-#                repair on/off
+#                repair on/off; placements match their pinned digests
 #   checkpoint   resume-equivalence gates: interrupted-then-resumed runs
 #                reproduce results, stats, and traces bit-identically,
 #                checkpoint and store files match their pinned byte
@@ -134,6 +134,11 @@ stage_determinism() {
     echo "== determinism: repair fast path invisible in results + traces =="
     cargo test -q --test repair_determinism
     cargo test -q --test properties incremental_repair_equals_full_replacement
+
+    echo "== determinism: placements match their pinned digests =="
+    # Every placement and error on eight fabrics, through a fresh hardware
+    # index per call and through one shared index.
+    cargo test -q --test schedule_equivalence
 }
 
 stage_checkpoint() {
@@ -227,7 +232,9 @@ stage_bench() {
     # tell apart. On a 2-vCPU VM, 40 runs of what an evaluation runs (one
     # shared hardware index per proposal) read 6.28-7.24x, and 40 runs of
     # the per-call `repair_with` it replaced read 4.34-4.96x; 18% under
-    # the 6.85x record is a 5.61x floor.
+    # the 6.85x record is a 5.61x floor. Since the placer's per-link
+    # tables, 160 clean runs read 5.45-6.24x (median 5.81x) and 4 of them
+    # fell under the floor (DESIGN §8).
     cargo run -q --release -p overgen-bench --bin bench-compare -- \
         results/BENCH_repair.json "$TRACE_TMP/r1/BENCH_repair.json" \
         min:dse.fast_share=0.5 \

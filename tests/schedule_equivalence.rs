@@ -11,6 +11,12 @@
 //! variants' schedules on the unmutated MachSuite seed, carried through
 //! each rewrite chain the way the annealer carries its live schedules.
 //!
+//! Every hardware is placed twice: through the free `schedule`, which
+//! indexes the hardware per call, and through one `HwIndex` that every
+//! placement on that hardware shares, in the same order, the way an
+//! evaluation shares one index across its workloads and variants. Both
+//! runs must reach the same pinned digest.
+//!
 //! The DSE goldens only see the placements a default run happens to make;
 //! these digests also pin failed placements, their error values, and seeded
 //! placements on mutated and on foreign hardware. Any change in candidate
@@ -21,7 +27,7 @@ use overgen_compiler::{compile_variants, CompileOptions};
 use overgen_dse::{Dse, RuleSet, TransformCtx};
 use overgen_ir::{Kernel, Suite};
 use overgen_mdfg::Mdfg;
-use overgen_scheduler::{schedule, Schedule, ScheduleError};
+use overgen_scheduler::{schedule, HwIndex, Schedule, ScheduleError};
 use overgen_telemetry::{Collector, Rng};
 use overgen_workloads as workloads;
 
@@ -85,23 +91,33 @@ impl Tally {
 }
 
 /// Schedule every variant on `adg`, unseeded and (where a prior exists)
-/// seeded.
-fn place_all(name: &str, adg: Adg, variants: &[Mdfg], priors: &[Option<&Schedule>]) -> Tally {
+/// seeded: once with a fresh index per call, then on one shared index.
+fn place_all(name: &str, adg: Adg, variants: &[Mdfg], priors: &[Option<&Schedule>]) -> [Tally; 2] {
     let sys = SysAdg::new(adg, SystemParams::default());
-    let (collector, ring) = Collector::ring(1 << 16);
-    let _install = overgen_telemetry::install(collector);
-    let mut t = Tally::default();
-    t.digest.write_str(name);
-    for (m, prior) in variants.iter().zip(priors) {
-        t.digest.write_str(m.name());
-        t.digest.write_u64(u64::from(m.variant()));
-        t.fold(&schedule(m, &sys, None));
-        if let Some(p) = prior {
-            t.fold(&schedule(m, &sys, Some(p)));
+    let hw = HwIndex::new(&sys);
+    [false, true].map(|shared| {
+        let place = |m: &Mdfg, prior: Option<&Schedule>| {
+            if shared {
+                hw.schedule(m, prior)
+            } else {
+                schedule(m, &sys, prior)
+            }
+        };
+        let (collector, ring) = Collector::ring(1 << 16);
+        let _install = overgen_telemetry::install(collector);
+        let mut t = Tally::default();
+        t.digest.write_str(name);
+        for (m, prior) in variants.iter().zip(priors) {
+            t.digest.write_str(m.name());
+            t.digest.write_u64(u64::from(m.variant()));
+            t.fold(&place(m, None));
+            if let Some(p) = prior {
+                t.fold(&place(m, Some(p)));
+            }
         }
-    }
-    t.digest.write_str(&ring.to_jsonl());
-    t
+        t.digest.write_str(&ring.to_jsonl());
+        t
+    })
 }
 
 #[test]
@@ -151,27 +167,32 @@ fn placements_match_the_pinned_digests() {
         tallies.push(place_all(&name, adg, &variants, &priors));
     }
 
-    let got: Vec<(String, u64)> = tallies
-        .iter()
-        .zip(PINNED)
-        .map(|(t, (name, _))| (name.to_string(), t.digest.finish()))
-        .collect();
-    let report: Vec<String> = tallies
-        .iter()
-        .zip(&got)
-        .map(|(t, (name, d))| format!("(\"{name}\", {d:#018x}), // {} ok, {} err", t.ok, t.err))
-        .collect();
     let pinned: Vec<(String, u64)> = PINNED.iter().map(|(n, d)| (n.to_string(), *d)).collect();
-    assert_eq!(
-        got,
-        pinned,
-        "placement digests moved:\n{}",
-        report.join("\n")
-    );
+    for (leg, run) in [("fresh index per call", 0), ("one shared index", 1)] {
+        let got: Vec<(String, u64)> = tallies
+            .iter()
+            .zip(PINNED)
+            .map(|(t, (name, _))| (name.to_string(), t[run].digest.finish()))
+            .collect();
+        let report: Vec<String> = tallies
+            .iter()
+            .zip(&got)
+            .map(|(t, (name, d))| {
+                let t = &t[run];
+                format!("(\"{name}\", {d:#018x}), // {} ok, {} err", t.ok, t.err)
+            })
+            .collect();
+        assert_eq!(
+            got,
+            pinned,
+            "placement digests moved ({leg}):\n{}",
+            report.join("\n")
+        );
+    }
 
     // Both outcomes are pinned, not only the placements that succeed.
     let (ok, err) = tallies
         .iter()
-        .fold((0, 0), |(o, e), t| (o + t.ok, e + t.err));
+        .fold((0, 0), |(o, e), t| (o + t[0].ok, e + t[0].err));
     assert!(ok > 0 && err > 0, "{ok} ok, {err} err");
 }

@@ -63,19 +63,151 @@ impl fmt::Display for AdgError {
 impl std::error::Error for AdgError {}
 
 /// The architecture description graph: a directed graph of [`AdgNode`]s.
-#[derive(Debug, Clone, Default)]
+///
+/// A graph can be mutated under an undo journal ([`Adg::begin_journal`]):
+/// [`Adg::rollback`] then restores it exactly, payloads, adjacency order
+/// and holes included, so the next [`Adg::add_node`] hands out the id it
+/// would have handed out on a copy taken before the journal opened. The
+/// journal is not part of the graph: a clone starts without one, and
+/// `Debug`, [`Adg::to_portable`] and the fingerprint never read it.
+#[derive(Default)]
 pub struct Adg {
     pub(crate) slots: Vec<Option<AdgNode>>,
     /// Outgoing adjacency per slot (indices parallel `slots`).
     pub(crate) out_adj: Vec<Vec<NodeId>>,
     /// Incoming adjacency per slot.
     pub(crate) in_adj: Vec<Vec<NodeId>>,
+    pub(crate) journal: Journal,
+}
+
+/// The undo journal of an [`Adg`]: the slot count when it opened and the
+/// pre-image of every slot touched since.
+#[derive(Default)]
+pub(crate) struct Journal {
+    /// Slot count when the journal opened; `None` while it is closed.
+    open_len: Option<usize>,
+    /// Pre-images in first-touch order. Only the first `saved` are live;
+    /// the rest keep their buffers for the next proposal.
+    images: Vec<SlotImage>,
+    saved: usize,
+}
+
+/// One slot as it stood before its first touch under the journal.
+#[derive(Default)]
+struct SlotImage {
+    slot: usize,
+    node: Option<AdgNode>,
+    out: Vec<NodeId>,
+    inn: Vec<NodeId>,
+}
+
+impl Clone for Adg {
+    fn clone(&self) -> Self {
+        Adg {
+            slots: self.slots.clone(),
+            out_adj: self.out_adj.clone(),
+            in_adj: self.in_adj.clone(),
+            journal: Journal::default(),
+        }
+    }
+}
+
+impl fmt::Debug for Adg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Adg")
+            .field("slots", &self.slots)
+            .field("out_adj", &self.out_adj)
+            .field("in_adj", &self.in_adj)
+            .finish()
+    }
 }
 
 impl Adg {
     /// An empty graph.
     pub fn new() -> Self {
         Adg::default()
+    }
+
+    /// Open the undo journal: from here on every mutation first saves the
+    /// pre-image of each existing slot it touches, until [`Adg::commit`]
+    /// keeps the changes or [`Adg::rollback`] undoes them.
+    ///
+    /// # Panics
+    ///
+    /// When the journal is already open.
+    pub fn begin_journal(&mut self) {
+        assert!(
+            self.journal.open_len.is_none(),
+            "the ADG's undo journal is already open"
+        );
+        self.journal.open_len = Some(self.slots.len());
+    }
+
+    /// Whether the undo journal is open.
+    pub fn journal_open(&self) -> bool {
+        self.journal.open_len.is_some()
+    }
+
+    /// Keep every change made since [`Adg::begin_journal`] and close the
+    /// journal.
+    ///
+    /// # Panics
+    ///
+    /// When the journal is not open.
+    pub fn commit(&mut self) {
+        self.close_journal();
+        self.journal.saved = 0;
+    }
+
+    /// Undo every change made since [`Adg::begin_journal`] and close the
+    /// journal: slots added since are dropped and every touched slot gets
+    /// its pre-image back.
+    ///
+    /// # Panics
+    ///
+    /// When the journal is not open.
+    pub fn rollback(&mut self) {
+        let len = self.close_journal();
+        self.slots.truncate(len);
+        self.out_adj.truncate(len);
+        self.in_adj.truncate(len);
+        // The mutated contents swap into the images, whose buffers the
+        // next proposal's pre-images reuse.
+        for img in &mut self.journal.images[..self.journal.saved] {
+            std::mem::swap(&mut self.slots[img.slot], &mut img.node);
+            std::mem::swap(&mut self.out_adj[img.slot], &mut img.out);
+            std::mem::swap(&mut self.in_adj[img.slot], &mut img.inn);
+        }
+        self.journal.saved = 0;
+    }
+
+    /// Close the journal, returning the slot count it opened at.
+    fn close_journal(&mut self) -> usize {
+        self.journal
+            .open_len
+            .take()
+            .expect("the ADG's undo journal is not open")
+    }
+
+    /// Save slot `id`'s pre-image when the journal is open and this is its
+    /// first touch. Slots added since the journal opened need none: the
+    /// rollback drops them.
+    fn save(&mut self, id: NodeId) {
+        let j = &mut self.journal;
+        let i = id.index();
+        if j.open_len.is_none_or(|len| i >= len) || j.images[..j.saved].iter().any(|s| s.slot == i)
+        {
+            return;
+        }
+        if j.saved == j.images.len() {
+            j.images.push(SlotImage::default());
+        }
+        let img = &mut j.images[j.saved];
+        img.slot = i;
+        img.node.clone_from(&self.slots[i]);
+        img.out.clone_from(&self.out_adj[i]);
+        img.inn.clone_from(&self.in_adj[i]);
+        j.saved += 1;
     }
 
     /// Add a node, returning its stable id.
@@ -89,13 +221,17 @@ impl Adg {
 
     /// Remove a node and all incident edges. Returns the node if it existed.
     pub fn remove_node(&mut self, id: NodeId) -> Option<AdgNode> {
-        let node = self.slots.get_mut(id.index())?.take()?;
+        self.node(id)?;
+        self.save(id);
+        let node = self.slots[id.index()].take()?;
         let outs = std::mem::take(&mut self.out_adj[id.index()]);
         for dst in outs {
+            self.save(dst);
             self.in_adj[dst.index()].retain(|n| *n != id);
         }
         let ins = std::mem::take(&mut self.in_adj[id.index()]);
         for src in ins {
+            self.save(src);
             self.out_adj[src.index()].retain(|n| *n != id);
         }
         Some(node)
@@ -108,6 +244,7 @@ impl Adg {
 
     /// Mutably access a node.
     pub fn node_mut(&mut self, id: NodeId) -> Option<&mut AdgNode> {
+        self.save(id);
         self.slots.get_mut(id.index()).and_then(|s| s.as_mut())
     }
 
@@ -137,6 +274,8 @@ impl Adg {
         if self.out_adj[src.index()].contains(&dst) {
             return Err(AdgError::DuplicateEdge(src, dst));
         }
+        self.save(src);
+        self.save(dst);
         self.out_adj[src.index()].push(dst);
         self.in_adj[dst.index()].push(src);
         Ok(())
@@ -144,14 +283,14 @@ impl Adg {
 
     /// Remove a directed edge; returns whether it existed.
     pub fn remove_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
-        let before = self.out_adj[src.index()].len();
-        self.out_adj[src.index()].retain(|n| *n != dst);
-        if self.out_adj[src.index()].len() != before {
-            self.in_adj[dst.index()].retain(|n| *n != src);
-            true
-        } else {
-            false
+        if !self.out_adj[src.index()].contains(&dst) {
+            return false;
         }
+        self.save(src);
+        self.save(dst);
+        self.out_adj[src.index()].retain(|n| *n != dst);
+        self.in_adj[dst.index()].retain(|n| *n != src);
+        true
     }
 
     /// Whether a directed edge exists.
@@ -383,5 +522,132 @@ mod tests {
         assert!(g.remove_edge(dma, ip));
         assert!(!g.remove_edge(dma, ip));
         assert!(!g.has_edge(dma, ip));
+    }
+
+    fn switch() -> AdgNode {
+        AdgNode::Switch(SwitchNode {})
+    }
+
+    /// `tiny()` plus switches `a` and `b`, wired to each other both ways
+    /// and around the PE, after a hole left by a removed switch. Returns
+    /// the graph, `a`, `b` and the PE.
+    fn with_history() -> (Adg, NodeId, NodeId, NodeId) {
+        let (mut g, _, ip, pe, op) = tiny();
+        let hole = g.add_node(switch());
+        let a = g.add_node(switch());
+        let b = g.add_node(switch());
+        g.remove_node(hole);
+        for (src, dst) in [(ip, a), (a, b), (b, a), (a, pe), (pe, b), (b, pe), (b, op)] {
+            g.add_edge(src, dst).unwrap();
+        }
+        (g, a, b, pe)
+    }
+
+    /// Run `mutate` under an open journal and roll it back: the graph
+    /// must equal a copy taken before the journal opened slot for slot,
+    /// payloads, adjacency order and holes included (the fingerprint
+    /// sorts successors and skips holes, so it could not tell), and the
+    /// next `add_node` must hand out the copy's id.
+    fn assert_rolls_back(mut g: Adg, mutate: impl FnOnce(&mut Adg)) {
+        let before = g.clone();
+        g.begin_journal();
+        mutate(&mut g);
+        assert!(g.journal_open());
+        g.rollback();
+        assert!(!g.journal_open());
+        assert_eq!(g.to_portable(), before.to_portable());
+        assert_eq!(g.add_node(switch()), before.clone().add_node(switch()));
+    }
+
+    #[test]
+    fn rollback_restores_a_payload_write() {
+        let (g, .., pe) = with_history();
+        assert_rolls_back(g, |g| {
+            let Some(AdgNode::Pe(p)) = g.node_mut(pe) else {
+                panic!("{pe} is a PE");
+            };
+            p.caps.insert(FuCap::new(Op::Mul, DataType::I64));
+            p.delay_fifo_depth += 1;
+        });
+    }
+
+    #[test]
+    fn rollback_restores_an_added_edge() {
+        let (g, a, ..) = with_history();
+        let op = g.nodes_of_kind(NodeKind::OutPort)[0];
+        assert_rolls_back(g, |g| g.add_edge(a, op).unwrap());
+    }
+
+    #[test]
+    fn rollback_restores_a_removed_edge_and_ignores_an_absent_one() {
+        let (g, a, b, pe) = with_history();
+        assert_rolls_back(g.clone(), |g| assert!(g.remove_edge(a, b)));
+        assert_rolls_back(g, |g| {
+            assert!(!g.remove_edge(pe, a));
+            // Removing the first of `b`'s successors moves the others up.
+            assert!(g.remove_edge(b, a));
+        });
+    }
+
+    #[test]
+    fn rollback_restores_a_removed_node_and_its_bidirectional_neighbours() {
+        let (g, a, b, pe) = with_history();
+        assert_rolls_back(g.clone(), |g| {
+            g.remove_node(b).unwrap();
+            assert!(!g.succs(a).contains(&b) && !g.succs(pe).contains(&b));
+        });
+        // Two removals touching shared neighbours save each slot once.
+        assert_rolls_back(g, |g| {
+            g.remove_node(a).unwrap();
+            g.remove_node(b).unwrap();
+        });
+    }
+
+    #[test]
+    fn rollback_drops_added_nodes_and_their_edges_from_old_nodes() {
+        let (g, a, b, pe) = with_history();
+        assert_rolls_back(g, |g| {
+            let sw = g.add_node(switch());
+            g.add_edge(a, sw).unwrap();
+            g.add_edge(sw, pe).unwrap();
+            g.add_edge(b, sw).unwrap();
+            let extra = g.add_node(switch());
+            g.add_edge(sw, extra).unwrap();
+            g.remove_node(sw).unwrap();
+        });
+    }
+
+    #[test]
+    fn commit_keeps_the_changes() {
+        let (mut g, a, b, pe) = with_history();
+        let mut want = g.clone();
+        let mutate = |g: &mut Adg| {
+            g.remove_edge(a, b);
+            let sw = g.add_node(switch());
+            g.add_edge(sw, pe).unwrap();
+            g.remove_node(b);
+        };
+        mutate(&mut want);
+        g.begin_journal();
+        mutate(&mut g);
+        g.commit();
+        assert!(!g.journal_open());
+        assert_eq!(g.to_portable(), want.to_portable());
+        // A later journal starts clean: it restores the committed graph.
+        assert_rolls_back(g, |g| {
+            g.remove_node(a);
+        });
+    }
+
+    #[test]
+    fn a_clone_starts_without_the_journal() {
+        let (mut g, a, b, _) = with_history();
+        g.begin_journal();
+        g.remove_edge(a, b);
+        let copy = g.clone();
+        assert!(!copy.journal_open());
+        assert_eq!(format!("{copy:?}"), format!("{g:?}"));
+        g.rollback();
+        assert!(!copy.has_edge(a, b) && g.has_edge(a, b));
     }
 }

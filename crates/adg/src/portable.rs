@@ -104,6 +104,7 @@ impl Adg {
             slots: p.slots,
             out_adj: ids(p.out_adj),
             in_adj: ids(p.in_adj),
+            ..Adg::default()
         })
     }
 }

@@ -19,10 +19,11 @@
 //!    speedup is the summed full-placement time over the summed repair
 //!    time; the record reports the median across proposals.
 //!
-//! The timing loop always exercises *both* paths explicitly, so the
-//! emitted trace does not depend on `OVERGEN_REPAIR` — only the DSE run of
-//! part 1 honors the env switch (that is the half the determinism gate
-//! diffs).
+//! The timing loop always exercises *both* paths explicitly and runs under
+//! a counting collector of its own, so it emits no trace line and its
+//! ratio times the two paths, not trace writing. Only the DSE run of part
+//! 1 honors `OVERGEN_REPAIR` and reaches the trace (that is the half the
+//! determinism gate diffs).
 
 use std::time::Instant;
 
@@ -35,7 +36,7 @@ use overgen_compiler::{lower, LowerChoices};
 use overgen_dse::{Dse, DseStats, RuleSet, TransformCtx};
 use overgen_mdfg::Mdfg;
 use overgen_scheduler::{schedule, HwIndex, RepairOptions, Schedule, ScheduleFootprint};
-use overgen_telemetry::{fs::write_atomic, json, Rng};
+use overgen_telemetry::{count_isolated, fs::write_atomic, json, Rng};
 
 /// Proposals replayed by the timing chain.
 const PROPOSALS: usize = 60;
@@ -107,9 +108,10 @@ fn timing_chain() -> (Vec<f64>, usize, usize, f64, f64) {
         })
         .collect();
     let caps = Dse::cap_pool(&kernels);
-    let mut adg = Dse::seed_adg(&kernels).expect("domain lowers");
-    let sys_of = |adg: &overgen_adg::Adg| SysAdg::new(adg.clone(), SystemParams::default());
-    let sys = sys_of(&adg);
+    let mut sys = SysAdg::new(
+        Dse::seed_adg(&kernels).expect("domain lowers"),
+        SystemParams::default(),
+    );
     let mut schedules: Vec<Schedule> = mdfgs
         .iter()
         .map(|m| schedule(m, &sys, None).expect("seed mesh schedules the domain"))
@@ -122,7 +124,9 @@ fn timing_chain() -> (Vec<f64>, usize, usize, f64, f64) {
     let mut intact = 0usize;
     let mut reverted = 0usize;
     for _ in 0..PROPOSALS {
-        let backup_adg = adg.clone();
+        // The rules mutate the graph under its undo journal, as the
+        // annealer's proposals do; a reverted proposal rolls back.
+        sys.adg.begin_journal();
         let backup_scheds = schedules.clone();
         let mut footprint = ScheduleFootprint::Pure;
         for _ in 0..2 {
@@ -132,12 +136,11 @@ fn timing_chain() -> (Vec<f64>, usize, usize, f64, f64) {
                 schedules: &mut schedules,
                 preserving,
             };
-            let app = RuleSet::legacy().apply_random(&mut adg, &mut ctx, &mut rng, 0);
+            let app = RuleSet::legacy().apply_random(&mut sys.adg, &mut ctx, &mut rng, 0);
             footprint = footprint.merge(app.inferred);
         }
-        let sys = sys_of(&adg);
         if sys.validate().is_err() {
-            adg = backup_adg;
+            sys.adg.rollback();
             schedules = backup_scheds;
             reverted += 1;
             continue;
@@ -174,11 +177,12 @@ fn timing_chain() -> (Vec<f64>, usize, usize, f64, f64) {
             }
         }
         if broke {
-            adg = backup_adg;
+            sys.adg.rollback();
             schedules = backup_scheds;
             reverted += 1;
             continue;
         }
+        sys.adg.commit();
         schedules = next;
         if !moved_any {
             intact += 1;
@@ -197,8 +201,10 @@ fn timing_chain() -> (Vec<f64>, usize, usize, f64, f64) {
 /// Run both measurements and write `results/BENCH_repair.json`.
 pub fn run() -> RepairReport {
     let (stats, fast_share) = coverage();
-    let (speedups, intact_proposals, reverted_proposals, median_full_s, median_repair_s) =
-        timing_chain();
+    // Untraced even in a traced run: formatting span and event lines would
+    // roughly double the repair side it times.
+    let ((speedups, intact_proposals, reverted_proposals, median_full_s, median_repair_s), _) =
+        count_isolated(timing_chain);
     let median_speedup = median(&speedups);
     let report = RepairReport {
         stats,

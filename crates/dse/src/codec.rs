@@ -429,6 +429,7 @@ object_codec!(PortableAdg {
 
 impl Codec for Adg {
     fn put(&self, out: &mut String) {
+        debug_assert!(!self.journal_open(), "ADG encoded under an open journal");
         self.to_portable().put(out);
     }
 

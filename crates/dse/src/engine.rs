@@ -16,6 +16,9 @@
 //! [`crate::Objective`]. This driver only proposes mutations, runs the
 //! accept/reject rule on the fitness the pipeline returns, exchanges best
 //! states among chains, and tracks the Pareto frontier of visited designs.
+//! A proposal mutates its chain's current ADG in place under the graph's
+//! undo journal: an accepted one commits, any other rolls back exactly,
+//! so only a new best and an exchange copy a whole graph.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -28,7 +31,7 @@ use overgen_telemetry::{
     SpanGuard,
 };
 
-use overgen_adg::{mesh, Adg, MeshSpec, SpadNode, StableHasher, SysAdg, SystemParams};
+use overgen_adg::{mesh, Adg, MeshSpec, PortableAdg, SpadNode, StableHasher, SysAdg, SystemParams};
 use overgen_compiler::{compile_variants, CompileError, CompileOptions};
 use overgen_ir::{Expr, FuCap, Kernel, Op};
 use overgen_mdfg::Mdfg;
@@ -906,9 +909,17 @@ impl Dse {
             counters.iterations.inc();
             let temp = st.t0 * (0.985f64).powi(it as i32);
 
-            // Propose: the rules mutate `prop.adg`; the evaluation reads the
-            // proposal as it stands, with default system parameters.
-            let mut prop = SysAdg::new(st.cur_adg.clone(), SystemParams::default());
+            // Propose in place: the chain's current graph moves into the
+            // proposal and the rules mutate it under its undo journal; the
+            // evaluation reads the proposal as it stands, with default
+            // system parameters. An accepted proposal commits, any other
+            // rolls back, and the graph moves back either way.
+            let propose_timer = pipe.phase(Phase::Propose, NO_CLASS);
+            let mut prop = SysAdg::new(std::mem::take(&mut st.cur_adg), SystemParams::default());
+            // Debug builds keep the copy the journal replaced, as the
+            // oracle every rollback must reproduce.
+            let before = cfg!(debug_assertions).then(|| prop.adg.to_portable());
+            prop.adg.begin_journal();
             let mut prop_schedules: Vec<Schedule> = st.cur.schedules.values().cloned().collect();
             let mut kinds = String::new();
             let mut footprint = ScheduleFootprint::Pure;
@@ -967,12 +978,14 @@ impl Dse {
                 .into_iter()
                 .map(|s| (s.mdfg_name.clone(), s))
                 .collect();
+            drop(propose_timer);
             // The rule chain keys the store only in compound mode, so
             // default-run store keys stay historical.
             let rule_trace = (self.cfg.compound > 1).then_some(kinds.as_str());
             let (state, sim) = pipe.evaluate(&prop, prior, footprint, rule_trace);
             st.sim_seconds += sim;
             let Some(eval) = state else {
+                st.cur_adg = roll_back(prop.adg, before);
                 counters.invalid.inc();
                 event!("dse.invalid", iter = it);
                 st.history
@@ -994,6 +1007,7 @@ impl Dse {
                     temp = temp,
                     objective = eval.objective,
                 );
+                prop.adg.commit();
                 st.cur_adg = prop.adg;
                 st.cur = eval;
                 if st.cur.fitness > st.best.fitness {
@@ -1001,6 +1015,7 @@ impl Dse {
                     st.best_adg = st.cur_adg.clone();
                 }
             } else {
+                st.cur_adg = roll_back(prop.adg, before);
                 event!("dse.reject", iter = it, delta = delta, temp = temp);
             }
             st.history
@@ -1036,6 +1051,20 @@ impl LoopOutcome {
             completed: self.completed,
         }
     }
+}
+
+/// Undo a proposal the chain does not keep: roll `adg` back to the graph
+/// its journal opened on, which must equal `before`, the debug builds'
+/// copy of that graph.
+fn roll_back(mut adg: Adg, before: Option<PortableAdg>) -> Adg {
+    adg.rollback();
+    if let Some(before) = before {
+        assert!(
+            adg.to_portable() == before,
+            "rollback did not restore the graph the proposal started from"
+        );
+    }
+    adg
 }
 
 /// Index of the chain with the best `best.fitness`; ties break to the

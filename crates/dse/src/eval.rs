@@ -163,7 +163,7 @@ impl<'a> EvalPipeline<'a> {
 
     /// Start a phase timer when a profiler is installed (`None` otherwise,
     /// a no-op guard).
-    fn phase(&self, phase: Phase, class: &'static str) -> Option<PhaseTimer> {
+    pub(crate) fn phase(&self, phase: Phase, class: &'static str) -> Option<PhaseTimer> {
         self.profiler.as_ref().map(|p| p.phase(phase, class))
     }
 

@@ -72,6 +72,10 @@ pub enum Phase {
     Place,
     /// Performance estimation and fitness scoring.
     Objective,
+    /// One annealing proposal's construction, outside `Eval`: opening the
+    /// current graph's undo journal, copying the schedules, applying the
+    /// rewrite rules and building the evaluation's prior map.
+    Propose,
     /// Umbrella: one proposal evaluation the store did not serve, end to
     /// end.
     Eval,
@@ -79,7 +83,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in canonical report order.
-    pub const ALL: [Phase; 12] = [
+    pub const ALL: [Phase; 13] = [
         Phase::Validate,
         Phase::Compile,
         Phase::Schedule,
@@ -91,6 +95,7 @@ impl Phase {
         Phase::Analytic,
         Phase::Place,
         Phase::Objective,
+        Phase::Propose,
         Phase::Eval,
     ];
 
@@ -121,6 +126,7 @@ impl Phase {
             Phase::Analytic => "analytic",
             Phase::Place => "place",
             Phase::Objective => "objective",
+            Phase::Propose => "propose",
             Phase::Eval => "eval",
         }
     }

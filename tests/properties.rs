@@ -4,10 +4,12 @@
 
 use std::collections::BTreeMap;
 
-use overgen_adg::{mesh, AdgSummary, MeshSpec, SysAdg, SystemParams};
+use overgen_adg::{mesh, Adg, AdgSummary, MeshSpec, SysAdg, SystemParams};
 use overgen_compiler::{compile_variants, lower, CompileOptions, LowerChoices};
-use overgen_dse::{Dse, DseConfig, ParetoFront, ParetoPoint, RuleSet, TransformCtx};
-use overgen_ir::{expr, AffineExpr, DataType, Kernel, KernelBuilder, Suite};
+use overgen_dse::{
+    AdgDelta, Dse, DseConfig, Mutation, ParetoFront, ParetoPoint, RuleSet, TransformCtx,
+};
+use overgen_ir::{expr, AffineExpr, DataType, FuCap, Kernel, KernelBuilder, Suite};
 use overgen_mdfg::Mdfg;
 use overgen_scheduler::{
     repair, repair_with, schedule, HwIndex, RepairOptions, RepairOutcome, Schedule,
@@ -773,6 +775,133 @@ fn affine_range_contains_samples() {
             }
         }
     }
+}
+
+/// What one legacy rule application did, in comparable form: whether it
+/// ran preserving, the rule, its mutation, its inferred footprint and its
+/// recorded delta.
+type AppRecord = (bool, &'static str, Mutation, ScheduleFootprint, AdgDelta);
+
+/// `n` applications of uniformly drawn legacy rules on `adg`, each one
+/// preserving or not by a draw from `rng`, against `schedules`.
+fn apply_rules(
+    adg: &mut Adg,
+    schedules: &mut [Schedule],
+    cap_pool: &[FuCap],
+    rng: &mut Rng,
+    n: usize,
+) -> Vec<AppRecord> {
+    (0..n as u64)
+        .map(|step| {
+            let preserving = rng.gen_bool(0.5);
+            let mut ctx = TransformCtx {
+                cap_pool,
+                schedules: &mut *schedules,
+                preserving,
+            };
+            let app = RuleSet::legacy().apply_random(adg, &mut ctx, rng, step);
+            (preserving, app.rule, app.mutation, app.inferred, app.delta)
+        })
+        .collect()
+}
+
+/// The annealer's undo journal restores a graph exactly. On generated
+/// meshes with committed history (holes included), a chain of legacy
+/// rule applications, preserving on and off against live schedules so the
+/// preserving switch removal collapses routes, is rolled back: the graph
+/// must equal a copy taken before the journal opened, slot for slot and
+/// in adjacency order (`to_portable`; the fingerprint sorts successors
+/// and skips holes). The same rule stream applied to the copy and to the
+/// rolled-back graph must then do the same thing and leave the same
+/// graphs and schedules.
+#[test]
+fn journal_rollback_restores_the_graph_exactly() {
+    let mut rng = Rng::seed_from_u64(0x7011_BAC5);
+    let (mut scheduled, mut collapses, mut modes) = (0, 0, [0usize; 2]);
+    for tag in 0..64 {
+        let spec = MeshSpec {
+            rows: rng.gen_range(2usize..4),
+            cols: rng.gen_range(2usize..5),
+            in_ports: rng.gen_range(3usize..8),
+            out_ports: rng.gen_range(2usize..6),
+            ..MeshSpec::general()
+        };
+        let mut adg = mesh(&spec);
+        let k = arb_kernel(&mut rng, tag);
+        let cap_pool = Dse::cap_pool(std::slice::from_ref(&k));
+        let choices = LowerChoices {
+            unroll: 2,
+            ..Default::default()
+        };
+        let mdfg = lower(&k, 0, &choices).unwrap();
+        let seed_sys = SysAdg::new(adg.clone(), SystemParams::default());
+        let mut schedules: Vec<Schedule> = schedule(&mdfg, &seed_sys, None).into_iter().collect();
+        scheduled += schedules.len();
+
+        // Committed history leaves holes and the journal's spare buffers.
+        for _ in 0..rng.gen_range(1usize..4) {
+            adg.begin_journal();
+            apply_rules(&mut adg, &mut schedules, &cap_pool, &mut rng, 2);
+            adg.commit();
+        }
+
+        let copy = adg.clone();
+        let copy_schedules = schedules.clone();
+        adg.begin_journal();
+        let n = rng.gen_range(4usize..=10);
+        for (preserving, rule, _, _, delta) in
+            apply_rules(&mut adg, &mut schedules, &cap_pool, &mut rng, n)
+        {
+            modes[usize::from(preserving)] += 1;
+            collapses +=
+                usize::from(preserving && rule == "remove_switch" && !delta.added_edges.is_empty());
+        }
+        adg.rollback();
+        assert_eq!(adg.to_portable(), copy.to_portable(), "tag {tag}");
+
+        let mut replay = rng.split();
+        let (mut on_copy, mut on_rolled_back) = (copy, adg);
+        let mut rng_copy = replay.clone();
+        let mut schedules_copy = copy_schedules.clone();
+        let mut schedules_rolled_back = copy_schedules;
+        let n = rng.gen_range(1usize..=6);
+        assert_eq!(
+            apply_rules(
+                &mut on_copy,
+                &mut schedules_copy,
+                &cap_pool,
+                &mut rng_copy,
+                n
+            ),
+            apply_rules(
+                &mut on_rolled_back,
+                &mut schedules_rolled_back,
+                &cap_pool,
+                &mut replay,
+                n
+            ),
+            "tag {tag}"
+        );
+        assert_eq!(rng_copy, replay, "tag {tag}");
+        assert_eq!(schedules_copy, schedules_rolled_back, "tag {tag}");
+        assert_eq!(
+            on_copy.to_portable(),
+            on_rolled_back.to_portable(),
+            "tag {tag}"
+        );
+    }
+    assert!(
+        scheduled >= 24,
+        "only {scheduled} meshes scheduled their kernel"
+    );
+    assert!(
+        modes.iter().all(|&m| m >= 20),
+        "preserving off/on applications: {modes:?}"
+    );
+    assert!(
+        collapses >= 3,
+        "only {collapses} collapses patched live routes"
+    );
 }
 
 #[test]
